@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
@@ -37,6 +36,7 @@ from .core import (
     OrderedUniverse,
     ParameterError,
     WeightedSetFamily,
+    budget_from_env,
     parse_instance,
     serialize_instance,
 )
@@ -48,8 +48,7 @@ EXIT_BUDGET = 3
 
 
 def _default_budget() -> int:
-    value = os.environ.get("FPTMIX_BUDGET")
-    return int(value) if value else 200_000
+    return budget_from_env(200_000)
 
 
 def _fraction(text: str) -> Fraction:
@@ -428,7 +427,7 @@ def bench_rows(suite: dict, jobs: int = 1, budget: int | None = None) -> list[di
                 oracle = "accept" if opt is not None and opt <= W else "reject"
             elif problem == "wsp":
                 fam = parsed.value
-                res = wsp_mod.wsp_alg(fam.universe, fam, W, k, budget=budget)
+                res = wsp_mod.wsp_alg(fam.universe, fam, W, k, budget=budget, trace=trace)
                 verdict = res.status
                 opt = oracles.oracle_wsp(fam, k)
                 oracle = "accept" if opt is not None and opt >= W else "reject"
@@ -560,13 +559,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "inv_eps", None) is None and hasattr(args, "inv_eps"):
-        args.inv_eps = {"kpath": 13, "kcwp": 13}.get(getattr(args, "problem", ""), 2)
-    if getattr(args, "c", 0) is None:
-        args.c = {"kiob": 1.497, "wsp": 1.591}.get(args.problem, 1.0)
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "inv_eps", None) is None and hasattr(args, "inv_eps"):
+            args.inv_eps = {"kpath": 13, "kcwp": 13}.get(getattr(args, "problem", ""), 2)
+        if getattr(args, "c", 0) is None:
+            args.c = {"kiob": 1.497, "wsp": 1.591}.get(args.problem, 1.0)
         return args.func(args, ["fpt-mix"] + argv)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ boundary.  Every type is immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 WEIGHT_MIN = -(2**63)
@@ -31,6 +32,25 @@ class ParameterError(FptMixError):
 
 class BudgetExceededError(FptMixError):
     """An enumeration exceeded its configured budget."""
+
+
+def _ceildiv(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def budget_from_env(default: int) -> int:
+    """The enumeration cap set by ``FPTMIX_BUDGET``, or ``default`` when it is
+    unset or empty; anything but a positive integer is a ``ParameterError``."""
+    value = os.environ.get("FPTMIX_BUDGET")
+    if not value:
+        return default
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ParameterError(f"FPTMIX_BUDGET must be a positive integer, got {value!r}")
+    return budget
 
 
 def check_weight(value) -> int:

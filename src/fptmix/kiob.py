@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .core import (Digraph, FptMixError, Graph, OrderedUniverse, ParameterError,
                    WeightedSetFamily)
 from .matching import max_matching
-from .repsets import PartitionPart, PartitionSpec, gen_rep_alg
+from .repsets import PartitionPart, reduce_entry
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,10 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
 
     # table[v][(x, y)] -> set of frozensets (node-sets of out-trees at v)
     table: list[dict[tuple[int, int], list[frozenset]]] = [dict() for _ in range(n)]
-
-    def reduce_state(sets: set[frozenset], size: int) -> list[frozenset]:
-        if not sets:
-            return []
-        members = tuple((tuple(sorted(s)), 0) for s in sorted(sets, key=sorted))
-        fam = WeightedSetFamily(universe, size, members, "max")
-        z = (internal + leaves - size) + slack
-        spec = PartitionSpec((PartitionPart(tuple(range(n)), size + z, size, c),))
-        reduced = gen_rep_alg(spec, fam, "max")
-        return [frozenset(m) for m, _ in reduced.sets]
+    everything = tuple(range(n))
 
     for size in range(1, total + 1):
+        part = PartitionPart(everything, total + slack, size, c)
         for v in range(n):
             for x in range(0, size + 1):
                 y = size - x
@@ -130,7 +122,8 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                                 if a & b == {v}:
                                     found.add(a | b)
                 if found:
-                    table[v][(x, y)] = reduce_state(found, size)
+                    table[v][(x, y)] = reduce_entry(universe, [(s, 0) for s in found],
+                                                    (part,), "max")
 
     sets = table[root].get((internal, leaves), [])
     members = tuple((tuple(sorted(s)), 0) for s in sets)

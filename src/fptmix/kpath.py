@@ -19,6 +19,7 @@ the cut solver is exercised end to end without the outer enumeration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -31,8 +32,7 @@ from .core import (
     ParameterError,
     add_weights,
 )
-from .core import WeightedSetFamily
-from .repsets import PartitionPart, PartitionSpec, select_representative_positions
+from .repsets import PartitionPart, reduce_entry
 from . import unisets
 
 
@@ -209,11 +209,16 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                audit: bool = False) -> KcwpResult:
     """Three-phase staged DP over internal-node sets.
 
-    Phase tables hold, per (piece progress, per-part usage counts, last
-    node), a min-weight family of internal-node sets; each entry is replaced
-    by a generalized representative family after it is computed.  Once the
-    middle piece completes, L nodes are deleted from stored sets and the L
-    part leaves the partition.
+    Layer t holds, per (L count, R count, other count, last node), a
+    min-weight family of the sets of the first t internal nodes; each entry
+    is replaced by a generalized representative family after it is computed.
+    The layers walk the pieces in order: the early pieces (phase M, no R
+    nodes), the middle piece (phase N, L and R both allowed) and the late
+    pieces (phase K, no L nodes).  A step continues the current piece from
+    its last node, or, at the first internal node of a piece, closes the
+    previous piece at its end node and opens this one at its start node.
+    Once the middle piece completes, L nodes are deleted from stored sets and
+    the L part leaves the partition.
     """
     tradeoffs = tradeoffs or KcwpTradeoffs()
     check = validate_kcwp(inst)
@@ -227,26 +232,21 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     weights = g.arc_weights()
     out = g.out_neighbors()
     endp = set(inst.l1) | set(inst.l2) | set(inst.r1) | set(inst.r2) | {inst.vl, inst.vr}
-    L, R = set(inst.L), set(inst.R)
+    L, R = inst.L, inst.R
     e3 = [v for v in range(n) if v not in L and v not in R and v not in endp]
     k1, k2, k3, mid, ek, m, mt = par.k1, par.k2, par.k3, par.mid, par.ek, par.m, par.mt
-    piece_len = ek - 1
-    left_total = (m + mt) * piece_len
-    aftermid = left_total + mid
-    final_total = aftermid + (m - mt) * piece_len
+    early = m + mt
+    starts = inst.l1 + (inst.vl,) + inst.r1
+    ends = inst.l2 + (inst.vr,) + inst.r2
+    lengths = [ek - 1] * early + [mid] + [ek - 1] * (m - mt)
+    aftermid = early * (ek - 1) + mid
     universe = OrderedUniverse.from_labels(str(v) for v in range(n))
-
-    def reduce_entry(entry: dict, parts: tuple[PartitionPart, ...]) -> dict:
-        if not reduce or len(entry) <= 1:
-            return entry
-        ordered = sorted(entry.items(), key=lambda kv: sorted(kv[0]))
-        size = len(ordered[0][0])
-        sets = tuple((tuple(sorted(fs)), w) for fs, (w, _) in ordered)
-        wsf = WeightedSetFamily(universe, size, sets, "min")
-        keep, _ = select_representative_positions(PartitionSpec(parts), wsf, "min")
-        if trace is not None:
-            trace["peak_family"] = max(trace.get("peak_family", 0), len(entry))
-        return {ordered[i][0]: entry[ordered[i][0]] for i in keep}
+    part_shapes = ((tuple(sorted(L)), k1), (tuple(sorted(R)), k2), (tuple(e3), k3))
+    # per phase: the nodes a step may not add, and the c of the L, R and
+    # other parts of its reductions (None: the part is left out)
+    phases = {"M": (R | endp, (tradeoffs.cl, 1.0, tradeoffs.c1)),
+              "N": (endp, (tradeoffs.cl, tradeoffs.cr, tradeoffs.c1)),
+              "K": (L | endp, (None, tradeoffs.cr, tradeoffs.c2))}
 
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
@@ -254,268 +254,97 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
         if old is None or weight < old[0]:
             entry[fs] = (weight, payload)
 
-    def audit_layer(layer, phase: str):
-        # budget ledger: stored bitsets carry exactly the counts the entry
-        # coordinates claim, and never touch forbidden universes
-        for key, entry in layer.items():
-            for fs in entry:
-                in_l = sum(1 for v in fs if v in L)
-                in_r = sum(1 for v in fs if v in R)
-                assert not fs & endp, (phase, key)
-                if phase == "M":
-                    j, s, _ = key
-                    assert in_r == 0 and in_l == j and len(fs) - in_l == s, (phase, key)
-                elif phase == "N":
-                    i, j, s, _ = key
-                    assert in_l == i and in_r == j and len(fs) - in_l - in_r == s
-                else:
-                    j, s, _ = key
-                    assert in_l == 0 and in_r == j and len(fs) - in_r == s
-
-    L_t, R_t, E3_t = tuple(sorted(L)), tuple(sorted(R)), tuple(e3)
-    layers: dict[int, dict] = {}
-
-    def m_piece(total: int) -> int:
-        return (total - 1) // piece_len + 1
-
-    def m_bound_ok(i: int, j: int) -> bool:
-        return Fraction(j) >= Fraction(i - 1, m + mt) * (k1 - mid)
-
-    def k_bound_ok(i: int, j: int) -> bool:
-        return Fraction(j) <= Fraction(i, m - mt) * (k2 - mid) + mid
-
-    # ---- phase M: early pieces, universe excludes R -----------------------
-    for total in range(1, left_total + 1):
-        layer: dict = {}
-        piece = m_piece(total)
-        start_of_piece = total == (piece - 1) * piece_len + 1
-        if total == 1:
-            head = inst.l1[0]
-            for v in sorted(out[head]):
-                if v in R or v in endp:
-                    continue
-                j = 1 if v in L else 0
-                s = 1 - j
-                if j > k1 or s > k3 or not m_bound_ok(1, j):
-                    continue
-                put(layer, (j, s, v), frozenset((v,)), weights[(head, v)], (None, None, None, v))
-        elif start_of_piece:
-            prev = layers[total - 1]
-            tail = inst.l2[piece - 2]
-            head = inst.l1[piece - 1]
-            for (j, s, u), entry in prev.items():
-                if (u, tail) not in weights:
-                    continue
-                bridge = weights[(u, tail)]
-                for v in sorted(out[head]):
-                    if v in R or v in endp:
-                        continue
-                    dj = 1 if v in L else 0
-                    nj, ns = j + dj, s + (1 - dj)
-                    if nj > k1 or ns > k3 or not m_bound_ok(piece, nj):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (nj, ns, v), fs | {v},
-                            add_weights(add_weights(w, bridge), weights[(head, v)]),
-                            (total - 1, (j, s, u), fs, v))
-        else:
-            prev = layers[total - 1]
-            for (j, s, u), entry in prev.items():
-                for v in sorted(out[u]):
-                    if v in R or v in endp:
-                        continue
-                    dj = 1 if v in L else 0
-                    nj, ns = j + dj, s + (1 - dj)
-                    if nj > k1 or ns > k3 or not m_bound_ok(piece, nj):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (nj, ns, v), fs | {v}, add_weights(w, weights[(u, v)]),
-                            (total - 1, (j, s, u), fs, v))
-        for key in sorted(layer):
-            j, s, _ = key
-            parts = (PartitionPart(L_t, k1, j, tradeoffs.cl),
-                     PartitionPart(R_t, k2, 0, 1.0),
-                     PartitionPart(E3_t, k3, s, tradeoffs.c1))
-            layer[key] = reduce_entry(layer[key], parts)
-        if audit:
-            audit_layer(layer, "M")
-        layers[total] = layer
-
-    # ---- phase N: the middle piece, L and R both allowed ------------------
-    for total in range(left_total + 1, aftermid + 1):
-        layer = {}
-        if total == left_total + 1:
-            prev = layers[total - 1] if left_total else {}
-            tail = inst.l2[m + mt - 1] if m + mt else None
-            for (j, s, u), entry in prev.items():
-                if (u, tail) not in weights:
-                    continue
-                bridge = weights[(u, tail)]
-                for v in sorted(out[inst.vl]):
-                    if v in endp:
-                        continue
-                    di = 1 if v in L else 0
-                    dj = 1 if v in R else 0
-                    ni, nj, ns = j + di, dj, s + (1 - di - dj)
-                    if ni > k1 or nj > k2 or ns > k3 or ni < k1 - (aftermid - total):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (ni, nj, ns, v), fs | {v},
-                            add_weights(add_weights(w, bridge), weights[(inst.vl, v)]),
-                            (total - 1, (j, s, u), fs, v))
-        else:
-            prev = layers[total - 1]
-            for (i, j, s, u), entry in prev.items():
-                for v in sorted(out[u]):
-                    if v in endp:
-                        continue
-                    di = 1 if v in L else 0
-                    dj = 1 if v in R else 0
-                    ni, nj, ns = i + di, j + dj, s + (1 - di - dj)
-                    if ni > k1 or nj > k2 or ns > k3 or ni < k1 - (aftermid - total):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (ni, nj, ns, v), fs | {v}, add_weights(w, weights[(u, v)]),
-                            (total - 1, (i, j, s, u), fs, v))
-        for key in sorted(layer):
-            i, j, s, _ = key
-            parts = (PartitionPart(L_t, k1, i, tradeoffs.cl),
-                     PartitionPart(R_t, k2, j, tradeoffs.cr),
-                     PartitionPart(E3_t, k3, s, tradeoffs.c1))
-            layer[key] = reduce_entry(layer[key], parts)
-        if audit:
-            audit_layer(layer, "N")
-        layers[total] = layer
-
-    # ---- phase K: late pieces; L nodes leave the stored sets --------------
-    c_grid = _interpolation_grid(tradeoffs.c1, tradeoffs.c2, Fraction(1, inst.inv_eps))
-    for total in range(aftermid + 1, final_total + 1):
-        layer = {}
-        rel = total - aftermid
-        piece = (rel - 1) // piece_len + 1
-        start_of_piece = rel == (piece - 1) * piece_len + 1
-        if total == aftermid + 1:
-            prev = layers[total - 1]
-            head = inst.r1[0]
-            for key, entry in prev.items():
-                i, j, s, u = key
-                if i != k1 or (u, inst.vr) not in weights:
-                    continue
-                bridge = weights[(u, inst.vr)]
-                for v in sorted(out[head]):
-                    if v in L or v in endp:
-                        continue
-                    dj = 1 if v in R else 0
-                    nj, ns = j + dj, s + (1 - dj)
-                    if nj > k2 or ns > k3 or not k_bound_ok(1, nj):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (nj, ns, v), (fs - L) | {v},
-                            add_weights(add_weights(w, bridge), weights[(head, v)]),
-                            (total - 1, key, fs, v))
-        elif start_of_piece:
-            prev = layers[total - 1]
-            tail = inst.r2[piece - 2]
-            head = inst.r1[piece - 1]
-            for (j, s, u), entry in prev.items():
-                if (u, tail) not in weights:
-                    continue
-                bridge = weights[(u, tail)]
-                for v in sorted(out[head]):
-                    if v in L or v in endp:
-                        continue
-                    dj = 1 if v in R else 0
-                    nj, ns = j + dj, s + (1 - dj)
-                    if nj > k2 or ns > k3 or not k_bound_ok(piece, nj):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (nj, ns, v), fs | {v},
-                            add_weights(add_weights(w, bridge), weights[(head, v)]),
-                            (total - 1, (j, s, u), fs, v))
-        else:
-            prev = layers[total - 1]
-            for (j, s, u), entry in prev.items():
-                for v in sorted(out[u]):
-                    if v in L or v in endp:
-                        continue
-                    dj = 1 if v in R else 0
-                    nj, ns = j + dj, s + (1 - dj)
-                    if nj > k2 or ns > k3 or not k_bound_ok(piece, nj):
-                        continue
-                    for fs, (w, _) in entry.items():
-                        if v in fs:
-                            continue
-                        put(layer, (nj, ns, v), fs | {v}, add_weights(w, weights[(u, v)]),
-                            (total - 1, (j, s, u), fs, v))
-        for key in sorted(layer):
-            j, s, _ = key
-            parts = (PartitionPart(R_t, k2, j, tradeoffs.cr),
-                     PartitionPart(E3_t, k3, s, tradeoffs.c2))
-            if total == aftermid + 1:
-                entry = layer[key]
-                for c in c_grid:
-                    parts_c = (PartitionPart(R_t, k2, j, tradeoffs.cr),
-                               PartitionPart(E3_t, k3, s, c))
-                    entry = reduce_entry(entry, parts_c)
-                layer[key] = entry
+    # layer 0: the empty set, standing at the start node of the first piece
+    layers = [{(0, 0, 0, starts[0]): {frozenset(): (0, None)}}]
+    for p, length in enumerate(lengths):
+        phase = "M" if p < early else "N" if p == early else "K"
+        forbidden, cs = phases[phase]
+        for pos in range(length):
+            total = len(layers)
+            # count bounds of this layer: lo_l <= L count <= k1, R count <= hi_r
+            if phase == "M":
+                lo_l, hi_r = math.ceil(Fraction(p, early) * (k1 - mid)), k2
+            elif phase == "N":
+                lo_l, hi_r = k1 - (aftermid - total), k2
             else:
-                layer[key] = reduce_entry(layer[key], parts)
-        if audit:
-            audit_layer(layer, "K")
-        layers[total] = layer
+                lo_l = 0
+                hi_r = min(k2, math.floor(Fraction(p - early, m - mt) * (k2 - mid) + mid))
+            bridge_to = (ends[p - 1], starts[p]) if pos == 0 and p else None
+            # L nodes leave the stored sets when the first late piece opens;
+            # every key of the last middle layer has L count k1 (lo_l is k1 there)
+            drop_l = bridge_to is not None and p == early + 1
+            layer: dict = {}
+            for key, entry in layers[-1].items():
+                l, r, s, u = key
+                if bridge_to is None:
+                    src, bridge = u, None
+                else:
+                    tail, src = bridge_to
+                    if (u, tail) not in weights:
+                        continue
+                    bridge = weights[(u, tail)]
+                if drop_l:
+                    l = 0
+                for v in sorted(out[src]):
+                    if v in forbidden:
+                        continue
+                    dl, dr = v in L, v in R
+                    nl, nr, ns = l + dl, r + dr, s + 1 - dl - dr
+                    if not (lo_l <= nl <= k1 and nr <= hi_r and ns <= k3):
+                        continue
+                    nkey = (nl, nr, ns, v)
+                    arc = weights[(src, v)]
+                    for fs, (w, _) in entry.items():
+                        if v in fs:
+                            continue
+                        nw = (add_weights(w, arc) if bridge is None
+                              else add_weights(add_weights(w, bridge), arc))
+                        put(layer, nkey, (fs - L if drop_l else fs) | {v}, nw, (key, fs, v))
+            for key in sorted(layer):
+                entry = layer[key]
+                if reduce and len(entry) > 1:
+                    parts = tuple(PartitionPart(elements, k_part, count, c)
+                                  for (elements, k_part), count, c in zip(part_shapes, key, cs)
+                                  if c is not None)
+                    kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
+                                        parts, "min", trace)
+                    layer[key] = {fs: entry[fs] for fs in kept}
+            if audit:
+                # budget ledger: stored sets carry exactly the counts the key
+                # claims, and never touch piece endpoints
+                for key, entry in layer.items():
+                    for fs in entry:
+                        in_l, in_r = len(fs & L), len(fs & R)
+                        assert not fs & endp and \
+                            (in_l, in_r, len(fs) - in_l - in_r) == key[:3], (phase, key)
+            layers.append(layer)
 
     # ---- acceptance --------------------------------------------------------
-    tail = inst.r2[m - mt - 1]
     candidates = []
-    final_layer = layers.get(final_total, {})
-    for (j, s, v), entry in final_layer.items():
-        if j != k2 or s != k3 or (v, tail) not in weights:
+    for key, entry in layers[-1].items():
+        _, r, s, v = key
+        if r != k2 or s != k3 or (v, ends[-1]) not in weights:
             continue
-        closing = weights[(v, tail)]
+        closing = weights[(v, ends[-1])]
         for fs, (w, _) in entry.items():
             totalw = add_weights(w, closing)
             if totalw <= inst.W:
-                candidates.append((totalw, (j, s, v), fs))
+                candidates.append((totalw, key, fs))
     if not candidates:
         return KcwpResult(False)
     candidates.sort(key=lambda t: (t[0], t[1], sorted(t[2])))
 
-    def rebuild(entry_key, fs) -> tuple[tuple[int, ...], ...]:
+    def rebuild(key, fs) -> tuple[tuple[int, ...], ...]:
         nodes: list[int] = []
-        total, key, cur = final_total, entry_key, fs
-        while True:
-            _, payload = layers[total][key][cur]
-            prev_total, prev_key, prev_fs, added = payload
+        for total in range(len(layers) - 1, 0, -1):
+            key, fs, added = layers[total][key][fs][1]
             nodes.append(added)
-            if prev_total is None:
-                break
-            total, key, cur = prev_total, prev_key, prev_fs
         nodes.reverse()
         pieces = []
         pos = 0
-        for idx in range(m + mt):
-            chunk = nodes[pos: pos + piece_len]
-            pieces.append((inst.l1[idx],) + tuple(chunk) + (inst.l2[idx],))
-            pos += piece_len
-        chunk = nodes[pos: pos + mid]
-        pieces.append((inst.vl,) + tuple(chunk) + (inst.vr,))
-        pos += mid
-        for idx in range(m - mt):
-            chunk = nodes[pos: pos + piece_len]
-            pieces.append((inst.r1[idx],) + tuple(chunk) + (inst.r2[idx],))
-            pos += piece_len
+        for start, end, length in zip(starts, ends, lengths):
+            pieces.append((start,) + tuple(nodes[pos: pos + length]) + (end,))
+            pos += length
         return tuple(pieces)
 
     for totalw, key, fs in candidates:
@@ -524,16 +353,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
             return KcwpResult(True, pieces, totalw, True)
     totalw, key, fs = candidates[0]
     return KcwpResult(True, rebuild(key, fs), totalw, False)
-
-
-def _interpolation_grid(c1: float, c2: float, eps: Fraction) -> list[float]:
-    """Tradeoff sweep grid from c1 down to c2; the step is rounded to the
-    nearest value that divides the interval evenly."""
-    if c1 <= c2:
-        return [c2]
-    steps = max(1, round((c1 - c2) / float(eps)))
-    width = (c1 - c2) / steps
-    return [c1 - width * i for i in range(1, steps + 1)]
 
 
 def verify_kcwp_witness(inst: KcwpInstance, result: KcwpResult) -> None:

@@ -15,21 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import (
-    BudgetExceededError,
-    Graph,
-    OrderedUniverse,
-    ParameterError,
-    WeightedSetFamily,
-    block_permutation,
-    reorder_universe,
-)
-from .repsets import PartitionPart, PartitionSpec, select_representative_positions
-from .wsp import cut_tuples
-
-
-def _ceildiv(a: int, b: int) -> int:
-    return -(-a // b)
+from .core import BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv
+from .repsets import PartitionPart, reduce_entry
+from .wsp import cut_universes
 
 
 @dataclass(frozen=True)
@@ -98,17 +86,7 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozense
 
     # layers[(p', q')][(m, X')] -> {stored Y-set: payload}
     layers: dict[tuple[int, int], dict] = {}
-
-    def reduce_entry(entry: dict, size: int, p_used: int) -> dict:
-        if len(entry) <= 1:
-            return entry
-        ordered = sorted(entry.items(), key=lambda kv: sorted(kv[0]))
-        sets = tuple((tuple(sorted(fs)), 0) for fs, _ in ordered)
-        wsf = WeightedSetFamily(y_universe, size, sets, "max")
-        spec = PartitionSpec(
-            (PartitionPart(tuple(range(len(y_nodes))), size + (p - p_used), size, c),))
-        keep, _ = select_representative_positions(spec, wsf, "max")
-        return {ordered[i][0]: entry[ordered[i][0]] for i in keep}
+    y_all = tuple(range(len(y_nodes)))
 
     for p_used in range(1, p + 1):
         for q_used in range(_ceildiv(p_used, 3), min(p_used, q) + 1):
@@ -136,8 +114,13 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozense
                             entry = layer.setdefault(key, {})
                             entry.setdefault(fs2 | stored_new,
                                              ((p_used - len(ypart), q_used - 1), (m2, x2), fs2, triple))
+            size = p_used - q_used
+            part = PartitionPart(y_all, size + (p - p_used), size, c)
             for key in sorted(layer, key=lambda kv: (kv[0], sorted(kv[1]))):
-                layer[key] = reduce_entry(layer[key], p_used - q_used, p_used)
+                entry = layer[key]
+                if len(entry) > 1:
+                    kept = reduce_entry(y_universe, [(fs, 0) for fs in entry], (part,), "max")
+                    layer[key] = {fs: entry[fs] for fs in kept}
             layers[(p_used, q_used)] = layer
 
     result: dict[frozenset, Packing] = {}
@@ -338,43 +321,14 @@ def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
     inv_eps = inst.inv_eps
     if kq // inv_eps < 1:
         inv_eps = 1
-    universe = inst.universe
-    order = universe.by_rank()
-    n = len(order)
-    if n < inv_eps:
-        return Pro2Result("reject")
-    seen: set[tuple] = set()
-    spent = 0
-    for cut in cut_tuples(order, inv_eps):
-        spent += 1
-        if spent > budget:
-            return Pro2Result("budget-exceeded")
-        blocks: list[tuple[int, ...]] = []
-        usedr: set[int] = set()
-        for lo, hi in cut:
-            block = tuple(order[r] for r in range(lo, hi + 1) if r not in usedr)
-            usedr.update(range(lo, hi + 1))
-            if not block:
-                blocks = []
-                break
-            blocks.append(block)
-        if not blocks:
-            continue
-        key = tuple(blocks)
-        if key in seen:
-            continue
-        seen.add(key)
-        perm = block_permutation(universe, blocks)
-        uni2 = reorder_universe(universe, perm)
-        f = tuple(max(b, key=lambda e: uni2.rank[e]) for b in blocks)
-        sub = Pro2Instance(uni2, inst.k, inst.family, inst.p, inst.q,
-                           inst.candidates, inv_eps, f)
-        try:
-            res = solve_cpro2(sub)
-        except BudgetExceededError:
-            return Pro2Result("budget-exceeded")
-        if res.accept:
-            return Pro2Result("accept", res.footprint, res.ordered_sets)
+    try:
+        for uni2, f in cut_universes(inst.universe, inv_eps, budget):
+            res = solve_cpro2(Pro2Instance(uni2, inst.k, inst.family, inst.p, inst.q,
+                                           inst.candidates, inv_eps, f))
+            if res.accept:
+                return Pro2Result("accept", res.footprint, res.ordered_sets)
+    except BudgetExceededError:
+        return Pro2Result("budget-exceeded")
     return Pro2Result("reject")
 
 

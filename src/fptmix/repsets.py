@@ -221,8 +221,8 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
                                     objective: str,
                                     budget: int | None = None) -> tuple[list[int], int]:
     """Positions (into ``family.sets``) kept by the weight-ordered sweep, plus
-    the implicit product-family size.  Core of ``gen_rep_alg``, shared with the
-    dynamic programs that track payloads alongside member sets."""
+    the implicit product-family size.  Core of ``gen_rep_alg`` and of
+    ``reduce_entry``, which the dynamic programs call per entry."""
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
     _validate_membership(spec, family)
@@ -269,6 +269,24 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
                 used |= 1 << idx
     selected.sort()
     return selected, product_size
+
+
+def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ...],
+                 objective: str, trace: dict | None = None) -> list[frozenset]:
+    """The member sets of one DP entry that the weight-ordered sweep keeps.
+
+    ``sets`` holds (frozenset, weight) pairs of one common size.  They are
+    listed in ascending order of their sorted members, which fixes the
+    tie-break, and the kept sets come back in that order.  ``trace``, when
+    given, records the largest entry reduced under ``peak_family``.
+    """
+    ordered = sorted(sets, key=lambda sw: sorted(sw[0]))
+    family = WeightedSetFamily(universe, len(ordered[0][0]),
+                               tuple((tuple(sorted(fs)), w) for fs, w in ordered), objective)
+    keep, _ = select_representative_positions(PartitionSpec(parts), family, objective)
+    if trace is not None:
+        trace["peak_family"] = max(trace.get("peak_family", 0), len(ordered))
+    return [ordered[i][0] for i in keep]
 
 
 def gen_rep_alg(spec: PartitionSpec, family: WeightedSetFamily,

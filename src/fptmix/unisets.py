@@ -15,14 +15,13 @@ downstream relies on.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .core import BudgetExceededError, ParameterError
+from .core import BudgetExceededError, ParameterError, _ceildiv, budget_from_env
 
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
@@ -31,8 +30,7 @@ _MATRIX_CELL_CAP = 40_000_000
 
 
 def constraint_budget() -> int:
-    value = os.environ.get("FPTMIX_BUDGET")
-    return int(value) if value else DEFAULT_CONSTRAINT_BUDGET
+    return budget_from_env(DEFAULT_CONSTRAINT_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -131,7 +129,7 @@ def verify_universal(u: UniversalSet, budget: int | None = None,
     from concurrent.futures import ThreadPoolExecutor
 
     cons = list(iter_constraints(u.n, u.k, u.p))
-    step = max(1, -(-len(cons) // jobs))
+    step = max(1, _ceildiv(len(cons), jobs))
     chunks = [cons[lo:lo + step] for lo in range(0, len(cons), step)]
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         hits = [h for h in pool.map(scan, chunks) if h is not None]

@@ -18,15 +18,12 @@ from .core import (
     OrderedUniverse,
     ParameterError,
     WeightedSetFamily,
+    _ceildiv,
     add_weights,
     block_permutation,
     reorder_universe,
 )
-from .repsets import PartitionPart, PartitionSpec, select_representative_positions
-
-
-def _ceildiv(a: int, b: int) -> int:
-    return -(-a // b)
+from .repsets import PartitionPart, reduce_entry
 
 
 @dataclass(frozen=True)
@@ -121,22 +118,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
 
     Entry = dict  # {frozenset: (weight, payload)}
     layers: dict[tuple[int, int], dict[tuple, Entry]] = {}
-
-    def reduce_entry(entry: Entry, size: int, j: int) -> Entry:
-        if not reduce or len(entry) <= 1:
-            return entry
-        ordered = sorted(entry.items(), key=lambda kv: sorted(kv[0]))
-        sets = tuple((tuple(sorted(fs)), w) for fs, (w, _) in ordered)
-        wsf = WeightedSetFamily(inst.universe, size, sets, "max")
-        spec = PartitionSpec((PartitionPart(tuple(range(n)), size + 3 * (k - j), size, c),))
-        keep, _ = select_representative_positions(spec, wsf, "max")
-        kept = {}
-        for idx in keep:
-            fs = ordered[idx][0]
-            kept[fs] = entry[fs]
-        if trace is not None:
-            trace["peak_family"] = max(trace.get("peak_family", 0), len(entry))
-        return kept
+    everything = tuple(range(n))
 
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
@@ -181,9 +163,13 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
                                 put(layer, (new_s, mrank), a | others,
                                     add_weights(cw, w), ((ci, j - 1), (s_vec, mrank_c), fs, pos))
             for key in sorted(layer):
-                s_vec = key[0]
-                size = 2 * j - (s_vec[i - 2] if i >= 2 else 0)
-                layer[key] = reduce_entry(layer[key], size, j)
+                entry = layer[key]
+                if reduce and len(entry) > 1:
+                    size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                    part = PartitionPart(everything, size + 3 * (k - j), size, c)
+                    kept = reduce_entry(inst.universe, [(fs, w) for fs, (w, _) in entry.items()],
+                                        (part,), "max", trace)
+                    layer[key] = {fs: entry[fs] for fs in kept}
             if audit:
                 for (s_vec, mrank), entry in layer.items():
                     floor_i = stage_floor(i)
@@ -324,6 +310,39 @@ def cut_tuples(order: list[int], pieces: int):
     yield from rec(tuple(range(len(order))))
 
 
+def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
+    """Each distinct way to cut ``universe`` into ``pieces`` blocks, as the
+    universe reordered so the blocks come first plus the stage threshold
+    function f (the last element of each block).
+
+    Block i holds the ranks of span i not claimed by an earlier span; cut
+    tuples that leave a block empty or repeat an earlier block tuple are
+    skipped.  ``budget`` caps the raw cut tuples drawn, skipped ones
+    included: drawing one more raises ``BudgetExceededError``.
+    """
+    order = universe.by_rank()
+    seen: set[tuple] = set()
+    spent = 0
+    for cut in cut_tuples(order, pieces):
+        spent += 1
+        if spent > budget:
+            raise BudgetExceededError(f"more than {budget} cut tuples")
+        blocks: list[tuple[int, ...]] = []
+        usedr: set[int] = set()
+        for lo, hi in cut:
+            block = tuple(order[r] for r in range(lo, hi + 1) if r not in usedr)
+            usedr.update(range(lo, hi + 1))
+            if not block:
+                break
+            blocks.append(block)
+        key = tuple(blocks)
+        if len(key) < pieces or key in seen:
+            continue
+        seen.add(key)
+        uni2 = reorder_universe(universe, block_permutation(universe, blocks))
+        yield uni2, tuple(max(b, key=lambda e: uni2.rank[e]) for b in blocks)
+
+
 def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int,
             inv_eps: int = 2, c: float = 1.591, budget: int = 200_000,
             reduce: bool = True, trace: dict | None = None) -> WspResult:
@@ -341,41 +360,14 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         raise ParameterError("1/eps must be in 1..6")
     if k // inv_eps < 1:
         inv_eps = 1  # staged machinery needs floor(eps*k) >= 1; one stage always works
-    order = universe.by_rank()
-    n = len(order)
-    if n < inv_eps:
-        return WspResult("reject")
-    seen_blocks: set[tuple] = set()
-    spent = 0
-    for cut in cut_tuples(order, inv_eps):
-        spent += 1
-        if spent > budget:
-            return WspResult("budget-exceeded")
-        blocks: list[tuple[int, ...]] = []
-        usedr: set[int] = set()
-        for lo, hi in cut:
-            block = tuple(order[r] for r in range(lo, hi + 1) if r not in usedr)
-            usedr.update(range(lo, hi + 1))
-            if not block:
-                blocks = []
-                break
-            blocks.append(block)
-        if not blocks:
-            continue
-        key = tuple(blocks)
-        if key in seen_blocks:
-            continue
-        seen_blocks.add(key)
-        perm = block_permutation(universe, blocks)
-        uni2 = reorder_universe(universe, perm)
-        f = tuple(max(b, key=lambda e: uni2.rank[e]) for b in blocks)
-        fam2 = WeightedSetFamily(uni2, 3, family.sets, "max")
-        inst = CwspInstance(uni2, fam2, W, k, inv_eps, f)
-        try:
+    try:
+        for uni2, f in cut_universes(universe, inv_eps, budget):
+            inst = CwspInstance(uni2, WeightedSetFamily(uni2, 3, family.sets, "max"),
+                                W, k, inv_eps, f)
             res = solve_cwsp(inst, c, reduce=reduce, trace=trace)
-        except BudgetExceededError:
-            return WspResult("budget-exceeded")
-        if res.accept:
-            verify_cwsp_witness(inst, res)
-            return WspResult("accept", res.ordered_sets, res.weight)
+            if res.accept:
+                verify_cwsp_witness(inst, res)
+                return WspResult("accept", res.ordered_sets, res.weight)
+    except BudgetExceededError:
+        return WspResult("budget-exceeded")
     return WspResult("reject")

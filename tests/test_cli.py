@@ -137,14 +137,20 @@ def test_repfam_cli(tmp_path, capsys):
 
 def test_bench_suite_and_missing(tmp_path, capsys):
     suite = tmp_path / "suite.json"
+    wsp_family = {"universe": [f"u{i}" for i in range(6)],
+                  "sets": [{"members": [f"u{e}" for e in members], "weight": w}
+                           for members, w in (((0, 2, 3), 3), ((1, 2, 4), 2), ((0, 2, 4), 4),
+                                              ((1, 3, 5), 4), ((2, 4, 5), 5))]}
     suite.write_text(json.dumps({"name": "smoke", "rows": [
         {"problem": "kiob", "instance": {"nodes": 3, "arcs": [[0, 1, 1], [1, 2, 1]]}, "k": 2},
         {"problem": "p2p", "instance": {"nodes": 3, "edges": [[0, 1], [1, 2]]}, "k": 1},
+        {"problem": "wsp", "instance": wsp_family, "k": 2, "W": 9},
     ]}))
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
+    assert isinstance(rows[2]["peakFamilySize"], int)
     code, out, _ = run(capsys, "bench", str(suite), "--jobs", "2", "--format", "json")
     assert json.loads(out) == [dict(r, seconds=rr["seconds"])
                                for r, rr in zip(rows, json.loads(out))]
@@ -163,6 +169,19 @@ def test_bounds_cli_all_tables(capsys):
     for table in ("table1", "table2", "table3", "table4", "table5", "p2p"):
         code, out, _ = run(capsys, "bounds", table)
         assert code == 0 and out.strip()
+
+
+def test_bad_budget_variable_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    for value in ("abc", "0", "-5"):
+        monkeypatch.setenv("FPTMIX_BUDGET", value)
+        code, _, err = run(capsys, "bounds", "table2")
+        assert code == 2 and err.startswith("error:") and "FPTMIX_BUDGET" in err
+    monkeypatch.setenv("FPTMIX_BUDGET", "10")
+    inst = tmp_path / "d.json"
+    inst.write_text(json.dumps(
+        {"nodes": 40, "arcs": [[i, i + 1, 1] for i in range(39)]}))
+    code, _, _ = run(capsys, "solve", "kpath", str(inst), "--k", "30", "--W", "100")
+    assert code == 3
 
 
 def test_usage_errors(capsys, tmp_path):
