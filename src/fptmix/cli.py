@@ -15,7 +15,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -256,7 +255,7 @@ def _cmd_uniset(args, argv) -> int:
 def _cmd_check_uniset(args, argv) -> int:
     lines = _load(args.file).splitlines()
     u = unisets.UniversalSet.from_lines(args.n, args.k, args.p, lines)
-    result = unisets.verify_universal(u, jobs=args.jobs)
+    result = unisets.verify_universal(u)
     if result.valid:
         print("valid")
         return EXIT_ACCEPT
@@ -404,11 +403,10 @@ def _cmd_gen(args, argv) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def bench_rows(suite: dict, jobs: int = 1, budget: int | None = None) -> list[dict]:
+def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
     budget = budget or _default_budget()
 
-    def run(item):
-        name, row = item
+    def run(name, row):
         problem = row["problem"]
         doc = json.dumps(row["instance"])
         parsed = parse_instance(doc)
@@ -447,11 +445,7 @@ def bench_rows(suite: dict, jobs: int = 1, budget: int | None = None) -> list[di
                 "match": (verdict == oracle) if oracle is not None
                          and verdict != "budget-exceeded" else None}
 
-    items = [(row.get("name", f"row{i}"), row) for i, row in enumerate(suite.get("rows", []))]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, items))  # map preserves submission order
-    return [run(item) for item in items]
+    return [run(row.get("name", f"row{i}"), row) for i, row in enumerate(suite.get("rows", []))]
 
 
 def _cmd_bench(args, argv) -> int:
@@ -459,7 +453,7 @@ def _cmd_bench(args, argv) -> int:
         suite = json.loads(_load(args.suite))
     except FileNotFoundError:
         raise ParameterError(f"missing suite {args.suite!r}")
-    rows = bench_rows(suite, args.jobs, args.budget)
+    rows = bench_rows(suite, args.budget)
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:
@@ -522,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--n", type=int, required=True)
     chk.add_argument("--k", type=int, required=True)
     chk.add_argument("--p", type=int, required=True)
-    chk.add_argument("--jobs", type=int, default=1)
     chk.set_defaults(func=_cmd_check_uniset)
 
     rep = sub.add_parser("repfam", help="compute a representative subfamily")
@@ -549,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="run a suite and cross-check oracles")
     ben.add_argument("suite")
-    ben.add_argument("--jobs", type=int, default=1)
     ben.add_argument("--format", choices=["csv", "json"], default="csv")
     ben.add_argument("--budget", type=int, default=_default_budget())
     ben.set_defaults(func=_cmd_bench)

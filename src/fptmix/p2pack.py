@@ -6,8 +6,9 @@ splits it by (p, q): p nodes outside X spread over q paths.  One procedure
 computes, per (p, q), a family of candidate X-footprints of those q paths
 (a representative-family DP over the outside nodes); a second decides
 whether some candidate footprint leaves room for the remaining k - q paths
-inside X, using the same unbalanced cutting as the weighted packing solver
-but with a plain boolean table over explicit partial-solution sets.
+inside X, running the weighted packing solver's unbalanced cutting and
+staged DP with zero weights and no reduction, so entries keep explicit
+partial-solution sets.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 
 from .core import BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv
 from .repsets import PartitionPart, reduce_entry
-from .wsp import cut_universes
+from .wsp import _pack_stages, cut_universes, stage_schedule
 
 
 @dataclass(frozen=True)
@@ -159,17 +160,6 @@ class Pro2Instance:
                 raise ParameterError(f"candidate footprint of size {len(cand)}, expected {want}")
 
 
-def _r_schedule_pro2(kq: int, p: int, q: int, inv_eps: int) -> list[int]:
-    ek = kq // inv_eps
-    if ek < 1:
-        raise ParameterError("floor(eps * (k - q)) must be at least 1")
-    values = [0]
-    for j in range(1, inv_eps + 1):
-        denom = _ceildiv(3 * (kq - (j - 1) * ek), ek)
-        values.append(values[-1] + _ceildiv((3 * q - p) + 2 * (j - 1) * ek - values[-1], denom))
-    return values
-
-
 @dataclass(frozen=True)
 class Cpro2Result:
     accept: bool
@@ -178,127 +168,35 @@ class Cpro2Result:
 
 
 def solve_cpro2(inst: Pro2Instance, budget: int = 5_000_000) -> Cpro2Result:
-    """Boolean staged DP with explicit partial-solution sets.
+    """Decide whether some candidate footprint leaves room for k - q
+    disjoint family sets, on the weighted cut packing solver's staged DP.
 
-    Mirrors the weighted cut packing solver, except entries carry the exact
-    set of still-relevant elements (chosen footprint plus non-minimum set
-    elements above the last stage threshold), so no representative reduction
-    is involved.  A companion table per stage boundary applies the threshold
-    deletion before the next stage reads it.  ``budget`` caps the number of
-    materialized entries; explicit subsets can multiply out on adversarial
-    inputs.
+    Every set weighs 0 and no representative reduction runs, so entries
+    keep the exact set of still-relevant elements: the chosen footprint
+    plus non-minimum set elements above the last stage threshold.  Layer
+    (0, 0) holds one seed per candidate footprint, and the schedule counts
+    the footprint's 3q - p elements from the start.  ``budget`` caps the
+    number of materialized entries; explicit subsets can multiply out on
+    adversarial inputs.
     """
     if inst.f is None:
         raise ParameterError("the cut subproblem needs the stage function f")
-    spent = 0
-    rank = inst.universe.rank
     kq = inst.k - inst.q
-    t = inst.inv_eps
     if kq < 1:
         raise ParameterError("k - q must be at least 1 for the staged table")
-    ek = kq // t
-    sched = _r_schedule_pro2(kq, inst.p, inst.q, t)
+    sched = stage_schedule(kq, inst.inv_eps, 3 * inst.q - inst.p)
+    rank = inst.universe.rank
     f_rank = [rank[e] for e in inst.f]
-
-    sets_sorted = []
-    for pos, members in enumerate(inst.family):
-        mn = min(members, key=lambda e: rank[e])
-        others = frozenset(m for m in members if m != mn)
-        contrib = tuple(sum(1 for e in others if rank[e] <= f_rank[l]) for l in range(t))
-        sets_sorted.append((rank[mn], pos, contrib, others, frozenset(members)))
-    sets_sorted.sort()
-
-    def strip(fs: frozenset, floor: int) -> frozenset:
-        return frozenset(e for e in fs if rank[e] > floor)
-
-    m_layers: dict[tuple[int, int], dict] = {}
-    n_tables: dict[int, dict] = {}
-
-    for i in range(1, t + 2):
-        j_lo = 1 + (i - 1) * ek
-        j_hi = i * ek if i <= t else kq
-        floor_i = f_rank[i - 2] if i >= 2 else -1
-        for j in range(j_lo, min(j_hi, kq) + 1):
-            layer: dict = {}
-            if j == 1:
-                for ci, cand in enumerate(inst.candidates):
-                    cand_contrib = tuple(sum(1 for e in cand if rank[e] <= f_rank[l])
-                                         for l in range(t))
-                    for mrank, pos, contrib, others, full in sets_sorted:
-                        if cand & full:
-                            continue
-                        s_vec = tuple(a + b for a, b in zip(cand_contrib, contrib))
-                        u_prime = cand | others
-                        key = (s_vec, mrank, u_prime)
-                        spent += 1
-                        if spent > budget:
-                            raise BudgetExceededError("cut packing table budget exceeded")
-                        layer.setdefault(key, ("base", ci, pos))
-            else:
-                if j == j_lo and i >= 2:
-                    source = n_tables.get(i - 1, {})
-                    for (s_vec, mrank_c, a) in source:
-                        for mrank, pos, contrib, others, full in sets_sorted:
-                            if mrank <= mrank_c or mrank <= floor_i:
-                                continue
-                            if a & full:
-                                continue
-                            new_s = tuple(x + y for x, y in zip(s_vec, contrib))
-                            if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
-                                continue
-                            key = (new_s, mrank, a | others)
-                            spent += 1
-                            if spent > budget:
-                                raise BudgetExceededError("cut packing table budget exceeded")
-                            layer.setdefault(key, ("n", i - 1, (s_vec, mrank_c, a), pos))
-                else:
-                    source = m_layers.get((i, j - 1), {})
-                    for (s_vec, mrank_c, a) in source:
-                        for mrank, pos, contrib, others, full in sets_sorted:
-                            if mrank <= mrank_c or mrank <= floor_i:
-                                continue
-                            if a & full:
-                                continue
-                            new_s = tuple(x + y for x, y in zip(s_vec, contrib))
-                            if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
-                                continue
-                            key = (new_s, mrank, a | others)
-                            spent += 1
-                            if spent > budget:
-                                raise BudgetExceededError("cut packing table budget exceeded")
-                            layer.setdefault(key, ("m", (i, j - 1), (s_vec, mrank_c, a), pos))
-            m_layers[(i, j)] = layer
-            if i <= t and j == i * ek:
-                table = n_tables.setdefault(i, {})
-                for (s_vec, mrank, u_prime) in layer:
-                    stripped = strip(u_prime, f_rank[i - 1])
-                    table.setdefault((s_vec, mrank, stripped), (s_vec, mrank, u_prime))
-
-    for i in range(1, t + 2):
-        layer = m_layers.get((i, kq), {})
-        for key in sorted(layer, key=lambda kv: (kv[0], kv[1], sorted(kv[2]))):
-            s_vec = key[0]
-            if any(s_vec[l] < sched[l + 1] for l in range(t)):
-                continue
-            positions = []
-            lk, cur = (i, kq), key
-            while True:
-                payload = m_layers[lk][cur]
-                if payload[0] == "base":
-                    positions.append(payload[2])
-                    footprint = inst.candidates[payload[1]]
-                    break
-                if payload[0] == "n":
-                    positions.append(payload[3])
-                    stage = payload[1]
-                    m_key = n_tables[stage][payload[2]]
-                    lk, cur = (stage, stage * ek), m_key
-                else:
-                    positions.append(payload[3])
-                    lk, cur = payload[1], payload[2]
-            positions.reverse()
-            return Cpro2Result(True, footprint, tuple(positions))
-    return Cpro2Result(False)
+    seeds = [(tuple(sum(1 for e in cand if rank[e] <= fr) for fr in f_rank), cand)
+             for cand in inst.candidates]
+    # raw member tuples: a triangle's three paths share one node set and
+    # must keep the three positions the caller maps back through
+    found = _pack_stages(inst.universe, [(members, 0) for members in inst.family], kq,
+                         inst.f, sched, seeds, 0, cap=budget)
+    if found is None:
+        return Cpro2Result(False)
+    positions, footprint, _ = found
+    return Cpro2Result(True, footprint, positions)
 
 
 @dataclass(frozen=True)

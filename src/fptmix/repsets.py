@@ -15,7 +15,6 @@ the same property and never shares code with the selection path.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -35,8 +34,6 @@ _DENSE_PART_CAP = 200_000
 @dataclass
 class SeparatorStats:
     zeta: int
-    build_seconds: float
-    worst_query_seconds: float = 0.0
     construction: str = "greedy"
 
 
@@ -116,9 +113,7 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
     if c_prime < 1:
         raise ParameterError(f"c'={c_prime} must be >= 1")
     k_eff = min(k_prime, m)  # Y cannot use more than m - p' elements anyway
-    start = time.perf_counter()
     fam, mode = _local_family(m, k_eff, p_prime, budget)
-    elapsed = time.perf_counter() - start
     maps = []
     for pos in range(m):
         bit = 1 << pos
@@ -127,7 +122,7 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
             if f & bit:
                 mask |= 1 << j
         maps.append(mask)
-    stats = SeparatorStats(zeta=len(fam), build_seconds=elapsed, construction=mode)
+    stats = SeparatorStats(zeta=len(fam), construction=mode)
     return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, stats, tuple(maps))
 
 
@@ -136,7 +131,6 @@ def query_separator(sep: SeparatorFamily, s) -> list[int]:
     local = [sep.local_position(e) for e in s]
     if len(local) != sep.p_prime:
         raise ParameterError(f"|S|={len(local)} but separator expects p'={sep.p_prime}")
-    start = time.perf_counter()
     if len(sep.family) < _LINEAR_SCAN_THRESHOLD:
         need = 0
         for pos in local:
@@ -147,8 +141,6 @@ def query_separator(sep: SeparatorFamily, s) -> list[int]:
         for pos in local:
             mask &= sep.element_maps[pos]
         out = _bit_positions(mask)
-    sep.stats.worst_query_seconds = max(sep.stats.worst_query_seconds,
-                                        time.perf_counter() - start)
     return out
 
 

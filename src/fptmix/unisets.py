@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BudgetExceededError, ParameterError, _ceildiv, budget_from_env
+from .core import BudgetExceededError, ParameterError, budget_from_env
 
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
@@ -101,40 +101,20 @@ class VerifyResult:
     violation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def verify_universal(u: UniversalSet, budget: int | None = None,
-                     jobs: int = 1) -> VerifyResult:
+def verify_universal(u: UniversalSet, budget: int | None = None) -> VerifyResult:
     """Check the covering property exhaustively.
 
     Reports the first violated (I, ones-of-f') pair in lexicographic order.
-    With ``jobs`` > 1 the constraint list is split into disjoint ranges
-    checked in parallel; the reduce keeps the lexicographically lowest
-    violation, so the result is identical to the sequential scan.
     """
     budget = budget if budget is not None else constraint_budget()
     total = constraint_count(u.n, u.k, u.p)
     if total > budget:
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
     fam = np.asarray(u.functions, dtype=np.uint64)
-
-    def scan(chunk):
-        for I, ones, x, y in chunk:
-            if fam.size == 0 or not np.any(((fam & x) == x) & ((fam & y) == 0)):
-                return (I, ones)
-        return None
-
-    if jobs <= 1:
-        hit = scan(iter_constraints(u.n, u.k, u.p))
-        return VerifyResult(hit is None, hit)
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    cons = list(iter_constraints(u.n, u.k, u.p))
-    step = max(1, _ceildiv(len(cons), jobs))
-    chunks = [cons[lo:lo + step] for lo in range(0, len(cons), step)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        hits = [h for h in pool.map(scan, chunks) if h is not None]
-    first = min(hits) if hits else None
-    return VerifyResult(first is None, first)
+    for I, ones, x, y in iter_constraints(u.n, u.k, u.p):
+        if fam.size == 0 or not np.any(((fam & x) == x) & ((fam & y) == 0)):
+            return VerifyResult(False, (I, ones))
+    return VerifyResult(True)
 
 
 def _lex_candidates(n: int) -> np.ndarray:

@@ -38,18 +38,26 @@ class DeletionSchedule:
             raise ParameterError("schedule must be non-decreasing")
 
 
-def deletion_schedule(k: int, inv_eps: int) -> DeletionSchedule:
-    """Exact integer evaluation of the stage-deletion recursion."""
+def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
+    """Exact integer evaluation of the stage-deletion recursion R(0..1/eps).
+
+    ``offset`` counts elements every partial solution holds from the start
+    (a footprint the packing must avoid); with offset 0, R(1) = 0.
+    """
     if inv_eps < 1:
         raise ParameterError("1/eps must be a positive integer")
     ek = k // inv_eps
     if ek < 1:
         raise ParameterError("floor(eps * k) must be at least 1")
-    values = [0, 0]
-    for j in range(2, inv_eps + 1):
+    values = [0]
+    for j in range(1, inv_eps + 1):
         denom = _ceildiv(3 * (k - (j - 1) * ek), ek)
-        values.append(values[-1] + _ceildiv(2 * (j - 1) * ek - values[-1], denom))
-    return DeletionSchedule(tuple(values))
+        values.append(values[-1] + _ceildiv(offset + 2 * (j - 1) * ek - values[-1], denom))
+    return values
+
+
+def deletion_schedule(k: int, inv_eps: int) -> DeletionSchedule:
+    return DeletionSchedule(tuple(stage_schedule(k, inv_eps)))
 
 
 @dataclass(frozen=True)
@@ -82,43 +90,60 @@ class CwspResult:
 
 def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
                trace: dict | None = None, audit: bool = False) -> CwspResult:
-    """Staged dynamic program over ordered packings.
+    """Staged dynamic program over ordered packings of the whole family.
 
-    Entries are keyed by (stage, sets used, per-stage deletable counts,
-    smallest element of the last set); stored member sets hold only non-
-    minimum elements above the previous stage threshold.  After every entry
-    the family is replaced by a max 3(k - j)-representative subfamily unless
-    ``reduce`` is off (the A/B soundness mode).
+    After every entry the family is replaced by a max 3(k - j)-representative
+    subfamily unless ``reduce`` is off (the A/B soundness mode).
     """
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
-    rank = inst.universe.rank
-    n = len(inst.universe)
-    k, t = inst.k, inst.inv_eps
+    found = _pack_stages(inst.universe, inst.family.sets, inst.k, inst.f,
+                         deletion_schedule(inst.k, inst.inv_eps).values,
+                         [((0,) * inst.inv_eps, frozenset())], inst.W,
+                         c=c, reduce=reduce, trace=trace, audit=audit)
+    if found is None:
+        return CwspResult(False)
+    positions, _, weight = found
+    return CwspResult(True, positions, weight)
+
+
+def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sched,
+                 seeds, W: int, c: float = 1.0, reduce: bool = False,
+                 trace: dict | None = None, audit: bool = False,
+                 cap: int | None = None) -> tuple[tuple[int, ...], frozenset, int] | None:
+    """The staged cut-packing DP shared by both unbalanced-cutting solvers.
+
+    ``sets`` lists (member tuple, weight) by position, duplicates allowed.
+    Layer (i, j) holds packings of j sets at stage i, keyed by (per-stage
+    deletable counts, smallest element of the last set); stored sets hold
+    the seed's elements and the sets' non-minimum elements that lie above
+    the previous stage threshold.
+    Layer (0, 0) holds ``seeds``, (per-stage deletable counts, stored set)
+    pairs: the empty pair for a plain packing, or one pair per footprint
+    that the packing must avoid.  ``reduce`` replaces each entry by a max
+    3(k - j)-representative subfamily and ``audit`` checks the element
+    ledger; both assume empty seeds.  ``cap`` bounds the entries created,
+    checked after every layer.  Returns the positions, the seed set and the
+    weight of the first heaviest k-set packing of weight at least ``W`` that
+    meets the schedule, or None.
+    """
+    rank = universe.rank
+    t = len(f)
     ek = k // t
-    sched = deletion_schedule(k, t).values
-    f_rank = [rank[e] for e in inst.f]
-    fam = inst.family
+    f_rank = [rank[e] for e in f]
 
-    def stage_floor(i: int) -> int:
-        # every element of a set inserted at stage i must exceed f(i-1)
-        return f_rank[i - 2] if i >= 2 else -1
-
-    sets_by_min: list[tuple[int, int, tuple[int, ...], frozenset, int]] = []
-    for pos in range(len(fam)):
-        members = fam.members(pos)
+    sets_by_min: list[tuple[int, int, tuple[int, ...], frozenset, tuple[int, ...], int]] = []
+    for pos, (members, w) in enumerate(sets):
         mn = min(members, key=lambda e: rank[e])
         others = frozenset(m for m in members if m != mn)
         contrib = tuple(sum(1 for e in others if rank[e] <= f_rank[l]) for l in range(t))
-        sets_by_min.append((rank[mn], pos, contrib, others, fam.weight(pos)))
+        sets_by_min.append((rank[mn], pos, contrib, others, members, w))
     sets_by_min.sort()
 
-    def strip(fs: frozenset, floor: int) -> frozenset:
-        return frozenset(e for e in fs if rank[e] > floor)
-
     Entry = dict  # {frozenset: (weight, payload)}
-    layers: dict[tuple[int, int], dict[tuple, Entry]] = {}
-    everything = tuple(range(n))
+    seed_layer: dict[tuple, Entry] = {}
+    layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
+    everything = tuple(range(len(universe)))
 
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
@@ -126,92 +151,85 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
         if old is None or weight > old[0]:
             entry[fs] = (weight, payload)
 
+    for s_vec, fs in seeds:
+        put(seed_layer, (s_vec, -1), fs, 0, None)
+    spent = 0
     for i in range(1, t + 2):
         j_lo = 1 + (i - 1) * ek
         j_hi = i * ek if i <= t else k
+        # every element of a set inserted at stage i must exceed f(i-1)
+        floor_i = f_rank[i - 2] if i >= 2 else -1
         for j in range(j_lo, min(j_hi, k) + 1):
             layer: dict[tuple, Entry] = {}
-            floor_i = stage_floor(i)
-            if j == 1:
-                for mrank, pos, contrib, others, w in sets_by_min:
-                    if mrank <= floor_i:
+            # a stage's first layer extends the previous stage's last one
+            child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
+            do_strip = j == j_lo and i >= 2
+            stripped: dict[frozenset, frozenset] = {}  # child set -> its part above floor_i
+            for (s_vec, mrank_c), entry in layers[child_lk].items():
+                for mrank, pos, contrib, others, members, w in sets_by_min:
+                    if mrank <= mrank_c or mrank <= floor_i:
                         continue
-                    put(layer, (contrib, mrank), others, w, (None, None, None, pos))
-            else:
-                for ci in (i, i - 1):
-                    if ci == i and j - 1 < j_lo:
+                    new_s = tuple(a + b for a, b in zip(s_vec, contrib))
+                    if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
                         continue
-                    if ci == i - 1 and (i == 1 or j - 1 != (i - 1) * ek):
-                        continue
-                    child_layer = layers.get((ci, j - 1))
-                    if not child_layer:
-                        continue
-                    for (s_vec, mrank_c), entry in child_layer.items():
-                        for mrank, pos, contrib, others, w in sets_by_min:
-                            if mrank <= mrank_c or mrank <= floor_i:
-                                continue
-                            new_s = tuple(a + b for a, b in zip(s_vec, contrib))
-                            if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
-                                continue
-                            for fs, (cw, _) in entry.items():
-                                a = strip(fs, floor_i) if ci != i else fs
-                                # dropped minima and stage-stripped elements all
-                                # sort below min(S), so this one check is full
-                                # disjointness against the partial solution
-                                if any(e in a for e in fam.members(pos)):
-                                    continue
-                                put(layer, (new_s, mrank), a | others,
-                                    add_weights(cw, w), ((ci, j - 1), (s_vec, mrank_c), fs, pos))
-            for key in sorted(layer):
-                entry = layer[key]
-                if reduce and len(entry) > 1:
-                    size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                    part = PartitionPart(everything, size + 3 * (k - j), size, c)
-                    kept = reduce_entry(inst.universe, [(fs, w) for fs, (w, _) in entry.items()],
-                                        (part,), "max", trace)
-                    layer[key] = {fs: entry[fs] for fs in kept}
+                    for fs, (cw, _) in entry.items():
+                        a = fs
+                        if do_strip:
+                            a = stripped.get(fs)
+                            if a is None:
+                                a = stripped[fs] = frozenset(e for e in fs if rank[e] > floor_i)
+                        # dropped minima and stage-stripped elements all
+                        # sort below min(S), so this one check is full
+                        # disjointness against the partial solution
+                        if not a.isdisjoint(members):
+                            continue
+                        put(layer, (new_s, mrank), a | others,
+                            add_weights(cw, w), (child_lk, (s_vec, mrank_c), fs, pos))
+            if cap is not None:
+                spent += sum(len(entry) for entry in layer.values())
+                if spent > cap:
+                    raise BudgetExceededError(f"more than {cap} cut packing table entries")
+            if reduce:
+                for key in sorted(layer):
+                    entry = layer[key]
+                    if len(entry) > 1:
+                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                        part = PartitionPart(everything, size + 3 * (k - j), size, c)
+                        kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
+                                            (part,), "max", trace)
+                        layer[key] = {fs: entry[fs] for fs in kept}
             if audit:
                 for (s_vec, mrank), entry in layer.items():
-                    floor_i = stage_floor(i)
                     for fs in entry:
                         # element ledger: nothing at or below the last stage
                         # threshold survives, sizes track 2j - s_(i-1), and
                         # the per-stage counts match the coordinates
                         assert all(rank[e] > floor_i for e in fs)
-                        assert len(fs) == 2 * j - (s_vec[i - 2] if i >= 2 else 0)
                         base = s_vec[i - 2] if i >= 2 else 0
+                        assert len(fs) == 2 * j - base
                         for l in range(max(0, i - 2), t):
                             got = sum(1 for e in fs if rank[e] <= f_rank[l])
                             assert got == s_vec[l] - base, (i, j, s_vec, l)
             layers[(i, j)] = layer
 
     best: tuple[int, tuple, frozenset] | None = None
-    for i in range(1, t + 2):
-        layer = layers.get((i, k))
-        if not layer:
+    layer_key = max(layers)  # the one layer of k sets is built last
+    for key, entry in layers[layer_key].items():
+        if any(key[0][l] < sched[l + 1] for l in range(t)):
             continue
-        for (s_vec, mrank), entry in layer.items():
-            if any(s_vec[l] < sched[l + 1] for l in range(t)):
-                continue
-            for fs, (w, _) in entry.items():
-                if w >= inst.W and (best is None or w > best[0]):
-                    best = (w, (i, k, s_vec, mrank), fs)
+        for fs, (w, _) in entry.items():
+            if w >= W and (best is None or w > best[0]):
+                best = (w, key, fs)
     if best is None:
-        return CwspResult(False)
+        return None
 
-    weight, (i, j, s_vec, mrank), fs = best
+    weight, key, fs = best
     positions = []
-    key = (s_vec, mrank)
-    layer_key = (i, j)
-    while True:
-        _, payload = layers[layer_key][key][fs]
-        child_lk, child_key, child_fs, pos = payload
+    while layer_key != (0, 0):
+        layer_key, key, fs, pos = layers[layer_key][key][fs][1]
         positions.append(pos)
-        if child_lk is None:
-            break
-        layer_key, key, fs = child_lk, child_key, child_fs
     positions.reverse()
-    return CwspResult(True, tuple(positions), weight)
+    return tuple(positions), fs, weight
 
 
 def verify_cwsp_witness(inst: CwspInstance, result: CwspResult) -> None:

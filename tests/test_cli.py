@@ -151,9 +151,6 @@ def test_bench_suite_and_missing(tmp_path, capsys):
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
     assert isinstance(rows[2]["peakFamilySize"], int)
-    code, out, _ = run(capsys, "bench", str(suite), "--jobs", "2", "--format", "json")
-    assert json.loads(out) == [dict(r, seconds=rr["seconds"])
-                               for r, rr in zip(rows, json.loads(out))]
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
 

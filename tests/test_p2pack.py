@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 from fptmix.core import Graph, OrderedUniverse
-from fptmix import oracles, p2pack
+from fptmix import oracles, p2pack, wsp
 
 
 def random_graph(rng, n, density=0.4):
@@ -22,8 +22,14 @@ def test_triangle_and_two_triangles():
 def test_pro2_schedule_hand_value():
     # (3q - p) = 2, k - q = 4, 1/eps = 2, floor(eps(k-q)) = 2:
     # R(1) = ceil(2 / ceil(12/2)) = 1
-    values = p2pack._r_schedule_pro2(4, 4, 2, 2)
+    values = wsp.stage_schedule(4, 2, 2)
     assert values[0] == 0 and values[1] == 1
+    # without a footprint the recursion is the weighted packing schedule,
+    # which starts R(0) = R(1) = 0; the oracle's copy is written that way
+    for k in range(1, 30):
+        for inv in range(1, 7):
+            if k // inv >= 1:
+                assert wsp.stage_schedule(k, inv, 0) == oracles._r_schedule_wsp(k, inv)
 
 
 def test_icp_pro1_no_edges_touching_outside():
@@ -93,11 +99,15 @@ def test_procedure2_vacuous_footprint():
 
 def test_procedure2_vs_exhaustive():
     rng = random.Random(53)
-    for trial in range(20):
+    for trial in range(200):
         m = rng.randint(6, 10)  # universe size
         uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
         nsets = rng.randint(1, 8)
-        family = tuple(tuple(sorted(rng.sample(range(m), 3))) for _ in range(nsets))
+        family = [tuple(sorted(rng.sample(range(m), 3))) for _ in range(nsets)]
+        if trial % 3 == 0:
+            # a triangle's three paths: one node set at three positions
+            family.append(rng.choice(family))
+        family = tuple(family)
         k = rng.randint(2, 3)
         q = rng.randint(1, k)
         p = rng.randint(max(1, 3 * q - m), 3 * q)  # footprint size 3q - p >= 0
@@ -129,6 +139,13 @@ def test_procedure2_vs_exhaustive():
             if want:
                 break
         assert (got.status == "accept") == want, (m, family, p, q, cands)
+        if want:
+            assert got.footprint in cands
+            assert len(got.ordered_sets) == k - q
+            used = set(got.footprint)
+            for pos in got.ordered_sets:
+                assert used.isdisjoint(family[pos]), (family, got)
+                used.update(family[pos])
 
 
 def test_solve_p2packing_vs_oracle():

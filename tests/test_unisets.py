@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fptmix.core import BudgetExceededError, ParameterError
 from fptmix.unisets import (
     UniversalSet,
+    VerifyResult,
     build_universal,
     constraint_count,
     iter_constraints,
@@ -88,10 +89,12 @@ def test_constraint_enumeration_order():
     assert cons[0][0] == (0, 1)  # lexicographically first I
 
 
-def test_parallel_verification_matches_sequential():
+def test_verification_reports_first_violation():
     u = build_universal(6, 3, 1)
-    assert verify_universal(u, jobs=4) == verify_universal(u)
+    assert verify_universal(u) == VerifyResult(True)
     broken = UniversalSet(6, 3, 1, u.functions[:1])
-    seq = verify_universal(broken)
-    par = verify_universal(broken, jobs=4)
-    assert (seq.valid, seq.violation) == (par.valid, par.violation)
+    # brute force: the first (I, ones) in lex order no function agrees with
+    first = next((I, ones) for I in combinations(range(6), 3) for ones in combinations(I, 1)
+                 if not any(all(((f >> i) & 1) == (i in ones) for i in I)
+                            for f in broken.functions))
+    assert verify_universal(broken) == VerifyResult(False, first)
