@@ -8,8 +8,8 @@ answers chi(S) = indices of members containing S.
 ``gen_rep_alg`` computes a subfamily that max/min represents its input in
 the generalized, per-part-budget sense: one separator per part, an implicit
 product family addressed by mixed radix, and a single weight-ordered sweep
-over indicator bits.  ``check_representation`` is the exhaustive oracle for
-the same property and never shares code with the selection path.
+that claims product indices.  ``check_representation`` is the exhaustive
+oracle for the same property and never shares code with the selection path.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class SeparatorFamily:
     """An (E', k', p')-separator over a slice of an ordered universe.
 
     ``family`` holds bitsets over part-local positions; positions follow the
-    part's universe-rank order.  ``element_maps`` caches, per local element,
-    the bitmask of family members containing it.
+    part's universe-rank order.  ``element_maps[i]`` is the bitmask of family
+    members containing local element ``i``.  Both are computed once per
+    ``(m, min(k', m), p')`` and shared by every separator of that shape.
     """
 
     part_elements: tuple[int, ...]
@@ -58,7 +59,7 @@ class SeparatorFamily:
         return self.part_elements.index(element)
 
 
-_separator_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
+_separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
 def clear_separator_cache() -> None:
@@ -68,8 +69,10 @@ def clear_separator_cache() -> None:
 _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy cover on
 
 
-def _local_family(m: int, k: int, p: int, budget: int | None) -> tuple[tuple[int, ...], str]:
-    """Family of local bitsets that is (m, k, p)-good.
+def _local_family(m: int, k: int, p: int,
+                  budget: int | None) -> tuple[tuple[int, ...], tuple[int, ...], str]:
+    """Family of local bitsets that is (m, k, p)-good, its element maps and
+    how it was obtained (``"cached"`` when an earlier call built it).
 
     Greedy universal-set backed while the cover computation is cheap; beyond
     that, the complete family of p-subsets (a valid universal set via
@@ -77,7 +80,7 @@ def _local_family(m: int, k: int, p: int, budget: int | None) -> tuple[tuple[int
     """
     key = (m, k, p)
     if key in _separator_cache:
-        return _separator_cache[key], "cached"
+        return (*_separator_cache[key], "cached")
     cells = (1 << m) * unisets.constraint_count(m, k, p) if m <= 24 else None
     mode = "greedy"
     fam = None
@@ -93,16 +96,23 @@ def _local_family(m: int, k: int, p: int, budget: int | None) -> tuple[tuple[int
                 f"part of size {m} needs {math.comb(m, p)} dense separator sets")
         fam = tuple(sum(1 << i for i in members) for members in combinations(range(m), p))
         mode = "dense"
-    _separator_cache[key] = fam
-    return fam, mode
+    maps = [0] * m
+    for j, f in enumerate(fam):
+        for pos in _bit_positions(f):
+            maps[pos] |= 1 << j
+    _separator_cache[key] = fam, tuple(maps)
+    return (*_separator_cache[key], mode)
 
 
 def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
                     c_prime: float = 1.0, budget: int | None = None) -> SeparatorFamily:
     """Construct a goodness-backed separator for one universe part.
 
-    The c' tradeoff parameter is recorded but does not steer the desk-scale
-    construction; it only matters to the analytic bound formulas.
+    The family and its element maps are built on the first call for a shape
+    ``(m, min(k', m), p')`` and reused afterwards; such a reuse reports
+    ``stats.construction == "cached"``.  The c' tradeoff parameter is
+    recorded but does not steer the desk-scale construction; it only matters
+    to the analytic bound formulas.
     """
     elements = tuple(sorted(part, key=lambda e: universe.rank[e]))
     m = len(elements)
@@ -113,17 +123,9 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
     if c_prime < 1:
         raise ParameterError(f"c'={c_prime} must be >= 1")
     k_eff = min(k_prime, m)  # Y cannot use more than m - p' elements anyway
-    fam, mode = _local_family(m, k_eff, p_prime, budget)
-    maps = []
-    for pos in range(m):
-        bit = 1 << pos
-        mask = 0
-        for j, f in enumerate(fam):
-            if f & bit:
-                mask |= 1 << j
-        maps.append(mask)
+    fam, maps, mode = _local_family(m, k_eff, p_prime, budget)
     stats = SeparatorStats(zeta=len(fam), construction=mode)
-    return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, stats, tuple(maps))
+    return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, stats, maps)
 
 
 def query_separator(sep: SeparatorFamily, s) -> list[int]:
@@ -196,14 +198,13 @@ class PartitionSpec:
 
 
 def _validate_membership(spec: PartitionSpec, family: WeightedSetFamily) -> None:
-    covered: set[int] = set()
-    for part in spec.parts:
-        covered.update(part.elements)
-    for members, _ in family.sets:
-        if any(e not in covered for e in members):
+    part_masks = [sum(1 << e for e in part.elements) for part in spec.parts]
+    outside = ~sum(part_masks)  # parts are disjoint, so the sum is their union
+    for (members, _), mask in zip(family.sets, family.masks):
+        if mask & outside:
             raise InstanceError(f"set {members} has members outside the partition")
-        for part in spec.parts:
-            inside = sum(1 for e in members if e in set(part.elements))
+        for part, part_mask in zip(spec.parts, part_masks):
+            inside = (mask & part_mask).bit_count()
             if inside != part.p:
                 raise InstanceError(
                     f"set {members} has {inside} members in a part expecting exactly {part.p}")
@@ -214,7 +215,11 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
                                     budget: int | None = None) -> tuple[list[int], int]:
     """Positions (into ``family.sets``) kept by the weight-ordered sweep, plus
     the implicit product-family size.  Core of ``gen_rep_alg`` and of
-    ``reduce_entry``, which the dynamic programs call per entry."""
+    ``reduce_entry``, which the dynamic programs call per entry.
+
+    chi(S) of each part is the AND of the cached element maps of S's members
+    in that part; a product index is claimed by the first set, in weight
+    order, whose chi-product contains it."""
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
     _validate_membership(spec, family)
@@ -225,40 +230,36 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
     seps = [build_separator(family.universe, part.elements, part.k, part.p, part.c, budget)
             for part in active]
-    part_sets = [set(part.elements) for part in active]
-
-    chi: list[list[list[int]]] = []  # chi[set][part] -> member indices
-    for members, _ in family.sets:
-        row = []
-        for part_elems, sep in zip(part_sets, seps):
-            inside = [e for e in members if e in part_elems]
-            row.append(query_separator(sep, inside))
-        chi.append(row)
-
     sizes = [len(sep.family) for sep in seps]
     product_size = math.prod(sizes) if sizes else 1
+    element_map: dict[int, tuple[int, int]] = {}  # element -> (active part, members map)
+    for i, sep in enumerate(seps):
+        for e, members_map in zip(sep.part_elements, sep.element_maps):
+            element_map[e] = i, members_map
+    full = [(1 << size) - 1 for size in sizes]
 
     reverse = objective == "max"
-    order = sorted(range(count), key=lambda i: family.weight(i), reverse=reverse)
+    order = sorted(range(count), key=family.weight, reverse=reverse)
 
-    # indicator bits z_F over the mixed-radix product space; never materialized as sets
-    used = 0
+    # indices z_F claimed in the mixed-radix product space, whose member sets
+    # are never materialized
+    used: set[int] = set()
     selected: list[int] = []
     for pos in order:
-        row = chi[pos]
-        if any(not lst for lst in row):
+        chi = full.copy()
+        for e in family.members(pos):  # membership put every member in an active part
+            i, members_map = element_map[e]
+            chi[i] &= members_map
+        if not all(chi):
             continue
-        fresh = []
-        for combo in product(*row):
-            idx = 0
-            for size, j in zip(sizes, combo):
-                idx = idx * size + j
-            if not (used >> idx) & 1:
-                fresh.append(idx)
+        indices = [0]
+        for size, mask in zip(sizes, chi):
+            bits = _bit_positions(mask)
+            indices = [idx * size + j for idx in indices for j in bits]
+        fresh = [idx for idx in indices if idx not in used]
         if fresh:
             selected.append(pos)
-            for idx in fresh:
-                used |= 1 << idx
+            used.update(fresh)
     selected.sort()
     return selected, product_size
 

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from fptmix import cli
+from fptmix.core import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -153,6 +155,32 @@ def test_bench_suite_and_missing(tmp_path, capsys):
     assert isinstance(rows[2]["peakFamilySize"], int)
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
+
+
+def test_bench_seconds_leave_out_the_oracle(tmp_path, capsys, monkeypatch):
+    real = cli.oracles.oracle_kiob
+
+    def slow_oracle(*args, **kwargs):
+        time.sleep(0.3)
+        return real(*args, **kwargs)
+
+    def capped_oracle(*args, **kwargs):
+        raise BudgetExceededError("oracle enumeration budget exceeded")
+
+    monkeypatch.setattr(cli.oracles, "oracle_kiob", slow_oracle)
+    monkeypatch.setattr(cli.oracles, "oracle_p2p", capped_oracle)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "slow-oracle", "rows": [
+        {"problem": "kiob", "instance": {"nodes": 3, "arcs": [[0, 1, 1], [1, 2, 1]]}, "k": 1},
+        {"problem": "p2p", "instance": {"nodes": 3, "edges": [[0, 1], [1, 2]]}, "k": 1},
+    ]}))
+    code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 0
+    slow, capped = json.loads(out)
+    assert slow["match"] and slow["seconds"] < 0.3
+    # an oracle out of budget leaves the solver's verdict standing, unchecked
+    assert capped["verdict"] == "accept"
+    assert capped["oracle"] is None and capped["match"] is None
 
 
 def test_empty_bench_suite(tmp_path, capsys):

@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -10,6 +11,7 @@ from fptmix.repsets import (
     build_separator,
     check_goodness,
     check_representation,
+    clear_separator_cache,
     gen_rep_alg,
     query_separator,
     select_representative_positions,
@@ -187,3 +189,109 @@ def test_gen_rep_alg_is_deterministic():
                  for _ in range(30))
     fam = WeightedSetFamily(u, 2, tuple((tuple(sorted(m)), w) for m, w in sets))
     assert gen_rep_alg(spec, fam, "max").sets == gen_rep_alg(spec, fam, "max").sets
+
+
+def test_separator_cache_shares_family_and_element_maps():
+    clear_separator_cache()
+    u = uni(12)
+    first = build_separator(u, (0, 1, 2, 3, 4), 3, 1)
+    assert first.stats.construction != "cached"
+    for part in ((5, 6, 7, 8, 9), (7, 8, 9, 10, 11)):  # other parts, same (m, k', p')
+        again = build_separator(u, part, 3, 1)
+        assert again.stats.construction == "cached"
+        assert again.family == first.family
+        assert again.element_maps == first.element_maps
+    wide = build_separator(u, (0, 1, 2), 5, 1)
+    # k' = 5 > m = 3 is stored under k' = m
+    assert build_separator(u, (3, 4, 5), 3, 1).stats.construction == "cached"
+    for sep in (first, wide):
+        for i, members_map in enumerate(sep.element_maps):
+            assert members_map == sum(1 << j for j, f in enumerate(sep.family) if f >> i & 1)
+
+
+def _reference_positions(spec, family, objective):
+    """The sweep as first written: per-member set lookups for membership,
+    chi(S) from ``query_separator`` and the used product indices as the bits
+    of one integer."""
+    covered = set()
+    for part in spec.parts:
+        covered.update(part.elements)
+    for members, _ in family.sets:
+        if any(e not in covered for e in members):
+            raise InstanceError("outside")
+        for part in spec.parts:
+            if sum(1 for e in members if e in set(part.elements)) != part.p:
+                raise InstanceError("count")
+    if len(family) <= 1:
+        return list(range(len(family))), 1
+    active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
+    seps = [build_separator(family.universe, part.elements, part.k, part.p, part.c)
+            for part in active]
+    chi = [[query_separator(sep, [e for e in members if e in part.elements])
+            for part, sep in zip(active, seps)] for members, _ in family.sets]
+    sizes = [len(sep.family) for sep in seps]
+    order = sorted(range(len(family)), key=family.weight, reverse=objective == "max")
+    used = 0
+    selected = []
+    for pos in order:
+        fresh = 0
+        for combo in product(*chi[pos]):
+            idx = 0
+            for size, j in zip(sizes, combo):
+                idx = idx * size + j
+            if not (used >> idx) & 1:
+                fresh |= 1 << idx
+        if fresh:
+            selected.append(pos)
+            used |= fresh
+    return sorted(selected), math.prod(sizes)
+
+
+def _random_case(rng):
+    n = rng.randint(2, 11)
+    u = OrderedUniverse(tuple(f"e{i}" for i in range(n)), tuple(rng.sample(range(n), n)))
+    pool = rng.sample(range(n), rng.randint(1, n))
+    parts = []
+    while pool and len(parts) < 3:
+        m = rng.randint(1, min(5, len(pool)))
+        elements, pool = tuple(pool[:m]), pool[m:]
+        shape = rng.random()
+        if shape < 0.15:
+            k = p = 0  # inactive
+        elif shape < 0.3:
+            k, p = rng.randint(1, m + 1), 0
+        else:
+            p = rng.randint(1, m)
+            k = rng.randint(p, m + 2)
+        parts.append(PartitionPart(elements, k, p))
+    spec = PartitionSpec(tuple(parts))
+    sets = []
+    for _ in range(rng.randint(0, 14)):
+        members = [e for part in parts for e in rng.sample(part.elements, part.p)]
+        sets.append((tuple(sorted(members)), rng.randint(0, 3)))
+    if sets and rng.random() < 0.1:
+        # move one member to an element of another part or of no part
+        members = list(sets[-1][0])
+        spare = [e for e in range(n) if e not in members]
+        if members and spare:
+            members[rng.randrange(len(members))] = rng.choice(spare)
+            sets[-1] = (tuple(sorted(members)), sets[-1][1])
+    objective = rng.choice(("max", "min"))
+    size = sum(part.p for part in parts)
+    return spec, WeightedSetFamily(u, size, tuple(sets), objective), objective
+
+
+def test_mask_sweep_matches_query_separator_reference():
+    rng = random.Random(2024)
+    raised = 0
+    for _ in range(2000):
+        spec, fam, objective = _random_case(rng)
+        try:
+            want = _reference_positions(spec, fam, objective)
+        except InstanceError:
+            with pytest.raises(InstanceError):
+                select_representative_positions(spec, fam, objective)
+            raised += 1
+            continue
+        assert select_representative_positions(spec, fam, objective) == want
+    assert raised > 50
