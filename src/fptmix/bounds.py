@@ -1,10 +1,11 @@
 """Numeric evaluation of the closed-form running-time bounds.
 
 Every objective is evaluated in log space (x^x terms overflow floats fast),
-with 0 * log 0 := 0 at boundary points.  Inner one-dimensional maximizations
-run a coarse grid scan refined by golden-section search to 1e-9 in the
-argument.  The near-unity nuisance factor 4^(1/10^10) is carried exactly
-where the reference tables carry it and omitted elsewhere.
+on whole arrays, with 0 * log 0 := 0 at boundary points.  Inner 1-D
+maximizations scan a coarse grid in one call and refine by golden-section
+search to 1e-9 in the argument, in lockstep over the staged bounds' cells.
+The near-unity nuisance factor 4^(1/10^10) is carried exactly where the
+reference tables carry it and omitted elsewhere.
 """
 
 from __future__ import annotations
@@ -20,73 +21,83 @@ _FOUR_EPS = 4.0 ** 1e-10  # per-k nuisance factor attached to the tree-and-paths
 _TWO_EPS = 2.0 ** 1e-10
 
 
-def _xlogx(x: float) -> float:
-    if x < 0:
-        if x > -1e-12:
-            return 0.0
-        raise ParameterError(f"negative base {x} in an x^x term")
-    return 0.0 if x == 0 else x * math.log(x)
+def _xlogx(x):
+    """x * log(x) elementwise; negatives above -1e-12 are round-off and read as 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= -1e-12):
+        raise ParameterError(f"negative base {x.min()} in an x^x term")
+    zero = x <= 0
+    return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
 
 
-def _plogq(p: float, q: float) -> float:
-    """p * log(q) with the p == 0 boundary treated as 0."""
-    if p == 0:
-        return 0.0
-    if q <= 0:
-        raise ParameterError(f"log of non-positive value {q} (domain edge)")
-    return p * math.log(q)
+def _plogq(p, q):
+    """p * log(q) elementwise, with the p == 0 boundary treated as 0."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    skip = p == 0
+    if np.any(~skip & (q <= 0)):
+        raise ParameterError("log of non-positive value (domain edge)")
+    return np.where(skip, 0.0, p * np.log(np.where(skip, 1.0, q)))
 
 
-def golden_max(fn, lo: float, hi: float, grid: int = 10_001, tol: float = 1e-9):
-    """Coarse grid scan followed by golden-section refinement.
+def _golden_rows(fn, lo, hi, grid: int, tol: float):
+    """Coarse grid scan followed by golden-section refinement to ``tol``, in
+    lockstep on every row's interval [lo, hi]; ``fn`` maps a (rows, m) array
+    of arguments to their values.  Returns the (argmax, value) arrays.
 
-    Returns (argmax, value).  The scan brackets the best grid point; the
+    Each row takes the scalar search's steps: its first best grid point
+    brackets it, and it stops once its bracket is within ``tol``.  The
     refinement assumes local unimodality inside that bracket, which the
     concavity sanity check in the tests watches independently.
     """
+    phi = (math.sqrt(5) - 1) / 2
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    xs = lo + (hi - lo) * np.arange(grid) / (grid - 1)
+    vals = fn(xs)
+    # as in a strict-> scan, NaN never wins, but a NaN first point is never left
+    best = np.argmax(np.nan_to_num(vals, nan=-np.inf), axis=1)
+    best[np.isnan(vals[:, 0])] = 0
+    rows = np.arange(len(xs))
+    a = xs[rows, np.maximum(best - 1, 0)]
+    b = xs[rows, np.minimum(best + 1, grid - 1)]
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = fn(np.stack([c, d], axis=1)).T
+    while np.any(live := b - a > tol):
+        left = fc >= fd  # keep [a, d], else [c, b]; a finished row keeps a and b
+        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
+        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        fx = fn(x[:, None])[:, 0]
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    x = (a + b) / 2
+    return x, fn(x[:, None])[:, 0]
+
+
+def golden_max(fn, lo: float, hi: float, grid: int = 10_001, tol: float = 1e-9):
+    """The one-row case of the lockstep search: (argmax, value) of ``fn``,
+    which maps an array of arguments to their values, over [lo, hi]."""
     if hi < lo:
         raise ParameterError("empty maximization interval")
-    if hi == lo:
-        return lo, fn(lo)
-    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
-    vals = [fn(x) for x in xs]
-    best = max(range(grid), key=lambda i: vals[i])
-    a = xs[max(0, best - 1)]
-    b = xs[min(grid - 1, best + 1)]
-    phi = (math.sqrt(5) - 1) / 2
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    x = (a + b) / 2
-    return x, fn(x)
+    x, val = _golden_rows(fn, [lo], [hi], grid, tol)
+    return float(x[0]), float(val[0])
 
 
-def log_tradeoff_term(c: float, a: float) -> float:
+def log_tradeoff_term(c: float, a):
     """log of c^(2-a) / (a^a (c-a)^(2-2a)), the single-part reduction cost."""
     return _plogq(2 - a, c) - _xlogx(a) - _plogq(2 - 2 * a, c - a)
 
 
-def log_leafy_term(c: float, b: float) -> float:
+def log_leafy_term(c: float, b):
     """log of the high-leaf-count branch of the tree-and-paths bound."""
     return (_plogq(5 * b - 1, c * (1 + b))
-            - _xlogx(3 * (1 - b)) * (1.0 if b != 1 else 1.0)
+            - _xlogx(3 * (1 - b))
             - _plogq(4 * (2 * b - 1), c * (1 + b) - 3 * (1 - b)))
 
 
-def _leafy(c: float, b: float) -> float:
+def _leafy(c: float, b):
     # guard the open lower end of the domain
-    if c * (1 + b) - 3 * (1 - b) <= 0:
-        return -math.inf
-    return log_leafy_term(c, b)
+    b = np.asarray(b, dtype=float)
+    out = c * (1 + b) - 3 * (1 - b) <= 0
+    return np.where(out, -math.inf, log_leafy_term(c, np.where(out, 1.0, b)))
 
 
 def alpha_for(c: float):
@@ -209,17 +220,13 @@ def _staged_argmax(t_next, objective, inv_eps: int) -> dict:
     that = t_vals[idx - 1]
     cell_right = objective(idx.astype(float), that, eps)
     order = np.argsort(cell_right)[::-1][:200]
-    best = (-math.inf, None, None)
-    for i in order:
-        stage = int(idx[i])
-        th = float(that[i])
-        fn = lambda a: float(objective(np.asarray([a]), np.asarray([th]), eps)[0])
-        a, val = golden_max(fn, stage - 1, stage, grid=201)
-        if val > best[0]:
-            best = (val, stage, a)
-    val, stage, a = best
-    return {"base": math.exp(val), "argmax": {"i": stage, "alpha": a,
-                                              "T": float(t_vals[stage - 1])}}
+    stages, th = idx[order], that[order, None]
+    alphas, vals = _golden_rows(lambda a: objective(a, th, eps), stages - 1.0, stages * 1.0,
+                                201, 1e-9)
+    top = int(np.argmax(np.nan_to_num(vals, nan=-np.inf)))  # first best row, never a NaN one
+    stage = int(stages[top])
+    return {"base": math.exp(vals[top]), "argmax": {"i": stage, "alpha": float(alphas[top]),
+                                                    "T": float(t_vals[stage - 1])}}
 
 
 def wsp_bound(c: float, inv_eps: int = 100_000) -> dict:

@@ -4,9 +4,11 @@ A family of bit-vectors f: {1..n} -> {0,1} is (n, k, p)-universal when for
 every index set I of size k and every assignment on I with exactly p ones,
 some stored vector agrees with that assignment on all of I.
 
-Bit-vectors are stored as ints, bit i holding f(i+1).  Two construction
-modes exist: a deterministic greedy cover of the explicit constraint space,
-and randomized sampling that only returns after a full verification pass.
+Bit-vectors are stored as ints, bit i holding f(i+1), so n is at most 64.
+Two construction modes exist: a deterministic greedy cover of the explicit
+constraint space, which subtracts only what each round newly covers from
+every candidate's count, and randomized sampling that only returns after a
+full verification pass.  Both scan cover matrices in bounded row blocks.
 Neither reproduces the asymptotically optimal size; both reproduce the
 covering property exactly, which is the correctness contract everything
 downstream relies on.
@@ -26,7 +28,7 @@ from .core import BudgetExceededError, ParameterError, budget_from_env
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
 RANDOMIZED_K_CAP = 10
-_MATRIX_CELL_CAP = 40_000_000
+_MATRIX_CELL_CAP = 1 << 20  # cells per block of a cover matrix: 8 MB of uint64 temporaries
 
 
 def constraint_budget() -> int:
@@ -67,6 +69,8 @@ class UniversalSet:
 def _check_params(n, k, p):
     if not (0 <= p <= k <= n):
         raise ParameterError(f"need 0 <= p <= k <= n, got n={n} k={k} p={p}")
+    if n > 64:
+        raise ParameterError(f"n={n} exceeds the 64 bits a stored vector holds")
 
 
 def constraint_count(n: int, k: int, p: int) -> int:
@@ -88,11 +92,22 @@ def iter_constraints(n: int, k: int, p: int):
 
 
 def _constraint_masks(n, k, p):
-    xs, ys = [], []
-    for _, _, x, y in iter_constraints(n, k, p):
-        xs.append(x)
-        ys.append(y)
-    return np.asarray(xs, dtype=np.uint64), np.asarray(ys, dtype=np.uint64)
+    """The index sets, the ones-position patterns inside an I, and the I and
+    X masks of every constraint, flat over (I, pattern) in lexicographic order."""
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.uint64)
+    patterns = np.array(list(combinations(range(k), p)), dtype=np.intp)
+    bits = np.left_shift(np.uint64(1), subsets)
+    ones = bits[:, patterns].sum(axis=2, dtype=np.uint64).ravel()  # distinct bits: sum is OR
+    index = np.repeat(bits.sum(axis=1, dtype=np.uint64), len(patterns))
+    return subsets, patterns, index, ones
+
+
+def _cover_blocks(funcs, index, ones):
+    """Yield the cover matrix of ``funcs`` against the constraints (f agrees
+    with one when f & I == X) in row blocks of at most _MATRIX_CELL_CAP cells."""
+    step = max(1, _MATRIX_CELL_CAP // max(1, len(ones)))
+    for lo in range(0, len(funcs), step):
+        yield (funcs[lo:lo + step, None] & index) == ones
 
 
 @dataclass(frozen=True)
@@ -110,11 +125,15 @@ def verify_universal(u: UniversalSet, budget: int | None = None) -> VerifyResult
     total = constraint_count(u.n, u.k, u.p)
     if total > budget:
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
-    fam = np.asarray(u.functions, dtype=np.uint64)
-    for I, ones, x, y in iter_constraints(u.n, u.k, u.p):
-        if fam.size == 0 or not np.any(((fam & x) == x) & ((fam & y) == 0)):
-            return VerifyResult(False, (I, ones))
-    return VerifyResult(True)
+    subsets, patterns, index, ones = _constraint_masks(u.n, u.k, u.p)
+    covered = np.zeros(len(ones), dtype=bool)
+    for block in _cover_blocks(np.asarray(u.functions, dtype=np.uint64), index, ones):
+        covered |= block.any(axis=0)
+    if covered.all():
+        return VerifyResult(True)
+    at, pattern = divmod(int(np.argmin(covered)), len(patterns))
+    I = tuple(int(i) for i in subsets[at])
+    return VerifyResult(False, (I, tuple(I[j] for j in patterns[pattern])))
 
 
 def _lex_candidates(n: int) -> np.ndarray:
@@ -156,31 +175,22 @@ def _build_greedy(n, k, p) -> UniversalSet:
         raise BudgetExceededError(f"greedy candidate space 2^{n} exceeds 2^{GREEDY_MAX_N}")
     if n == 0 or k == 0:
         return UniversalSet(n, k, p, (0,))
-    xs, ys = _constraint_masks(n, k, p)
+    _, _, index, ones = _constraint_masks(n, k, p)
     cands = _lex_candidates(n)
+
+    def counts_of(cols):
+        return np.concatenate([b.sum(axis=1)
+                               for b in _cover_blocks(cands, index[cols], ones[cols])])
+
+    live = np.ones(len(ones), dtype=bool)
+    counts = counts_of(live)
     chosen: list[int] = []
-    live = np.ones(len(xs), dtype=bool)
-    use_matrix = len(cands) * len(xs) <= _MATRIX_CELL_CAP
-    cover = None
-    if use_matrix:
-        cover = ((cands[:, None] & xs[None, :]) == xs[None, :]) & \
-                ((cands[:, None] & ys[None, :]) == 0)
     while live.any():
-        if use_matrix:
-            counts = cover[:, live].sum(axis=1)
-        else:
-            counts = np.zeros(len(cands), dtype=np.int64)
-            lx, ly = xs[live], ys[live]
-            step = max(1, _MATRIX_CELL_CAP // max(1, len(lx)))
-            for lo in range(0, len(cands), step):
-                block = cands[lo:lo + step, None]
-                counts[lo:lo + step] = (((block & lx[None, :]) == lx[None, :]) &
-                                        ((block & ly[None, :]) == 0)).sum(axis=1)
-        best = int(np.argmax(counts))  # first max = lex-smallest by candidate order
-        f = int(cands[best])
-        chosen.append(f)
-        fu = np.uint64(f)
-        live &= ~(((fu & xs) == xs) & ((fu & ys) == 0))
+        f = cands[np.argmax(counts)]  # first max = lex-smallest by candidate order
+        chosen.append(int(f))
+        new = live & ((f & index) == ones)
+        live &= ~new
+        counts -= counts_of(new)  # only newly covered constraints leave the counts
     return UniversalSet(n, k, p, tuple(chosen))
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fptmix import bounds
@@ -73,3 +74,116 @@ def test_randomized_cross_term():
     got = bounds.kiob_rand_bound(1.765, 0.8545)
     assert abs(got["crossTerm"] - 2.0 ** 1.8545) < 1e-12
     assert got["crossTerm"] < 3.617  # the black-box side stays inside the headline constant
+
+
+def test_log_helpers_check_every_array_point():
+    good = np.linspace(0.1, 2.0, 50)
+    with pytest.raises(ParameterError):
+        bounds._xlogx(np.append(good, -0.5))
+    with pytest.raises(ParameterError):
+        bounds._plogq(np.ones(51), np.append(good, 0.0))
+    # p == 0 is the boundary convention, and round-off negatives read as 0
+    assert bounds._plogq(np.zeros(3), np.array([1.0, 0.0, -1.0])).tolist() == [0.0] * 3
+    assert bounds._xlogx(np.array([-1e-13, 0.0, 1.0])).tolist() == [0.0] * 3
+
+
+def _golden_scalar(fn, lo, hi, grid, tol=1e-9):
+    """One-point-at-a-time grid scan and golden-section search."""
+    xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
+    vals = [fn(x) for x in xs]
+    best = max(range(grid), key=lambda i: vals[i])
+    a, b = xs[max(0, best - 1)], xs[min(grid - 1, best + 1)]
+    phi = (math.sqrt(5) - 1) / 2
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + phi * (b - a)
+            fd = fn(d)
+    x = (a + b) / 2
+    return x, fn(x)
+
+
+def test_golden_max_equals_scalar_search():
+    c = 1.497
+    f = lambda t: bounds.log_tradeoff_term(c, t)
+    a = bounds.golden_max(f, 0.0, 1.0, grid=2_001)
+    assert a == _golden_scalar(lambda t: float(f(t)), 0.0, 1.0, 2_001)
+    g = lambda t: bounds._leafy(c, t)
+    lo = (3 - a[0]) / (3 + a[0])
+    assert bounds.golden_max(g, lo, 1.0, grid=2_001) == _golden_scalar(lambda t: float(g(t)),
+                                                                       lo, 1.0, 2_001)
+    # a NaN grid point is never the best, except a NaN first point, which a
+    # strict-> scan never leaves
+    for bad in (0.0, 0.3, 1.0):
+        h = lambda t: np.where(t == bad, np.nan, -(t - 0.3) ** 2)
+        got = bounds.golden_max(h, 0.0, 1.0, grid=11)
+        want = _golden_scalar(lambda t: float(h(t)), 0.0, 1.0, 11)
+        assert got[0] == want[0]
+        assert got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1]))
+
+
+def _staged_scalar(t_next, objective, inv_eps):
+    """Per-cell scalar refinement of the 200 best stage cells, strict-> first wins."""
+    eps = 1.0 / inv_eps
+    t = [0.0]
+    for j in range(1, inv_eps + 1):
+        t.append(t_next(t[-1], j, eps))
+    that = np.array(t[:-1])
+    cell_right = objective(np.arange(1.0, inv_eps + 1), that, eps)
+    best = (-math.inf, None, None)
+    for i in np.argsort(cell_right)[::-1][:200]:
+        stage, th = int(i) + 1, float(that[i])
+        fn = lambda a: float(objective(np.asarray([a]), np.asarray([th]), eps)[0])
+        a, val = _golden_scalar(fn, stage - 1, stage, 201)
+        if val > best[0]:
+            best = (val, stage, a)
+    val, stage, a = best
+    return {"base": math.exp(val), "argmax": {"i": stage, "alpha": a, "T": t[stage - 1]}}
+
+
+def _wsp_reference(c, inv_eps):
+    def t_next(prev, j, eps):
+        return prev + eps * (2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
+
+    def objective(alpha, that, eps):
+        ae = alpha * eps
+        big = 3 - ae - that
+        small = np.maximum(2 * ae - that, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return ((6 - 4 * ae - that) * np.log(c * big)
+                    - np.where(small > 0, small * np.log(small), 0.0)
+                    - (6 - 6 * ae) * np.log(c * big - small))
+
+    return _staged_scalar(t_next, objective, inv_eps)
+
+
+def _p2p_reference(inv_eps):
+    def t_next(prev, j, eps):
+        return prev + eps * (2 + 2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
+
+    def objective(alpha, that, eps):
+        ae = alpha * eps
+        top, mid, low = 6 - ae - that, 2 + 2 * ae - that, 4 - 3 * ae
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (top * np.log(top) - mid * np.log(mid) - low * np.log(low)) / 2.0
+
+    return _staged_scalar(t_next, objective, inv_eps)
+
+
+@pytest.mark.parametrize("inv_eps", [7, 13, 250, 1000])
+def test_staged_bounds_equal_scalar_refinement(inv_eps):
+    assert bounds.wsp_bound(1.591, inv_eps) == _wsp_reference(1.591, inv_eps)
+    assert bounds.p2p_bound(inv_eps) == _p2p_reference(inv_eps)
+
+
+def test_staged_bound_skips_nan_cells_like_a_scalar_scan():
+    # at c = 1 the cell ending at alpha * eps = 1 evaluates 0 * log 0 to NaN;
+    # at c = 1/2 whole cells take the log of a negative number
+    for c, inv_eps in ((1.0, 1), (1.0, 2), (0.5, 7), (0.5, 13)):
+        assert bounds.wsp_bound(c, inv_eps) == _wsp_reference(c, inv_eps)

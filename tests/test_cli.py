@@ -30,6 +30,16 @@ def test_uniset_rand_needs_seed(capsys):
     assert code == 2 and "seed" in err
 
 
+def test_uniset_commands_reject_n_above_64(tmp_path, capsys):
+    """A vector wider than the 64 bits a stored function holds is a usage
+    error (exit 2), not a reject or a crash."""
+    path = tmp_path / "u.txt"
+    path.write_text("1" * 70 + "\n")
+    for argv in (("check-uniset", str(path)), ("uniset", "--mode", "rand", "--seed", "1")):
+        code, out, err = run(capsys, *argv, "--n", "70", "--k", "1", "--p", "1")
+        assert code == 2 and out == "" and err.startswith("error:") and "64" in err
+
+
 def test_gen_deterministic_and_planted(tmp_path, capsys):
     code, out1, _ = run(capsys, "gen", "digraph", "--n", "8", "--plant", "4", "--seed", "9")
     code, out2, _ = run(capsys, "gen", "digraph", "--n", "8", "--plant", "4", "--seed", "9")

@@ -1,8 +1,11 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fptmix import unisets
 from fptmix.core import BudgetExceededError, ParameterError
 from fptmix.unisets import (
     UniversalSet,
@@ -98,3 +101,66 @@ def test_verification_reports_first_violation():
                  if not any(all(((f >> i) & 1) == (i in ones) for i in I)
                             for f in broken.functions))
     assert verify_universal(broken) == VerifyResult(False, first)
+
+
+def _greedy_reference(n, k, p):
+    """The full-matrix greedy: every round recounts each candidate over the
+    live constraints and takes the first, lexicographically smallest, best."""
+    if n == 0 or k == 0:
+        return (0,)
+    cons = [(x, y) for _, _, x, y in iter_constraints(n, k, p)]
+    xs = np.array([x for x, _ in cons], dtype=np.uint64)
+    ys = np.array([y for _, y in cons], dtype=np.uint64)
+    # candidates in lexicographic order of their 0/1 strings f(1)..f(n)
+    cands = np.array([sum(1 << i for i, ch in enumerate(s) if ch == "1")
+                      for s in ("".join(t) for t in product("01", repeat=n))], dtype=np.uint64)
+    cover = ((cands[:, None] & xs) == xs) & ((cands[:, None] & ys) == 0)
+    live = np.ones(len(cons), dtype=bool)
+    chosen = []
+    while live.any():
+        best = int(np.argmax(cover[:, live].sum(axis=1)))
+        chosen.append(int(cands[best]))
+        live &= ~cover[best]
+    return tuple(chosen)
+
+
+GREEDY_SHAPES = [(4, 2, 1), (6, 3, 0), (6, 3, 3), (8, 4, 2), (10, 5, 2)]
+
+
+@pytest.mark.parametrize("cap", [None, 2_000])
+def test_greedy_matches_full_matrix_recount(cap, monkeypatch):
+    if cap is not None:  # many row blocks, including one-candidate blocks
+        monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
+    for shape in GREEDY_SHAPES:
+        assert build_universal(*shape).functions == _greedy_reference(*shape), shape
+
+
+def _first_violation(n, k, p, funcs):
+    for I in combinations(range(n), k):
+        for ones in combinations(I, p):
+            if not any(all(((f >> i) & 1) == (i in ones) for i in I) for f in funcs):
+                return I, ones
+    return None
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_verify_matches_brute_force_first_violation(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
+    rng = random.Random(20)
+    verdicts = set()
+    for case in range(300):
+        n = rng.randint(0, 9)
+        k = 0 if case % 5 == 0 else rng.randint(0, n)
+        p = {1: 0, 2: k}.get(case % 5, rng.randint(0, k))
+        if case % 10 == 3:
+            funcs = ()
+        else:
+            # a universal family thinned out, plus random extras
+            full = build_universal(n, k, p).functions
+            funcs = tuple(f for f in full if rng.random() < 0.9)
+            funcs += tuple(rng.getrandbits(n) if n else 0 for _ in range(rng.randint(0, 6)))
+        ref = _first_violation(n, k, p, funcs)
+        assert verify_universal(UniversalSet(n, k, p, funcs)) == VerifyResult(ref is None, ref)
+        verdicts.add(ref is None)
+    assert verdicts == {True, False}
