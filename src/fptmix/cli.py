@@ -73,6 +73,20 @@ def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=Non
     return report
 
 
+_DOCUMENT_KIND = {"kpath": "digraph", "kiob": "digraph", "wsp": "setfamily", "p2p": "graph"}
+
+
+def _parse_for(problem: str, doc: str):
+    """Parse ``doc`` and insist it is the document kind ``problem`` reads."""
+    if problem not in _DOCUMENT_KIND:
+        raise ParameterError(f"unknown problem {problem!r}")
+    parsed = parse_instance(doc)
+    if parsed.kind != _DOCUMENT_KIND[problem]:
+        raise ParameterError(f"{problem} needs a {_DOCUMENT_KIND[problem]} document, "
+                             f"got a {parsed.kind} document")
+    return parsed
+
+
 def _verdict_exit(verdict: str) -> int:
     return {"accept": EXIT_ACCEPT, "valid": EXIT_ACCEPT,
             "reject": EXIT_REJECT, "invalid": EXIT_REJECT,
@@ -100,7 +114,7 @@ def _cmd_solve(args, argv) -> int:
         _report(argv, "accept" if res.accept else "reject", witness, timings, trace)
         return EXIT_ACCEPT if res.accept else EXIT_REJECT
 
-    parsed = parse_instance(doc)
+    parsed = _parse_for(args.problem, doc)
     k = args.k if args.k is not None else parsed.k
     if k is None:
         raise ParameterError("k is required (flag or instance field)")
@@ -142,15 +156,12 @@ def _cmd_solve(args, argv) -> int:
         _report(argv, res.status, witness, timings, trace)
         return _verdict_exit(res.status)
 
-    if args.problem == "p2p":
-        res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, args.c, args.budget)
-        timings["solve"] = time.perf_counter() - t1
-        witness = {"paths": [list(p) for p in res.packing.paths]} \
-            if res.status == "accept" else None
-        _report(argv, res.status, witness, timings, trace)
-        return _verdict_exit(res.status)
-
-    raise ParameterError(f"unknown problem {args.problem!r}")
+    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, args.c, args.budget)
+    timings["solve"] = time.perf_counter() - t1
+    witness = {"paths": [list(p) for p in res.packing.paths]} \
+        if res.status == "accept" else None
+    _report(argv, res.status, witness, timings, trace)
+    return _verdict_exit(res.status)
 
 
 def _tradeoffs(args) -> kpath_mod.KcwpTradeoffs:
@@ -160,8 +171,7 @@ def _tradeoffs(args) -> kpath_mod.KcwpTradeoffs:
 # ------------------------------------------------------------------ check
 
 def _cmd_check(args, argv) -> int:
-    doc = _load(args.instance)
-    parsed = parse_instance(doc)
+    parsed = _parse_for(args.problem, _load(args.instance))
     k = args.k if args.k is not None else parsed.k
     W = args.W if args.W is not None else parsed.W
     budget = oracles.OracleBudget(args.budget)
@@ -177,12 +187,10 @@ def _cmd_check(args, argv) -> int:
         opt = oracles.oracle_wsp(parsed.value, k, budget)
         verdict = "accept" if opt is not None and (W is None or opt >= W) else "reject"
         _report(argv, verdict, {"optimum": opt})
-    elif args.problem == "p2p":
+    else:
         ok = oracles.oracle_p2p(parsed.value, k, budget)
         verdict = "accept" if ok else "reject"
         _report(argv, verdict)
-    else:
-        raise ParameterError(f"unknown problem {args.problem!r}")
     return _verdict_exit(verdict)
 
 
@@ -418,10 +426,8 @@ def _oracle_accepts(problem: str, value, k, W) -> bool:
 def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
     budget = budget or _default_budget()
 
-    def run(name, row):
+    def run(name, row, value):
         problem = row["problem"]
-        doc = json.dumps(row["instance"])
-        value = parse_instance(doc).value
         k = row.get("k")
         W = row.get("W")
         trace: dict = {}
@@ -434,10 +440,8 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
             elif problem == "wsp":
                 verdict = wsp_mod.wsp_alg(value.universe, value, W, k, budget=budget,
                                           trace=trace).status
-            elif problem == "p2p":
-                verdict = p2_mod.solve_p2packing(value, k, budget=budget).status
             else:
-                raise ParameterError(f"unknown problem {problem!r}")
+                verdict = p2_mod.solve_p2packing(value, k, budget=budget).status
         except BudgetExceededError:
             verdict = "budget-exceeded"
         elapsed = time.perf_counter() - t0  # the oracle below is not timed
@@ -452,7 +456,11 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
                 "peakFamilySize": trace.get("peak_family"),
                 "match": (verdict == oracle) if oracle is not None else None}
 
-    return [run(row.get("name", f"row{i}"), row) for i, row in enumerate(suite.get("rows", []))]
+    rows = suite.get("rows", [])
+    # every row is checked before any runs, so a bad row fails the whole suite
+    values = [_parse_for(row["problem"], json.dumps(row["instance"])).value for row in rows]
+    return [run(row.get("name", f"row{i}"), row, value)
+            for i, (row, value) in enumerate(zip(rows, values))]
 
 
 def _cmd_bench(args, argv) -> int:
@@ -560,6 +568,8 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "budget", 1) <= 0:
+            raise ParameterError(f"--budget must be a positive integer, got {args.budget}")
         if getattr(args, "inv_eps", None) is None and hasattr(args, "inv_eps"):
             args.inv_eps = {"kpath": 13, "kcwp": 13}.get(getattr(args, "problem", ""), 2)
         if getattr(args, "c", 0) is None:

@@ -123,9 +123,13 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
     that the packing must avoid.  ``reduce`` replaces each entry by a max
     3(k - j)-representative subfamily and ``audit`` checks the element
     ledger; both assume empty seeds.  ``cap`` bounds the entries created,
-    checked after every layer.  Returns the positions, the seed set and the
-    weight of the first heaviest k-set packing of weight at least ``W`` that
-    meets the schedule, or None.
+    checked after every layer.  Before that count and the reductions, a
+    layer drops each stored set of j sets that stays below ``W`` even when
+    k - j sets of the heaviest weight follow; keys left empty go too.  This
+    leaves verdicts and weights as they are, while a witness can move to
+    another packing of equal weight.  Returns the positions, the seed set and
+    the weight of the first heaviest k-set packing of weight at least ``W``
+    that meets the schedule, or None.
     """
     rank = universe.rank
     t = len(f)
@@ -153,6 +157,8 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
 
     for s_vec, fs in seeds:
         put(seed_layer, (s_vec, -1), fs, 0, None)
+    weights = [w for _, w in sets]
+    heaviest, lightest = max(weights, default=0), min(weights, default=0)
     spent = 0
     for i in range(1, t + 2):
         j_lo = 1 + (i - 1) * ek
@@ -185,6 +191,16 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                             continue
                         put(layer, (new_s, mrank), a | others,
                             add_weights(cw, w), (child_lk, (s_vec, mrank_c), fs, pos))
+            # j sets below W - (k - j) * heaviest cannot reach W, nor can any
+            # extension; j * lightest bounds every stored weight from below
+            need = W - (k - j) * heaviest
+            if need > j * lightest:
+                for key in list(layer):
+                    alive = {fs: v for fs, v in layer[key].items() if v[0] >= need}
+                    if alive:
+                        layer[key] = alive
+                    else:
+                        del layer[key]
             if cap is not None:
                 spent += sum(len(entry) for entry in layer.values())
                 if spent > cap:
@@ -368,7 +384,10 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
 
     Enumerates every cut tuple, reorders the universe so the cut pieces come
     first, derives the stage threshold function, and accepts iff some induced
-    cut instance accepts.  The enumeration count is budget-capped.
+    cut instance accepts.  The enumeration count is budget-capped.  With one
+    stage (1/eps = 1, or the fallback when floor(eps*k) = 0) nothing is
+    stripped, so the first cut instance is the exact ordered-packing DP and
+    its reject stands for every cut: a one-stage reject draws one cut tuple.
     """
     if k == 0:
         return WspResult("accept" if 0 >= W else "reject", (), 0)
@@ -386,6 +405,8 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
             if res.accept:
                 verify_cwsp_witness(inst, res)
                 return WspResult("accept", res.ordered_sets, res.weight)
+            if inv_eps == 1:
+                break  # one stage strips nothing, so no other cut can accept
     except BudgetExceededError:
         return WspResult("budget-exceeded")
     return WspResult("reject")

@@ -240,3 +240,45 @@ def test_bench_budget_exceeded_rows(tmp_path, capsys):
     assert code == 0
     rows = json.loads(out)
     assert rows[0]["verdict"] == "budget-exceeded" and rows[0]["match"] is None
+
+
+DOCUMENTS = {
+    "digraph": {"nodes": 3, "arcs": [[0, 1, 1], [1, 2, 1]]},
+    "graph": {"nodes": 3, "edges": [[0, 1], [1, 2]]},
+    "setfamily": {"universe": ["a", "b", "c"],
+                  "sets": [{"members": ["a", "b", "c"], "weight": 1}]},
+}
+
+
+@pytest.mark.parametrize("problem,kind", [
+    ("kpath", "graph"), ("kpath", "setfamily"), ("kiob", "graph"), ("kiob", "setfamily"),
+    ("wsp", "digraph"), ("wsp", "graph"), ("p2p", "digraph"), ("p2p", "setfamily")])
+def test_wrong_document_kind_is_a_usage_error(tmp_path, capsys, problem, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(DOCUMENTS[kind]))
+    for command in ("solve", "check"):
+        code, out, err = run(capsys, command, problem, str(inst), "--k", "1", "--W", "1")
+        assert code == 2 and err.startswith("error:") and kind in err and not out
+    # one bad row fails the whole suite, the good row before it included
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "mixed", "rows": [
+        {"problem": "kiob", "instance": DOCUMENTS["digraph"], "k": 1},
+        {"problem": problem, "instance": DOCUMENTS[kind], "k": 1, "W": 1}]}))
+    code, out, err = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 2 and err.startswith("error:") and kind in err and not out
+
+
+def test_non_positive_budget_is_a_usage_error(tmp_path, capsys):
+    inst = tmp_path / "s.json"
+    inst.write_text(json.dumps(DOCUMENTS["setfamily"]))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "one", "rows": [
+        {"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1, "W": 1}]}))
+    for budget in ("0", "-5"):
+        for argv in (("solve", "wsp", str(inst), "--k", "1", "--W", "1"),
+                     ("check", "wsp", str(inst), "--k", "1", "--W", "1"),
+                     ("bench", str(suite))):
+            code, out, err = run(capsys, *argv, "--budget", budget)
+            assert code == 2 and err.startswith("error:") and "--budget" in err and not out
+    code, _, _ = run(capsys, "solve", "wsp", str(inst), "--k", "1", "--W", "1", "--budget", "1")
+    assert code == 0

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fptmix.core import OrderedUniverse, ParameterError, WeightedSetFamily
 from fptmix import oracles, wsp
@@ -191,3 +192,75 @@ def test_singleton_first_piece_regression():
     res = wsp.wsp_alg(uni, fam, 8, 2, inv_eps=2)
     assert res.status == "accept" and res.weight == 8
     assert wsp.wsp_alg(uni, fam, 9, 2, inv_eps=2).status == "reject"
+
+
+def test_one_stage_reject_draws_one_cut():
+    """With one stage every cut instance is the exact ordered-packing DP, so
+    a reject needs one cut tuple; the staged path still walks them all."""
+    rng = random.Random(11)
+    uni = universe(9)
+    fam = WeightedSetFamily(uni, 3, tuple((tuple(sorted(rng.sample(range(9), 3))),
+                                           rng.randint(-3, 9)) for _ in range(12)), "max")
+    # (k, 1/eps): plain one stage, and the fallback when floor(eps*k) = 0
+    for k, inv, opt, packing in ((2, 1, 10, (5, 10)), (1, 1, 7, (4,)), (1, 2, 7, (4,))):
+        assert wsp.wsp_alg(uni, fam, opt + 1, k, inv, budget=1).status == "reject"
+        assert wsp.wsp_alg(uni, fam, opt + 1, k, inv).status == "reject"
+        hit = wsp.wsp_alg(uni, fam, opt, k, inv, budget=1)
+        assert (hit.status, hit.packing, hit.weight) == ("accept", packing, opt)
+    assert wsp.wsp_alg(uni, fam, 11, 2, 2, budget=1).status == "budget-exceeded"
+
+
+def test_threshold_pruning_keeps_verdicts_and_weights():
+    """solve_cwsp at W against the unpruned DP (W far below every weight):
+    same verdict and weight, and every witness still checks out."""
+    rng = random.Random(71)
+    accepts = 0
+    for case in range(2000):
+        n = rng.randint(6, 9)
+        uni = universe(n)
+        lo, hi = rng.choice([(-9, 9), (-9, -1), (-4, 0), (1, 1), (0, 1), (0, 9)])
+        fam = random_family(rng, uni, rng.randint(1, 10), lo, hi)
+        k = rng.randint(1, 3)
+        inv = rng.randint(1, k)
+        order = uni.by_rank()
+        f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
+        reduce, audit = rng.random() < 0.7, rng.random() < 0.3
+        free = wsp.solve_cwsp(wsp.CwspInstance(uni, fam, -10**18, k, inv, f),
+                              reduce=reduce, audit=audit)
+        base = free.weight if free.accept else rng.randint(3 * k * lo, 3 * k * hi)
+        W = base + rng.choice([-1, 0, 0, 1])
+        inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+        got = wsp.solve_cwsp(inst, reduce=reduce, audit=audit)
+        assert got.accept == (free.accept and free.weight >= W), (case, fam.sets, k, inv, f, W)
+        if got.accept:
+            accepts += 1
+            assert got.weight == free.weight
+            wsp.verify_cwsp_witness(inst, got)
+    assert accepts > 500
+
+
+@settings(max_examples=100)
+@given(st.integers(5, 7), st.data())
+def test_wsp_alg_matches_oracle_around_optimum(n, data):
+    uni = universe(n)
+    triple = st.tuples(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True),
+                       st.integers(-9, 9))
+    sets = data.draw(st.lists(triple, max_size=6))
+    fam = WeightedSetFamily(uni, 3, tuple((tuple(sorted(m)), w) for m, w in sets), "max")
+    # k may exceed 1/eps (the one-stage fallback) and the number of sets
+    k = data.draw(st.integers(1, 3))
+    inv = data.draw(st.integers(1, 3))
+    opt = oracles.oracle_wsp(fam, k)
+    if opt is None:
+        assert wsp.wsp_alg(uni, fam, -10**6, k, inv).status == "reject"
+        return
+    for W in (opt - 1, opt, opt + 1):
+        res = wsp.wsp_alg(uni, fam, W, k, inv)
+        if W > opt:
+            assert res.status == "reject"
+            continue
+        # below the optimum the first accepting cut may hold a lighter packing
+        assert res.status == "accept" and W <= res.weight <= opt
+        members = [e for p in res.packing for e in fam.members(p)]
+        assert len(res.packing) == k and len(set(members)) == 3 * k
+        assert sum(fam.weight(p) for p in res.packing) == res.weight
