@@ -50,10 +50,6 @@ def _default_budget() -> int:
     return budget_from_env(200_000)
 
 
-def _fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def _load(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -123,7 +119,7 @@ def _cmd_solve(args, argv) -> int:
     t1 = time.perf_counter()
 
     if args.problem == "kiob":
-        res = kiob_mod.solve_kiob(parsed.value, k, args.c)
+        res = kiob_mod.solve_kiob(parsed.value, k, args.c, trace)
         timings["solve"] = time.perf_counter() - t1
         witness = {"root": res.root, "branching": [list(a) for a in res.branching]} \
             if res.accept else None
@@ -134,7 +130,7 @@ def _cmd_solve(args, argv) -> int:
         if W is None:
             raise ParameterError("W is required for weighted problems")
         res = kpath_mod.path_alg(parsed.value, W, k, args.inv_eps, args.delta,
-                                 args.gamma, _tradeoffs(args), args.budget)
+                                 args.gamma, _tradeoffs(args), args.budget, trace)
         timings["solve"] = time.perf_counter() - t1
         witness = {"path": list(res.path), "weight": res.weight} \
             if res.status == "accept" else None
@@ -156,7 +152,7 @@ def _cmd_solve(args, argv) -> int:
         _report(argv, res.status, witness, timings, trace)
         return _verdict_exit(res.status)
 
-    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, args.c, args.budget)
+    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, args.c, args.budget, trace)
     timings["solve"] = time.perf_counter() - t1
     witness = {"paths": [list(p) for p in res.packing.paths]} \
         if res.status == "accept" else None
@@ -424,7 +420,10 @@ def _oracle_accepts(problem: str, value, k, W) -> bool:
 
 
 def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
-    budget = budget or _default_budget()
+    if budget is None:
+        budget = _default_budget()
+    elif budget <= 0:
+        raise ParameterError(f"budget must be a positive integer, got {budget}")
 
     def run(name, row, value):
         problem = row["problem"]
@@ -434,14 +433,15 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
         t0 = time.perf_counter()
         try:
             if problem == "kiob":
-                verdict = "accept" if kiob_mod.solve_kiob(value, k).accept else "reject"
+                verdict = "accept" if kiob_mod.solve_kiob(value, k, trace=trace).accept \
+                    else "reject"
             elif problem == "kpath":
-                verdict = kpath_mod.path_alg(value, W, k, budget=budget).status
+                verdict = kpath_mod.path_alg(value, W, k, budget=budget, trace=trace).status
             elif problem == "wsp":
                 verdict = wsp_mod.wsp_alg(value.universe, value, W, k, budget=budget,
                                           trace=trace).status
             else:
-                verdict = p2_mod.solve_p2packing(value, k, budget=budget).status
+                verdict = p2_mod.solve_p2packing(value, k, budget=budget, trace=trace).status
         except BudgetExceededError:
             verdict = "budget-exceeded"
         elapsed = time.perf_counter() - t0  # the oracle below is not timed
@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--W", type=int)
     solve.add_argument("--c", type=float, default=None)
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
-    solve.add_argument("--delta", type=_fraction, default=Fraction(1, 12))
-    solve.add_argument("--gamma", type=_fraction, default=Fraction(84, 1000))
+    solve.add_argument("--delta", type=Fraction, default=Fraction(1, 12))
+    solve.add_argument("--gamma", type=Fraction, default=Fraction(84, 1000))
     solve.add_argument("--c1", type=float, default=1.504)
     solve.add_argument("--c2", type=float, default=1.398)
     solve.add_argument("--cl", type=float, default=1.092)

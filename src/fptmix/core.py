@@ -106,12 +106,6 @@ class OrderedUniverse:
             order[r] = idx
         return order
 
-    def less(self, a: int, b: int) -> bool:
-        return self.rank[a] < self.rank[b]
-
-    def min_element(self, indices) -> int:
-        return min(indices, key=lambda i: self.rank[i])
-
 
 def reorder_universe(u: OrderedUniverse, new_order) -> OrderedUniverse:
     """Same elements, rank of element e becomes ``new_order[old_rank(e)]``."""
@@ -190,15 +184,22 @@ class WeightedSetFamily:
     def weight(self, i: int) -> int:
         return self.sets[i][1]
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(self.sets)
-
 
 def _mask(members) -> int:
     m = 0
     for e in members:
         m |= 1 << e
     return m
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The members of a bitmask (bit e is element e), ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)

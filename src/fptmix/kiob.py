@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (Digraph, FptMixError, Graph, OrderedUniverse, ParameterError,
-                   WeightedSetFamily)
+                   WeightedSetFamily, bit_positions)
 from .matching import max_matching
 from .repsets import PartitionPart, reduce_entry
 
@@ -60,14 +60,15 @@ def _node_universe(g: Digraph) -> OrderedUniverse:
 
 
 def tree_families(g: Digraph, root: int, internal: int, leaves: int,
-                  slack: int, c: float = 1.0) -> TreeFamilyEntry:
+                  slack: int, c: float = 1.0, trace: dict | None = None) -> TreeFamilyEntry:
     """Family that ``slack``-represents the node-sets of out-trees rooted at
     ``root`` with exactly ``internal`` internal nodes and ``leaves`` leaves.
 
     Child-splitting DP over (vertex, internal, leaf) states.  OneChild grows a
     tree downward through a single child arc; the merge rule fuses two trees
-    sharing only their root.  Duplicate generation from child orderings is
-    tolerated: the representative reduction after every state deduplicates.
+    sharing only their root.  States hold node bitmasks; duplicate generation
+    from child orderings is tolerated, since each state collects its masks in
+    a set before the representative reduction, which gets ``trace``.
     """
     if not (internal >= 1 or (internal, leaves) == (0, 1)):
         raise ParameterError(f"unsupported tree shape ({internal}, {leaves})")
@@ -75,16 +76,17 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     if internal + leaves + slack > n:
         raise ParameterError("internal + leaves + slack exceeds the node count")
     universe = _node_universe(g)
-    out = g.out_neighbors()
+    out = g.out_neighbors()  # ascending, as the arcs are sorted
     total = internal + leaves
 
-    # table[v][(x, y)] -> set of frozensets (node-sets of out-trees at v)
-    table: list[dict[tuple[int, int], list[frozenset]]] = [dict() for _ in range(n)]
+    # table[v][(x, y)] -> node bitmasks of out-trees at v
+    table: list[dict[tuple[int, int], list[int]]] = [dict() for _ in range(n)]
     everything = tuple(range(n))
 
     for size in range(1, total + 1):
         part = PartitionPart(everything, total + slack, size, c)
         for v in range(n):
+            vbit = 1 << v
             for x in range(0, size + 1):
                 y = size - x
                 if x == 0 and y != 1:
@@ -95,19 +97,19 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                     continue
                 if size == 1:
                     if (x, y) == (0, 1):
-                        table[v][(0, 1)] = [frozenset({v})]
+                        table[v][(0, 1)] = [vbit]
                     continue
-                found: set[frozenset] = set()
-                one_child: dict[tuple[int, int], list[frozenset]] = {}
+                found: set[int] = set()
+                one_child: dict[tuple[int, int], list[int]] = {}
 
-                def one_child_sets(x1: int, y1: int) -> list[frozenset]:
+                def one_child_sets(x1: int, y1: int) -> list[int]:
                     key = (x1, y1)
                     if key not in one_child:
                         acc = []
-                        for u in sorted(out[v]):
+                        for u in out[v]:
                             for a in table[u].get((x1 - 1, y1), ()):
-                                if v not in a:
-                                    acc.append(a | {v})
+                                if not a & vbit:
+                                    acc.append(a | vbit)
                         one_child[key] = acc
                     return one_child[key]
 
@@ -117,16 +119,19 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                         x2, y2 = x + 1 - x1, y - y1
                         if x2 < 1 or y2 < 0:
                             continue
-                        for b in table[v].get((x2, y2), ()):
-                            for a in one_child_sets(x1, y1):
-                                if a & b == {v}:
-                                    found.add(a | b)
+                        merged = table[v].get((x2, y2))
+                        if merged:
+                            ones = one_child_sets(x1, y1)
+                            for b in merged:
+                                for a in ones:
+                                    if a & b == vbit:
+                                        found.add(a | b)
                 if found:
                     table[v][(x, y)] = reduce_entry(universe, [(s, 0) for s in found],
-                                                    (part,), "max")
+                                                    (part,), "max", trace)
 
     sets = table[root].get((internal, leaves), [])
-    members = tuple((tuple(sorted(s)), 0) for s in sets)
+    members = tuple((tuple(bit_positions(s)), 0) for s in sets)
     fam = WeightedSetFamily(universe, total, members, "max")
     return TreeFamilyEntry(root, internal, leaves, fam)
 
@@ -139,9 +144,10 @@ class TpResult:
     paths: tuple[tuple[int, int], ...] | None = None
 
 
-def tp_alg(inst: TpInstance, c: float = 1.0) -> TpResult:
+def tp_alg(inst: TpInstance, c: float = 1.0, trace: dict | None = None) -> TpResult:
     """Tree-and-paths: accept iff some tree in the representing family leaves
-    room for a q-edge matching, which supplies the q disjoint 2-node paths."""
+    room for a q-edge matching, which supplies the q disjoint 2-node paths.
+    ``trace`` is passed to ``tree_families``."""
     g = inst.digraph
     n = g.node_count
     arc_set = {(t, h) for t, h, _ in g.arcs}
@@ -157,7 +163,7 @@ def tp_alg(inst: TpInstance, c: float = 1.0) -> TpResult:
         return TpResult(True, frozenset(), (), paths)
     if inst.l == 0:
         return TpResult(False)
-    entry = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, c)
+    entry = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, c, trace)
     undirected = g.underlying_graph()
     for members, _ in entry.family.sets:
         nodes = set(members)
@@ -297,12 +303,12 @@ class KiobResult:
     branching: tuple[tuple[int, int], ...] | None = None
 
 
-def solve_kiob(g: Digraph, k: int, c: float = 1.0) -> KiobResult:
+def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) -> KiobResult:
     """Accept iff the digraph has an out-branching with >= k internal nodes.
 
     Iterates candidate roots, then leaf counts l and path counts q, calling
     the tree-and-paths search on the q-reduced shape; an accepted witness is
-    lifted to a full out-branching.
+    lifted to a full out-branching.  ``trace`` is passed to the searches.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
@@ -317,7 +323,7 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0) -> KiobResult:
                     continue
                 if x + y + 2 * q > n:
                     continue
-                res = tp_alg(TpInstance(g, root, x, y, q))
+                res = tp_alg(TpInstance(g, root, x, y, q), trace=trace)
                 if res.accept:
                     branching = extract_branching(g, root, res.tree_set, res.paths, k)
                     return KiobResult(True, root, branching)

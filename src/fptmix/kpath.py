@@ -19,19 +19,14 @@ the cut solver is exercised end to end without the outer enumeration.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import (
-    BudgetExceededError,
-    Digraph,
-    FptMixError,
-    OrderedUniverse,
-    ParameterError,
-    add_weights,
-)
+from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError, OrderedUniverse,
+                   ParameterError, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_entry
 from . import unisets
 
@@ -63,10 +58,6 @@ class KcwpParams:
     k2: int
     k3: int
     mid: int
-
-    @property
-    def x(self) -> int:
-        return self.k1 + self.k2
 
 
 def kcwp_params(k: int, inv_eps: int, delta: Fraction, gamma: Fraction) -> KcwpParams:
@@ -137,8 +128,6 @@ class KcwpInstance:
 
 
 def kcwp_instance_to_document(inst: KcwpInstance) -> str:
-    import json
-
     doc = {
         "digraph": {"nodes": inst.digraph.node_count,
                     "arcs": [[t, h, w] for t, h, w in inst.digraph.arcs]},
@@ -152,15 +141,30 @@ def kcwp_instance_to_document(inst: KcwpInstance) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
-    import json
+# the fields of a kcwp instance file and their JSON types
+_KCWP_FIELDS = (("digraph", dict), ("digraph.nodes", int), ("digraph.arcs", list), ("W", int),
+                ("k", int), ("invEps", int), ("delta", str), ("gamma", str), ("L", list),
+                ("R", list), ("l1", list), ("l2", list), ("r1", list), ("r2", list),
+                ("vl", int), ("vr", int))
 
+
+def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
+    """Parse a kcwp instance file; a missing or ill-typed field is an
+    ``InstanceError`` that names it."""
     data = json.loads(document)
+    for name, kind in _KCWP_FIELDS:
+        outer, _, inner = name.rpartition(".")
+        value = (data[outer] if outer else data).get(inner) if isinstance(data, dict) else None
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise InstanceError(f"kcwp field {name!r} is missing or not {kind.__name__}")
+    try:
+        delta, gamma = Fraction(data["delta"]), Fraction(data["gamma"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InstanceError(f"kcwp fields 'delta' and 'gamma' must be fractions: {exc}")
     g = Digraph(data["digraph"]["nodes"],
                 tuple(tuple(a) for a in data["digraph"]["arcs"]))
     return KcwpInstance(
-        g, data["W"], data["k"], data["invEps"],
-        Fraction(data["delta"]), Fraction(data["gamma"]),
+        g, data["W"], data["k"], data["invEps"], delta, gamma,
         frozenset(data["L"]), frozenset(data["R"]),
         tuple(data["l1"]), tuple(data["l2"]),
         tuple(data["r1"]), tuple(data["r2"]),
@@ -210,8 +214,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     """Three-phase staged DP over internal-node sets.
 
     Layer t holds, per (L count, R count, other count, last node), a
-    min-weight family of the sets of the first t internal nodes; each entry
-    is replaced by a generalized representative family after it is computed.
+    min-weight family of the sets of the first t internal nodes, stored as
+    node bitmasks; each entry is replaced by a generalized representative
+    family after it is computed.
     The layers walk the pieces in order: the early pieces (phase M, no R
     nodes), the middle piece (phase N, L and R both allowed) and the late
     pieces (phase K, no L nodes).  A step continues the current piece from
@@ -230,9 +235,10 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     g = inst.digraph
     n = g.node_count
     weights = g.arc_weights()
-    out = g.out_neighbors()
+    out = g.out_neighbors()  # ascending, as the arcs are sorted
     endp = set(inst.l1) | set(inst.l2) | set(inst.r1) | set(inst.r2) | {inst.vl, inst.vr}
     L, R = inst.L, inst.R
+    l_mask, r_mask = sum(1 << v for v in L), sum(1 << v for v in R)
     e3 = [v for v in range(n) if v not in L and v not in R and v not in endp]
     k1, k2, k3, mid, ek, m, mt = par.k1, par.k2, par.k3, par.mid, par.ek, par.m, par.mt
     early = m + mt
@@ -255,7 +261,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
             entry[fs] = (weight, payload)
 
     # layer 0: the empty set, standing at the start node of the first piece
-    layers = [{(0, 0, 0, starts[0]): {frozenset(): (0, None)}}]
+    layers = [{(0, 0, 0, starts[0]): {0: (0, None)}}]
     for p, length in enumerate(lengths):
         phase = "M" if p < early else "N" if p == early else "K"
         forbidden, cs = phases[phase]
@@ -285,7 +291,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                     bridge = weights[(u, tail)]
                 if drop_l:
                     l = 0
-                for v in sorted(out[src]):
+                for v in out[src]:
                     if v in forbidden:
                         continue
                     dl, dr = v in L, v in R
@@ -294,14 +300,15 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                         continue
                     nkey = (nl, nr, ns, v)
                     arc = weights[(src, v)]
+                    bit = 1 << v
                     for fs, (w, _) in entry.items():
-                        if v in fs:
+                        if fs & bit:
                             continue
                         nw = (add_weights(w, arc) if bridge is None
                               else add_weights(add_weights(w, bridge), arc))
-                        put(layer, nkey, (fs - L if drop_l else fs) | {v}, nw, (key, fs, v))
-            for key in sorted(layer):
-                entry = layer[key]
+                        put(layer, nkey, (fs & ~l_mask if drop_l else fs) | bit, nw,
+                            (key, fs, v))
+            for key, entry in layer.items():
                 if reduce and len(entry) > 1:
                     parts = tuple(PartitionPart(elements, k_part, count, c)
                                   for (elements, k_part), count, c in zip(part_shapes, key, cs)
@@ -314,9 +321,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                 # claims, and never touch piece endpoints
                 for key, entry in layer.items():
                     for fs in entry:
-                        in_l, in_r = len(fs & L), len(fs & R)
-                        assert not fs & endp and \
-                            (in_l, in_r, len(fs) - in_l - in_r) == key[:3], (phase, key)
+                        in_l, in_r = (fs & l_mask).bit_count(), (fs & r_mask).bit_count()
+                        assert not endp.intersection(bit_positions(fs)) and \
+                            (in_l, in_r, fs.bit_count() - in_l - in_r) == key[:3], (phase, key)
             layers.append(layer)
 
     # ---- acceptance --------------------------------------------------------
@@ -332,7 +339,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                 candidates.append((totalw, key, fs))
     if not candidates:
         return KcwpResult(False)
-    candidates.sort(key=lambda t: (t[0], t[1], sorted(t[2])))
+    candidates.sort(key=lambda t: (t[0], t[1], bit_positions(t[2])))
 
     def rebuild(key, fs) -> tuple[tuple[int, ...], ...]:
         nodes: list[int] = []
@@ -581,13 +588,14 @@ def best_kpath(g: Digraph, k: int):
 def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
              delta: Fraction = Fraction(1, 12), gamma: Fraction = Fraction(84, 1000),
              tradeoffs: KcwpTradeoffs | None = None,
-             budget: int = 100_000) -> PathAlgResult:
+             budget: int = 100_000, trace: dict | None = None) -> PathAlgResult:
     """Full driver: universal-set colorings, cut-node subsets, threshold
     index, endpoint-map tuples, legality check, inner cut solver.
 
     Small k (below the regime where pieces have an internal node) falls back
     to exhaustive search; the enumeration is budget-counted per tuple and
     reports budget-exceeded honestly instead of running for geological time.
+    ``trace`` is passed to the cut solver.
     """
     tradeoffs = tradeoffs or KcwpTradeoffs()
     par = kcwp_params(k, inv_eps, delta, gamma)
@@ -636,7 +644,7 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
                         continue
                     if not validate_kcwp(inst).valid:
                         continue
-                    res = solve_kcwp(inst, tradeoffs)
+                    res = solve_kcwp(inst, tradeoffs, trace=trace)
                     if res.accept:
                         seq = chain_pieces(inst, res.pieces)
                         if seq is not None:

@@ -30,9 +30,6 @@ class Matching:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def matched_nodes(self) -> set[int]:
-        return {x for e in self.edges for x in e}
-
 
 def validate_matching(g: Graph, m: Matching) -> None:
     edge_set = set(g.edges)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv
+from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv,
+                   bit_positions)
 from .repsets import PartitionPart, reduce_entry
 from .wsp import _pack_stages, cut_universes, stage_schedule
 
@@ -62,13 +63,16 @@ def _all_triples(g: Graph):
             yield (a, mid, c)
 
 
-def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozenset, Packing]:
+def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0,
+             trace: dict | None = None) -> dict[frozenset, Packing]:
     """Candidate X-footprints of the q paths that leave X.
 
     Returns a map from each surviving (3q - p)-subset of X to one q-packing
     realizing it.  DP over the outside nodes in ascending order: paths enter
     ordered by their smallest outside node, which is dropped from the stored
-    set; families are (p - p')-reduced after every entry.
+    set; stored sets (over outside-node indices) and footprints (over nodes)
+    are bitmasks, and families are (p - p')-reduced after every entry, with
+    ``trace`` passed to the reductions.
     """
     x_nodes = sorted(inst.previous.nodes())
     x_set = set(x_nodes)
@@ -77,32 +81,32 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozense
     y_universe = OrderedUniverse.from_labels(str(v) for v in y_nodes)
 
     paths = []
-    for a, mid, cc in _all_triples(inst.graph):
-        ypart = frozenset(y_index[v] for v in (a, mid, cc) if v not in x_set)
-        if not ypart:
+    for triple in _all_triples(inst.graph):
+        ys = [y_index[v] for v in triple if v not in x_set]
+        if not ys:
             continue
-        xpart = frozenset(v for v in (a, mid, cc) if v in x_set)
-        paths.append((min(ypart), ypart, xpart, (a, mid, cc)))
-    paths.sort(key=lambda t: (t[0], t[3]))
+        xpart = sum(1 << v for v in triple if v in x_set)
+        paths.append((min(ys), sum(1 << y for y in ys), len(ys), xpart, triple))
+    paths.sort(key=lambda t: (t[0], t[4]))
 
-    # layers[(p', q')][(m, X')] -> {stored Y-set: payload}
+    # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}
     layers: dict[tuple[int, int], dict] = {}
     y_all = tuple(range(len(y_nodes)))
 
     for p_used in range(1, p + 1):
         for q_used in range(_ceildiv(p_used, 3), min(p_used, q) + 1):
             layer: dict = {}
-            for m, ypart, xpart, triple in paths:
-                if len(ypart) > p_used:
+            for m, ypart, y_count, xpart, triple in paths:
+                if y_count > p_used:
                     continue
-                stored_new = ypart - {m}
+                stored_new = ypart ^ (1 << m)
                 if q_used == 1:
-                    if len(ypart) != p_used:
+                    if y_count != p_used:
                         continue
                     entry = layer.setdefault((m, xpart), {})
                     entry.setdefault(stored_new, (None, None, None, triple))
                 else:
-                    child_layer = layers.get((p_used - len(ypart), q_used - 1))
+                    child_layer = layers.get((p_used - y_count, q_used - 1))
                     if not child_layer:
                         continue
                     for (m2, x2), entry2 in child_layer.items():
@@ -114,22 +118,24 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozense
                             key = (m, x2 | xpart)
                             entry = layer.setdefault(key, {})
                             entry.setdefault(fs2 | stored_new,
-                                             ((p_used - len(ypart), q_used - 1), (m2, x2), fs2, triple))
+                                             ((p_used - y_count, q_used - 1), (m2, x2), fs2, triple))
             size = p_used - q_used
             part = PartitionPart(y_all, size + (p - p_used), size, c)
-            for key in sorted(layer, key=lambda kv: (kv[0], sorted(kv[1]))):
-                entry = layer[key]
+            for key, entry in layer.items():
                 if len(entry) > 1:
-                    kept = reduce_entry(y_universe, [(fs, 0) for fs in entry], (part,), "max")
+                    kept = reduce_entry(y_universe, [(fs, 0) for fs in entry], (part,), "max",
+                                        trace)
                     layer[key] = {fs: entry[fs] for fs in kept}
             layers[(p_used, q_used)] = layer
 
     result: dict[frozenset, Packing] = {}
     final = layers.get((p, q), {})
-    for (m, xpart), entry in sorted(final.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1]))):
-        if xpart in result:
+    for (m, xpart), entry in sorted(final.items(),
+                                    key=lambda kv: (kv[0][0], bit_positions(kv[0][1]))):
+        footprint = frozenset(bit_positions(xpart))
+        if footprint in result:
             continue
-        fs = sorted(entry, key=sorted)[0]
+        fs = min(entry, key=bit_positions)
         triples = []
         lk, key, cur = (p, q), (m, xpart), fs
         while True:
@@ -138,7 +144,7 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0) -> dict[frozense
             if child_lk is None:
                 break
             lk, key, cur = child_lk, child_key, child_fs
-        result[xpart] = Packing(tuple(reversed(triples)))
+        result[footprint] = Packing(tuple(reversed(triples)))
     return result
 
 
@@ -187,8 +193,8 @@ def solve_cpro2(inst: Pro2Instance, budget: int = 5_000_000) -> Cpro2Result:
     sched = stage_schedule(kq, inst.inv_eps, 3 * inst.q - inst.p)
     rank = inst.universe.rank
     f_rank = [rank[e] for e in inst.f]
-    seeds = [(tuple(sum(1 for e in cand if rank[e] <= fr) for fr in f_rank), cand)
-             for cand in inst.candidates]
+    seeds = [(tuple(sum(1 for e in cand if rank[e] <= fr) for fr in f_rank),
+              sum(1 << e for e in cand)) for cand in inst.candidates]
     # raw member tuples: a triangle's three paths share one node set and
     # must keep the three positions the caller maps back through
     found = _pack_stages(inst.universe, [(members, 0) for members in inst.family], kq,
@@ -196,7 +202,7 @@ def solve_cpro2(inst: Pro2Instance, budget: int = 5_000_000) -> Cpro2Result:
     if found is None:
         return Cpro2Result(False)
     positions, footprint, _ = found
-    return Cpro2Result(True, footprint, positions)
+    return Cpro2Result(True, frozenset(bit_positions(footprint)), positions)
 
 
 @dataclass(frozen=True)
@@ -237,13 +243,13 @@ class P2Result:
 
 
 def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
-                    budget: int = 200_000) -> P2Result:
+                    budget: int = 200_000, trace: dict | None = None) -> P2Result:
     """Iterative compression: grow a packing one path at a time.
 
     Each round tries every (p, q) split sanctioned by the containment
     guarantee for packings extending the previous round's witness, combining
     the footprint family with the in-X packing decision; the reconstructed
-    t-packing feeds the next round.
+    t-packing feeds the next round.  ``trace`` is passed to ``icp_pro1``.
     """
     if k < 0:
         raise ParameterError("k must be non-negative")
@@ -265,7 +271,7 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
         for p in range(3, p_cap + 1):
             for q in range(_ceildiv(p, 3), min(p, t) + 1):
                 try:
-                    fmap = icp_pro1(inst, p, q, c)
+                    fmap = icp_pro1(inst, p, q, c, trace)
                 except BudgetExceededError:
                     return P2Result("budget-exceeded")
                 if not fmap:

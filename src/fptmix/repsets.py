@@ -18,22 +18,15 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .core import (
-    BudgetExceededError,
-    InstanceError,
-    OrderedUniverse,
-    ParameterError,
-    WeightedSetFamily,
-)
+from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
+                   WeightedSetFamily, _mask, bit_positions)
 from . import unisets
 
-_LINEAR_SCAN_THRESHOLD = 64
 _DENSE_PART_CAP = 200_000
 
 
 @dataclass
 class SeparatorStats:
-    zeta: int
     construction: str = "greedy"
 
 
@@ -43,8 +36,10 @@ class SeparatorFamily:
 
     ``family`` holds bitsets over part-local positions; positions follow the
     part's universe-rank order.  ``element_maps[i]`` is the bitmask of family
-    members containing local element ``i``.  Both are computed once per
-    ``(m, min(k', m), p')`` and shared by every separator of that shape.
+    members containing local element ``i``.  ``dense`` says the family is
+    exactly the set of all p'-subsets of the part.  All three are computed
+    once per ``(m, min(k', m), p')`` and shared by every separator of that
+    shape.
     """
 
     part_elements: tuple[int, ...]
@@ -54,12 +49,13 @@ class SeparatorFamily:
     family: tuple[int, ...]
     stats: SeparatorStats = field(compare=False)
     element_maps: tuple[int, ...] = field(compare=False, repr=False)
+    dense: bool = field(compare=False, default=False)
 
     def local_position(self, element: int) -> int:
         return self.part_elements.index(element)
 
 
-_separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+_separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
 
 
 def clear_separator_cache() -> None:
@@ -70,13 +66,16 @@ _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy c
 
 
 def _local_family(m: int, k: int, p: int,
-                  budget: int | None) -> tuple[tuple[int, ...], tuple[int, ...], str]:
-    """Family of local bitsets that is (m, k, p)-good, its element maps and
-    how it was obtained (``"cached"`` when an earlier call built it).
+                  budget: int | None) -> tuple[tuple[int, ...], tuple[int, ...], bool, str]:
+    """Family of local bitsets that is (m, k, p)-good, its element maps, its
+    dense flag and how it was obtained (``"cached"`` when an earlier call
+    built it).
 
     Greedy universal-set backed while the cover computation is cheap; beyond
     that, the complete family of p-subsets (a valid universal set via
     extension by zeros, so goodness holds exactly, only without compression).
+    The dense flag is cached with the family: it holds when the family is
+    exactly the set of all p-subsets, whichever way it was built.
     """
     key = (m, k, p)
     if key in _separator_cache:
@@ -98,9 +97,11 @@ def _local_family(m: int, k: int, p: int,
         mode = "dense"
     maps = [0] * m
     for j, f in enumerate(fam):
-        for pos in _bit_positions(f):
+        for pos in bit_positions(f):
             maps[pos] |= 1 << j
-    _separator_cache[key] = fam, tuple(maps)
+    # comb(m, p) distinct members of size p are all the p-subsets
+    dense = all(f.bit_count() == p for f in fam) and len(set(fam)) == math.comb(m, p)
+    _separator_cache[key] = fam, tuple(maps), dense
     return (*_separator_cache[key], mode)
 
 
@@ -114,7 +115,7 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
     recorded but does not steer the desk-scale construction; it only matters
     to the analytic bound formulas.
     """
-    elements = tuple(sorted(part, key=lambda e: universe.rank[e]))
+    elements = tuple(sorted(part, key=universe.rank.__getitem__))
     m = len(elements)
     if not 0 <= p_prime <= k_prime:
         raise ParameterError(f"need 0 <= p' <= k', got k'={k_prime} p'={p_prime}")
@@ -123,36 +124,19 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
     if c_prime < 1:
         raise ParameterError(f"c'={c_prime} must be >= 1")
     k_eff = min(k_prime, m)  # Y cannot use more than m - p' elements anyway
-    fam, maps, mode = _local_family(m, k_eff, p_prime, budget)
-    stats = SeparatorStats(zeta=len(fam), construction=mode)
-    return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, stats, maps)
+    fam, maps, dense, mode = _local_family(m, k_eff, p_prime, budget)
+    return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, SeparatorStats(mode), maps,
+                           dense)
 
 
 def query_separator(sep: SeparatorFamily, s) -> list[int]:
-    """chi(S): ascending indices of family members containing S."""
+    """chi(S): ascending indices of family members containing S, found by a
+    scan of the family (the sweep reads the element maps instead)."""
     local = [sep.local_position(e) for e in s]
     if len(local) != sep.p_prime:
         raise ParameterError(f"|S|={len(local)} but separator expects p'={sep.p_prime}")
-    if len(sep.family) < _LINEAR_SCAN_THRESHOLD:
-        need = 0
-        for pos in local:
-            need |= 1 << pos
-        out = [j for j, f in enumerate(sep.family) if f & need == need]
-    else:
-        mask = (1 << len(sep.family)) - 1
-        for pos in local:
-            mask &= sep.element_maps[pos]
-        out = _bit_positions(mask)
-    return out
-
-
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    need = _mask(local)
+    return [j for j, f in enumerate(sep.family) if f & need == need]
 
 
 def check_goodness(sep: SeparatorFamily) -> tuple[bool, tuple | None]:
@@ -180,66 +164,80 @@ class PartitionPart:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Per-part budgets (E_i, k_i, p_i, c_i) parameterizing generalized representation."""
+    """Per-part budgets (E_i, k_i, p_i, c_i) parameterizing generalized
+    representation; ``masks`` holds each part's element bitmask."""
 
     parts: tuple[PartitionPart, ...]
+    masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for part in self.parts:
+        object.__setattr__(self, "masks", tuple(_mask(part.elements) for part in self.parts))
+        union = 0
+        for part, mask in zip(self.parts, self.masks):
             if part.p > part.k:
                 raise ParameterError(f"part has p={part.p} > k={part.k}")
             if part.c < 1:
                 raise ParameterError(f"part has c={part.c} < 1")
-            dup = seen.intersection(part.elements)
+            dup = mask & union
             if dup:
-                raise InstanceError(f"parts are not disjoint: element {min(dup)} repeated")
-            seen.update(part.elements)
+                raise InstanceError(f"parts are not disjoint: element "
+                                    f"{(dup & -dup).bit_length() - 1} repeated")
+            union |= mask
 
 
-def _validate_membership(spec: PartitionSpec, family: WeightedSetFamily) -> None:
-    part_masks = [sum(1 << e for e in part.elements) for part in spec.parts]
-    outside = ~sum(part_masks)  # parts are disjoint, so the sum is their union
-    for (members, _), mask in zip(family.sets, family.masks):
+def _validate_membership(spec: PartitionSpec, masks) -> None:
+    outside = ~sum(spec.masks)  # parts are disjoint, so the sum is their union
+    for mask in masks:
         if mask & outside:
-            raise InstanceError(f"set {members} has members outside the partition")
-        for part, part_mask in zip(spec.parts, part_masks):
+            raise InstanceError(
+                f"set {tuple(bit_positions(mask))} has members outside the partition")
+        for part, part_mask in zip(spec.parts, spec.masks):
             inside = (mask & part_mask).bit_count()
             if inside != part.p:
-                raise InstanceError(
-                    f"set {members} has {inside} members in a part expecting exactly {part.p}")
+                raise InstanceError(f"set {tuple(bit_positions(mask))} has {inside} members "
+                                    f"in a part expecting exactly {part.p}")
 
 
-def select_representative_positions(spec: PartitionSpec, family: WeightedSetFamily,
-                                    objective: str,
-                                    budget: int | None = None) -> tuple[list[int], int]:
-    """Positions (into ``family.sets``) kept by the weight-ordered sweep, plus
-    the implicit product-family size.  Core of ``gen_rep_alg`` and of
-    ``reduce_entry``, which the dynamic programs call per entry.
+def select_representative_positions(spec: PartitionSpec, family, objective: str,
+                                    budget: int | None = None,
+                                    universe: OrderedUniverse | None = None
+                                    ) -> tuple[list[int], int]:
+    """Positions into ``family`` kept by the weight-ordered sweep, plus the
+    implicit product-family size.  ``family`` is a ``WeightedSetFamily``, or
+    the list of (mask, weight) pairs over ``universe`` that ``reduce_entry``
+    passes, bit e standing for element e.
 
     chi(S) of each part is the AND of the cached element maps of S's members
     in that part; a product index is claimed by the first set, in weight
-    order, whose chi-product contains it."""
+    order, whose chi-product contains it.  When every active part's
+    separator is dense, every position is kept without a sweep: chi(S) of a
+    dense part is the one index of S's members in it, and distinct sets
+    differ in some part, so no two sets share a product index."""
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
-    _validate_membership(spec, family)
-    count = len(family)
+    if isinstance(family, WeightedSetFamily):
+        universe, family = family.universe, list(zip(family.masks, (w for _, w in family.sets)))
+    masks = [mask for mask, _ in family]
+    _validate_membership(spec, masks)
+    count = len(masks)
     if count <= 1:
         return list(range(count)), 1
 
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = [build_separator(family.universe, part.elements, part.k, part.p, part.c, budget)
+    seps = [build_separator(universe, part.elements, part.k, part.p, part.c, budget)
             for part in active]
     sizes = [len(sep.family) for sep in seps]
     product_size = math.prod(sizes) if sizes else 1
-    element_map: dict[int, tuple[int, int]] = {}  # element -> (active part, members map)
+    if all(sep.dense for sep in seps):
+        return list(range(count)), product_size
+    element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
     for i, sep in enumerate(seps):
         for e, members_map in zip(sep.part_elements, sep.element_maps):
-            element_map[e] = i, members_map
+            element_map[1 << e] = i, members_map
     full = [(1 << size) - 1 for size in sizes]
 
     reverse = objective == "max"
-    order = sorted(range(count), key=family.weight, reverse=reverse)
+    order = sorted(range(count), key=lambda pos: family[pos][1], reverse=reverse)
 
     # indices z_F claimed in the mixed-radix product space, whose member sets
     # are never materialized
@@ -247,14 +245,17 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
     selected: list[int] = []
     for pos in order:
         chi = full.copy()
-        for e in family.members(pos):  # membership put every member in an active part
-            i, members_map = element_map[e]
+        rest = masks[pos]
+        while rest:  # membership put every member in an active part
+            low = rest & -rest
+            i, members_map = element_map[low]
             chi[i] &= members_map
+            rest ^= low
         if not all(chi):
             continue
         indices = [0]
         for size, mask in zip(sizes, chi):
-            bits = _bit_positions(mask)
+            bits = bit_positions(mask)
             indices = [idx * size + j for idx in indices for j in bits]
         fresh = [idx for idx in indices if idx not in used]
         if fresh:
@@ -264,19 +265,29 @@ def select_representative_positions(spec: PartitionSpec, family: WeightedSetFami
     return selected, product_size
 
 
-def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ...],
-                 objective: str, trace: dict | None = None) -> list[frozenset]:
-    """The member sets of one DP entry that the weight-ordered sweep keeps.
+def _member_order(pair) -> str:
+    """Descending key for ascending sorted-member order of equal-size masks.
 
-    ``sets`` holds (frozenset, weight) pairs of one common size.  They are
-    listed in ascending order of their sorted members, which fixes the
-    tie-break, and the kept sets come back in that order.  ``trace``, when
-    given, records the largest entry reduced under ``peak_family``.
+    The key lists the mask's bits from bit 0 up.  A sorts before B iff the
+    lowest bit of A ^ B is in A, which gives A the larger key; when one key
+    is a prefix of the other, the longer one holds that bit."""
+    return bin(pair[0])[:1:-1]
+
+
+def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ...],
+                 objective: str, trace: dict | None = None) -> list[int]:
+    """The member bitmasks of one DP entry that the weight-ordered sweep keeps.
+
+    ``sets`` holds distinct (mask, weight) pairs of one size, bit e standing
+    for element e; the sweep checks the per-part counts.  They are listed in
+    ascending order of their sorted members, which fixes the tie-break, and
+    the kept masks come back in that order; an entry whose active parts all
+    have dense separators comes back whole.  ``trace``, when given, records
+    the largest entry reduced under ``peak_family``.
     """
-    ordered = sorted(sets, key=lambda sw: sorted(sw[0]))
-    family = WeightedSetFamily(universe, len(ordered[0][0]),
-                               tuple((tuple(sorted(fs)), w) for fs, w in ordered), objective)
-    keep, _ = select_representative_positions(PartitionSpec(parts), family, objective)
+    ordered = sorted(sets, key=_member_order, reverse=True)
+    keep, _ = select_representative_positions(PartitionSpec(parts), ordered, objective,
+                                              universe=universe)
     if trace is not None:
         trace["peak_family"] = max(trace.get("peak_family", 0), len(ordered))
     return [ordered[i][0] for i in keep]
@@ -312,7 +323,7 @@ def check_representation(spec: PartitionSpec, original: WeightedSetFamily,
     """
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
-    _validate_membership(spec, original)
+    _validate_membership(spec, original.masks)
     cand_lookup = dict(candidate.sets)
     orig_lookup = dict(original.sets)
     for members, weight in candidate.sets:

@@ -13,16 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    BudgetExceededError,
-    OrderedUniverse,
-    ParameterError,
-    WeightedSetFamily,
-    _ceildiv,
-    add_weights,
-    block_permutation,
-    reorder_universe,
-)
+from .core import (BudgetExceededError, OrderedUniverse, ParameterError, WeightedSetFamily,
+                   _ceildiv, add_weights, bit_positions, block_permutation, reorder_universe)
 from .repsets import PartitionPart, reduce_entry
 
 
@@ -99,7 +91,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
         raise ParameterError("k must be at least 1")
     found = _pack_stages(inst.universe, inst.family.sets, inst.k, inst.f,
                          deletion_schedule(inst.k, inst.inv_eps).values,
-                         [((0,) * inst.inv_eps, frozenset())], inst.W,
+                         [((0,) * inst.inv_eps, 0)], inst.W,
                          c=c, reduce=reduce, trace=trace, audit=audit)
     if found is None:
         return CwspResult(False)
@@ -110,15 +102,15 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
 def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sched,
                  seeds, W: int, c: float = 1.0, reduce: bool = False,
                  trace: dict | None = None, audit: bool = False,
-                 cap: int | None = None) -> tuple[tuple[int, ...], frozenset, int] | None:
+                 cap: int | None = None) -> tuple[tuple[int, ...], int, int] | None:
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
 
     ``sets`` lists (member tuple, weight) by position, duplicates allowed.
     Layer (i, j) holds packings of j sets at stage i, keyed by (per-stage
-    deletable counts, smallest element of the last set); stored sets hold
-    the seed's elements and the sets' non-minimum elements that lie above
-    the previous stage threshold.
-    Layer (0, 0) holds ``seeds``, (per-stage deletable counts, stored set)
+    deletable counts, smallest element of the last set); stored sets are
+    element bitmasks holding the seed's elements and the sets' non-minimum
+    elements that lie above the previous stage threshold.
+    Layer (0, 0) holds ``seeds``, (per-stage deletable counts, stored mask)
     pairs: the empty pair for a plain packing, or one pair per footprint
     that the packing must avoid.  ``reduce`` replaces each entry by a max
     3(k - j)-representative subfamily and ``audit`` checks the element
@@ -129,22 +121,23 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
     leaves verdicts and weights as they are, while a witness can move to
     another packing of equal weight.  Returns the positions, the seed set and
     the weight of the first heaviest k-set packing of weight at least ``W``
-    that meets the schedule, or None.
+    that meets the schedule, or None; the seed comes back as its mask.
     """
     rank = universe.rank
     t = len(f)
     ek = k // t
     f_rank = [rank[e] for e in f]
 
-    sets_by_min: list[tuple[int, int, tuple[int, ...], frozenset, tuple[int, ...], int]] = []
+    sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
     for pos, (members, w) in enumerate(sets):
         mn = min(members, key=lambda e: rank[e])
-        others = frozenset(m for m in members if m != mn)
+        others = [m for m in members if m != mn]
         contrib = tuple(sum(1 for e in others if rank[e] <= f_rank[l]) for l in range(t))
-        sets_by_min.append((rank[mn], pos, contrib, others, members, w))
+        mask = sum(1 << e for e in members)
+        sets_by_min.append((rank[mn], pos, contrib, mask ^ (1 << mn), mask, w))
     sets_by_min.sort()
 
-    Entry = dict  # {frozenset: (weight, payload)}
+    Entry = dict  # {stored mask: (weight, payload)}
     seed_layer: dict[tuple, Entry] = {}
     layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
     everything = tuple(range(len(universe)))
@@ -169,8 +162,10 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
             layer: dict[tuple, Entry] = {}
             # a stage's first layer extends the previous stage's last one
             child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
-            do_strip = j == j_lo and i >= 2
-            stripped: dict[frozenset, frozenset] = {}  # child set -> its part above floor_i
+            # the elements a stored set keeps: all, or at a stage's first
+            # layer only those above floor_i
+            keep = (sum(1 << e for e, r in enumerate(rank) if r > floor_i)
+                    if j == j_lo and i >= 2 else -1)
             for (s_vec, mrank_c), entry in layers[child_lk].items():
                 for mrank, pos, contrib, others, members, w in sets_by_min:
                     if mrank <= mrank_c or mrank <= floor_i:
@@ -179,15 +174,11 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                     if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
                         continue
                     for fs, (cw, _) in entry.items():
-                        a = fs
-                        if do_strip:
-                            a = stripped.get(fs)
-                            if a is None:
-                                a = stripped[fs] = frozenset(e for e in fs if rank[e] > floor_i)
+                        a = fs & keep
                         # dropped minima and stage-stripped elements all
                         # sort below min(S), so this one check is full
                         # disjointness against the partial solution
-                        if not a.isdisjoint(members):
+                        if a & members:
                             continue
                         put(layer, (new_s, mrank), a | others,
                             add_weights(cw, w), (child_lk, (s_vec, mrank_c), fs, pos))
@@ -206,8 +197,7 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                 if spent > cap:
                     raise BudgetExceededError(f"more than {cap} cut packing table entries")
             if reduce:
-                for key in sorted(layer):
-                    entry = layer[key]
+                for key, entry in layer.items():
                     if len(entry) > 1:
                         size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
                         part = PartitionPart(everything, size + 3 * (k - j), size, c)
@@ -216,7 +206,7 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                         layer[key] = {fs: entry[fs] for fs in kept}
             if audit:
                 for (s_vec, mrank), entry in layer.items():
-                    for fs in entry:
+                    for fs in map(bit_positions, entry):
                         # element ledger: nothing at or below the last stage
                         # threshold survives, sizes track 2j - s_(i-1), and
                         # the per-stage counts match the coordinates
@@ -228,7 +218,7 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                             assert got == s_vec[l] - base, (i, j, s_vec, l)
             layers[(i, j)] = layer
 
-    best: tuple[int, tuple, frozenset] | None = None
+    best: tuple[int, tuple, int] | None = None
     layer_key = max(layers)  # the one layer of k sets is built last
     for key, entry in layers[layer_key].items():
         if any(key[0][l] < sched[l + 1] for l in range(t)):
@@ -283,29 +273,6 @@ def verify_cwsp_witness(inst: CwspInstance, result: CwspResult) -> None:
         for idx in range(upto, k):
             if any(rank[e] <= fr for e in sets[idx]):
                 raise ParameterError(f"set after stage {stage} uses a too-small element")
-
-
-def smallest_element_closure_check(family: WeightedSetFamily, prefix) -> bool:
-    """Test oracle for deletion soundness: once a set enters an ordered
-    partial solution, sets whose smallest element sits at or beyond the
-    largest collected minimum must not touch the collected minima.
-
-    The at-or-beyond reading is what makes the check informative: a family
-    set reusing the current minimum element is exactly the boundary case the
-    staged insertion has to exclude."""
-    rank = family.universe.rank
-    mins = {min(family.members(p), key=lambda e: rank[e]) for p in prefix}
-    if not mins:
-        return True
-    top = max(rank[e] for e in mins)
-    taken = set(prefix)
-    for pos in range(len(family)):
-        if pos in taken:
-            continue
-        members = family.members(pos)
-        if min(rank[e] for e in members) >= top and mins.intersection(members):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

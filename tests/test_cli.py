@@ -4,7 +4,7 @@ import time
 import pytest
 
 from fptmix import cli
-from fptmix.core import BudgetExceededError
+from fptmix.core import BudgetExceededError, ParameterError
 
 
 def run(capsys, *argv):
@@ -110,6 +110,36 @@ def test_solve_kcwp_document(tmp_path, capsys):
     assert rep["witness"]["chained"] is True
 
 
+@pytest.mark.parametrize("kind", ["setfamily", "graph"])
+def test_solve_kcwp_names_the_missing_field(tmp_path, capsys, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(DOCUMENTS[kind]))
+    code, out, err = run(capsys, "solve", "kcwp", str(inst))
+    assert code == 2 and not out
+    assert err.startswith("error:") and "field 'digraph' is missing" in err
+
+
+def test_solve_kcwp_names_an_ill_typed_field(tmp_path, capsys):
+    from fractions import Fraction
+    from fptmix import kpath
+    from fptmix.core import Digraph
+
+    path = list(range(27))
+    g = Digraph(27, tuple((i, i + 1, 1) for i in range(26)))
+    doc = json.loads(kpath.kcwp_instance_to_document(
+        kpath.construct_kcwp_witness(g, path, 13, Fraction(1, 12), Fraction(95, 1000))))
+    inst = tmp_path / "kcwp.json"
+    for field, value, message in (("k", "27", "field 'k' is missing or not int"),
+                                  ("L", 3, "field 'L' is missing or not list"),
+                                  ("delta", "x", "'delta' and 'gamma' must be fractions"),
+                                  ("digraph", {"nodes": 27}, "field 'digraph.arcs' is missing")):
+        inst.write_text(json.dumps(dict(doc, **{field: value})))
+        code, out, err = run(capsys, "solve", "kcwp", str(inst))
+        assert code == 2 and not out and err.startswith("error:") and message in err, err
+    inst.write_text(json.dumps(doc))
+    assert run(capsys, "solve", "kcwp", str(inst))[0] == 0
+
+
 def test_wsp_and_p2p_cli(tmp_path, capsys):
     fam = tmp_path / "s.json"
     fam.write_text(json.dumps({
@@ -157,12 +187,18 @@ def test_bench_suite_and_missing(tmp_path, capsys):
         {"problem": "kiob", "instance": {"nodes": 3, "arcs": [[0, 1, 1], [1, 2, 1]]}, "k": 2},
         {"problem": "p2p", "instance": {"nodes": 3, "edges": [[0, 1], [1, 2]]}, "k": 1},
         {"problem": "wsp", "instance": wsp_family, "k": 2, "W": 9},
+        # a star: the three paths through the centre share one DP entry
+        {"problem": "p2p", "instance": {"nodes": 4, "edges": [[0, 1], [0, 2], [0, 3]]},
+         "k": 1},
     ]}))
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
-    assert isinstance(rows[2]["peakFamilySize"], int)
+    for i in (0, 2, 3):
+        assert isinstance(rows[i]["peakFamilySize"], int)
+    # on the 3-node path every DP entry holds one set, so no reduction runs
+    assert rows[1]["peakFamilySize"] is None
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
 
@@ -282,3 +318,12 @@ def test_non_positive_budget_is_a_usage_error(tmp_path, capsys):
             assert code == 2 and err.startswith("error:") and "--budget" in err and not out
     code, _, _ = run(capsys, "solve", "wsp", str(inst), "--k", "1", "--W", "1", "--budget", "1")
     assert code == 0
+
+
+def test_bench_rows_rejects_a_non_positive_budget():
+    """A library caller's budget of 0 is an error, not the default budget."""
+    suite = {"rows": [{"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1, "W": 1}]}
+    for budget in (0, -5):
+        with pytest.raises(ParameterError, match="budget"):
+            cli.bench_rows(suite, budget=budget)
+    assert cli.bench_rows(suite, budget=1)[0]["verdict"] == "accept"

@@ -3,8 +3,10 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
-from fptmix.core import InstanceError, OrderedUniverse, WeightedSetFamily
+from fptmix import repsets
+from fptmix.core import InstanceError, OrderedUniverse, WeightedSetFamily, bit_positions
 from fptmix.repsets import (
     PartitionPart,
     PartitionSpec,
@@ -14,6 +16,7 @@ from fptmix.repsets import (
     clear_separator_cache,
     gen_rep_alg,
     query_separator,
+    reduce_entry,
     select_representative_positions,
 )
 
@@ -295,3 +298,69 @@ def test_mask_sweep_matches_query_separator_reference():
             continue
         assert select_representative_positions(spec, fam, objective) == want
     assert raised > 50
+
+
+@st.composite
+def dp_entries(draw):
+    """One DP entry as the solvers hand it to ``reduce_entry``: 2-12 distinct
+    (mask, weight) pairs with p members in each of 1-3 parts, over a universe
+    of 12 or of 80 elements in a random order.  The first part has p < m, so
+    an entry can hold two sets; the others may also be inactive (k = p = 0),
+    have p = 0 or have p = m."""
+    n = draw(st.sampled_from([12, 80]))
+    universe = OrderedUniverse(tuple(f"e{i}" for i in range(n)),
+                               tuple(draw(st.permutations(range(n)))))
+    pool = draw(st.permutations(range(n)))
+    parts = []
+    for i in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["inactive", "p=0", "p=m", "0<p<m"])) if i else "0<p<m"
+        m = draw(st.integers(2 if shape == "0<p<m" else 1, min(5, n - 5 * i)))
+        if shape == "inactive":
+            k = p = 0
+        elif shape == "p=0":
+            k, p = draw(st.integers(1, m + 1)), 0
+        elif shape == "p=m":
+            k = p = m
+        else:  # k >= m gives dense separators, k < m mostly greedy covers
+            p = draw(st.integers(1, m - 1))
+            k = draw(st.integers(p, m + 2))
+        parts.append(PartitionPart(tuple(pool[5 * i: 5 * i + m]), k, p))
+    every = [sum(1 << e for c in chosen for e in c)
+             for chosen in product(*(combinations(part.elements, part.p) for part in parts))]
+    count = draw(st.integers(2, min(12, len(every))))
+    masks = draw(st.lists(st.sampled_from(every), unique=True, min_size=count, max_size=count))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
+    return universe, tuple(parts), list(zip(masks, weights)), draw(st.sampled_from(["max", "min"]))
+
+
+def _reference_reduce(universe, sets, parts, objective):
+    """The reduction as it ran on frozensets: sets sorted by their sorted
+    members, a ``WeightedSetFamily`` built from them, then the
+    ``query_separator`` sweep."""
+    ordered = sorted(sets, key=lambda sw: bit_positions(sw[0]))
+    fam = WeightedSetFamily(universe, sum(part.p for part in parts),
+                            tuple((tuple(bit_positions(m)), w) for m, w in ordered), objective)
+    keep, _ = _reference_positions(PartitionSpec(parts), fam, objective)
+    return [ordered[i][0] for i in keep]
+
+
+@given(dp_entries())
+def test_mask_reduce_entry_matches_family_reference(entry):
+    universe, parts, sets, objective = entry
+    clear_separator_cache()
+    trace = {}
+    got = reduce_entry(universe, sets, parts, objective, trace)
+    assert got == _reference_reduce(universe, sets, parts, objective)
+    assert trace["peak_family"] == len(sets)
+    for (m, _, p), (family, _, dense) in repsets._separator_cache.items():
+        every = {sum(1 << i for i in c) for c in combinations(range(m), p)}
+        assert dense == (len(family) == len(every) and set(family) == every)
+
+
+def test_dense_flag_on_known_shapes():
+    """All p-subsets, by the greedy cover or the fallback, set the flag;
+    a compressed greedy cover does not."""
+    u = uni(6)
+    assert build_separator(u, (0, 1, 2), 3, 3).dense  # the one 3-subset
+    assert build_separator(u, (0, 1, 2, 3), 4, 1).dense  # singletons separate all
+    assert not build_separator(u, (0, 1, 2, 3, 4), 2, 1).dense
