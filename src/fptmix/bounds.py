@@ -223,6 +223,8 @@ def _staged_argmax(t_next, objective, inv_eps: int) -> dict:
     stages, th = idx[order], that[order, None]
     alphas, vals = _golden_rows(lambda a: objective(a, th, eps), stages - 1.0, stages * 1.0,
                                 201, 1e-9)
+    if np.isnan(vals).all():
+        raise ParameterError("the bound's objective is undefined on every stage cell")
     top = int(np.argmax(np.nan_to_num(vals, nan=-np.inf)))  # first best row, never a NaN one
     stage = int(stages[top])
     return {"base": math.exp(vals[top]), "argmax": {"i": stage, "alpha": float(alphas[top]),

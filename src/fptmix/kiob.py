@@ -14,7 +14,7 @@ driver shrinks the requested totals by q before calling in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import (Digraph, FptMixError, Graph, OrderedUniverse, ParameterError,
                    WeightedSetFamily, bit_positions)
@@ -28,6 +28,7 @@ class TreeFamilyEntry:
     internal_count: int
     leaf_count: int
     family: WeightedSetFamily
+    table: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         size = self.internal_count + self.leaf_count
@@ -55,10 +56,6 @@ class TpInstance:
             raise ParameterError(f"root {self.root} does not root an out-branching")
 
 
-def _node_universe(g: Digraph) -> OrderedUniverse:
-    return OrderedUniverse.from_labels(str(v) for v in range(g.node_count))
-
-
 def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                   slack: int, c: float = 1.0, trace: dict | None = None) -> TreeFamilyEntry:
     """Family that ``slack``-represents the node-sets of out-trees rooted at
@@ -68,14 +65,17 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     tree downward through a single child arc; the merge rule fuses two trees
     sharing only their root.  States hold node bitmasks; duplicate generation
     from child orderings is tolerated, since each state collects its masks in
-    a set before the representative reduction, which gets ``trace``.
+    a set before the representative reduction, which gets ``trace``.  Every
+    state is reduced against k' = internal + leaves + slack, whatever the
+    root, so the entry's ``table[v][(x, y)]`` serves every root and smaller
+    shape with the same k'.
     """
     if not (internal >= 1 or (internal, leaves) == (0, 1)):
         raise ParameterError(f"unsupported tree shape ({internal}, {leaves})")
     n = g.node_count
     if internal + leaves + slack > n:
         raise ParameterError("internal + leaves + slack exceeds the node count")
-    universe = _node_universe(g)
+    universe = OrderedUniverse.from_labels(str(v) for v in range(n))
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     total = internal + leaves
 
@@ -133,7 +133,7 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     sets = table[root].get((internal, leaves), [])
     members = tuple((tuple(bit_positions(s)), 0) for s in sets)
     fam = WeightedSetFamily(universe, total, members, "max")
-    return TreeFamilyEntry(root, internal, leaves, fam)
+    return TreeFamilyEntry(root, internal, leaves, fam, table)
 
 
 @dataclass(frozen=True)
@@ -144,38 +144,31 @@ class TpResult:
     paths: tuple[tuple[int, int], ...] | None = None
 
 
-def tp_alg(inst: TpInstance, c: float = 1.0, trace: dict | None = None) -> TpResult:
+def tp_alg(inst: TpInstance, c: float = 1.0, trace: dict | None = None,
+           table: list | None = None) -> TpResult:
     """Tree-and-paths: accept iff some tree in the representing family leaves
     room for a q-edge matching, which supplies the q disjoint 2-node paths.
-    ``trace`` is passed to ``tree_families``."""
+    Trees come from ``table``, a ``tree_families`` table of the same k + l +
+    2q, or else from a ``tree_families`` call given ``c`` and ``trace``."""
     g = inst.digraph
     n = g.node_count
     arc_set = {(t, h) for t, h, _ in g.arcs}
-    if inst.k + inst.l + 2 * inst.q > n:
+    if inst.k + inst.l + 2 * inst.q > n or (inst.l == 0 and inst.k > 0):
         return TpResult(False)
-    if inst.k == 0 and inst.l == 0:
-        # the witness tree is empty; only the q disjoint 2-node paths are sought
-        m = max_matching(g.underlying_graph())
-        if len(m) < inst.q:
-            return TpResult(False)
-        paths = tuple((a, b) if (a, b) in arc_set else (b, a)
-                      for a, b in m.edges[: inst.q])
-        return TpResult(True, frozenset(), (), paths)
-    if inst.l == 0:
-        return TpResult(False)
-    entry = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, c, trace)
+    if table is None and inst.k:
+        table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, c, trace).table
+    # k = 0 (so l = 0): the tree is empty, only the q disjoint 2-node paths are sought
+    trees = table[inst.root].get((inst.k, inst.l), ()) if inst.k else (0,)
     undirected = g.underlying_graph()
-    for members, _ in entry.family.sets:
-        nodes = set(members)
+    for tree in trees:
+        nodes = frozenset(bit_positions(tree))
         free = tuple((u, v) for u, v in undirected.edges
                      if u not in nodes and v not in nodes)
         m = max_matching(Graph(n, free))
         if len(m) >= inst.q:
-            paths = []
-            for a, b in m.edges[: inst.q]:
-                paths.append((a, b) if (a, b) in arc_set else (b, a))
-            arcs = find_out_tree(g, inst.root, frozenset(members), inst.k)
-            return TpResult(True, frozenset(members), tuple(arcs), tuple(paths))
+            paths = tuple((a, b) if (a, b) in arc_set else (b, a) for a, b in m.edges[: inst.q])
+            arcs = find_out_tree(g, inst.root, nodes, inst.k) if tree else ()
+            return TpResult(True, nodes, tuple(arcs), paths)
     return TpResult(False)
 
 
@@ -308,11 +301,14 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
 
     Iterates candidate roots, then leaf counts l and path counts q, calling
     the tree-and-paths search on the q-reduced shape; an accepted witness is
-    lifted to a full out-branching.  ``trace`` is passed to the searches.
+    lifted to a full out-branching.  Every (root, q) at one l reduces against
+    k' = k + l, so one ``tree_families`` table per l, built with ``c`` and
+    ``trace`` at the largest shape q = max(0, 2l - k), serves them all.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
     n = g.node_count
+    tables: dict[int, list] = {}  # l -> shared tree table
     for root in range(n):
         if n > 0 and not g.reaches_all(root):
             continue
@@ -323,7 +319,9 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
                     continue
                 if x + y + 2 * q > n:
                     continue
-                res = tp_alg(TpInstance(g, root, x, y, q), trace=trace)
+                if y and l not in tables:
+                    tables[l] = tree_families(g, root, x, y, 2 * q, c, trace).table
+                res = tp_alg(TpInstance(g, root, x, y, q), c, trace, tables.get(l))
                 if res.accept:
                     branching = extract_branching(g, root, res.tree_set, res.paths, k)
                     return KiobResult(True, root, branching)

@@ -149,20 +149,25 @@ _KCWP_FIELDS = (("digraph", dict), ("digraph.nodes", int), ("digraph.arcs", list
 
 
 def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
-    """Parse a kcwp instance file; a missing or ill-typed field is an
-    ``InstanceError`` that names it."""
+    """Parse a kcwp instance file; a missing or ill-typed field, or a list
+    field with an ill-typed entry, is an ``InstanceError`` that names it."""
     data = json.loads(document)
     for name, kind in _KCWP_FIELDS:
         outer, _, inner = name.rpartition(".")
         value = (data[outer] if outer else data).get(inner) if isinstance(data, dict) else None
         if not isinstance(value, kind) or isinstance(value, bool):
             raise InstanceError(f"kcwp field {name!r} is missing or not {kind.__name__}")
+    for name in ("L", "R", "l1", "l2", "r1", "r2"):
+        if not all(type(v) is int for v in data[name]):
+            raise InstanceError(f"kcwp field {name!r} must list node ints")
     try:
         delta, gamma = Fraction(data["delta"]), Fraction(data["gamma"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"kcwp fields 'delta' and 'gamma' must be fractions: {exc}")
-    g = Digraph(data["digraph"]["nodes"],
-                tuple(tuple(a) for a in data["digraph"]["arcs"]))
+    try:  # Digraph checks every arc; only a malformed one fails to unpack or compare
+        g = Digraph(data["digraph"]["nodes"], tuple(tuple(a) for a in data["digraph"]["arcs"]))
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"kcwp field 'digraph.arcs' must list [tail, head, weight]: {exc}")
     return KcwpInstance(
         g, data["W"], data["k"], data["invEps"], delta, gamma,
         frozenset(data["L"]), frozenset(data["R"]),

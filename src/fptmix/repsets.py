@@ -55,11 +55,21 @@ class SeparatorFamily:
         return self.part_elements.index(element)
 
 
+_CACHE_CAP = 512  # both caches drop their oldest entry beyond this many
 _separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
+_plans: dict[tuple, _Plan] = {}
 
 
 def clear_separator_cache() -> None:
     _separator_cache.clear()
+    _plans.clear()
+
+
+def _remember(cache: dict, key, value):
+    if len(cache) >= _CACHE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy cover on
@@ -101,8 +111,7 @@ def _local_family(m: int, k: int, p: int,
             maps[pos] |= 1 << j
     # comb(m, p) distinct members of size p are all the p-subsets
     dense = all(f.bit_count() == p for f in fam) and len(set(fam)) == math.comb(m, p)
-    _separator_cache[key] = fam, tuple(maps), dense
-    return (*_separator_cache[key], mode)
+    return (*_remember(_separator_cache, key, (fam, tuple(maps), dense)), mode)
 
 
 def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
@@ -185,6 +194,18 @@ class PartitionSpec:
             union |= mask
 
 
+class _Plan:
+    """A reduction shape's spec, active separators (once needed) and dense flag."""
+
+    def __init__(self, parts: tuple[PartitionPart, ...]):
+        self.spec, self.separators, self.dense = PartitionSpec(parts), None, False
+
+
+def _plan(universe: OrderedUniverse, parts: tuple[PartitionPart, ...]) -> _Plan:
+    key = (universe.rank, parts)
+    return _plans.get(key) or _remember(_plans, key, _Plan(parts))
+
+
 def _validate_membership(spec: PartitionSpec, masks) -> None:
     outside = ~sum(spec.masks)  # parts are disjoint, so the sum is their union
     for mask in masks:
@@ -223,15 +244,17 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     if count <= 1:
         return list(range(count)), 1
 
-    active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = [build_separator(universe, part.elements, part.k, part.p, part.c, budget)
-            for part in active]
-    sizes = [len(sep.family) for sep in seps]
+    plan = _plan(universe, spec.parts)
+    if plan.separators is None:
+        plan.separators = [build_separator(universe, part.elements, part.k, part.p, part.c, budget)
+                           for part in spec.parts if not (part.k == 0 and part.p == 0)]
+        plan.dense = all(sep.dense for sep in plan.separators)
+    sizes = [len(sep.family) for sep in plan.separators]
     product_size = math.prod(sizes) if sizes else 1
-    if all(sep.dense for sep in seps):
+    if plan.dense:
         return list(range(count)), product_size
     element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
-    for i, sep in enumerate(seps):
+    for i, sep in enumerate(plan.separators):
         for e, members_map in zip(sep.part_elements, sep.element_maps):
             element_map[1 << e] = i, members_map
     full = [(1 << size) - 1 for size in sizes]
@@ -282,11 +305,12 @@ def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ..
     for element e; the sweep checks the per-part counts.  They are listed in
     ascending order of their sorted members, which fixes the tie-break, and
     the kept masks come back in that order; an entry whose active parts all
-    have dense separators comes back whole.  ``trace``, when given, records
+    have dense separators comes back whole, paying only the count check and
+    the sort once the shape's plan is built.  ``trace``, when given, records
     the largest entry reduced under ``peak_family``.
     """
     ordered = sorted(sets, key=_member_order, reverse=True)
-    keep, _ = select_representative_positions(PartitionSpec(parts), ordered, objective,
+    keep, _ = select_representative_positions(_plan(universe, parts).spec, ordered, objective,
                                               universe=universe)
     if trace is not None:
         trace["peak_family"] = max(trace.get("peak_family", 0), len(ordered))

@@ -364,10 +364,10 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         raise ParameterError("1/eps must be in 1..6")
     if k // inv_eps < 1:
         inv_eps = 1  # staged machinery needs floor(eps*k) >= 1; one stage always works
+    sets = WeightedSetFamily(universe, 3, family.sets, "max")  # ranks come from each cut
     try:
         for uni2, f in cut_universes(universe, inv_eps, budget):
-            inst = CwspInstance(uni2, WeightedSetFamily(uni2, 3, family.sets, "max"),
-                                W, k, inv_eps, f)
+            inst = CwspInstance(uni2, sets, W, k, inv_eps, f)
             res = solve_cwsp(inst, c, reduce=reduce, trace=trace)
             if res.accept:
                 verify_cwsp_witness(inst, res)

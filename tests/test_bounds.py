@@ -182,6 +182,15 @@ def test_staged_bounds_equal_scalar_refinement(inv_eps):
     assert bounds.p2p_bound(inv_eps) == _p2p_reference(inv_eps)
 
 
+def test_staged_bound_raises_when_every_cell_is_nan():
+    # at c = 1/2 every refined cell takes the log of a negative number at
+    # 1/eps = 1 and 1000; at 250 some cells are still defined
+    for inv_eps in (1, 1000):
+        with pytest.raises(ParameterError):
+            bounds.wsp_bound(0.5, inv_eps)
+    assert math.isfinite(bounds.wsp_bound(0.5, 250)["base"])
+
+
 def test_staged_bound_skips_nan_cells_like_a_scalar_scan():
     # at c = 1 the cell ending at alpha * eps = 1 evaluates 0 * log 0 to NaN;
     # at c = 1/2 whole cells take the log of a negative number

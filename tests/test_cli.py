@@ -119,15 +119,19 @@ def test_solve_kcwp_names_the_missing_field(tmp_path, capsys, kind):
     assert err.startswith("error:") and "field 'digraph' is missing" in err
 
 
-def test_solve_kcwp_names_an_ill_typed_field(tmp_path, capsys):
+def _kcwp_document():
     from fractions import Fraction
     from fptmix import kpath
     from fptmix.core import Digraph
 
     path = list(range(27))
     g = Digraph(27, tuple((i, i + 1, 1) for i in range(26)))
-    doc = json.loads(kpath.kcwp_instance_to_document(
+    return json.loads(kpath.kcwp_instance_to_document(
         kpath.construct_kcwp_witness(g, path, 13, Fraction(1, 12), Fraction(95, 1000))))
+
+
+def test_solve_kcwp_names_an_ill_typed_field(tmp_path, capsys):
+    doc = _kcwp_document()
     inst = tmp_path / "kcwp.json"
     for field, value, message in (("k", "27", "field 'k' is missing or not int"),
                                   ("L", 3, "field 'L' is missing or not list"),
@@ -138,6 +142,22 @@ def test_solve_kcwp_names_an_ill_typed_field(tmp_path, capsys):
         assert code == 2 and not out and err.startswith("error:") and message in err, err
     inst.write_text(json.dumps(doc))
     assert run(capsys, "solve", "kcwp", str(inst))[0] == 0
+
+
+def test_solve_kcwp_names_a_list_field_with_a_bad_entry(tmp_path, capsys):
+    inst = tmp_path / "kcwp.json"
+    inst.write_text(json.dumps(dict(_kcwp_document(), L=["a"])))
+    code, out, err = run(capsys, "solve", "kcwp", str(inst))
+    assert code == 2 and not out and err.startswith("error:") and "field 'L'" in err, err
+
+
+def test_solve_kcwp_names_an_arc_without_a_weight(tmp_path, capsys):
+    doc = _kcwp_document()
+    doc["digraph"]["arcs"][0] = doc["digraph"]["arcs"][0][:2]
+    inst = tmp_path / "kcwp.json"
+    inst.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "solve", "kcwp", str(inst))
+    assert code == 2 and not out and err.startswith("error:") and "'digraph.arcs'" in err, err
 
 
 def test_wsp_and_p2p_cli(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fptmix.core import Digraph, OrderedUniverse, ParameterError, WeightedSetFamily
 from fptmix import kiob, oracles
@@ -170,3 +171,56 @@ def test_solve_kiob_exhaustive_all_three_node_digraphs():
         g = Digraph(3, arcs)
         for k in (1, 2, 3):
             assert kiob.solve_kiob(g, k).accept == oracles.oracle_kiob(g, k)
+
+
+def _fresh_tables_kiob(g, k):
+    """``solve_kiob`` as first written: a fresh ``tree_families`` table for
+    every (root, l, q) that reaches ``tp_alg``."""
+    n = g.node_count
+    for root in range(n):
+        if n > 0 and not g.reaches_all(root):
+            continue
+        for l in range(1, k + 1):
+            for q in range(max(0, 2 * l - k), l + 1):
+                x, y = k - q, l - q
+                if (y == 0 and x > 0) or x + y + 2 * q > n:
+                    continue
+                res = kiob.tp_alg(kiob.TpInstance(g, root, x, y, q))
+                if res.accept:
+                    return True, root, kiob.extract_branching(g, root, res.tree_set,
+                                                              res.paths, k)
+    return False, None, None
+
+
+@st.composite
+def spanned_digraphs(draw):
+    """A digraph on 4-9 nodes in which some node reaches every node, with
+    extra arcs that let other roots reach them too, and a k below n."""
+    n = draw(st.integers(4, 9))
+    label = draw(st.permutations(range(n)))
+    arcs = {(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda a: a[0] != a[1]), max_size=3 * n))
+    return Digraph(n, tuple((t, h, 1) for t, h in sorted(arcs))), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=80)
+@given(spanned_digraphs())
+def test_shared_tree_tables_match_fresh_tables(case):
+    g, k = case
+    got = kiob.solve_kiob(g, k)
+    assert (got.accept, got.root, got.branching) == _fresh_tables_kiob(g, k)
+
+
+def test_tree_table_is_built_with_the_callers_c(monkeypatch):
+    seen = []
+    reduce_entry = kiob.reduce_entry
+
+    def spy(universe, sets, parts, objective, trace=None):
+        seen.extend(part.c for part in parts)
+        return reduce_entry(universe, sets, parts, objective, trace)
+
+    monkeypatch.setattr(kiob, "reduce_entry", spy)
+    path = Digraph(5, tuple((i, i + 1, 1) for i in range(4)))
+    assert kiob.solve_kiob(path, 3, c=1.497).accept
+    assert seen and set(seen) == {1.497}

@@ -364,3 +364,37 @@ def test_dense_flag_on_known_shapes():
     assert build_separator(u, (0, 1, 2), 3, 3).dense  # the one 3-subset
     assert build_separator(u, (0, 1, 2, 3), 4, 1).dense  # singletons separate all
     assert not build_separator(u, (0, 1, 2, 3, 4), 2, 1).dense
+
+
+def test_evicted_separator_is_rebuilt_identically(monkeypatch):
+    monkeypatch.setattr(repsets, "_CACHE_CAP", 2)
+    clear_separator_cache()
+    u = uni(8)
+    first = build_separator(u, (0, 1, 2, 3, 4), 2, 1)
+    assert not first.dense
+    build_separator(u, (0, 1, 2), 2, 1)
+    build_separator(u, (0, 1, 2, 3), 2, 2)  # evicts the first shape
+    assert (5, 2, 1) not in repsets._separator_cache
+    again = build_separator(u, (3, 4, 5, 6, 7), 2, 1)
+    assert again.stats.construction != "cached"
+    assert (again.family, again.element_maps, again.dense) == \
+        (first.family, first.element_maps, first.dense)
+
+
+def test_caches_stay_within_their_bound(monkeypatch):
+    monkeypatch.setattr(repsets, "_CACHE_CAP", 8)
+    clear_separator_cache()
+    u = uni(12)
+    rng = random.Random(5)
+    cases = []
+    for m in range(2, 12):
+        for p in range(1, min(m, 3) + 1):
+            masks = {sum(1 << e for e in rng.sample(range(m), p)) for _ in range(6)}
+            cases.append(((PartitionPart(tuple(range(m)), p + 1, p),),
+                          [(mask, rng.randint(0, 3)) for mask in sorted(masks)]))
+    rounds = [[], []]
+    for kept in rounds:  # the second round rebuilds what the first evicted
+        for parts, sets in cases:
+            kept.append(reduce_entry(u, sets, parts, "max"))
+            assert len(repsets._separator_cache) <= 8 and len(repsets._plans) <= 8
+    assert len(cases) > 8 and rounds[0] == rounds[1]

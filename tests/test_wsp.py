@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import OrderedUniverse, ParameterError, WeightedSetFamily
+from fptmix.core import InstanceError, OrderedUniverse, ParameterError, WeightedSetFamily
 from fptmix import oracles, wsp
 
 
@@ -188,6 +188,14 @@ def test_wsp_alg_budget_exceeded():
     fam = random_family(rng, uni, 10)
     res = wsp.wsp_alg(uni, fam, 1, 9, inv_eps=3, budget=10_000)
     assert res.status == "budget-exceeded"
+
+
+def test_wsp_alg_rejects_a_family_of_pairs():
+    uni = universe(6)
+    fam = WeightedSetFamily(uni, 2, (((0, 1), 4), ((2, 3), 2)), "max")
+    for inv_eps in (1, 2):
+        with pytest.raises(InstanceError, match="exactly 3 members"):
+            wsp.wsp_alg(uni, fam, 6, 2, inv_eps)
 
 
 def test_wsp_alg_small_k_guard():
