@@ -321,7 +321,7 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
                     continue
                 if y and l not in tables:
                     tables[l] = tree_families(g, root, x, y, 2 * q, c, trace).table
-                res = tp_alg(TpInstance(g, root, x, y, q), c, trace, tables.get(l))
+                res = tp_alg(TpInstance(g, root, x, y, q), table=tables.get(l))
                 if res.accept:
                     branching = extract_branching(g, root, res.tree_set, res.paths, k)
                     return KiobResult(True, root, branching)

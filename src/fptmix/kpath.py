@@ -164,10 +164,10 @@ def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
         delta, gamma = Fraction(data["delta"]), Fraction(data["gamma"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"kcwp fields 'delta' and 'gamma' must be fractions: {exc}")
-    try:  # Digraph checks every arc; only a malformed one fails to unpack or compare
+    try:  # Digraph reads every arc; checking each with ``core._arc`` first would repeat that
         g = Digraph(data["digraph"]["nodes"], tuple(tuple(a) for a in data["digraph"]["arcs"]))
     except (TypeError, ValueError) as exc:
-        raise InstanceError(f"kcwp field 'digraph.arcs' must list [tail, head, weight]: {exc}")
+        raise InstanceError(f"kcwp field 'digraph.arcs' holds a malformed arc: {exc}")
     return KcwpInstance(
         g, data["W"], data["k"], data["invEps"], delta, gamma,
         frozenset(data["L"]), frozenset(data["R"]),

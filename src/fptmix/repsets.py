@@ -57,7 +57,7 @@ class SeparatorFamily:
 
 _CACHE_CAP = 512  # both caches drop their oldest entry beyond this many
 _separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
-_plans: dict[tuple, _Plan] = {}
+_plans: dict[tuple, list[SeparatorFamily]] = {}
 
 
 def clear_separator_cache() -> None:
@@ -194,16 +194,17 @@ class PartitionSpec:
             union |= mask
 
 
-class _Plan:
-    """A reduction shape's spec, active separators (once needed) and dense flag."""
-
-    def __init__(self, parts: tuple[PartitionPart, ...]):
-        self.spec, self.separators, self.dense = PartitionSpec(parts), None, False
-
-
-def _plan(universe: OrderedUniverse, parts: tuple[PartitionPart, ...]) -> _Plan:
-    key = (universe.rank, parts)
-    return _plans.get(key) or _remember(_plans, key, _Plan(parts))
+def _plan(universe: OrderedUniverse, active: list[PartitionPart], budget) -> list[SeparatorFamily]:
+    """Separators of the first active parts seen with these (size, k, p)
+    shapes.  Callers read only their families, element maps and dense flags,
+    which depend on nothing else (see ``_local_family``), so a few dozen
+    plans serve every instance."""
+    key = tuple((len(part.elements), part.k, part.p) for part in active)
+    seps = _plans.get(key)
+    if seps is None:
+        seps = _remember(_plans, key, [build_separator(universe, part.elements, part.k, part.p,
+                                                       part.c, budget) for part in active])
+    return seps
 
 
 def _validate_membership(spec: PartitionSpec, masks) -> None:
@@ -244,18 +245,17 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     if count <= 1:
         return list(range(count)), 1
 
-    plan = _plan(universe, spec.parts)
-    if plan.separators is None:
-        plan.separators = [build_separator(universe, part.elements, part.k, part.p, part.c, budget)
-                           for part in spec.parts if not (part.k == 0 and part.p == 0)]
-        plan.dense = all(sep.dense for sep in plan.separators)
-    sizes = [len(sep.family) for sep in plan.separators]
+    active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
+    seps = _plan(universe, active, budget)
+    sizes = [len(sep.family) for sep in seps]
     product_size = math.prod(sizes) if sizes else 1
-    if plan.dense:
+    if all(sep.dense for sep in seps):
         return list(range(count)), product_size
     element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
-    for i, sep in enumerate(plan.separators):
-        for e, members_map in zip(sep.part_elements, sep.element_maps):
+    for i, (part, sep) in enumerate(zip(active, seps)):
+        # local positions follow this part's universe-rank order
+        ranked = sorted(part.elements, key=universe.rank.__getitem__)
+        for e, members_map in zip(ranked, sep.element_maps):
             element_map[1 << e] = i, members_map
     full = [(1 << size) - 1 for size in sizes]
 
@@ -310,7 +310,7 @@ def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ..
     the largest entry reduced under ``peak_family``.
     """
     ordered = sorted(sets, key=_member_order, reverse=True)
-    keep, _ = select_representative_positions(_plan(universe, parts).spec, ordered, objective,
+    keep, _ = select_representative_positions(PartitionSpec(parts), ordered, objective,
                                               universe=universe)
     if trace is not None:
         trace["peak_family"] = max(trace.get("peak_family", 0), len(ordered))

@@ -357,6 +357,25 @@ def test_mask_reduce_entry_matches_family_reference(entry):
         assert dense == (len(family) == len(every) and set(family) == every)
 
 
+def test_shape_plan_built_from_other_parts_serves_every_entry():
+    """Plans are keyed on the parts' (size, k, p) only: one built from other
+    elements in another universe order reduces an entry as a fresh one does."""
+    rng = random.Random(7)
+    for _ in range(500):
+        spec, fam, objective = _random_case(rng)
+        try:
+            want = _reference_positions(spec, fam, objective)
+        except InstanceError:
+            continue
+        n = len(fam.universe)
+        others = tuple(PartitionPart(tuple(n - 1 - e for e in part.elements), part.k, part.p)
+                       for part in spec.parts)
+        clear_separator_cache()
+        repsets._plan(uni(n), [part for part in others if part.k or part.p], None)
+        assert select_representative_positions(spec, fam, objective) == want
+        assert len(repsets._plans) == 1
+
+
 def test_dense_flag_on_known_shapes():
     """All p-subsets, by the greedy cover or the fallback, set the flag;
     a compressed greedy cover does not."""
