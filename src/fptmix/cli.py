@@ -35,6 +35,7 @@ from .core import (
     OrderedUniverse,
     ParameterError,
     WeightedSetFamily,
+    _int_field,
     budget_from_env,
     parse_instance,
     serialize_instance,
@@ -83,6 +84,13 @@ def _parse_for(problem: str, doc: str):
     return parsed
 
 
+def _required_k(args, parsed) -> int:
+    k = args.k if args.k is not None else parsed.k
+    if k is None:
+        raise ParameterError("k is required (flag or instance field)")
+    return k
+
+
 def _verdict_exit(verdict: str) -> int:
     return {"accept": EXIT_ACCEPT, "valid": EXIT_ACCEPT,
             "reject": EXIT_REJECT, "invalid": EXIT_REJECT,
@@ -100,7 +108,7 @@ def _cmd_solve(args, argv) -> int:
         inst = kpath_mod.kcwp_instance_from_document(doc)
         timings["parse"] = time.perf_counter() - t0
         t1 = time.perf_counter()
-        res = kpath_mod.solve_kcwp(inst, _tradeoffs(args), trace=trace)
+        res = kpath_mod.solve_kcwp(inst, trace=trace)
         timings["solve"] = time.perf_counter() - t1
         witness = None
         if res.accept:
@@ -111,15 +119,13 @@ def _cmd_solve(args, argv) -> int:
         return EXIT_ACCEPT if res.accept else EXIT_REJECT
 
     parsed = _parse_for(args.problem, doc)
-    k = args.k if args.k is not None else parsed.k
-    if k is None:
-        raise ParameterError("k is required (flag or instance field)")
+    k = _required_k(args, parsed)
     W = args.W if args.W is not None else parsed.W
     timings["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
 
     if args.problem == "kiob":
-        res = kiob_mod.solve_kiob(parsed.value, k, args.c, trace)
+        res = kiob_mod.solve_kiob(parsed.value, k, trace=trace)
         timings["solve"] = time.perf_counter() - t1
         witness = {"root": res.root, "branching": [list(a) for a in res.branching]} \
             if res.accept else None
@@ -130,7 +136,7 @@ def _cmd_solve(args, argv) -> int:
         if W is None:
             raise ParameterError("W is required for weighted problems")
         res = kpath_mod.path_alg(parsed.value, W, k, args.inv_eps, args.delta,
-                                 args.gamma, _tradeoffs(args), args.budget, trace)
+                                 args.gamma, args.budget, trace)
         timings["solve"] = time.perf_counter() - t1
         witness = {"path": list(res.path), "weight": res.weight} \
             if res.status == "accept" else None
@@ -141,7 +147,7 @@ def _cmd_solve(args, argv) -> int:
         if W is None:
             raise ParameterError("W is required for weighted problems")
         fam: WeightedSetFamily = parsed.value
-        res = wsp_mod.wsp_alg(fam.universe, fam, W, k, args.inv_eps, args.c, args.budget,
+        res = wsp_mod.wsp_alg(fam.universe, fam, W, k, args.inv_eps, budget=args.budget,
                               trace=trace)
         timings["solve"] = time.perf_counter() - t1
         witness = None
@@ -152,7 +158,8 @@ def _cmd_solve(args, argv) -> int:
         _report(argv, res.status, witness, timings, trace)
         return _verdict_exit(res.status)
 
-    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, args.c, args.budget, trace)
+    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, budget=args.budget,
+                                 trace=trace)
     timings["solve"] = time.perf_counter() - t1
     witness = {"paths": [list(p) for p in res.packing.paths]} \
         if res.status == "accept" else None
@@ -160,15 +167,11 @@ def _cmd_solve(args, argv) -> int:
     return _verdict_exit(res.status)
 
 
-def _tradeoffs(args) -> kpath_mod.KcwpTradeoffs:
-    return kpath_mod.KcwpTradeoffs(args.c1, args.c2, args.cl, args.cr)
-
-
 # ------------------------------------------------------------------ check
 
 def _cmd_check(args, argv) -> int:
     parsed = _parse_for(args.problem, _load(args.instance))
-    k = args.k if args.k is not None else parsed.k
+    k = _required_k(args, parsed)
     W = args.W if args.W is not None else parsed.W
     budget = oracles.OracleBudget(args.budget)
     if args.problem == "kpath":
@@ -276,11 +279,18 @@ def _cmd_repfam(args, argv) -> int:
     fam: WeightedSetFamily = fam_parsed.value
     spec_doc = json.loads(_load(args.spec))
     index = {label: i for i, label in enumerate(fam.universe.elements)}
+    raw_parts = spec_doc.get("parts") if isinstance(spec_doc, dict) else None
+    if not isinstance(raw_parts, list) or not all(isinstance(p, dict) for p in raw_parts):
+        raise InstanceError("repfam spec field 'parts' must be a list of objects")
     parts = []
-    for part in spec_doc["parts"]:
-        parts.append(repsets.PartitionPart(
-            tuple(index[str(e)] for e in part["elements"]),
-            part["k"], part["p"], part.get("c", 1.0)))
+    for part in raw_parts:
+        if not isinstance(part.get("elements"), list):
+            raise InstanceError("repfam spec field 'elements' must be a list")
+        unknown = [e for e in part["elements"] if str(e) not in index]
+        if unknown:
+            raise InstanceError(f"repfam spec names unknown element {unknown[0]!r}")
+        parts.append(repsets.PartitionPart(tuple(index[str(e)] for e in part["elements"]),
+                                           _int_field(part, "k"), _int_field(part, "p")))
     spec = repsets.PartitionSpec(tuple(parts))
     positions, product_size = repsets.select_representative_positions(
         spec, fam, args.objective)
@@ -494,14 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("instance")
     solve.add_argument("--k", type=int)
     solve.add_argument("--W", type=int)
-    solve.add_argument("--c", type=float, default=None)
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
     solve.add_argument("--delta", type=Fraction, default=Fraction(1, 12))
     solve.add_argument("--gamma", type=Fraction, default=Fraction(84, 1000))
-    solve.add_argument("--c1", type=float, default=1.504)
-    solve.add_argument("--c2", type=float, default=1.398)
-    solve.add_argument("--cl", type=float, default=1.092)
-    solve.add_argument("--cr", type=float, default=1.876)
     solve.add_argument("--budget", type=int, default=_default_budget())
     solve.set_defaults(func=_cmd_solve)
 
@@ -572,8 +577,6 @@ def main(argv=None) -> int:
             raise ParameterError(f"--budget must be a positive integer, got {args.budget}")
         if getattr(args, "inv_eps", None) is None and hasattr(args, "inv_eps"):
             args.inv_eps = {"kpath": 13, "kcwp": 13}.get(getattr(args, "problem", ""), 2)
-        if getattr(args, "c", 0) is None:
-            args.c = {"kiob": 1.497, "wsp": 1.591}.get(args.problem, 1.0)
         return args.func(args, ["fpt-mix"] + argv)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

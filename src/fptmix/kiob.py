@@ -57,7 +57,7 @@ class TpInstance:
 
 
 def tree_families(g: Digraph, root: int, internal: int, leaves: int,
-                  slack: int, c: float = 1.0, trace: dict | None = None) -> TreeFamilyEntry:
+                  slack: int, trace: dict | None = None) -> TreeFamilyEntry:
     """Family that ``slack``-represents the node-sets of out-trees rooted at
     ``root`` with exactly ``internal`` internal nodes and ``leaves`` leaves.
 
@@ -84,7 +84,7 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     everything = tuple(range(n))
 
     for size in range(1, total + 1):
-        part = PartitionPart(everything, total + slack, size, c)
+        part = PartitionPart(everything, total + slack, size)
         for v in range(n):
             vbit = 1 << v
             for x in range(0, size + 1):
@@ -144,19 +144,19 @@ class TpResult:
     paths: tuple[tuple[int, int], ...] | None = None
 
 
-def tp_alg(inst: TpInstance, c: float = 1.0, trace: dict | None = None,
+def tp_alg(inst: TpInstance, trace: dict | None = None,
            table: list | None = None) -> TpResult:
     """Tree-and-paths: accept iff some tree in the representing family leaves
     room for a q-edge matching, which supplies the q disjoint 2-node paths.
     Trees come from ``table``, a ``tree_families`` table of the same k + l +
-    2q, or else from a ``tree_families`` call given ``c`` and ``trace``."""
+    2q, or else from a ``tree_families`` call given ``trace``."""
     g = inst.digraph
     n = g.node_count
     arc_set = {(t, h) for t, h, _ in g.arcs}
     if inst.k + inst.l + 2 * inst.q > n or (inst.l == 0 and inst.k > 0):
         return TpResult(False)
     if table is None and inst.k:
-        table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, c, trace).table
+        table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, trace).table
     # k = 0 (so l = 0): the tree is empty, only the q disjoint 2-node paths are sought
     trees = table[inst.root].get((inst.k, inst.l), ()) if inst.k else (0,)
     undirected = g.underlying_graph()
@@ -302,11 +302,13 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
     Iterates candidate roots, then leaf counts l and path counts q, calling
     the tree-and-paths search on the q-reduced shape; an accepted witness is
     lifted to a full out-branching.  Every (root, q) at one l reduces against
-    k' = k + l, so one ``tree_families`` table per l, built with ``c`` and
-    ``trace`` at the largest shape q = max(0, 2l - k), serves them all.
+    k' = k + l, so one ``tree_families`` table per l, built with ``trace`` at
+    the largest shape q = max(0, 2l - k), serves them all.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
+    if c < 1:
+        raise ParameterError(f"c must be at least 1, got {c}")
     n = g.node_count
     tables: dict[int, list] = {}  # l -> shared tree table
     for root in range(n):
@@ -320,7 +322,7 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
                 if x + y + 2 * q > n:
                     continue
                 if y and l not in tables:
-                    tables[l] = tree_families(g, root, x, y, 2 * q, c, trace).table
+                    tables[l] = tree_families(g, root, x, y, 2 * q, trace).table
                 res = tp_alg(TpInstance(g, root, x, y, q), table=tables.get(l))
                 if res.accept:
                     branching = extract_branching(g, root, res.tree_set, res.paths, k)

@@ -228,9 +228,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     its last node, or, at the first internal node of a piece, closes the
     previous piece at its end node and opens this one at its start node.
     Once the middle piece completes, L nodes are deleted from stored sets and
-    the L part leaves the partition.
+    the L part leaves the partition.  ``tradeoffs`` checks itself when it is
+    built; no construction reads it.
     """
-    tradeoffs = tradeoffs or KcwpTradeoffs()
     check = validate_kcwp(inst)
     if not check.valid:
         raise ParameterError(f"function condition {check.condition} violated: {check.detail}")
@@ -253,11 +253,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     aftermid = early * (ek - 1) + mid
     universe = OrderedUniverse.from_labels(str(v) for v in range(n))
     part_shapes = ((tuple(sorted(L)), k1), (tuple(sorted(R)), k2), (tuple(e3), k3))
-    # per phase: the nodes a step may not add, and the c of the L, R and
-    # other parts of its reductions (None: the part is left out)
-    phases = {"M": (R | endp, (tradeoffs.cl, 1.0, tradeoffs.c1)),
-              "N": (endp, (tradeoffs.cl, tradeoffs.cr, tradeoffs.c1)),
-              "K": (L | endp, (None, tradeoffs.cr, tradeoffs.c2))}
+    # per phase: the nodes a step may not add, and the first of the L, R and
+    # other parts that enters its reductions (phase K leaves L out)
+    phases = {"M": (R | endp, 0), "N": (endp, 0), "K": (L | endp, 1)}
 
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
@@ -269,7 +267,8 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     layers = [{(0, 0, 0, starts[0]): {0: (0, None)}}]
     for p, length in enumerate(lengths):
         phase = "M" if p < early else "N" if p == early else "K"
-        forbidden, cs = phases[phase]
+        forbidden, first = phases[phase]
+        shapes = part_shapes[first:]
         for pos in range(length):
             total = len(layers)
             # count bounds of this layer: lo_l <= L count <= k1, R count <= hi_r
@@ -315,9 +314,8 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                             (key, fs, v))
             for key, entry in layer.items():
                 if reduce and len(entry) > 1:
-                    parts = tuple(PartitionPart(elements, k_part, count, c)
-                                  for (elements, k_part), count, c in zip(part_shapes, key, cs)
-                                  if c is not None)
+                    parts = tuple(PartitionPart(elements, k_part, count)
+                                  for (elements, k_part), count in zip(shapes, key[first:]))
                     kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
                                         parts, "min", trace)
                     layer[key] = {fs: entry[fs] for fs in kept}
@@ -592,7 +590,6 @@ def best_kpath(g: Digraph, k: int):
 
 def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
              delta: Fraction = Fraction(1, 12), gamma: Fraction = Fraction(84, 1000),
-             tradeoffs: KcwpTradeoffs | None = None,
              budget: int = 100_000, trace: dict | None = None) -> PathAlgResult:
     """Full driver: universal-set colorings, cut-node subsets, threshold
     index, endpoint-map tuples, legality check, inner cut solver.
@@ -602,7 +599,6 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
     reports budget-exceeded honestly instead of running for geological time.
     ``trace`` is passed to the cut solver.
     """
-    tradeoffs = tradeoffs or KcwpTradeoffs()
     par = kcwp_params(k, inv_eps, delta, gamma)
     n = g.node_count
     if budget <= 0:
@@ -649,7 +645,7 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
                         continue
                     if not validate_kcwp(inst).valid:
                         continue
-                    res = solve_kcwp(inst, tradeoffs, trace=trace)
+                    res = solve_kcwp(inst, trace=trace)
                     if res.accept:
                         seq = chain_pieces(inst, res.pieces)
                         if seq is not None:

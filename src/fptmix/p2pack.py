@@ -63,7 +63,7 @@ def _all_triples(g: Graph):
             yield (a, mid, c)
 
 
-def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0,
+def icp_pro1(inst: IcpInstance, p: int, q: int,
              trace: dict | None = None) -> dict[frozenset, Packing]:
     """Candidate X-footprints of the q paths that leave X.
 
@@ -120,7 +120,7 @@ def icp_pro1(inst: IcpInstance, p: int, q: int, c: float = 1.0,
                             entry.setdefault(fs2 | stored_new,
                                              ((p_used - y_count, q_used - 1), (m2, x2), fs2, triple))
             size = p_used - q_used
-            part = PartitionPart(y_all, size + (p - p_used), size, c)
+            part = PartitionPart(y_all, size + (p - p_used), size)
             for key, entry in layer.items():
                 if len(entry) > 1:
                     kept = reduce_entry(y_universe, [(fs, 0) for fs in entry], (part,), "max",
@@ -251,6 +251,8 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     the footprint family with the in-X packing decision; the reconstructed
     t-packing feeds the next round.  ``trace`` is passed to ``icp_pro1``.
     """
+    if c < 1:
+        raise ParameterError(f"c must be at least 1, got {c}")
     if k < 0:
         raise ParameterError("k must be non-negative")
     if inv_eps < 1 or inv_eps > 6:
@@ -271,7 +273,7 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
         for p in range(3, p_cap + 1):
             for q in range(_ceildiv(p, 3), min(p, t) + 1):
                 try:
-                    fmap = icp_pro1(inst, p, q, c, trace)
+                    fmap = icp_pro1(inst, p, q, trace)
                 except BudgetExceededError:
                     return P2Result("budget-exceeded")
                 if not fmap:

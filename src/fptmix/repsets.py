@@ -45,7 +45,6 @@ class SeparatorFamily:
     part_elements: tuple[int, ...]
     k_prime: int
     p_prime: int
-    c_prime: float
     family: tuple[int, ...]
     stats: SeparatorStats = field(compare=False)
     element_maps: tuple[int, ...] = field(compare=False, repr=False)
@@ -75,8 +74,7 @@ def _remember(cache: dict, key, value):
 _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy cover on
 
 
-def _local_family(m: int, k: int, p: int,
-                  budget: int | None) -> tuple[tuple[int, ...], tuple[int, ...], bool, str]:
+def _local_family(m: int, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...], bool, str]:
     """Family of local bitsets that is (m, k, p)-good, its element maps, its
     dense flag and how it was obtained (``"cached"`` when an earlier call
     built it).
@@ -95,7 +93,7 @@ def _local_family(m: int, k: int, p: int,
     fam = None
     if cells is not None and cells <= _GREEDY_CELL_CAP:
         try:
-            uni = unisets.build_universal(m, k, p, mode="greedy", budget=budget)
+            uni = unisets.build_universal(m, k, p, mode="greedy")
             fam = tuple(f & ((1 << m) - 1) for f in uni.functions)
         except BudgetExceededError:
             fam = None
@@ -114,15 +112,15 @@ def _local_family(m: int, k: int, p: int,
     return (*_remember(_separator_cache, key, (fam, tuple(maps), dense)), mode)
 
 
-def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
-                    c_prime: float = 1.0, budget: int | None = None) -> SeparatorFamily:
+def build_separator(universe: OrderedUniverse, part, k_prime: int,
+                    p_prime: int) -> SeparatorFamily:
     """Construct a goodness-backed separator for one universe part.
 
     The family and its element maps are built on the first call for a shape
     ``(m, min(k', m), p')`` and reused afterwards; such a reuse reports
-    ``stats.construction == "cached"``.  The c' tradeoff parameter is
-    recorded but does not steer the desk-scale construction; it only matters
-    to the analytic bound formulas.
+    ``stats.construction == "cached"``.  The family is a greedy cover or all
+    p'-subsets of the part, so the c' tradeoff of the analytic bounds has
+    nothing to steer here.
     """
     elements = tuple(sorted(part, key=universe.rank.__getitem__))
     m = len(elements)
@@ -130,12 +128,9 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int, p_prime: int,
         raise ParameterError(f"need 0 <= p' <= k', got k'={k_prime} p'={p_prime}")
     if p_prime > m:
         raise ParameterError(f"p'={p_prime} exceeds part size {m}")
-    if c_prime < 1:
-        raise ParameterError(f"c'={c_prime} must be >= 1")
     k_eff = min(k_prime, m)  # Y cannot use more than m - p' elements anyway
-    fam, maps, dense, mode = _local_family(m, k_eff, p_prime, budget)
-    return SeparatorFamily(elements, k_prime, p_prime, c_prime, fam, SeparatorStats(mode), maps,
-                           dense)
+    fam, maps, dense, mode = _local_family(m, k_eff, p_prime)
+    return SeparatorFamily(elements, k_prime, p_prime, fam, SeparatorStats(mode), maps, dense)
 
 
 def query_separator(sep: SeparatorFamily, s) -> list[int]:
@@ -168,12 +163,11 @@ class PartitionPart:
     elements: tuple[int, ...]
     k: int
     p: int
-    c: float = 1.0
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Per-part budgets (E_i, k_i, p_i, c_i) parameterizing generalized
+    """Per-part budgets (E_i, k_i, p_i) parameterizing generalized
     representation; ``masks`` holds each part's element bitmask."""
 
     parts: tuple[PartitionPart, ...]
@@ -185,8 +179,6 @@ class PartitionSpec:
         for part, mask in zip(self.parts, self.masks):
             if part.p > part.k:
                 raise ParameterError(f"part has p={part.p} > k={part.k}")
-            if part.c < 1:
-                raise ParameterError(f"part has c={part.c} < 1")
             dup = mask & union
             if dup:
                 raise InstanceError(f"parts are not disjoint: element "
@@ -194,7 +186,7 @@ class PartitionSpec:
             union |= mask
 
 
-def _plan(universe: OrderedUniverse, active: list[PartitionPart], budget) -> list[SeparatorFamily]:
+def _plan(universe: OrderedUniverse, active: list[PartitionPart]) -> list[SeparatorFamily]:
     """Separators of the first active parts seen with these (size, k, p)
     shapes.  Callers read only their families, element maps and dense flags,
     which depend on nothing else (see ``_local_family``), so a few dozen
@@ -202,8 +194,8 @@ def _plan(universe: OrderedUniverse, active: list[PartitionPart], budget) -> lis
     key = tuple((len(part.elements), part.k, part.p) for part in active)
     seps = _plans.get(key)
     if seps is None:
-        seps = _remember(_plans, key, [build_separator(universe, part.elements, part.k, part.p,
-                                                       part.c, budget) for part in active])
+        seps = _remember(_plans, key, [build_separator(universe, part.elements, part.k, part.p)
+                                       for part in active])
     return seps
 
 
@@ -221,7 +213,6 @@ def _validate_membership(spec: PartitionSpec, masks) -> None:
 
 
 def select_representative_positions(spec: PartitionSpec, family, objective: str,
-                                    budget: int | None = None,
                                     universe: OrderedUniverse | None = None
                                     ) -> tuple[list[int], int]:
     """Positions into ``family`` kept by the weight-ordered sweep, plus the
@@ -246,7 +237,7 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
         return list(range(count)), 1
 
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = _plan(universe, active, budget)
+    seps = _plan(universe, active)
     sizes = [len(sep.family) for sep in seps]
     product_size = math.prod(sizes) if sizes else 1
     if all(sep.dense for sep in seps):
@@ -318,13 +309,13 @@ def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ..
 
 
 def gen_rep_alg(spec: PartitionSpec, family: WeightedSetFamily,
-                objective: str, budget: int | None = None) -> WeightedSetFamily:
+                objective: str) -> WeightedSetFamily:
     """Subfamily that max (min) (k_1-p_1, ..., k_t-p_t)-represents the input.
 
     Deterministic given fixed separators: stable weight sort with ties broken
     by ascending input position, then first-wins indicator sweep.
     """
-    positions, _ = select_representative_positions(spec, family, objective, budget)
+    positions, _ = select_representative_positions(spec, family, objective)
     kept = tuple(family.sets[i] for i in positions)
     return WeightedSetFamily(family.universe, family.set_size, kept, objective)
 

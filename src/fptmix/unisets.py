@@ -156,7 +156,7 @@ def build_universal(n: int, k: int, p: int, mode: str = "greedy",
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
     if mode == "greedy":
         return _build_greedy(n, k, p)
-    if mode in ("rand", "randomized-verified"):
+    if mode == "rand":
         if seed is None:
             raise ParameterError("randomized mode requires an explicit seed")
         if k > RANDOMIZED_K_CAP:

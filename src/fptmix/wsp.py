@@ -87,12 +87,14 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
     After every entry the family is replaced by a max 3(k - j)-representative
     subfamily unless ``reduce`` is off (the A/B soundness mode).
     """
+    if c < 1:
+        raise ParameterError(f"c must be at least 1, got {c}")
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
     found = _pack_stages(inst.universe, inst.family.sets, inst.k, inst.f,
                          deletion_schedule(inst.k, inst.inv_eps).values,
                          [((0,) * inst.inv_eps, 0)], inst.W,
-                         c=c, reduce=reduce, trace=trace, audit=audit)
+                         reduce=reduce, trace=trace, audit=audit)
     if found is None:
         return CwspResult(False)
     positions, _, weight = found
@@ -100,7 +102,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
 
 
 def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sched,
-                 seeds, W: int, c: float = 1.0, reduce: bool = False,
+                 seeds, W: int, reduce: bool = False,
                  trace: dict | None = None, audit: bool = False,
                  cap: int | None = None) -> tuple[tuple[int, ...], int, int] | None:
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
@@ -200,7 +202,7 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                 for key, entry in layer.items():
                     if len(entry) > 1:
                         size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                        part = PartitionPart(everything, size + 3 * (k - j), size, c)
+                        part = PartitionPart(everything, size + 3 * (k - j), size)
                         kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
                                             (part,), "max", trace)
                         layer[key] = {fs: entry[fs] for fs in kept}
@@ -356,6 +358,8 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     stripped, so the first cut instance is the exact ordered-packing DP and
     its reject stands for every cut: a one-stage reject draws one cut tuple.
     """
+    if c < 1:
+        raise ParameterError(f"c must be at least 1, got {c}")
     if k == 0:
         return WspResult("accept" if 0 >= W else "reject", (), 0)
     if k < 0:
@@ -368,7 +372,7 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     try:
         for uni2, f in cut_universes(universe, inv_eps, budget):
             inst = CwspInstance(uni2, sets, W, k, inv_eps, f)
-            res = solve_cwsp(inst, c, reduce=reduce, trace=trace)
+            res = solve_cwsp(inst, reduce=reduce, trace=trace)
             if res.accept:
                 verify_cwsp_witness(inst, res)
                 return WspResult("accept", res.ordered_sets, res.weight)

@@ -347,3 +347,33 @@ def test_bench_rows_rejects_a_non_positive_budget():
         with pytest.raises(ParameterError, match="budget"):
             cli.bench_rows(suite, budget=budget)
     assert cli.bench_rows(suite, budget=1)[0]["verdict"] == "accept"
+
+
+@pytest.mark.parametrize("problem,kind", [
+    ("kpath", "digraph"), ("kiob", "digraph"), ("wsp", "setfamily"), ("p2p", "graph")])
+def test_check_without_k_is_a_usage_error(tmp_path, capsys, problem, kind):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(DOCUMENTS[kind]))
+    code, out, err = run(capsys, "check", problem, str(inst), "--W", "1")
+    assert code == 2 and err.startswith("error:") and "k is required" in err and not out
+
+
+def _repfam(tmp_path, capsys, spec):
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps(DOCUMENTS["setfamily"]))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return run(capsys, "repfam", "--spec", str(path), "--family", str(fam))
+
+
+@pytest.mark.parametrize("spec,named", [
+    ({"parts": [{"elements": ["a", "b", "c"], "k": "2", "p": 1}]}, "'k'"),
+    ({"parts": [{"elements": ["a", "b", "c"], "k": 3, "p": None}]}, "'p'"),
+    ({"parts": {"elements": ["a", "b", "c"], "k": 3, "p": 3}}, "'parts'"),
+    ({"parts": [{"elements": "abc", "k": 3, "p": 3}]}, "'elements'"),
+    ({"parts": [{"elements": ["a", "b", "zz"], "k": 3, "p": 3}]}, "unknown element 'zz'"),
+], ids=["string-k", "missing-p", "parts-object", "elements-string", "unknown-label"])
+def test_bad_repfam_spec_is_a_usage_error(tmp_path, capsys, spec, named):
+    code, out, err = _repfam(tmp_path, capsys, spec)
+    assert code == 2 and err.startswith("error:") and named in err and not out
+    assert "Traceback" not in err

@@ -212,15 +212,10 @@ def test_shared_tree_tables_match_fresh_tables(case):
     assert (got.accept, got.root, got.branching) == _fresh_tables_kiob(g, k)
 
 
-def test_tree_table_is_built_with_the_callers_c(monkeypatch):
-    seen = []
-    reduce_entry = kiob.reduce_entry
 
-    def spy(universe, sets, parts, objective, trace=None):
-        seen.extend(part.c for part in parts)
-        return reduce_entry(universe, sets, parts, objective, trace)
-
-    monkeypatch.setattr(kiob, "reduce_entry", spy)
-    path = Digraph(5, tuple((i, i + 1, 1) for i in range(4)))
-    assert kiob.solve_kiob(path, 3, c=1.497).accept
-    assert seen and set(seen) == {1.497}
+def test_solve_kiob_checks_c_when_no_reduction_runs():
+    single = Digraph(1, ())
+    trace = {}
+    assert not kiob.solve_kiob(single, 1, 1.0, trace).accept and trace == {}
+    with pytest.raises(ParameterError, match="c must be at least 1"):
+        kiob.solve_kiob(single, 1, 0.5)

@@ -1,7 +1,9 @@
 import random
 from itertools import combinations
 
-from fptmix.core import Graph, OrderedUniverse
+import pytest
+
+from fptmix.core import Graph, OrderedUniverse, ParameterError
 from fptmix import oracles, p2pack, wsp
 
 
@@ -185,3 +187,12 @@ def test_icp_pro1_fully_outside_path_gives_empty_footprint():
     g2 = Graph(9, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     inst2 = p2pack.IcpInstance(g2, 3, prev)
     assert p2pack.icp_pro1(inst2, 3, 1) == {}
+
+
+def test_solve_p2packing_checks_c_when_no_reduction_runs():
+    path = Graph(3, ((0, 1), (1, 2)))
+    trace = {}
+    assert p2pack.solve_p2packing(path, 1, 2, 1.0, trace=trace).status == "accept"
+    assert trace == {}
+    with pytest.raises(ParameterError, match="c must be at least 1"):
+        p2pack.solve_p2packing(path, 1, 2, 0.5)

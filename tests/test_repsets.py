@@ -228,7 +228,7 @@ def _reference_positions(spec, family, objective):
     if len(family) <= 1:
         return list(range(len(family))), 1
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = [build_separator(family.universe, part.elements, part.k, part.p, part.c)
+    seps = [build_separator(family.universe, part.elements, part.k, part.p)
             for part in active]
     chi = [[query_separator(sep, [e for e in members if e in part.elements])
             for part, sep in zip(active, seps)] for members, _ in family.sets]
@@ -371,7 +371,7 @@ def test_shape_plan_built_from_other_parts_serves_every_entry():
         others = tuple(PartitionPart(tuple(n - 1 - e for e in part.elements), part.k, part.p)
                        for part in spec.parts)
         clear_separator_cache()
-        repsets._plan(uni(n), [part for part in others if part.k or part.p], None)
+        repsets._plan(uni(n), [part for part in others if part.k or part.p])
         assert select_representative_positions(spec, fam, objective) == want
         assert len(repsets._plans) == 1
 

@@ -295,3 +295,16 @@ def test_wsp_alg_matches_oracle_around_optimum(n, data):
         members = [e for p in res.packing for e in fam.members(p)]
         assert len(res.packing) == k and len(set(members)) == 3 * k
         assert sum(fam.weight(p) for p in res.packing) == res.weight
+
+
+def test_entry_points_check_c_when_no_reduction_runs():
+    uni = universe(3)
+    fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 4),), "max")
+    inst = wsp.CwspInstance(uni, fam, 0, 1, 1, (2,))
+    trace = {}
+    assert wsp.wsp_alg(uni, fam, 0, 1, 1, 1.0, trace=trace).status == "accept"
+    assert wsp.solve_cwsp(inst, 1.0, trace=trace).accept and trace == {}
+    with pytest.raises(ParameterError, match="c must be at least 1"):
+        wsp.wsp_alg(uni, fam, 0, 1, 1, 0.5)
+    with pytest.raises(ParameterError, match="c must be at least 1"):
+        wsp.solve_cwsp(inst, 0.5)
