@@ -56,6 +56,11 @@ def _load(path: str) -> str:
         return fh.read()
 
 
+# report field -> trace key, as ``repsets.reduce_layer`` counts them
+_TRACE_FIELDS = {"peakFamilySize": "peak_family", "reductions": "reductions",
+                 "denseSkips": "dense_skips"}
+
+
 def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=None) -> dict:
     report = {
         "command": " ".join(args),
@@ -63,7 +68,7 @@ def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=Non
         "accept": verdict in ("accept", "valid"),
         "witness": witness,
         "timings": timings or {},
-        "peakFamilySize": (trace or {}).get("peak_family"),
+        **{name: (trace or {}).get(key) for name, key in _TRACE_FIELDS.items()},
         "seed": seed,
     }
     print(json.dumps(report, sort_keys=True))
@@ -463,7 +468,7 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
                 pass
         return {"instance": name, "problem": problem, "verdict": verdict,
                 "oracle": oracle, "seconds": round(elapsed, 6),
-                "peakFamilySize": trace.get("peak_family"),
+                **{name: trace.get(key) for name, key in _TRACE_FIELDS.items()},
                 "match": (verdict == oracle) if oracle is not None else None}
 
     rows = suite.get("rows", [])
@@ -485,7 +490,7 @@ def _cmd_bench(args, argv) -> int:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["instance", "problem", "verdict",
                                                  "oracle", "match", "seconds",
-                                                 "peakFamilySize"])
+                                                 *_TRACE_FIELDS])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)

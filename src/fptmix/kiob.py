@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .core import (Digraph, FptMixError, Graph, OrderedUniverse, ParameterError,
                    WeightedSetFamily, bit_positions)
 from .matching import max_matching
-from .repsets import PartitionPart, reduce_entry
+from .repsets import PartitionPart, reduce_layer
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class TreeFamilyEntry:
     leaf_count: int
     family: WeightedSetFamily
     table: list = field(default_factory=list, compare=False, repr=False)
-
-    def __post_init__(self):
-        size = self.internal_count + self.leaf_count
-        for members, _ in self.family.sets:
-            if self.root not in members or len(members) != size:
-                raise ParameterError("tree family entry holds a malformed set")
 
 
 @dataclass(frozen=True)
@@ -65,10 +59,11 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     tree downward through a single child arc; the merge rule fuses two trees
     sharing only their root.  States hold node bitmasks; duplicate generation
     from child orderings is tolerated, since each state collects its masks in
-    a set before the representative reduction, which gets ``trace``.  Every
-    state is reduced against k' = internal + leaves + slack, whatever the
-    root, so the entry's ``table[v][(x, y)]`` serves every root and smaller
-    shape with the same k'.
+    a set.  A round of one tree size reads only smaller sizes, so its states
+    (v, x, y), one-set states included, are reduced as one layer, with
+    ``trace``.  Every state is reduced against k' = internal + leaves +
+    slack, whatever the root, so the entry's ``table[v][(x, y)]`` serves
+    every root and smaller shape with the same k'.
     """
     if not (internal >= 1 or (internal, leaves) == (0, 1)):
         raise ParameterError(f"unsupported tree shape ({internal}, {leaves})")
@@ -84,7 +79,8 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     everything = tuple(range(n))
 
     for size in range(1, total + 1):
-        part = PartitionPart(everything, total + slack, size)
+        parts = (PartitionPart(everything, total + slack, size),)
+        layer: dict[tuple[int, int, int], dict[int, None]] = {}
         for v in range(n):
             vbit = 1 << v
             for x in range(0, size + 1):
@@ -127,8 +123,10 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                                     if a & b == vbit:
                                         found.add(a | b)
                 if found:
-                    table[v][(x, y)] = reduce_entry(universe, [(s, 0) for s in found],
-                                                    (part,), "max", trace)
+                    layer[(v, x, y)] = dict.fromkeys(found)
+        reduce_layer(universe, layer, lambda key: parts, None, trace, singles=True)
+        for (v, x, y), entry in layer.items():
+            table[v][(x, y)] = list(entry)
 
     sets = table[root].get((internal, leaves), [])
     members = tuple((tuple(bit_positions(s)), 0) for s in sets)

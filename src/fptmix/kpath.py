@@ -19,6 +19,7 @@ the cut solver is exercised end to end without the outer enumeration.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from itertools import combinations, product
 
 from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError, OrderedUniverse,
                    ParameterError, add_weights, bit_positions)
-from .repsets import PartitionPart, reduce_entry
+from .repsets import PartitionPart, reduce_layer
 from . import unisets
 
 
@@ -220,8 +221,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
 
     Layer t holds, per (L count, R count, other count, last node), a
     min-weight family of the sets of the first t internal nodes, stored as
-    node bitmasks; each entry is replaced by a generalized representative
-    family after it is computed.
+    node bitmasks; once a layer is built, ``repsets.reduce_layer`` replaces
+    each entry by a generalized representative family, with the parts its
+    key's counts name (built once per counts).
     The layers walk the pieces in order: the early pieces (phase M, no R
     nodes), the middle piece (phase N, L and R both allowed) and the late
     pieces (phase K, no L nodes).  A step continues the current piece from
@@ -257,6 +259,11 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     # other parts that enters its reductions (phase K leaves L out)
     phases = {"M": (R | endp, 0), "N": (endp, 0), "K": (L | endp, 1)}
 
+    @functools.cache
+    def parts_of(first, counts):
+        return tuple(PartitionPart(elements, k_part, count)
+                     for (elements, k_part), count in zip(part_shapes[first:], counts))
+
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
         old = entry.get(fs)
@@ -268,7 +275,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     for p, length in enumerate(lengths):
         phase = "M" if p < early else "N" if p == early else "K"
         forbidden, first = phases[phase]
-        shapes = part_shapes[first:]
         for pos in range(length):
             total = len(layers)
             # count bounds of this layer: lo_l <= L count <= k1, R count <= hi_r
@@ -312,13 +318,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                               else add_weights(add_weights(w, bridge), arc))
                         put(layer, nkey, (fs & ~l_mask if drop_l else fs) | bit, nw,
                             (key, fs, v))
-            for key, entry in layer.items():
-                if reduce and len(entry) > 1:
-                    parts = tuple(PartitionPart(elements, k_part, count)
-                                  for (elements, k_part), count in zip(shapes, key[first:]))
-                    kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
-                                        parts, "min", trace)
-                    layer[key] = {fs: entry[fs] for fs in kept}
+            if reduce:
+                reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min",
+                             trace)
             if audit:
                 # budget ledger: stored sets carry exactly the counts the key
                 # claims, and never touch piece endpoints

@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv,
                    bit_positions)
-from .repsets import PartitionPart, reduce_entry
+from .repsets import PartitionPart, reduce_layer
 from .wsp import _pack_stages, cut_universes, stage_schedule
 
 
@@ -71,8 +71,8 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     realizing it.  DP over the outside nodes in ascending order: paths enter
     ordered by their smallest outside node, which is dropped from the stored
     set; stored sets (over outside-node indices) and footprints (over nodes)
-    are bitmasks, and families are (p - p')-reduced after every entry, with
-    ``trace`` passed to the reductions.
+    are bitmasks, and each layer's families are (p - p')-reduced by one
+    unweighted ``reduce_layer`` call, with ``trace`` passed to it.
     """
     x_nodes = sorted(inst.previous.nodes())
     x_set = set(x_nodes)
@@ -120,12 +120,8 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
                             entry.setdefault(fs2 | stored_new,
                                              ((p_used - y_count, q_used - 1), (m2, x2), fs2, triple))
             size = p_used - q_used
-            part = PartitionPart(y_all, size + (p - p_used), size)
-            for key, entry in layer.items():
-                if len(entry) > 1:
-                    kept = reduce_entry(y_universe, [(fs, 0) for fs in entry], (part,), "max",
-                                        trace)
-                    layer[key] = {fs: entry[fs] for fs in kept}
+            parts = (PartitionPart(y_all, size + (p - p_used), size),)
+            reduce_layer(y_universe, layer, lambda key: parts, None, trace)
             layers[(p_used, q_used)] = layer
 
     result: dict[frozenset, Packing] = {}

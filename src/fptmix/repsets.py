@@ -143,21 +143,6 @@ def query_separator(sep: SeparatorFamily, s) -> list[int]:
     return [j for j, f in enumerate(sep.family) if f & need == need]
 
 
-def check_goodness(sep: SeparatorFamily) -> tuple[bool, tuple | None]:
-    """Exhaustive (X, Y) sweep of the goodness property; desk scale only."""
-    elems = sep.part_elements
-    m = len(elems)
-    slack = min(sep.k_prime - sep.p_prime, m - sep.p_prime)
-    for x_pos in combinations(range(m), sep.p_prime):
-        x_mask = sum(1 << i for i in x_pos)
-        rest = [i for i in range(m) if not (x_mask >> i) & 1]
-        for y_pos in combinations(rest, slack):
-            y_mask = sum(1 << i for i in y_pos)
-            if not any(f & x_mask == x_mask and f & y_mask == 0 for f in sep.family):
-                return False, (tuple(elems[i] for i in x_pos), tuple(elems[i] for i in y_pos))
-    return True, None
-
-
 @dataclass(frozen=True)
 class PartitionPart:
     elements: tuple[int, ...]
@@ -179,6 +164,8 @@ class PartitionSpec:
         for part, mask in zip(self.parts, self.masks):
             if part.p > part.k:
                 raise ParameterError(f"part has p={part.p} > k={part.k}")
+            if mask.bit_count() != len(part.elements):
+                raise InstanceError(f"part {part.elements} lists an element twice")
             dup = mask & union
             if dup:
                 raise InstanceError(f"parts are not disjoint: element "
@@ -216,23 +203,21 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
                                     universe: OrderedUniverse | None = None
                                     ) -> tuple[list[int], int]:
     """Positions into ``family`` kept by the weight-ordered sweep, plus the
-    implicit product-family size.  ``family`` is a ``WeightedSetFamily``, or
-    the list of (mask, weight) pairs over ``universe`` that ``reduce_entry``
-    passes, bit e standing for element e.
+    implicit product-family size.  ``family`` is a ``WeightedSetFamily``,
+    whose per-part member counts are checked here, or the list of (mask,
+    weight) pairs over ``universe`` that ``reduce_layer`` passes, bit e
+    standing for element e, which are trusted to hold exactly p members in
+    each part and none outside the parts.
 
     chi(S) of each part is the AND of the cached element maps of S's members
     in that part; a product index is claimed by the first set, in weight
-    order, whose chi-product contains it.  When every active part's
-    separator is dense, every position is kept without a sweep: chi(S) of a
-    dense part is the one index of S's members in it, and distinct sets
-    differ in some part, so no two sets share a product index."""
+    order, whose chi-product contains it."""
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
     if isinstance(family, WeightedSetFamily):
         universe, family = family.universe, list(zip(family.masks, (w for _, w in family.sets)))
-    masks = [mask for mask, _ in family]
-    _validate_membership(spec, masks)
-    count = len(masks)
+        _validate_membership(spec, [mask for mask, _ in family])
+    count = len(family)
     if count <= 1:
         return list(range(count)), 1
 
@@ -240,8 +225,6 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     seps = _plan(universe, active)
     sizes = [len(sep.family) for sep in seps]
     product_size = math.prod(sizes) if sizes else 1
-    if all(sep.dense for sep in seps):
-        return list(range(count)), product_size
     element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
     for i, (part, sep) in enumerate(zip(active, seps)):
         # local positions follow this part's universe-rank order
@@ -259,8 +242,8 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     selected: list[int] = []
     for pos in order:
         chi = full.copy()
-        rest = masks[pos]
-        while rest:  # membership put every member in an active part
+        rest = family[pos][0]
+        while rest:  # every member lies in an active part
             low = rest & -rest
             i, members_map = element_map[low]
             chi[i] &= members_map
@@ -279,33 +262,59 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     return selected, product_size
 
 
-def _member_order(pair) -> str:
+def _member_key(mask: int) -> str:
     """Descending key for ascending sorted-member order of equal-size masks.
 
     The key lists the mask's bits from bit 0 up.  A sorts before B iff the
     lowest bit of A ^ B is in A, which gives A the larger key; when one key
     is a prefix of the other, the longer one holds that bit."""
-    return bin(pair[0])[:1:-1]
+    return bin(mask)[:1:-1]
 
 
-def reduce_entry(universe: OrderedUniverse, sets, parts: tuple[PartitionPart, ...],
-                 objective: str, trace: dict | None = None) -> list[int]:
-    """The member bitmasks of one DP entry that the weight-ordered sweep keeps.
+def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective: str | None,
+                 trace: dict | None = None, singles: bool = False) -> None:
+    """Reduce every entry of one DP layer, in place, to the masks the sweep keeps.
 
-    ``sets`` holds distinct (mask, weight) pairs of one size, bit e standing
-    for element e; the sweep checks the per-part counts.  They are listed in
-    ascending order of their sorted members, which fixes the tie-break, and
-    the kept masks come back in that order; an entry whose active parts all
-    have dense separators comes back whole, paying only the count check and
-    the sort once the shape's plan is built.  ``trace``, when given, records
-    the largest entry reduced under ``peak_family``.
+    ``layer`` maps a key to an entry, a dict from distinct equal-size member
+    bitmasks (bit e is element e) to values; ``parts_of_key(key)`` names its
+    parts.  The solvers build every mask with the counts its key names, so
+    none are checked.  ``objective`` "max" or "min" weighs a mask by its
+    value's first item; None marks an unweighted DP.  Entries of one set are
+    left alone unless ``singles``.  A reduced entry keeps its masks in
+    ascending sorted-member order, the tie-break of the sweep and of the
+    solvers' first-wins updates.  Each parts tuple is resolved once per call.
+    When all its active separators are dense, a set's chi-product is the one
+    index of its own per-part restriction, so the sweep would keep every set
+    and such an entry is only sorted.  ``trace`` gets the largest reduced entry
+    as ``peak_family`` and adds the counts ``reductions`` and ``dense_skips``.
     """
-    ordered = sorted(sets, key=_member_order, reverse=True)
-    keep, _ = select_representative_positions(PartitionSpec(parts), ordered, objective,
-                                              universe=universe)
-    if trace is not None:
-        trace["peak_family"] = max(trace.get("peak_family", 0), len(ordered))
-    return [ordered[i][0] for i in keep]
+    dense: dict[tuple, bool] = {}
+    specs: dict[tuple, PartitionSpec] = {}
+    reductions = dense_skips = peak = 0
+    for key, entry in layer.items():
+        if len(entry) <= 1 and not singles:
+            continue
+        parts = parts_of_key(key)
+        ordered = sorted(entry, key=_member_key, reverse=True)
+        if len(entry) > 1 and parts not in dense:
+            seps = _plan(universe, [part for part in parts if part.k or part.p])
+            dense[parts] = all(sep.dense for sep in seps)
+        if len(entry) > 1 and dense[parts]:
+            dense_skips += 1
+        else:
+            if parts not in specs:
+                specs[parts] = PartitionSpec(parts)
+            pairs = [(fs, entry[fs][0] if objective else 0) for fs in ordered]
+            keep, _ = select_representative_positions(specs[parts], pairs, objective or "max",
+                                                      universe)
+            ordered = [ordered[i] for i in keep]
+        layer[key] = {fs: entry[fs] for fs in ordered}
+        reductions += 1
+        peak = max(peak, len(entry))
+    if trace is not None and reductions:
+        trace["peak_family"] = max(trace.get("peak_family", 0), peak)
+        trace["reductions"] = trace.get("reductions", 0) + reductions
+        trace["dense_skips"] = trace.get("dense_skips", 0) + dense_skips
 
 
 def gen_rep_alg(spec: PartitionSpec, family: WeightedSetFamily,

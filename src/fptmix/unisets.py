@@ -77,20 +77,6 @@ def constraint_count(n: int, k: int, p: int) -> int:
     return math.comb(n, k) * math.comb(k, p)
 
 
-def iter_constraints(n: int, k: int, p: int):
-    """Yield (I, ones, X_mask, Y_mask) in lexicographic (I, ones) order."""
-    for I in combinations(range(n), k):
-        for ones in combinations(I, p):
-            x = 0
-            for i in ones:
-                x |= 1 << i
-            y = 0
-            for i in I:
-                y |= 1 << i
-            y &= ~x
-            yield I, ones, x, y
-
-
 def _constraint_masks(n, k, p):
     """The index sets, the ones-position patterns inside an I, and the I and
     X masks of every constraint, flat over (I, pattern) in lexicographic order."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import (BudgetExceededError, OrderedUniverse, ParameterError, WeightedSetFamily,
                    _ceildiv, add_weights, bit_positions, block_permutation, reorder_universe)
-from .repsets import PartitionPart, reduce_entry
+from .repsets import PartitionPart, reduce_layer
 
 
 @dataclass(frozen=True)
@@ -115,8 +115,8 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
     Layer (0, 0) holds ``seeds``, (per-stage deletable counts, stored mask)
     pairs: the empty pair for a plain packing, or one pair per footprint
     that the packing must avoid.  ``reduce`` replaces each entry by a max
-    3(k - j)-representative subfamily and ``audit`` checks the element
-    ledger; both assume empty seeds.  ``cap`` bounds the entries created,
+    3(k - j)-representative subfamily, one ``reduce_layer`` call per layer,
+    and ``audit`` checks the element ledger; both assume empty seeds.  ``cap`` bounds the entries created,
     checked after every layer.  Before that count and the reductions, a
     layer drops each stored set of j sets that stays below ``W`` even when
     k - j sets of the heaviest weight follow; keys left empty go too.  This
@@ -199,13 +199,11 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
                 if spent > cap:
                     raise BudgetExceededError(f"more than {cap} cut packing table entries")
             if reduce:
-                for key, entry in layer.items():
-                    if len(entry) > 1:
-                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                        part = PartitionPart(everything, size + 3 * (k - j), size)
-                        kept = reduce_entry(universe, [(fs, w) for fs, (w, _) in entry.items()],
-                                            (part,), "max", trace)
-                        layer[key] = {fs: entry[fs] for fs in kept}
+                def parts_of(key):
+                    # stored sets hold 2j elements less stage i - 1's deletable count
+                    size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                    return (PartitionPart(everything, size + 3 * (k - j), size),)
+                reduce_layer(universe, layer, parts_of, "max", trace)
             if audit:
                 for (s_vec, mrank), entry in layer.items():
                     for fs in map(bit_positions, entry):

@@ -197,6 +197,21 @@ def test_repfam_cli(tmp_path, capsys):
     assert rep["stats"]["outputSize"] <= rep["stats"]["productFamilySize"]
 
 
+def test_repfam_part_listing_an_element_twice_is_a_usage_error(tmp_path, capsys):
+    """Such a part once passed as a part one element larger: exit 0 and a
+    product family of 5 rather than 4."""
+    fam = tmp_path / "f.json"
+    fam.write_text(json.dumps({
+        "universe": ["a", "b", "c", "d"],
+        "sets": [{"members": [e], "weight": w} for e, w in zip("abcd", (5, 3, 1, 2))]}))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"parts": [{"elements": ["a", "a", "b", "c", "d"],
+                                           "k": 2, "p": 1}]}))
+    code, out, err = run(capsys, "repfam", "--spec", str(spec), "--family", str(fam),
+                         "--objective", "max")
+    assert code == 2 and "lists an element twice" in err and not out
+
+
 def test_bench_suite_and_missing(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     wsp_family = {"universe": [f"u{i}" for i in range(6)],

@@ -1,28 +1,44 @@
 import math
 import random
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fptmix import repsets
-from fptmix.core import InstanceError, OrderedUniverse, WeightedSetFamily, bit_positions
+from fptmix import kiob, kpath, p2pack, repsets, wsp
+from fptmix.core import (Digraph, Graph, InstanceError, OrderedUniverse, WeightedSetFamily,
+                         bit_positions)
 from fptmix.repsets import (
     PartitionPart,
     PartitionSpec,
     build_separator,
-    check_goodness,
     check_representation,
     clear_separator_cache,
     gen_rep_alg,
     query_separator,
-    reduce_entry,
+    reduce_layer,
     select_representative_positions,
 )
 
 
 def uni(n):
     return OrderedUniverse.from_labels([f"e{i}" for i in range(n)])
+
+
+def check_goodness(sep):
+    """Exhaustive (X, Y) sweep of the goodness property; desk scale only."""
+    elems = sep.part_elements
+    m = len(elems)
+    slack = min(sep.k_prime - sep.p_prime, m - sep.p_prime)
+    for x_pos in combinations(range(m), sep.p_prime):
+        x_mask = sum(1 << i for i in x_pos)
+        rest = [i for i in range(m) if not (x_mask >> i) & 1]
+        for y_pos in combinations(rest, slack):
+            y_mask = sum(1 << i for i in y_pos)
+            if not any(f & x_mask == x_mask and f & y_mask == 0 for f in sep.family):
+                return False, (tuple(elems[i] for i in x_pos), tuple(elems[i] for i in y_pos))
+    return True, None
 
 
 def test_separator_singleton_part():
@@ -300,16 +316,11 @@ def test_mask_sweep_matches_query_separator_reference():
     assert raised > 50
 
 
-@st.composite
-def dp_entries(draw):
-    """One DP entry as the solvers hand it to ``reduce_entry``: 2-12 distinct
-    (mask, weight) pairs with p members in each of 1-3 parts, over a universe
-    of 12 or of 80 elements in a random order.  The first part has p < m, so
+def _draw_entry(draw, n, least):
+    """Parts over ``n`` elements and ``least``-12 distinct (mask, weight)
+    pairs with p members in each of 1-3 parts.  The first part has p < m, so
     an entry can hold two sets; the others may also be inactive (k = p = 0),
     have p = 0 or have p = m."""
-    n = draw(st.sampled_from([12, 80]))
-    universe = OrderedUniverse(tuple(f"e{i}" for i in range(n)),
-                               tuple(draw(st.permutations(range(n)))))
     pool = draw(st.permutations(range(n)))
     parts = []
     for i in range(draw(st.integers(1, 3))):
@@ -325,12 +336,47 @@ def dp_entries(draw):
             p = draw(st.integers(1, m - 1))
             k = draw(st.integers(p, m + 2))
         parts.append(PartitionPart(tuple(pool[5 * i: 5 * i + m]), k, p))
+    return tuple(parts), _draw_sets(draw, parts, least)
+
+
+def _draw_sets(draw, parts, least):
     every = [sum(1 << e for c in chosen for e in c)
              for chosen in product(*(combinations(part.elements, part.p) for part in parts))]
-    count = draw(st.integers(2, min(12, len(every))))
+    count = draw(st.integers(least, min(12, len(every))))
     masks = draw(st.lists(st.sampled_from(every), unique=True, min_size=count, max_size=count))
     weights = draw(st.lists(st.integers(-2, 2), min_size=count, max_size=count))
-    return universe, tuple(parts), list(zip(masks, weights)), draw(st.sampled_from(["max", "min"]))
+    return list(zip(masks, weights))
+
+
+def _draw_universe(draw):
+    n = draw(st.sampled_from([12, 80]))
+    return n, OrderedUniverse(tuple(f"e{i}" for i in range(n)),
+                              tuple(draw(st.permutations(range(n)))))
+
+
+@st.composite
+def dp_entries(draw):
+    """One DP entry as the solvers hand it to ``reduce_layer``: 2-12 sets
+    (see ``_draw_entry``) over a universe of 12 or of 80 elements in a random
+    order."""
+    n, universe = _draw_universe(draw)
+    parts, sets = _draw_entry(draw, n, 2)
+    return universe, parts, sets, draw(st.sampled_from(["max", "min"]))
+
+
+@st.composite
+def dp_layers(draw):
+    """One DP layer: 1-4 keys over one universe, the first with an entry of
+    2-12 sets and the others of 1-12, each with its own parts or, sometimes,
+    the first key's; the objective may be None, as for an unweighted DP."""
+    n, universe = _draw_universe(draw)
+    entries = [_draw_entry(draw, n, 2)]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            entries.append(_draw_entry(draw, n, 1))
+        else:  # the first key's parts again, so the layer resolves them once
+            entries.append((entries[0][0], _draw_sets(draw, entries[0][0], 1)))
+    return universe, entries, draw(st.sampled_from(["max", "min", None]))
 
 
 def _reference_reduce(universe, sets, parts, objective):
@@ -344,17 +390,55 @@ def _reference_reduce(universe, sets, parts, objective):
     return [ordered[i][0] for i in keep]
 
 
+def _reduce_one(universe, sets, parts, objective, trace=None):
+    """``reduce_layer`` on a layer of one key; the kept masks in stored order."""
+    layer = {"key": {mask: (w, None) for mask, w in sets}}
+    reduce_layer(universe, layer, lambda key: parts, objective, trace)
+    return list(layer["key"])
+
+
 @given(dp_entries())
 def test_mask_reduce_entry_matches_family_reference(entry):
     universe, parts, sets, objective = entry
     clear_separator_cache()
     trace = {}
-    got = reduce_entry(universe, sets, parts, objective, trace)
+    got = _reduce_one(universe, sets, parts, objective, trace)
     assert got == _reference_reduce(universe, sets, parts, objective)
     assert trace["peak_family"] == len(sets)
     for (m, _, p), (family, _, dense) in repsets._separator_cache.items():
         every = {sum(1 << i for i in c) for c in combinations(range(m), p)}
         assert dense == (len(family) == len(every) and set(family) == every)
+
+
+@given(dp_layers())
+def test_reduce_layer_matches_reference_per_key(case):
+    """Every key is reduced as its own entry would be, dense or not: its
+    kept masks and their values, in member order; the trace counts the
+    entries of more than one set, the dense ones among them and the largest."""
+    universe, entries, objective = case
+    layer = {key: {mask: (w, key) for mask, w in sets} for key, (_, sets) in enumerate(entries)}
+    trace = {}
+    reduce_layer(universe, layer, lambda key: entries[key][0], objective, trace)
+    dense = 0
+    for key, (parts, sets) in enumerate(entries):
+        weighed = sets if objective else [(mask, 0) for mask, _ in sets]
+        want = _reference_reduce(universe, weighed, parts, objective or "max")
+        assert list(layer[key]) == want
+        assert list(layer[key]) == sorted(layer[key], key=bit_positions)
+        assert all(value == (dict(sets)[mask], key) for mask, value in layer[key].items())
+        if len(sets) > 1:
+            dense += all(build_separator(universe, part.elements, part.k, part.p).dense
+                         for part in parts if part.k or part.p)
+    assert trace["peak_family"] == max(len(sets) for _, sets in entries)
+    assert trace["reductions"] == sum(len(sets) > 1 for _, sets in entries)
+    assert trace["dense_skips"] == dense
+
+
+def test_part_listing_an_element_twice_is_rejected():
+    fam = WeightedSetFamily(uni(4), 1, tuple(((e,), w) for e, w in enumerate((5, 3, 1, 2))))
+    parts = (PartitionPart((0, 0, 1, 2, 3), 2, 1),)
+    with pytest.raises(InstanceError, match="lists an element twice"):
+        gen_rep_alg(PartitionSpec(parts), fam, "max")
 
 
 def test_shape_plan_built_from_other_parts_serves_every_entry():
@@ -414,6 +498,83 @@ def test_caches_stay_within_their_bound(monkeypatch):
     rounds = [[], []]
     for kept in rounds:  # the second round rebuilds what the first evicted
         for parts, sets in cases:
-            kept.append(reduce_entry(u, sets, parts, "max"))
+            kept.append(_reduce_one(u, sets, parts, "max"))
             assert len(repsets._separator_cache) <= 8 and len(repsets._plans) <= 8
     assert len(cases) > 8 and rounds[0] == rounds[1]
+
+
+def _solver_runs():
+    """Small kcwp, kiob, wsp and p2p solves, each given a trace dict."""
+    rng = random.Random(3)
+    path = list(range(27))
+    arcs = {(v, v + 1): 1 + v % 3 for v in path[:-1]}
+    while len(arcs) < 26 + 150:
+        a, b = rng.sample(range(28), 2)
+        arcs.setdefault((a, b), rng.randint(1, 6))
+    g = Digraph(28, tuple((a, b, w) for (a, b), w in sorted(arcs.items())))
+    inst = kpath.construct_kcwp_witness(g, path, 13, Fraction(1, 12), Fraction(95, 1000))
+    rng = random.Random(3)
+    tree_arcs = {(rng.randrange(v), v) for v in range(1, 8)}  # node 0 reaches every node
+    tree_arcs |= {tuple(rng.sample(range(8), 2)) for _ in range(12)}
+    dg = Digraph(8, tuple((a, b, 1) for a, b in sorted(tree_arcs)))
+    u = uni(9)
+    fam = WeightedSetFamily(u, 3, tuple((tuple(sorted(rng.sample(range(9), 3))),
+                                         rng.randint(0, 9)) for _ in range(14)), "max")
+    edges = {tuple(sorted(rng.sample(range(10), 2))) for _ in range(18)}
+    graph = Graph(10, tuple(sorted(edges)))
+    return [
+        ("kcwp", lambda trace: kpath.solve_kcwp(inst, trace=trace)),
+        ("kiob", lambda trace: kiob.solve_kiob(dg, 5, trace=trace)),
+        ("wsp", lambda trace: wsp.wsp_alg(u, fam, 15, 3, 2, trace=trace)),
+        ("p2p", lambda trace: p2pack.solve_p2packing(graph, 3, trace=trace)),
+    ]
+
+
+def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
+    """The DPs are trusted to build every mask with exactly p members in each
+    part and none outside the parts, so no solve runs the membership check."""
+    real = repsets.reduce_layer
+    seen = {}
+
+    def spy(module):
+        def checked(universe, layer, parts_of_key, *args, **kwargs):
+            for key, entry in layer.items():
+                parts = parts_of_key(key)
+                union = sum(1 << e for part in parts for e in part.elements)
+                for mask in entry:
+                    assert not mask & ~union, (module, key)
+                    for part in parts:
+                        inside = sum(mask >> e & 1 for e in part.elements)
+                        assert inside == part.p, (module, key, part)
+                seen[module] = seen.get(module, 0) + sum(map(len, layer.values()))
+            return real(universe, layer, parts_of_key, *args, **kwargs)
+        return checked
+
+    for module in (kpath, kiob, wsp, p2pack):
+        monkeypatch.setattr(module, "reduce_layer", spy(module.__name__))
+
+    def unexpected(*args):
+        raise AssertionError("a solver ran the membership check")
+
+    monkeypatch.setattr(repsets, "_validate_membership", unexpected)
+    for _, solve in _solver_runs():
+        solve({})
+    assert set(seen) == {"fptmix.kpath", "fptmix.kiob", "fptmix.wsp", "fptmix.p2pack"}
+
+
+def test_reduction_counters_match_select_calls(monkeypatch):
+    """``reductions`` less ``dense_skips`` is the number of sweeps run."""
+    real = repsets.select_representative_positions
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+
+    monkeypatch.setattr(repsets, "select_representative_positions", counted)
+    for name, solve in _solver_runs():
+        calls.clear()
+        trace = {}
+        solve(trace)
+        assert trace["reductions"] - trace["dense_skips"] == len(calls) > 0, name
+        assert trace["peak_family"] >= max(calls)

@@ -12,9 +12,22 @@ from fptmix.unisets import (
     VerifyResult,
     build_universal,
     constraint_count,
-    iter_constraints,
     verify_universal,
 )
+
+
+def iter_constraints(n: int, k: int, p: int):
+    """Yield (I, ones, X_mask, Y_mask) in lexicographic (I, ones) order."""
+    for I in combinations(range(n), k):
+        for ones in combinations(I, p):
+            x = 0
+            for i in ones:
+                x |= 1 << i
+            y = 0
+            for i in I:
+                y |= 1 << i
+            y &= ~x
+            yield I, ones, x, y
 
 
 def test_single_constraint_111():
