@@ -37,6 +37,7 @@ from .core import (
     WeightedSetFamily,
     _int_field,
     budget_from_env,
+    check_weight,
     parse_instance,
     serialize_instance,
 )
@@ -89,11 +90,22 @@ def _parse_for(problem: str, doc: str):
     return parsed
 
 
-def _required_k(args, parsed) -> int:
-    k = args.k if args.k is not None else parsed.k
+def _required_k(k, parsed) -> int:
+    """``k`` as given (a flag or a bench row's field), else the instance's."""
+    k = k if k is not None else parsed.k
     if k is None:
-        raise ParameterError("k is required (flag or instance field)")
+        raise ParameterError("k is required (flag, row or instance field)")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ParameterError(f"k must be an integer, got {k!r}")
     return k
+
+
+def _weight_bound(problem: str, W, parsed):
+    """``W`` as given, else the instance's; kpath and wsp need one."""
+    W = W if W is not None else parsed.W
+    if W is None and problem in ("kpath", "wsp"):
+        raise ParameterError("W is required for weighted problems")
+    return W if W is None else check_weight(W)
 
 
 def _verdict_exit(verdict: str) -> int:
@@ -124,8 +136,8 @@ def _cmd_solve(args, argv) -> int:
         return EXIT_ACCEPT if res.accept else EXIT_REJECT
 
     parsed = _parse_for(args.problem, doc)
-    k = _required_k(args, parsed)
-    W = args.W if args.W is not None else parsed.W
+    k = _required_k(args.k, parsed)
+    W = _weight_bound(args.problem, args.W, parsed)
     timings["parse"] = time.perf_counter() - t0
     t1 = time.perf_counter()
 
@@ -138,8 +150,6 @@ def _cmd_solve(args, argv) -> int:
         return EXIT_ACCEPT if res.accept else EXIT_REJECT
 
     if args.problem == "kpath":
-        if W is None:
-            raise ParameterError("W is required for weighted problems")
         res = kpath_mod.path_alg(parsed.value, W, k, args.inv_eps, args.delta,
                                  args.gamma, args.budget, trace)
         timings["solve"] = time.perf_counter() - t1
@@ -149,8 +159,6 @@ def _cmd_solve(args, argv) -> int:
         return _verdict_exit(res.status)
 
     if args.problem == "wsp":
-        if W is None:
-            raise ParameterError("W is required for weighted problems")
         fam: WeightedSetFamily = parsed.value
         res = wsp_mod.wsp_alg(fam.universe, fam, W, k, args.inv_eps, budget=args.budget,
                               trace=trace)
@@ -176,7 +184,7 @@ def _cmd_solve(args, argv) -> int:
 
 def _cmd_check(args, argv) -> int:
     parsed = _parse_for(args.problem, _load(args.instance))
-    k = _required_k(args, parsed)
+    k = _required_k(args.k, parsed)
     W = args.W if args.W is not None else parsed.W
     budget = oracles.OracleBudget(args.budget)
     if args.problem == "kpath":
@@ -440,10 +448,7 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
     elif budget <= 0:
         raise ParameterError(f"budget must be a positive integer, got {budget}")
 
-    def run(name, row, value):
-        problem = row["problem"]
-        k = row.get("k")
-        W = row.get("W")
+    def run(name, problem, value, k, W):
         trace: dict = {}
         t0 = time.perf_counter()
         try:
@@ -471,11 +476,15 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
                 **{name: trace.get(key) for name, key in _TRACE_FIELDS.items()},
                 "match": (verdict == oracle) if oracle is not None else None}
 
-    rows = suite.get("rows", [])
     # every row is checked before any runs, so a bad row fails the whole suite
-    values = [_parse_for(row["problem"], json.dumps(row["instance"])).value for row in rows]
-    return [run(row.get("name", f"row{i}"), row, value)
-            for i, (row, value) in enumerate(zip(rows, values))]
+    jobs = []
+    for i, row in enumerate(suite.get("rows", [])):
+        problem = row["problem"]
+        parsed = _parse_for(problem, json.dumps(row["instance"]))
+        jobs.append((row.get("name", f"row{i}"), problem, parsed.value,
+                     _required_k(row.get("k"), parsed),
+                     _weight_bound(problem, row.get("W"), parsed)))
+    return [run(*job) for job in jobs]
 
 
 def _cmd_bench(args, argv) -> int:

@@ -4,7 +4,9 @@ Pipeline: a child-splitting DP computes representative families of the
 node-sets of bounded-shape out-trees, a tree-and-paths search completes each
 surviving tree with a maximum matching on the leftover nodes, and an
 exchange loop lifts an accepted tree-plus-paths witness to a spanning
-out-branching with the required number of internal nodes.
+out-branching with the required number of internal nodes.  The DP keeps a
+back-pointer per node-set, so an accepted tree's arcs are read off the
+table, not searched for.
 
 Shape bookkeeping here is already in reduced form: a ``TpInstance`` with
 parameters (k, l, q) asks for an out-tree with exactly k internal nodes and
@@ -57,13 +59,15 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
 
     Child-splitting DP over (vertex, internal, leaf) states.  OneChild grows a
     tree downward through a single child arc; the merge rule fuses two trees
-    sharing only their root.  States hold node bitmasks; duplicate generation
-    from child orderings is tolerated, since each state collects its masks in
-    a set.  A round of one tree size reads only smaller sizes, so its states
-    (v, x, y), one-set states included, are reduced as one layer, with
-    ``trace``.  Every state is reduced against k' = internal + leaves +
-    slack, whatever the root, so the entry's ``table[v][(x, y)]`` serves
-    every root and smaller shape with the same k'.
+    sharing only their root.  A state maps each node bitmask to how it was
+    first built, which ``find_out_tree`` follows: None for the one-node tree,
+    (u, a) for the arc v -> u over u's tree a, and (u, a, x2, y2, b) for that
+    one-child tree merged with v's tree b of shape (x2, y2).  Later builds of
+    the same mask are dropped.  A round of one tree size reads only smaller
+    sizes, so its states (v, x, y) are reduced as one layer, with ``trace``.
+    Every state is reduced against k' = internal + leaves + slack, whatever
+    the root, so the entry's ``table[v][(x, y)]`` serves every root and
+    smaller shape with the same k'.
     """
     if not (internal >= 1 or (internal, leaves) == (0, 1)):
         raise ParameterError(f"unsupported tree shape ({internal}, {leaves})")
@@ -74,13 +78,13 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     total = internal + leaves
 
-    # table[v][(x, y)] -> node bitmasks of out-trees at v
-    table: list[dict[tuple[int, int], list[int]]] = [dict() for _ in range(n)]
+    # table[v][(x, y)] -> {node bitmask of an out-tree at v: how it was built}
+    table: list[dict[tuple[int, int], dict[int, tuple | None]]] = [dict() for _ in range(n)]
     everything = tuple(range(n))
 
     for size in range(1, total + 1):
         parts = (PartitionPart(everything, total + slack, size),)
-        layer: dict[tuple[int, int, int], dict[int, None]] = {}
+        layer: dict[tuple[int, int, int], dict[int, tuple | None]] = {}
         for v in range(n):
             vbit = 1 << v
             for x in range(0, size + 1):
@@ -93,23 +97,21 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                     continue
                 if size == 1:
                     if (x, y) == (0, 1):
-                        table[v][(0, 1)] = [vbit]
+                        table[v][(0, 1)] = {vbit: None}
                     continue
-                found: set[int] = set()
-                one_child: dict[tuple[int, int], list[int]] = {}
+                found: dict[int, tuple] = {}  # the first construction of a mask wins
+                one_child: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
 
-                def one_child_sets(x1: int, y1: int) -> list[int]:
+                def one_child_sets(x1: int, y1: int) -> list[tuple[int, tuple]]:
                     key = (x1, y1)
                     if key not in one_child:
-                        acc = []
-                        for u in out[v]:
-                            for a in table[u].get((x1 - 1, y1), ()):
-                                if not a & vbit:
-                                    acc.append(a | vbit)
-                        one_child[key] = acc
+                        one_child[key] = [(a | vbit, (u, a)) for u in out[v]
+                                          for a in table[u].get((x1 - 1, y1), ())
+                                          if not a & vbit]
                     return one_child[key]
 
-                found.update(one_child_sets(x, y))
+                for mask, how in one_child_sets(x, y):
+                    found.setdefault(mask, how)
                 for x1 in range(1, x + 1):
                     for y1 in range(0, y + 1):
                         x2, y2 = x + 1 - x1, y - y1
@@ -119,14 +121,14 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                         if merged:
                             ones = one_child_sets(x1, y1)
                             for b in merged:
-                                for a in ones:
+                                for a, how in ones:
                                     if a & b == vbit:
-                                        found.add(a | b)
+                                        found.setdefault(a | b, how + (x2, y2, b))
                 if found:
-                    layer[(v, x, y)] = dict.fromkeys(found)
-        reduce_layer(universe, layer, lambda key: parts, None, trace, singles=True)
+                    layer[(v, x, y)] = found
+        reduce_layer(universe, layer, lambda key: parts, None, trace)
         for (v, x, y), entry in layer.items():
-            table[v][(x, y)] = list(entry)
+            table[v][(x, y)] = entry
 
     sets = table[root].get((internal, leaves), [])
     members = tuple((tuple(bit_positions(s)), 0) for s in sets)
@@ -165,56 +167,36 @@ def tp_alg(inst: TpInstance, trace: dict | None = None,
         m = max_matching(Graph(n, free))
         if len(m) >= inst.q:
             paths = tuple((a, b) if (a, b) in arc_set else (b, a) for a, b in m.edges[: inst.q])
-            arcs = find_out_tree(g, inst.root, nodes, inst.k) if tree else ()
+            arcs = find_out_tree(table, inst.root, inst.k, inst.l, tree) if tree else ()
             return TpResult(True, nodes, tuple(arcs), paths)
     return TpResult(False)
 
 
-def find_out_tree(g: Digraph, root: int, nodes: frozenset, internal: int):
-    """Some out-tree rooted at root spanning exactly ``nodes`` with the given
-    internal count, as a sorted arc list.  Exhaustive over parent vectors."""
-    if root not in nodes:
-        raise ParameterError("tree node set must contain the root")
-    others = sorted(nodes - {root})
-    if not others:
-        if internal != 0:
-            raise FptMixError("no tree with the requested internal count")
-        return []
-    inn = g.in_neighbors()
-    choices = [[p for p in sorted(inn[v]) if p in nodes] for v in others]
-
-    def assign(idx: int, parent: dict):
-        if idx == len(others):
-            for v in others:
-                seen = set()
-                w = v
-                while w != root:
-                    if w in seen:
-                        return None
-                    seen.add(w)
-                    w = parent[w]
-            if len(set(parent.values())) == internal:
-                return sorted((p, v) for v, p in parent.items())
-            return None
-        v = others[idx]
-        for p in choices[idx]:
-            parent[v] = p
-            got = assign(idx + 1, parent)
-            if got is not None:
-                return got
-        parent.pop(v, None)
-        return None
-
-    got = assign(0, {})
-    if got is None:
-        raise FptMixError("node set admits no out-tree with the requested shape")
-    return got
+def find_out_tree(table: list, v: int, x: int, y: int, mask: int) -> list[tuple[int, int]]:
+    """Sorted arcs of the out-tree that ``tree_families`` built for ``mask``
+    at state (v, x, y) of ``table``, read off its back-pointers: a one-child
+    build (u, a) hangs u's tree a of shape (x - 1, y) under v, and a merge
+    (u, a, x2, y2, b) also keeps v's own tree b of shape (x2, y2)."""
+    arcs = []
+    stack = [(v, x, y, mask)]
+    while stack:
+        v, x, y, mask = stack.pop()
+        how = table[v][(x, y)][mask]
+        if how is None:  # the one-node tree
+            continue
+        u, a, *merge = how
+        x2, y2, b = merge or (1, 0, None)
+        arcs.append((v, u))
+        stack.append((u, x - x2, y - y2, a))
+        if b is not None:
+            stack.append((v, x2, y2, b))
+    return sorted(arcs)
 
 
-def extract_branching(g: Digraph, root: int, tree_set: frozenset,
+def extract_branching(g: Digraph, root: int, tree_arcs,
                       paths, k: int) -> tuple[tuple[int, int], ...]:
-    """Lift a tree-and-paths witness to a spanning out-branching with at
-    least k internal nodes.
+    """Lift a tree-and-paths witness, the tree given by its arcs, to a
+    spanning out-branching with at least k internal nodes.
 
     Exchange loop: while short of internal nodes, find a witness path (v, u)
     with both endpoints leaves of the current branching, detach u from its
@@ -223,15 +205,8 @@ def extract_branching(g: Digraph, root: int, tree_set: frozenset,
     failure to find an exchangeable path on a valid witness cannot happen
     and raises hard.
     """
-    paths = list(paths)
-    tree_internal = k - len(paths)
-    if tree_set:
-        tree_arcs = find_out_tree(g, root, tree_set, tree_internal)
-        parent = {h: t for t, h in tree_arcs}
-        in_tree = set(tree_set)
-    else:
-        parent = {}
-        in_tree = {root}
+    parent = {h: t for t, h in tree_arcs}
+    in_tree = {root, *parent}
     arcs_sorted = [(t, h) for t, h, _ in g.arcs]
     while len(in_tree) < g.node_count:
         grown = False
@@ -323,7 +298,7 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
                     tables[l] = tree_families(g, root, x, y, 2 * q, trace).table
                 res = tp_alg(TpInstance(g, root, x, y, q), table=tables.get(l))
                 if res.accept:
-                    branching = extract_branching(g, root, res.tree_set, res.paths, k)
+                    branching = extract_branching(g, root, res.tree_arcs, res.paths, k)
                     return KiobResult(True, root, branching)
     return KiobResult(False)
 

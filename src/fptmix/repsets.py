@@ -272,7 +272,7 @@ def _member_key(mask: int) -> str:
 
 
 def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective: str | None,
-                 trace: dict | None = None, singles: bool = False) -> None:
+                 trace: dict | None = None) -> None:
     """Reduce every entry of one DP layer, in place, to the masks the sweep keeps.
 
     ``layer`` maps a key to an entry, a dict from distinct equal-size member
@@ -280,9 +280,9 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
     parts.  The solvers build every mask with the counts its key names, so
     none are checked.  ``objective`` "max" or "min" weighs a mask by its
     value's first item; None marks an unweighted DP.  Entries of one set are
-    left alone unless ``singles``.  A reduced entry keeps its masks in
-    ascending sorted-member order, the tie-break of the sweep and of the
-    solvers' first-wins updates.  Each parts tuple is resolved once per call.
+    left alone.  A reduced entry keeps its masks in ascending sorted-member
+    order, the tie-break of the sweep and of the solvers' first-wins
+    updates.  Each parts tuple is resolved once per call.
     When all its active separators are dense, a set's chi-product is the one
     index of its own per-part restriction, so the sweep would keep every set
     and such an entry is only sorted.  ``trace`` gets the largest reduced entry
@@ -292,14 +292,14 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
     specs: dict[tuple, PartitionSpec] = {}
     reductions = dense_skips = peak = 0
     for key, entry in layer.items():
-        if len(entry) <= 1 and not singles:
+        if len(entry) <= 1:
             continue
         parts = parts_of_key(key)
         ordered = sorted(entry, key=_member_key, reverse=True)
-        if len(entry) > 1 and parts not in dense:
+        if parts not in dense:
             seps = _plan(universe, [part for part in parts if part.k or part.p])
             dense[parts] = all(sep.dense for sep in seps)
-        if len(entry) > 1 and dense[parts]:
+        if dense[parts]:
             dense_skips += 1
         else:
             if parts not in specs:

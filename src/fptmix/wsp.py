@@ -18,18 +18,6 @@ from .core import (BudgetExceededError, OrderedUniverse, ParameterError, Weighte
 from .repsets import PartitionPart, reduce_layer
 
 
-@dataclass(frozen=True)
-class DeletionSchedule:
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        v = self.values
-        if len(v) < 2 or v[0] != 0 or v[1] != 0:
-            raise ParameterError("schedule must start with R(0) = R(1) = 0")
-        if any(v[i] > v[i + 1] for i in range(len(v) - 1)):
-            raise ParameterError("schedule must be non-decreasing")
-
-
 def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
     """Exact integer evaluation of the stage-deletion recursion R(0..1/eps).
 
@@ -46,10 +34,6 @@ def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
         denom = _ceildiv(3 * (k - (j - 1) * ek), ek)
         values.append(values[-1] + _ceildiv(offset + 2 * (j - 1) * ek - values[-1], denom))
     return values
-
-
-def deletion_schedule(k: int, inv_eps: int) -> DeletionSchedule:
-    return DeletionSchedule(tuple(stage_schedule(k, inv_eps)))
 
 
 @dataclass(frozen=True)
@@ -92,7 +76,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
     found = _pack_stages(inst.universe, inst.family.sets, inst.k, inst.f,
-                         deletion_schedule(inst.k, inst.inv_eps).values,
+                         stage_schedule(inst.k, inst.inv_eps),
                          [((0,) * inst.inv_eps, 0)], inst.W,
                          reduce=reduce, trace=trace, audit=audit)
     if found is None:
@@ -246,7 +230,7 @@ def verify_cwsp_witness(inst: CwspInstance, result: CwspResult) -> None:
     rank = inst.universe.rank
     k, t = inst.k, inst.inv_eps
     ek = k // t
-    sched = deletion_schedule(k, t).values
+    sched = stage_schedule(k, t)
     sets = [fam.members(p) for p in result.ordered_sets]
     if len(sets) != k:
         raise ParameterError("witness does not have k sets")

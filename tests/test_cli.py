@@ -225,15 +225,19 @@ def test_bench_suite_and_missing(tmp_path, capsys):
         # a star: the three paths through the centre share one DP entry
         {"problem": "p2p", "instance": {"nodes": 4, "edges": [[0, 1], [0, 2], [0, 3]]},
          "k": 1},
+        # a 7-node path with chords: its tree DP reduces states of several sets
+        {"problem": "kiob", "instance": {"nodes": 7, "arcs": [
+            [0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 5, 1], [2, 3, 1], [2, 4, 1],
+            [3, 4, 1], [3, 6, 1], [4, 5, 1], [5, 6, 1]]}, "k": 3},
     ]}))
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
-    for i in (0, 2, 3):
+    for i in (2, 3, 4):
         assert isinstance(rows[i]["peakFamilySize"], int)
-    # on the 3-node path every DP entry holds one set, so no reduction runs
-    assert rows[1]["peakFamilySize"] is None
+    # on the 3-node paths every DP entry holds one set, so no reduction runs
+    assert rows[0]["peakFamilySize"] is None and rows[1]["peakFamilySize"] is None
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
 
@@ -362,6 +366,34 @@ def test_bench_rows_rejects_a_non_positive_budget():
         with pytest.raises(ParameterError, match="budget"):
             cli.bench_rows(suite, budget=budget)
     assert cli.bench_rows(suite, budget=1)[0]["verdict"] == "accept"
+
+
+@pytest.mark.parametrize("row,message", [
+    ({"problem": "kiob", "instance": DOCUMENTS["digraph"]}, "k is required"),
+    ({"problem": "kpath", "instance": DOCUMENTS["digraph"], "k": 2}, "W is required"),
+    ({"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1}, "W is required"),
+    ({"problem": "kiob", "instance": DOCUMENTS["digraph"], "k": "2"}, "k must be an integer"),
+    ({"problem": "p2p", "instance": DOCUMENTS["graph"], "k": True}, "k must be an integer"),
+    ({"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1, "W": "1"},
+     "weight must be an exact integer")])
+def test_bench_row_without_a_valid_k_or_W_is_a_usage_error(tmp_path, capsys, row, message):
+    """Such a row once failed inside the solver with a TypeError and exit 1,
+    or, given k = true, ran as k = 1."""
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "bad", "rows": [row]}))
+    code, out, err = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 2 and err.startswith("error:") and message in err and not out
+
+
+def test_bench_row_reads_k_from_its_instance(tmp_path, capsys):
+    """As ``solve`` does, a row without k takes the instance document's."""
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "inner-k", "rows": [
+        {"problem": "kiob", "instance": {**DOCUMENTS["digraph"], "k": 1}}]}))
+    code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["verdict"] == "accept" and row["match"]
 
 
 @pytest.mark.parametrize("problem,kind", [

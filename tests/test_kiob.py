@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Digraph, OrderedUniverse, ParameterError, WeightedSetFamily
+from fptmix.core import (Digraph, OrderedUniverse, ParameterError, WeightedSetFamily,
+                         bit_positions)
 from fptmix import kiob, oracles
 from fptmix.repsets import PartitionPart, PartitionSpec, check_representation
 
@@ -123,9 +124,9 @@ def test_exchange_shape_from_reduction_figure():
             # glue: attach path nodes as leaves under the tree
             (3, 5, 1), (3, 6, 1), (4, 7, 1), (4, 8, 1), (1, 9, 1), (1, 10, 1)]
     g = Digraph(11, tuple(arcs))
-    tree_set = frozenset({0, 1, 2, 3, 4})
+    tree_arcs = ((0, 1), (1, 2), (2, 3), (2, 4))
     paths = ((5, 6), (7, 8), (9, 10))
-    branching = kiob.extract_branching(g, 0, tree_set, paths, 6)
+    branching = kiob.extract_branching(g, 0, tree_arcs, paths, 6)
     assert kiob.branching_internal_nodes(branching) >= 6
     parent = {h: t for t, h in branching}
     assert len(parent) == 10 and 0 not in parent
@@ -133,7 +134,7 @@ def test_exchange_shape_from_reduction_figure():
 
 def test_extract_branching_noop_when_already_internal_enough():
     g = Digraph(3, ((0, 1, 1), (1, 2, 1)))
-    branching = kiob.extract_branching(g, 0, frozenset({0, 1, 2}), (), 2)
+    branching = kiob.extract_branching(g, 0, ((0, 1), (1, 2)), (), 2)
     assert branching == ((0, 1), (1, 2))
 
 
@@ -187,7 +188,7 @@ def _fresh_tables_kiob(g, k):
                     continue
                 res = kiob.tp_alg(kiob.TpInstance(g, root, x, y, q))
                 if res.accept:
-                    return True, root, kiob.extract_branching(g, root, res.tree_set,
+                    return True, root, kiob.extract_branching(g, root, res.tree_arcs,
                                                               res.paths, k)
     return False, None, None
 
@@ -211,6 +212,34 @@ def test_shared_tree_tables_match_fresh_tables(case):
     got = kiob.solve_kiob(g, k)
     assert (got.accept, got.root, got.branching) == _fresh_tables_kiob(g, k)
 
+
+@settings(max_examples=60)
+@given(spanned_digraphs(), st.data())
+def test_find_out_tree_reads_every_stored_tree(case, data):
+    """Every mask of every state (v, x, y) of a reduced tree table leads back
+    to an out-tree of the digraph rooted at v spanning exactly the mask, with
+    x internal nodes and y leaves."""
+    g, _ = case
+    n = g.node_count
+    internal = data.draw(st.integers(1, n - 1))
+    leaves = data.draw(st.integers(1, n - internal))
+    slack = data.draw(st.integers(0, n - internal - leaves))
+    table = kiob.tree_families(g, 0, internal, leaves, slack).table
+    arc_set = {(t, h) for t, h, _ in g.arcs}
+    for v, states in enumerate(table):
+        for (x, y), entry in states.items():
+            for mask in entry:
+                arcs = kiob.find_out_tree(table, v, x, y, mask)
+                parent = {h: t for t, h in arcs}
+                assert len(parent) == len(arcs) and set(arcs) <= arc_set
+                assert {v, *parent} == set(bit_positions(mask)) and v not in parent
+                for w in parent:
+                    seen = set()
+                    while w != v:
+                        assert w not in seen
+                        seen.add(w)
+                        w = parent[w]
+                assert len(set(parent.values())) == x and len(arcs) + 1 - x == y
 
 
 def test_solve_kiob_checks_c_when_no_reduction_runs():

@@ -55,6 +55,10 @@ def _ops():
         {"members": ["a", "d", "e"], "weight": 5}]})
     graph = json.dumps({"nodes": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]})
     digraph = json.dumps({"nodes": 5, "arcs": [[v, v + 1, 1] for v in range(4)]})
+    # a 7-node path with chords: at k = 3 its tree DP reduces multi-set states
+    # that are not all dense, so the sweep runs (10 calls, 4 of which shrink)
+    chorded = json.dumps({"nodes": 7, "arcs": [[v, v + 1, 1] for v in range(6)] + [
+        [0, 2, 1], [0, 3, 1], [2, 4, 1], [1, 5, 1], [3, 6, 1]]})
     return [
         {"kind": "wsp", "doc": setfamily, "k": 2, "W": 7, "inv_eps": 2, "expect": "accept"},
         {"kind": "wsp", "doc": setfamily, "k": 2, "W": 8, "inv_eps": 1, "expect": "reject"},
@@ -64,6 +68,7 @@ def _ops():
         {"kind": "kcwp", "doc": _kcwp_document(-1), "expect": "reject"},
         {"kind": "kiob", "doc": digraph, "k": 4, "expect": "accept"},
         {"kind": "kiob", "doc": digraph, "k": 5, "expect": "reject"},
+        {"kind": "kiob", "doc": chorded, "k": 3, "expect": "accept"},
     ]
 
 

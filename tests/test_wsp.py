@@ -19,11 +19,11 @@ def random_family(rng, uni, count, wlo=0, whi=9):
 
 
 def test_schedule_trivial_and_hand_values():
-    assert wsp.deletion_schedule(5, 1).values == (0, 0)
+    assert tuple(wsp.stage_schedule(5, 1)) == (0, 0)
     # hand evaluation: R(2) = ceil(10 / ceil(15/5)) = 4
-    assert wsp.deletion_schedule(10, 2).values == (0, 0, 4)
+    assert tuple(wsp.stage_schedule(10, 2)) == (0, 0, 4)
     # hand evaluation: R(2) = ceil(8/6) = 2; R(3) = 2 + ceil(14/3) = 7
-    assert wsp.deletion_schedule(12, 3).values == (0, 0, 2, 7)
+    assert tuple(wsp.stage_schedule(12, 3)) == (0, 0, 2, 7)
 
 
 def test_schedule_monotone_and_bounded():
@@ -31,8 +31,9 @@ def test_schedule_monotone_and_bounded():
         for inv in range(1, 7):
             if k // inv < 1:
                 continue
-            values = wsp.deletion_schedule(k, inv).values
+            values = tuple(wsp.stage_schedule(k, inv))
             ek = k // inv
+            assert values[:2] == (0, 0)  # R(0) = R(1) = 0
             for j in range(1, len(values)):
                 assert values[j] >= values[j - 1]
                 assert values[j] <= 2 * (j - 1) * ek
@@ -40,7 +41,7 @@ def test_schedule_monotone_and_bounded():
 
 def test_schedule_rejects_zero_piece():
     with pytest.raises(ParameterError):
-        wsp.deletion_schedule(1, 2)
+        wsp.stage_schedule(1, 2)
 
 
 def test_cwsp_trivial_pair():
