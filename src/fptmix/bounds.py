@@ -11,7 +11,6 @@ reference tables carry it and omitted elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -209,13 +208,31 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
     }
 
 
+def _deletion_recursion(t_next, inv_eps: int) -> np.ndarray:
+    """T(0..1/eps) of T(j) = T(j-1) + eps * (num - T(j-1)) / den, T(0) = 0,
+    with ``t_next(j - 1, eps)`` giving the num and den lists.  Python floats
+    run the scalar loop's IEEE operations in its order, so T is bit-exact."""
+    eps = 1.0 / inv_eps
+    t, t_list = 0.0, [0.0]
+    for num, den in zip(*t_next(np.arange(inv_eps), eps)):
+        t = t + eps * (num - t) / den
+        t_list.append(t)
+    return np.array(t_list)
+
+
+def _wsp_t_next(jm1, eps):
+    return (2 * jm1 * eps).tolist(), (3 * (1 - jm1 * eps)).tolist()
+
+
+def _p2p_t_next(jm1, eps):
+    return (2 + 2 * jm1 * eps).tolist(), (3 * (1 - jm1 * eps)).tolist()
+
+
 def _staged_argmax(t_next, objective, inv_eps: int) -> dict:
     """Shared scaffolding for the unbalanced-cutting bounds: run the
     continuous deletion recursion, scan every stage cell, refine the best."""
     eps = 1.0 / inv_eps
-    t_vals = np.zeros(inv_eps + 1)
-    for j in range(1, inv_eps + 1):
-        t_vals[j] = t_next(t_vals[j - 1], j, eps)
+    t_vals = _deletion_recursion(t_next, inv_eps)
     idx = np.arange(1, inv_eps + 1)
     that = t_vals[idx - 1]
     cell_right = objective(idx.astype(float), that, eps)
@@ -234,9 +251,6 @@ def _staged_argmax(t_next, objective, inv_eps: int) -> dict:
 def wsp_bound(c: float, inv_eps: int = 100_000) -> dict:
     """Per-k base of the staged packing bound at the reference epsilon."""
 
-    def t_next(prev, j, eps):
-        return prev + eps * (2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
-
     def objective(alpha, that, eps):
         ae = alpha * eps
         big = 3 - ae - that
@@ -248,15 +262,12 @@ def wsp_bound(c: float, inv_eps: int = 100_000) -> dict:
                     - (6 - 6 * ae) * np.log(c * big - small))
         return term
 
-    return _staged_argmax(t_next, objective, inv_eps)
+    return _staged_argmax(_wsp_t_next, objective, inv_eps)
 
 
 def p2p_bound(inv_eps: int = 100_000) -> dict:
     """Per-k base of the packing-compression bound; worst case has the
     footprint parameters maximal, which fixes the leading constant 2."""
-
-    def t_next(prev, j, eps):
-        return prev + eps * (2 + 2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
 
     def objective(alpha, that, eps):
         ae = alpha * eps
@@ -267,30 +278,7 @@ def p2p_bound(inv_eps: int = 100_000) -> dict:
             term = top * np.log(top) - mid * np.log(mid) - low * np.log(low)
         return term / 2.0
 
-    return _staged_argmax(t_next, objective, inv_eps)
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    which: str  # kiob-det | kiob-rand | kpath | wsp | p2p
-    parameters: dict = field(default_factory=dict)
-
-
-def eval_bound(query: BoundQuery) -> dict:
-    p = dict(query.parameters)
-    if query.which == "kiob-det":
-        return kiob_det_bound(p.get("c", 1.497), p.get("lstar", 0.0))
-    if query.which == "kiob-rand":
-        return kiob_rand_bound(p.get("c", 1.765), p.get("gamma", 0.8545))
-    if query.which == "kpath":
-        return kpath_bound(p.get("delta", 0.046), p.get("gamma", 0.084),
-                           p.get("c1", 1.504), p.get("c2", 1.398),
-                           p.get("cl", 1.092), p.get("cr", 1.876))
-    if query.which == "wsp":
-        return wsp_bound(p.get("c", 1.591), p.get("invEps", 100_000))
-    if query.which == "p2p":
-        return p2p_bound(p.get("invEps", 100_000))
-    raise ParameterError(f"unknown bound query {query.which!r}")
+    return _staged_argmax(_p2p_t_next, objective, inv_eps)
 
 
 # Reference rows the tables are checked against (the constants the tool

@@ -11,6 +11,7 @@ threshold function to the cut solver.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import (BudgetExceededError, OrderedUniverse, ParameterError, WeightedSetFamily,
@@ -105,23 +106,36 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
     layer drops each stored set of j sets that stays below ``W`` even when
     k - j sets of the heaviest weight follow; keys left empty go too.  This
     leaves verdicts and weights as they are, while a witness can move to
-    another packing of equal weight.  Returns the positions, the seed set and
-    the weight of the first heaviest k-set packing of weight at least ``W``
-    that meets the schedule, or None; the seed comes back as its mask.
+    another packing of equal weight.  A set lighter than
+    W - (k - 1) * heaviest is skipped before the DP: j sets holding it weigh
+    less than W - (k - j) * heaviest, so that drop would remove every packing
+    it builds, and the layers after the drop hold the same (key, mask,
+    weight) triples.  Sets are scanned in order of their smallest element;
+    for each child key the scan starts, by bisection, past every set whose
+    minimum is not above both the key's last minimum and the stage floor.
+    Returns the positions, the seed set and the weight of the first heaviest
+    k-set packing of weight at least ``W`` that meets the schedule, or None;
+    the seed comes back as its mask.
     """
     rank = universe.rank
     t = len(f)
     ek = k // t
     f_rank = [rank[e] for e in f]
 
+    weights = [w for _, w in sets]
+    heaviest, lightest = max(weights, default=0), min(weights, default=0)
+    min_useful = W - (k - 1) * heaviest
     sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
     for pos, (members, w) in enumerate(sets):
+        if w < min_useful:
+            continue  # every partial packing holding it is pruned below
         mn = min(members, key=lambda e: rank[e])
         others = [m for m in members if m != mn]
         contrib = tuple(sum(1 for e in others if rank[e] <= f_rank[l]) for l in range(t))
         mask = sum(1 << e for e in members)
         sets_by_min.append((rank[mn], pos, contrib, mask ^ (1 << mn), mask, w))
     sets_by_min.sort()
+    mranks = [row[0] for row in sets_by_min]
 
     Entry = dict  # {stored mask: (weight, payload)}
     seed_layer: dict[tuple, Entry] = {}
@@ -136,8 +150,6 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
 
     for s_vec, fs in seeds:
         put(seed_layer, (s_vec, -1), fs, 0, None)
-    weights = [w for _, w in sets]
-    heaviest, lightest = max(weights, default=0), min(weights, default=0)
     spent = 0
     for i in range(1, t + 2):
         j_lo = 1 + (i - 1) * ek
@@ -153,9 +165,8 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
             keep = (sum(1 << e for e, r in enumerate(rank) if r > floor_i)
                     if j == j_lo and i >= 2 else -1)
             for (s_vec, mrank_c), entry in layers[child_lk].items():
-                for mrank, pos, contrib, others, members, w in sets_by_min:
-                    if mrank <= mrank_c or mrank <= floor_i:
-                        continue
+                start = bisect_right(mranks, max(mrank_c, floor_i))
+                for mrank, pos, contrib, others, members, w in sets_by_min[start:]:
                     new_s = tuple(a + b for a, b in zip(s_vec, contrib))
                     if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
                         continue

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -50,11 +51,35 @@ def test_kiob_det_cross_check_two_branches():
     assert abs(got["base"] - max(arg["first"], arg["second"])) <= 1e-5
 
 
+@dataclass(frozen=True)
+class BoundQuery:
+    which: str  # kiob-det | kiob-rand | kpath | wsp | p2p
+    parameters: dict = field(default_factory=dict)
+
+
+def eval_bound(query: BoundQuery) -> dict:
+    """Dispatch one named bound query to its bound with the reference defaults."""
+    p = dict(query.parameters)
+    if query.which == "kiob-det":
+        return bounds.kiob_det_bound(p.get("c", 1.497), p.get("lstar", 0.0))
+    if query.which == "kiob-rand":
+        return bounds.kiob_rand_bound(p.get("c", 1.765), p.get("gamma", 0.8545))
+    if query.which == "kpath":
+        return bounds.kpath_bound(p.get("delta", 0.046), p.get("gamma", 0.084),
+                                  p.get("c1", 1.504), p.get("c2", 1.398),
+                                  p.get("cl", 1.092), p.get("cr", 1.876))
+    if query.which == "wsp":
+        return bounds.wsp_bound(p.get("c", 1.591), p.get("invEps", 100_000))
+    if query.which == "p2p":
+        return bounds.p2p_bound(p.get("invEps", 100_000))
+    raise ParameterError(f"unknown bound query {query.which!r}")
+
+
 def test_eval_bound_dispatch():
-    q = bounds.BoundQuery("kiob-det", {"c": 1.497})
-    assert abs(bounds.eval_bound(q)["base"] - 5.13863) < 1e-4
+    q = BoundQuery("kiob-det", {"c": 1.497})
+    assert abs(eval_bound(q)["base"] - 5.13863) < 1e-4
     with pytest.raises(ParameterError):
-        bounds.eval_bound(bounds.BoundQuery("nope"))
+        eval_bound(BoundQuery("nope"))
 
 
 def test_kpath_flags_empty_at_reference_point():
@@ -147,10 +172,27 @@ def _staged_scalar(t_next, objective, inv_eps):
     return {"base": math.exp(val), "argmax": {"i": stage, "alpha": a, "T": t[stage - 1]}}
 
 
-def _wsp_reference(c, inv_eps):
-    def t_next(prev, j, eps):
-        return prev + eps * (2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
+def _wsp_t_scalar(prev, j, eps):
+    return prev + eps * (2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
 
+
+def _p2p_t_scalar(prev, j, eps):
+    return prev + eps * (2 + 2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
+
+
+@pytest.mark.parametrize("inv_eps", [1, 2, 7, 250, 100_000])
+def test_deletion_recursion_equals_scalar_loop(inv_eps):
+    # the list recursion must give the scalar loop's floats bit for bit
+    eps = 1.0 / inv_eps
+    for t_next, scalar in ((bounds._wsp_t_next, _wsp_t_scalar),
+                           (bounds._p2p_t_next, _p2p_t_scalar)):
+        want = [0.0]
+        for j in range(1, inv_eps + 1):
+            want.append(scalar(want[-1], j, eps))
+        assert bounds._deletion_recursion(t_next, inv_eps).tolist() == want
+
+
+def _wsp_reference(c, inv_eps):
     def objective(alpha, that, eps):
         ae = alpha * eps
         big = 3 - ae - that
@@ -160,20 +202,17 @@ def _wsp_reference(c, inv_eps):
                     - np.where(small > 0, small * np.log(small), 0.0)
                     - (6 - 6 * ae) * np.log(c * big - small))
 
-    return _staged_scalar(t_next, objective, inv_eps)
+    return _staged_scalar(_wsp_t_scalar, objective, inv_eps)
 
 
 def _p2p_reference(inv_eps):
-    def t_next(prev, j, eps):
-        return prev + eps * (2 + 2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
-
     def objective(alpha, that, eps):
         ae = alpha * eps
         top, mid, low = 6 - ae - that, 2 + 2 * ae - that, 4 - 3 * ae
         with np.errstate(divide="ignore", invalid="ignore"):
             return (top * np.log(top) - mid * np.log(mid) - low * np.log(low)) / 2.0
 
-    return _staged_scalar(t_next, objective, inv_eps)
+    return _staged_scalar(_p2p_t_scalar, objective, inv_eps)
 
 
 @pytest.mark.parametrize("inv_eps", [7, 13, 250, 1000])

@@ -309,3 +309,39 @@ def test_entry_points_check_c_when_no_reduction_runs():
         wsp.wsp_alg(uni, fam, 0, 1, 1, 0.5)
     with pytest.raises(ParameterError, match="c must be at least 1"):
         wsp.solve_cwsp(inst, 0.5)
+
+
+@settings(max_examples=60)
+@given(st.integers(6, 9), st.data())
+def test_wsp_alg_matches_oracle_with_skewed_weights(n, data):
+    """Heavy and light sets together, so that the DP skips every set lighter
+    than W - (k - 1) * heaviest before it starts: verdicts and weights must
+    still match the oracle at the optimum and one past it."""
+    uni = universe(n)
+    members = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    heavy = data.draw(st.lists(st.tuples(members, st.integers(60, 99)), min_size=1, max_size=4))
+    light = data.draw(st.lists(st.tuples(members, st.integers(-9, 20)), min_size=1, max_size=4))
+    sets = data.draw(st.permutations(heavy + light))
+    fam = WeightedSetFamily(uni, 3, tuple((tuple(sorted(m)), w) for m, w in sets), "max")
+    k = data.draw(st.integers(1, 3))
+    opt = oracles.oracle_wsp(fam, k)
+    if opt is None:
+        return
+    for inv in (1, 2):
+        hit = wsp.wsp_alg(uni, fam, opt, k, inv)
+        assert hit.status == "accept" and hit.weight == opt
+        assert len(set(e for p in hit.packing for e in fam.members(p))) == 3 * k
+        assert sum(fam.weight(p) for p in hit.packing) == opt
+        assert wsp.wsp_alg(uni, fam, opt + 1, k, inv).status == "reject"
+
+
+def test_reject_with_every_set_skipped_still_draws_every_cut():
+    """W > k * heaviest leaves no set in any cut's DP, but the driver still
+    walks, and counts, every cut tuple before it rejects."""
+    uni = universe(8)
+    fam = random_family(random.Random(5), uni, 10)
+    k, inv = 2, 2
+    W = k * max(w for _, w in fam.sets) + 1
+    cuts = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), inv))
+    assert wsp.wsp_alg(uni, fam, W, k, inv, budget=cuts - 1).status == "budget-exceeded"
+    assert wsp.wsp_alg(uni, fam, W, k, inv, budget=cuts).status == "reject"
