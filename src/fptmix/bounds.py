@@ -211,13 +211,18 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
 def _deletion_recursion(t_next, inv_eps: int) -> np.ndarray:
     """T(0..1/eps) of T(j) = T(j-1) + eps * (num - T(j-1)) / den, T(0) = 0,
     with ``t_next(j - 1, eps)`` giving the num and den lists.  Python floats
-    run the scalar loop's IEEE operations in its order, so T is bit-exact."""
+    run the scalar loop's IEEE operations in its order, so T is bit-exact;
+    the lists come in blocks so that few float objects are alive at once."""
     eps = 1.0 / inv_eps
-    t, t_list = 0.0, [0.0]
-    for num, den in zip(*t_next(np.arange(inv_eps), eps)):
-        t = t + eps * (num - t) / den
-        t_list.append(t)
-    return np.array(t_list)
+    t_vals = np.zeros(inv_eps + 1)
+    t = 0.0
+    for lo in range(0, inv_eps, 4096):
+        block = []
+        for num, den in zip(*t_next(np.arange(lo, min(lo + 4096, inv_eps)), eps)):
+            t = t + eps * (num - t) / den
+            block.append(t)
+        t_vals[lo + 1:lo + 1 + len(block)] = block
+    return t_vals
 
 
 def _wsp_t_next(jm1, eps):

@@ -180,7 +180,7 @@ def _p2p_t_scalar(prev, j, eps):
     return prev + eps * (2 + 2 * (j - 1) * eps - prev) / (3 * (1 - (j - 1) * eps))
 
 
-@pytest.mark.parametrize("inv_eps", [1, 2, 7, 250, 100_000])
+@pytest.mark.parametrize("inv_eps", [1, 2, 7, 250, 4097, 100_000])
 def test_deletion_recursion_equals_scalar_loop(inv_eps):
     # the list recursion must give the scalar loop's floats bit for bit
     eps = 1.0 / inv_eps
