@@ -305,35 +305,3 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
 
 def branching_internal_nodes(arcs) -> int:
     return len({t for t, _ in arcs})
-
-
-def verify_tp_witness(inst: TpInstance, res: TpResult) -> None:
-    """Structural check of an accepted tree-and-paths witness."""
-    if not res.accept:
-        raise FptMixError("cannot verify a reject")
-    g = inst.digraph
-    tree_arcs = res.tree_arcs
-    nodes = res.tree_set
-    arc_set = {(t, h) for t, h, _ in g.arcs}
-    if len(nodes) != inst.k + inst.l:
-        raise FptMixError("tree node count mismatch")
-    parent = {}
-    for t, h in tree_arcs:
-        if (t, h) not in arc_set or t not in nodes or h not in nodes:
-            raise FptMixError("tree arc invalid")
-        if h in parent:
-            raise FptMixError("tree node has two parents")
-        parent[h] = t
-    if set(parent) != set(nodes) - {inst.root}:
-        raise FptMixError("tree is not spanning its node set from the root")
-    if len(set(parent.values())) != inst.k:
-        raise FptMixError("tree internal count mismatch")
-    used = set(nodes)
-    if len(res.paths) != inst.q:
-        raise FptMixError("path count mismatch")
-    for v, u in res.paths:
-        if (v, u) not in arc_set:
-            raise FptMixError("path arc missing")
-        if v in used or u in used or v == u:
-            raise FptMixError("paths are not disjoint from the tree and each other")
-        used.update((v, u))

@@ -21,6 +21,9 @@ from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, 
 from .repsets import PartitionPart, reduce_layer
 from .wsp import _pack_stages, cut_universes, stage_schedule
 
+# the entries one cut's footprint DP may create
+_CUT_ENTRY_CAP = 5_000_000
+
 
 @dataclass(frozen=True)
 class Packing:
@@ -169,7 +172,7 @@ class Cpro2Result:
     ordered_sets: tuple[int, ...] | None = None  # positions into inst.family
 
 
-def solve_cpro2(inst: Pro2Instance, budget: int = 5_000_000) -> Cpro2Result:
+def solve_cpro2(inst: Pro2Instance, budget: int = _CUT_ENTRY_CAP) -> Cpro2Result:
     """Decide whether some candidate footprint leaves room for k - q
     disjoint family sets, on the weighted cut packing solver's staged DP.
 
@@ -179,26 +182,31 @@ def solve_cpro2(inst: Pro2Instance, budget: int = 5_000_000) -> Cpro2Result:
     (0, 0) holds one seed per candidate footprint, and the schedule counts
     the footprint's 3q - p elements from the start.  ``budget`` caps the
     number of materialized entries; explicit subsets can multiply out on
-    adversarial inputs.
+    adversarial inputs.  This is the one-cut entry: the per-call set-up
+    ``procedure2`` builds once, then the instance's own order and f.
     """
     if inst.f is None:
         raise ParameterError("the cut subproblem needs the stage function f")
-    kq = inst.k - inst.q
-    if kq < 1:
+    if inst.k - inst.q < 1:
         raise ParameterError("k - q must be at least 1 for the staged table")
-    sched = stage_schedule(kq, inst.inv_eps, 3 * inst.q - inst.p)
-    rank = inst.universe.rank
-    f_rank = [rank[e] for e in inst.f]
-    seeds = [(tuple(sum(1 for e in cand if rank[e] <= fr) for fr in f_rank),
-              sum(1 << e for e in cand)) for cand in inst.candidates]
-    # raw member tuples: a triangle's three paths share one node set and
-    # must keep the three positions the caller maps back through
-    found = _pack_stages(inst.universe, [(members, 0) for members in inst.family], kq,
-                         inst.f, sched, seeds, 0, cap=budget)
+    found = _footprint_packer(inst, inst.inv_eps, budget)(inst.universe.rank, inst.f)
     if found is None:
         return Cpro2Result(False)
     positions, footprint, _ = found
     return Cpro2Result(True, frozenset(bit_positions(footprint)), positions)
+
+
+def _footprint_packer(inst: Pro2Instance, inv_eps: int, cap: int):
+    """The staged DP's per-call set-up for ``inst`` at ``inv_eps`` stages:
+    the schedule with the footprint offset, the zero-weight sets and the
+    candidate footprints as seed masks.  Returns its per-cut ``pack``."""
+    kq = inst.k - inst.q
+    sched = stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
+    # raw member tuples: a triangle's three paths share one node set and
+    # must keep the three positions the caller maps back through
+    return _pack_stages(inst.universe.elements, [(members, 0) for members in inst.family], kq,
+                        sched, 0, [sum(1 << e for e in cand) for cand in inst.candidates],
+                        cap=cap)
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,13 @@ class Pro2Result:
 
 
 def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
-    """Unbalanced-cutting driver for the footprint-avoiding packing decision."""
+    """Unbalanced-cutting driver for the footprint-avoiding packing decision.
+
+    The schedule, the sets and the candidate footprints' masks are built
+    once per call; each distinct cut builds only its rank tuple and its DP,
+    which may create ``_CUT_ENTRY_CAP`` entries.  ``budget`` caps the raw
+    cut tuples drawn.
+    """
     kq = inst.k - inst.q
     if kq < 0:
         return Pro2Result("reject")
@@ -221,12 +235,13 @@ def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
     inv_eps = inst.inv_eps
     if kq // inv_eps < 1:
         inv_eps = 1
+    pack = _footprint_packer(inst, inv_eps, _CUT_ENTRY_CAP)
     try:
-        for uni2, f in cut_universes(inst.universe, inv_eps, budget):
-            res = solve_cpro2(Pro2Instance(uni2, inst.k, inst.family, inst.p, inst.q,
-                                           inst.candidates, inv_eps, f))
-            if res.accept:
-                return Pro2Result("accept", res.footprint, res.ordered_sets)
+        for rank, f in cut_universes(inst.universe, inv_eps, budget):
+            found = pack(rank, f)
+            if found is not None:
+                positions, footprint, _ = found
+                return Pro2Result("accept", frozenset(bit_positions(footprint)), positions)
     except BudgetExceededError:
         return Pro2Result("budget-exceeded")
     return Pro2Result("reject")

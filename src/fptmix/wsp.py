@@ -4,18 +4,20 @@ The cut subproblem asks for an ordered packing: sets inserted in increasing
 order of their smallest element, where a staged threshold function licenses
 deleting every element below it from partial solutions, and a deletion
 schedule R prescribes how many non-minimum elements each stage must shed.
-The driver enumerates every way to cut the universe into consecutive pieces,
-reorders the universe so the pieces come first, and hands the induced
-threshold function to the cut solver.
+The driver enumerates every way to cut the universe into consecutive pieces
+and runs the cut solver under the order that puts the pieces first, with
+the induced threshold function.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import add, lt
 
 from .core import (BudgetExceededError, OrderedUniverse, ParameterError, WeightedSetFamily,
-                   _ceildiv, add_weights, bit_positions, block_permutation, reorder_universe)
+                   _ceildiv, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -70,77 +72,75 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
     """Staged dynamic program over ordered packings of the whole family.
 
     After every entry the family is replaced by a max 3(k - j)-representative
-    subfamily unless ``reduce`` is off (the A/B soundness mode).
+    subfamily unless ``reduce`` is off (the A/B soundness mode).  This is the
+    one-cut entry: the same two ``_pack_stages`` steps ``wsp_alg`` runs, its
+    per-call set-up and then one cut, the instance's own order and f.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
-    found = _pack_stages(inst.universe, inst.family.sets, inst.k, inst.f,
-                         stage_schedule(inst.k, inst.inv_eps),
-                         [((0,) * inst.inv_eps, 0)], inst.W,
-                         reduce=reduce, trace=trace, audit=audit)
+    pack = _pack_stages(inst.universe.elements, inst.family.sets, inst.k,
+                        stage_schedule(inst.k, inst.inv_eps), inst.W,
+                        reduce=reduce, trace=trace, audit=audit)
+    found = pack(inst.universe.rank, inst.f)
     if found is None:
         return CwspResult(False)
     positions, _, weight = found
     return CwspResult(True, positions, weight)
 
 
-def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sched,
-                 seeds, W: int, reduce: bool = False,
-                 trace: dict | None = None, audit: bool = False,
-                 cap: int | None = None) -> tuple[tuple[int, ...], int, int] | None:
+def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(0,),
+                 reduce: bool = False, trace: dict | None = None, audit: bool = False,
+                 cap: int | None = None):
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
 
-    ``sets`` lists (member tuple, weight) by position, duplicates allowed.
+    It runs in two steps.  This call does what no cut changes, once per
+    solver call: it takes the set weights, the heaviest and lightest, each
+    set's element mask, and the weight skip below.  It returns
+    ``pack(rank, f)``, which runs the DP for one cut: ``rank`` is the rank
+    tuple of the cut's order of ``elements`` and ``f`` the stage threshold
+    function, one element per stage.  Per cut it builds only the per-set
+    (smallest-element rank, per-stage deletable counts) rows, the seeds'
+    counts and the layers.
+
+    ``sets`` lists (member tuple, weight) by position, duplicates allowed,
+    and ``sched`` is the stage schedule R(0..t).
     Layer (i, j) holds packings of j sets at stage i, keyed by (per-stage
     deletable counts, smallest element of the last set); stored sets are
     element bitmasks holding the seed's elements and the sets' non-minimum
     elements that lie above the previous stage threshold.
-    Layer (0, 0) holds ``seeds``, (per-stage deletable counts, stored mask)
-    pairs: the empty pair for a plain packing, or one pair per footprint
-    that the packing must avoid.  ``reduce`` replaces each entry by a max
-    3(k - j)-representative subfamily, one ``reduce_layer`` call per layer,
-    and ``audit`` checks the element ledger; both assume empty seeds.  ``cap`` bounds the entries created,
-    checked after every layer.  Before that count and the reductions, a
-    layer drops each stored set of j sets that stays below ``W`` even when
-    k - j sets of the heaviest weight follow; keys left empty go too.  This
-    leaves verdicts and weights as they are, while a witness can move to
-    another packing of equal weight.  A set lighter than
-    W - (k - 1) * heaviest is skipped before the DP: j sets holding it weigh
+    Layer (0, 0) holds ``seeds``, the stored masks to start from: the empty
+    mask for a plain packing, or one mask per footprint that the packing
+    must avoid, counted per stage under each cut.  ``reduce`` replaces each
+    entry by a max 3(k - j)-representative subfamily, one ``reduce_layer``
+    call per layer over the cut's order, and ``audit`` checks the element
+    ledger; both assume empty seeds.  ``cap`` bounds the entries one cut
+    creates, checked after every layer.  Before that count and the
+    reductions, a layer drops each stored set of j sets that stays below
+    ``W`` even when k - j sets of the heaviest weight follow; keys left
+    empty go too.  This leaves verdicts and weights as they are, while a
+    witness can move to another packing of equal weight.  A set lighter than
+    W - (k - 1) * heaviest is skipped before any cut: j sets holding it weigh
     less than W - (k - j) * heaviest, so that drop would remove every packing
     it builds, and the layers after the drop hold the same (key, mask,
     weight) triples.  Sets are scanned in order of their smallest element;
     for each child key the scan starts, by bisection, past every set whose
     minimum is not above both the key's last minimum and the stage floor.
-    Returns the positions, the seed set and the weight of the first heaviest
-    k-set packing of weight at least ``W`` that meets the schedule, or None;
-    the seed comes back as its mask.
+    ``pack`` returns the positions, the seed set and the weight of the first
+    heaviest k-set packing of weight at least ``W`` that meets the schedule,
+    or None; the seed comes back as its mask.
     """
-    rank = universe.rank
-    t = len(f)
-    ek = k // t
-    f_rank = [rank[e] for e in f]
-
     weights = [w for _, w in sets]
     heaviest, lightest = max(weights, default=0), min(weights, default=0)
     min_useful = W - (k - 1) * heaviest
-    sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
-    for pos, (members, w) in enumerate(sets):
-        if w < min_useful:
-            continue  # every partial packing holding it is pruned below
-        mn = min(members, key=lambda e: rank[e])
-        others = [m for m in members if m != mn]
-        contrib = tuple(sum(1 for e in others if rank[e] <= f_rank[l]) for l in range(t))
-        mask = sum(1 << e for e in members)
-        sets_by_min.append((rank[mn], pos, contrib, mask ^ (1 << mn), mask, w))
-    sets_by_min.sort()
-    mranks = [row[0] for row in sets_by_min]
+    # every partial packing holding a lighter set is pruned below
+    useful = [(pos, members, sum(1 << e for e in members), w)
+              for pos, (members, w) in enumerate(sets) if w >= min_useful]
+    everything = tuple(range(len(elements)))
+    full = (1 << len(elements)) - 1
 
     Entry = dict  # {stored mask: (weight, payload)}
-    seed_layer: dict[tuple, Entry] = {}
-    layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
-    everything = tuple(range(len(universe)))
 
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
@@ -148,89 +148,111 @@ def _pack_stages(universe: OrderedUniverse, sets, k: int, f: tuple[int, ...], sc
         if old is None or weight > old[0]:
             entry[fs] = (weight, payload)
 
-    for s_vec, fs in seeds:
-        put(seed_layer, (s_vec, -1), fs, 0, None)
-    spent = 0
-    for i in range(1, t + 2):
-        j_lo = 1 + (i - 1) * ek
-        j_hi = i * ek if i <= t else k
-        # every element of a set inserted at stage i must exceed f(i-1)
-        floor_i = f_rank[i - 2] if i >= 2 else -1
-        for j in range(j_lo, min(j_hi, k) + 1):
-            layer: dict[tuple, Entry] = {}
-            # a stage's first layer extends the previous stage's last one
-            child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
-            # the elements a stored set keeps: all, or at a stage's first
-            # layer only those above floor_i
-            keep = (sum(1 << e for e, r in enumerate(rank) if r > floor_i)
-                    if j == j_lo and i >= 2 else -1)
-            for (s_vec, mrank_c), entry in layers[child_lk].items():
-                start = bisect_right(mranks, max(mrank_c, floor_i))
-                for mrank, pos, contrib, others, members, w in sets_by_min[start:]:
-                    new_s = tuple(a + b for a, b in zip(s_vec, contrib))
-                    if any(new_s[l] < sched[l + 1] for l in range(i - 1)):
-                        continue
-                    for fs, (cw, _) in entry.items():
-                        a = fs & keep
-                        # dropped minima and stage-stripped elements all
-                        # sort below min(S), so this one check is full
-                        # disjointness against the partial solution
-                        if a & members:
+    def pack(rank, f) -> tuple[tuple[int, ...], int, int] | None:
+        t = len(f)
+        ek = k // t
+        f_rank = [rank[e] for e in f]
+        # prefix[r]: the elements of rank r or less; below[l]: those at or
+        # below the stage threshold f(l + 1)
+        prefix = list(accumulate(1 << e for e in sorted(everything, key=rank.__getitem__)))
+        below = [prefix[fr] for fr in f_rank]
+        sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
+        for pos, members, mask, w in useful:
+            mn = min(members, key=rank.__getitem__)
+            others = mask ^ (1 << mn)
+            sets_by_min.append((rank[mn], pos, tuple([(others & b).bit_count() for b in below]),
+                                others, mask, w))
+        sets_by_min.sort()
+        mranks = [row[0] for row in sets_by_min]
+        universe = OrderedUniverse(elements, rank) if reduce else None
+
+        seed_layer: dict[tuple, Entry] = {}
+        layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
+        for fs in seeds:
+            put(seed_layer, (tuple([(fs & b).bit_count() for b in below]), -1), fs, 0, None)
+        spent = 0
+        for i in range(1, t + 2):
+            j_lo = 1 + (i - 1) * ek
+            j_hi = i * ek if i <= t else k
+            # every element of a set inserted at stage i must exceed f(i-1)
+            floor_i = f_rank[i - 2] if i >= 2 else -1
+            due = sched[1:i]  # the deletions owed by stages 1 .. i - 1
+            for j in range(j_lo, min(j_hi, k) + 1):
+                layer: dict[tuple, Entry] = {}
+                # a stage's first layer extends the previous stage's last one
+                child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
+                # the elements a stored set keeps: all, or at a stage's first
+                # layer only those above floor_i
+                keep = full ^ below[i - 2] if j == j_lo and i >= 2 else -1
+                for (s_vec, mrank_c), entry in layers[child_lk].items():
+                    start = bisect_right(mranks, max(mrank_c, floor_i))
+                    for mrank, pos, contrib, others, members, w in sets_by_min[start:]:
+                        new_s = tuple(map(add, s_vec, contrib))
+                        if any(map(lt, new_s, due)):
                             continue
-                        put(layer, (new_s, mrank), a | others,
-                            add_weights(cw, w), (child_lk, (s_vec, mrank_c), fs, pos))
-            # j sets below W - (k - j) * heaviest cannot reach W, nor can any
-            # extension; j * lightest bounds every stored weight from below
-            need = W - (k - j) * heaviest
-            if need > j * lightest:
-                for key in list(layer):
-                    alive = {fs: v for fs, v in layer[key].items() if v[0] >= need}
-                    if alive:
-                        layer[key] = alive
-                    else:
-                        del layer[key]
-            if cap is not None:
-                spent += sum(len(entry) for entry in layer.values())
-                if spent > cap:
-                    raise BudgetExceededError(f"more than {cap} cut packing table entries")
-            if reduce:
-                def parts_of(key):
-                    # stored sets hold 2j elements less stage i - 1's deletable count
-                    size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                    return (PartitionPart(everything, size + 3 * (k - j), size),)
-                reduce_layer(universe, layer, parts_of, "max", trace)
-            if audit:
-                for (s_vec, mrank), entry in layer.items():
-                    for fs in map(bit_positions, entry):
-                        # element ledger: nothing at or below the last stage
-                        # threshold survives, sizes track 2j - s_(i-1), and
-                        # the per-stage counts match the coordinates
-                        assert all(rank[e] > floor_i for e in fs)
-                        base = s_vec[i - 2] if i >= 2 else 0
-                        assert len(fs) == 2 * j - base
-                        for l in range(max(0, i - 2), t):
-                            got = sum(1 for e in fs if rank[e] <= f_rank[l])
-                            assert got == s_vec[l] - base, (i, j, s_vec, l)
-            layers[(i, j)] = layer
+                        for fs, (cw, _) in entry.items():
+                            a = fs & keep
+                            # dropped minima and stage-stripped elements all
+                            # sort below min(S), so this one check is full
+                            # disjointness against the partial solution
+                            if a & members:
+                                continue
+                            put(layer, (new_s, mrank), a | others,
+                                add_weights(cw, w), (child_lk, (s_vec, mrank_c), fs, pos))
+                # j sets below W - (k - j) * heaviest cannot reach W, nor can
+                # any extension; j * lightest bounds every stored weight from below
+                need = W - (k - j) * heaviest
+                if need > j * lightest:
+                    for key in list(layer):
+                        alive = {fs: v for fs, v in layer[key].items() if v[0] >= need}
+                        if alive:
+                            layer[key] = alive
+                        else:
+                            del layer[key]
+                if cap is not None:
+                    spent += sum(len(entry) for entry in layer.values())
+                    if spent > cap:
+                        raise BudgetExceededError(f"more than {cap} cut packing table entries")
+                if reduce:
+                    def parts_of(key):
+                        # stored sets hold 2j elements less stage i - 1's deletable count
+                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                        return (PartitionPart(everything, size + 3 * (k - j), size),)
+                    reduce_layer(universe, layer, parts_of, "max", trace)
+                if audit:
+                    for (s_vec, mrank), entry in layer.items():
+                        for fs in map(bit_positions, entry):
+                            # element ledger: nothing at or below the last stage
+                            # threshold survives, sizes track 2j - s_(i-1), and
+                            # the per-stage counts match the coordinates
+                            assert all(rank[e] > floor_i for e in fs)
+                            base = s_vec[i - 2] if i >= 2 else 0
+                            assert len(fs) == 2 * j - base
+                            for l in range(max(0, i - 2), t):
+                                got = sum(1 for e in fs if rank[e] <= f_rank[l])
+                                assert got == s_vec[l] - base, (i, j, s_vec, l)
+                layers[(i, j)] = layer
 
-    best: tuple[int, tuple, int] | None = None
-    layer_key = max(layers)  # the one layer of k sets is built last
-    for key, entry in layers[layer_key].items():
-        if any(key[0][l] < sched[l + 1] for l in range(t)):
-            continue
-        for fs, (w, _) in entry.items():
-            if w >= W and (best is None or w > best[0]):
-                best = (w, key, fs)
-    if best is None:
-        return None
+        best: tuple[int, tuple, int] | None = None
+        layer_key = max(layers)  # the one layer of k sets is built last
+        for key, entry in layers[layer_key].items():
+            if any(key[0][l] < sched[l + 1] for l in range(t)):
+                continue
+            for fs, (w, _) in entry.items():
+                if w >= W and (best is None or w > best[0]):
+                    best = (w, key, fs)
+        if best is None:
+            return None
 
-    weight, key, fs = best
-    positions = []
-    while layer_key != (0, 0):
-        layer_key, key, fs, pos = layers[layer_key][key][fs][1]
-        positions.append(pos)
-    positions.reverse()
-    return tuple(positions), fs, weight
+        weight, key, fs = best
+        positions = []
+        while layer_key != (0, 0):
+            layer_key, key, fs, pos = layers[layer_key][key][fs][1]
+            positions.append(pos)
+        positions.reverse()
+        return tuple(positions), fs, weight
+
+    return pack
 
 
 def verify_cwsp_witness(inst: CwspInstance, result: CwspResult) -> None:
@@ -306,37 +328,50 @@ def cut_tuples(order: list[int], pieces: int):
     yield from rec(tuple(range(len(order))))
 
 
+def _drawn_cuts(order: list[int], pieces: int, budget: int):
+    """The raw cut tuples of ``cut_tuples``, each charged to ``budget``:
+    drawing one more than it allows raises ``BudgetExceededError``."""
+    for spent, cut in enumerate(cut_tuples(order, pieces), 1):
+        if spent > budget:
+            raise BudgetExceededError(f"more than {budget} cut tuples")
+        yield cut
+
+
 def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
     """Each distinct way to cut ``universe`` into ``pieces`` blocks, as the
-    universe reordered so the blocks come first plus the stage threshold
-    function f (the last element of each block).
+    rank tuple of the universe reordered so the blocks come first, plus the
+    stage threshold function f (the last element of each block).
 
-    Block i holds the ranks of span i not claimed by an earlier span; cut
-    tuples that leave a block empty or repeat an earlier block tuple are
-    skipped.  ``budget`` caps the raw cut tuples drawn, skipped ones
-    included: drawing one more raises ``BudgetExceededError``.
+    Block i holds the ranks of span i not claimed by an earlier span, in
+    rank order; cut tuples that leave a block empty or repeat an earlier
+    block tuple are skipped.  Each cut's ranks are built in one pass: the
+    blocks' elements are numbered 0, 1, ... in block order and the leftovers
+    after them in rank order, the ranks of
+    ``reorder_universe(universe, block_permutation(universe, blocks))``.
+    No universe is built.  ``budget`` caps the raw cut tuples drawn, skipped
+    ones included: drawing one more raises ``BudgetExceededError``.
     """
     order = universe.by_rank()
     seen: set[tuple] = set()
-    spent = 0
-    for cut in cut_tuples(order, pieces):
-        spent += 1
-        if spent > budget:
-            raise BudgetExceededError(f"more than {budget} cut tuples")
-        blocks: list[tuple[int, ...]] = []
-        usedr: set[int] = set()
+    for cut in _drawn_cuts(order, pieces, budget):
+        claimed = 0  # bit r: rank r lies in an earlier span
+        placed: list[int] = []  # the blocks' ranks, in block order
+        ends: list[int] = []  # len(placed) after each block
         for lo, hi in cut:
-            block = tuple(order[r] for r in range(lo, hi + 1) if r not in usedr)
-            usedr.update(range(lo, hi + 1))
-            if not block:
+            placed.extend(r for r in range(lo, hi + 1) if not claimed >> r & 1)
+            claimed |= (2 << hi) - (1 << lo)
+            if len(placed) == (ends[-1] if ends else 0):
                 break
-            blocks.append(block)
-        key = tuple(blocks)
-        if len(key) < pieces or key in seen:
+            ends.append(len(placed))
+        key = (tuple(placed), tuple(ends))
+        if len(ends) < pieces or key in seen:
             continue
         seen.add(key)
-        uni2 = reorder_universe(universe, block_permutation(universe, blocks))
-        yield uni2, tuple(max(b, key=lambda e: uni2.rank[e]) for b in blocks)
+        placed.extend(r for r in range(len(order)) if not claimed >> r & 1)
+        rank = [0] * len(order)
+        for new_rank, r in enumerate(placed):
+            rank[order[r]] = new_rank
+        yield tuple(rank), tuple(order[placed[end - 1]] for end in ends)
 
 
 def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int,
@@ -344,12 +379,18 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
             reduce: bool = True, trace: dict | None = None) -> WspResult:
     """Unbalanced-cutting driver for weighted 3-set k-packing.
 
-    Enumerates every cut tuple, reorders the universe so the cut pieces come
-    first, derives the stage threshold function, and accepts iff some induced
-    cut instance accepts.  The enumeration count is budget-capped.  With one
-    stage (1/eps = 1, or the fallback when floor(eps*k) = 0) nothing is
-    stripped, so the first cut instance is the exact ordered-packing DP and
-    its reject stands for every cut: a one-stage reject draws one cut tuple.
+    Enumerates every cut tuple and accepts iff the staged DP accepts under
+    some cut's order and stage threshold function.  The schedule, the
+    deduplicated sets with their masks and weights and the weight skip are
+    built once per call (``_pack_stages``); each distinct cut builds only its
+    rank tuple (``cut_universes``) and its DP.  The enumeration count is
+    budget-capped.  With one stage (1/eps = 1, or the fallback when
+    floor(eps*k) = 0) nothing is stripped, so the first cut instance is the
+    exact ordered-packing DP and its reject stands for every cut: a
+    one-stage reject draws one cut tuple.  When fewer than k sets exist, or
+    the k heaviest weigh less than W, no cut can accept: the call then draws
+    the cut tuples a reject draws, for the budget, and builds no cut order
+    and runs no DP, so no reduction runs and ``trace`` is left as it is.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -362,11 +403,22 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     if k // inv_eps < 1:
         inv_eps = 1  # staged machinery needs floor(eps*k) >= 1; one stage always works
     sets = WeightedSetFamily(universe, 3, family.sets, "max")  # ranks come from each cut
+    top = sorted((w for _, w in sets.sets), reverse=True)[:k]  # the k heaviest weights
     try:
-        for uni2, f in cut_universes(universe, inv_eps, budget):
-            inst = CwspInstance(uni2, sets, W, k, inv_eps, f)
-            res = solve_cwsp(inst, reduce=reduce, trace=trace)
-            if res.accept:
+        if len(top) < k or sum(top) < W:
+            # no k sets reach W under any cut; draw what a reject draws, for the budget
+            for _ in _drawn_cuts(universe.by_rank(), inv_eps, budget):
+                if inv_eps == 1:
+                    break
+            return WspResult("reject")
+        pack = _pack_stages(universe.elements, sets.sets, k, stage_schedule(k, inv_eps), W,
+                            reduce=reduce, trace=trace)
+        for rank, f in cut_universes(universe, inv_eps, budget):
+            found = pack(rank, f)
+            if found is not None:
+                res = CwspResult(True, found[0], found[2])
+                inst = CwspInstance(OrderedUniverse(universe.elements, rank), sets, W, k,
+                                    inv_eps, f)
                 verify_cwsp_witness(inst, res)
                 return WspResult("accept", res.ordered_sets, res.weight)
             if inv_eps == 1:

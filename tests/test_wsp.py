@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import InstanceError, OrderedUniverse, ParameterError, WeightedSetFamily
+from fptmix.core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
+                         WeightedSetFamily, block_permutation, reorder_universe)
 from fptmix import oracles, wsp
 
 
@@ -315,29 +316,39 @@ def test_entry_points_check_c_when_no_reduction_runs():
 @given(st.integers(6, 9), st.data())
 def test_wsp_alg_matches_oracle_with_skewed_weights(n, data):
     """Heavy and light sets together, so that the DP skips every set lighter
-    than W - (k - 1) * heaviest before it starts: verdicts and weights must
-    still match the oracle at the optimum and one past it."""
+    than W - (k - 1) * heaviest before it starts, and W around the weight of
+    the k heaviest sets, where a reject is settled without any DP; families
+    may hold fewer than k sets and negative weights.  Verdicts and weights
+    must match the oracle at each W."""
     uni = universe(n)
     members = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
-    heavy = data.draw(st.lists(st.tuples(members, st.integers(60, 99)), min_size=1, max_size=4))
-    light = data.draw(st.lists(st.tuples(members, st.integers(-9, 20)), min_size=1, max_size=4))
+    heavy = data.draw(st.lists(st.tuples(members, st.integers(60, 99)), max_size=4))
+    light = data.draw(st.lists(st.tuples(members, st.integers(-99, 20)), min_size=1, max_size=4))
     sets = data.draw(st.permutations(heavy + light))
     fam = WeightedSetFamily(uni, 3, tuple((tuple(sorted(m)), w) for m, w in sets), "max")
     k = data.draw(st.integers(1, 3))
     opt = oracles.oracle_wsp(fam, k)
-    if opt is None:
-        return
+    top = sum(sorted((w for _, w in fam.sets), reverse=True)[:k])
+    targets = {top - 1, top, top + 1} | ({opt, opt + 1} if opt is not None else set())
     for inv in (1, 2):
-        hit = wsp.wsp_alg(uni, fam, opt, k, inv)
-        assert hit.status == "accept" and hit.weight == opt
-        assert len(set(e for p in hit.packing for e in fam.members(p))) == 3 * k
-        assert sum(fam.weight(p) for p in hit.packing) == opt
-        assert wsp.wsp_alg(uni, fam, opt + 1, k, inv).status == "reject"
+        for W in sorted(targets):
+            res = wsp.wsp_alg(uni, fam, W, k, inv)
+            if opt is None or W > opt:
+                assert res.status == "reject", (W, opt)
+                continue
+            # below the optimum the first accepting cut may hold a lighter packing
+            assert res.status == "accept" and W <= res.weight <= opt
+            assert W < opt or res.weight == opt
+            assert len(set(e for p in res.packing for e in fam.members(p))) == 3 * k
+            assert sum(fam.weight(p) for p in res.packing) == res.weight
 
 
-def test_reject_with_every_set_skipped_still_draws_every_cut():
+def test_reject_with_every_set_skipped_still_draws_every_cut(monkeypatch):
     """W > k * heaviest leaves no set in any cut's DP, but the driver still
-    walks, and counts, every cut tuple before it rejects."""
+    walks, and counts, every cut tuple before it rejects.  With W above the
+    k heaviest sets together but not above k * heaviest, the per-set skip
+    keeps the heaviest set, yet no cut can accept: the reject is settled
+    without any DP and still draws every cut tuple, or one at one stage."""
     uni = universe(8)
     fam = random_family(random.Random(5), uni, 10)
     k, inv = 2, 2
@@ -345,3 +356,58 @@ def test_reject_with_every_set_skipped_still_draws_every_cut():
     cuts = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), inv))
     assert wsp.wsp_alg(uni, fam, W, k, inv, budget=cuts - 1).status == "budget-exceeded"
     assert wsp.wsp_alg(uni, fam, W, k, inv, budget=cuts).status == "reject"
+
+    fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 9), ((3, 4, 5), 5), ((1, 3, 6), 5),
+                                     ((2, 5, 7), 4), ((0, 6, 7), -3)), "max")
+    W = 9 + 5 + 1
+    assert W <= k * 9 and W - (k - 1) * 9 <= 9  # the per-set skip keeps the heaviest set
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a reject settled by weight ran the DP")
+
+    monkeypatch.setattr(wsp, "_pack_stages", no_dp)
+    for inv in (1, 2):
+        drawn = 1 if inv == 1 else sum(1 for _ in wsp.cut_tuples(uni.by_rank(), inv))
+        trace = {}
+        got = wsp.wsp_alg(uni, fam, W, k, inv, budget=drawn - 1, trace=trace)
+        assert got.status == "budget-exceeded"
+        assert wsp.wsp_alg(uni, fam, W, k, inv, budget=drawn, trace=trace).status == "reject"
+        assert trace == {}
+    # fewer sets than k: no packing at all, whatever W
+    assert wsp.wsp_alg(uni, fam, -10**6, 6, 1, budget=1).status == "reject"
+
+
+def _reference_cut_universes(uni, pieces):
+    """The cuts of ``cut_universes`` through ``block_permutation`` and
+    ``reorder_universe``: (rank tuple, f) per distinct block tuple."""
+    order = uni.by_rank()
+    seen = set()
+    for cut in wsp.cut_tuples(order, pieces):
+        blocks, used = [], set()
+        for lo, hi in cut:
+            block = tuple(order[r] for r in range(lo, hi + 1) if r not in used)
+            used.update(range(lo, hi + 1))
+            if not block:
+                break
+            blocks.append(block)
+        key = tuple(blocks)
+        if len(key) < pieces or key in seen:
+            continue
+        seen.add(key)
+        uni2 = reorder_universe(uni, block_permutation(uni, blocks))
+        yield uni2.rank, tuple(max(b, key=uni2.rank.__getitem__) for b in blocks)
+
+
+def test_cut_universes_match_block_permutation():
+    rng = random.Random(13)
+    for n in range(0, 8):
+        rank = list(range(n))
+        rng.shuffle(rank)
+        uni = OrderedUniverse(tuple(f"u{i}" for i in range(n)), tuple(rank))
+        for pieces in (1, 2, 3):
+            got = list(wsp.cut_universes(uni, pieces, 10**6))
+            assert got == list(_reference_cut_universes(uni, pieces)), (rank, pieces)
+            raw = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), pieces))
+            if raw:
+                with pytest.raises(BudgetExceededError):
+                    list(wsp.cut_universes(uni, pieces, raw - 1))
