@@ -182,8 +182,8 @@ def solve_cpro2(inst: Pro2Instance, budget: int = _CUT_ENTRY_CAP) -> Cpro2Result
     (0, 0) holds one seed per candidate footprint, and the schedule counts
     the footprint's 3q - p elements from the start.  ``budget`` caps the
     number of materialized entries; explicit subsets can multiply out on
-    adversarial inputs.  This is the one-cut entry: the per-call set-up
-    ``procedure2`` builds once, then the instance's own order and f.
+    adversarial inputs.  It runs the same two steps as ``procedure2``: the
+    per-call set-up, then one cut, under the instance's own order and f.
     """
     if inst.f is None:
         raise ParameterError("the cut subproblem needs the stage function f")

@@ -72,9 +72,9 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
     """Staged dynamic program over ordered packings of the whole family.
 
     After every entry the family is replaced by a max 3(k - j)-representative
-    subfamily unless ``reduce`` is off (the A/B soundness mode).  This is the
-    one-cut entry: the same two ``_pack_stages`` steps ``wsp_alg`` runs, its
-    per-call set-up and then one cut, the instance's own order and f.
+    subfamily unless ``reduce`` is off (the A/B soundness mode).  It runs the
+    same two ``_pack_stages`` steps as ``wsp_alg``: the per-call set-up, then
+    one cut, under the instance's own order and f.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -416,11 +416,11 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         for rank, f in cut_universes(universe, inv_eps, budget):
             found = pack(rank, f)
             if found is not None:
-                res = CwspResult(True, found[0], found[2])
+                positions, _, weight = found
                 inst = CwspInstance(OrderedUniverse(universe.elements, rank), sets, W, k,
                                     inv_eps, f)
-                verify_cwsp_witness(inst, res)
-                return WspResult("accept", res.ordered_sets, res.weight)
+                verify_cwsp_witness(inst, CwspResult(True, positions, weight))
+                return WspResult("accept", positions, weight)
             if inv_eps == 1:
                 break  # one stage strips nothing, so no other cut can accept
     except BudgetExceededError:
