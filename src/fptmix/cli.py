@@ -28,18 +28,14 @@ from . import unisets
 from . import wsp as wsp_mod
 from .core import (
     BudgetExceededError,
-    Digraph,
     FptMixError,
-    Graph,
     InstanceError,
-    OrderedUniverse,
     ParameterError,
     WeightedSetFamily,
     _int_field,
     budget_from_env,
     check_weight,
     parse_instance,
-    serialize_instance,
 )
 
 EXIT_ACCEPT = 0
@@ -77,11 +73,13 @@ def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=Non
 
 
 _DOCUMENT_KIND = {"kpath": "digraph", "kiob": "digraph", "wsp": "setfamily", "p2p": "graph"}
+# 1/eps when neither ``--inv-eps`` nor a caller names one (kcwp reads its own, kiob has none)
+_INV_EPS = {"kpath": 13, "wsp": 2, "p2p": 2}
 
 
 def _parse_for(problem: str, doc: str):
     """Parse ``doc`` and insist it is the document kind ``problem`` reads."""
-    if problem not in _DOCUMENT_KIND:
+    if not isinstance(problem, str) or problem not in _DOCUMENT_KIND:
         raise ParameterError(f"unknown problem {problem!r}")
     parsed = parse_instance(doc)
     if parsed.kind != _DOCUMENT_KIND[problem]:
@@ -108,6 +106,13 @@ def _weight_bound(problem: str, W, parsed):
     return W if W is None else check_weight(W)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}")
+
+
 def _verdict_exit(verdict: str) -> int:
     return {"accept": EXIT_ACCEPT, "valid": EXIT_ACCEPT,
             "reject": EXIT_REJECT, "invalid": EXIT_REJECT,
@@ -116,93 +121,82 @@ def _verdict_exit(verdict: str) -> int:
 
 # ------------------------------------------------------------------ solve
 
+def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None,
+         delta=Fraction(1, 12), gamma=Fraction(84, 1000)) -> tuple[str, dict | None]:
+    """Run ``problem``'s solver on its parsed instance, as ``solve`` and every
+    ``bench`` row do: the verdict, and on accept the re-verified witness."""
+    inv_eps = _INV_EPS.get(problem) if inv_eps is None else inv_eps
+    if problem == "kcwp":
+        res = kpath_mod.solve_kcwp(value, trace=trace)
+    elif problem == "kiob":
+        res = kiob_mod.solve_kiob(value, k, trace=trace)
+    elif problem == "kpath":
+        res = kpath_mod.path_alg(value, W, k, inv_eps, delta, gamma, budget, trace)
+    elif problem == "wsp":
+        res = wsp_mod.wsp_alg(value.universe, value, W, k, inv_eps, budget=budget, trace=trace)
+    else:
+        res = p2_mod.solve_p2packing(value, k, inv_eps, budget=budget, trace=trace)
+    verdict = getattr(res, "status", None) or ("accept" if res.accept else "reject")
+    if verdict != "accept":
+        return verdict, None
+    if problem == "kcwp":
+        kpath_mod.verify_kcwp_witness(value, res)
+        return verdict, {"pieces": [list(p) for p in res.pieces], "weight": res.weight,
+                         "chained": res.chained}
+    if problem == "kiob":
+        return verdict, {"root": res.root, "branching": [list(a) for a in res.branching]}
+    if problem == "kpath":
+        return verdict, {"path": list(res.path), "weight": res.weight}
+    if problem == "wsp":
+        labels = value.universe.elements
+        return verdict, {"sets": [[labels[e] for e in value.members(p)] for p in res.packing],
+                         "weight": res.weight}
+    return verdict, {"paths": [list(p) for p in res.packing.paths]}
+
+
 def _cmd_solve(args, argv) -> int:
     trace: dict = {}
-    timings: dict = {}
     t0 = time.perf_counter()
     doc = _load(args.instance)
     if args.problem == "kcwp":
-        inst = kpath_mod.kcwp_instance_from_document(doc)
-        timings["parse"] = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        res = kpath_mod.solve_kcwp(inst, trace=trace)
-        timings["solve"] = time.perf_counter() - t1
-        witness = None
-        if res.accept:
-            kpath_mod.verify_kcwp_witness(inst, res)
-            witness = {"pieces": [list(p) for p in res.pieces], "weight": res.weight,
-                       "chained": res.chained}
-        _report(argv, "accept" if res.accept else "reject", witness, timings, trace)
-        return EXIT_ACCEPT if res.accept else EXIT_REJECT
-
-    parsed = _parse_for(args.problem, doc)
-    k = _required_k(args.k, parsed)
-    W = _weight_bound(args.problem, args.W, parsed)
-    timings["parse"] = time.perf_counter() - t0
+        value, k, W = kpath_mod.kcwp_instance_from_document(doc), None, None
+    else:
+        parsed = _parse_for(args.problem, doc)
+        value, k, W = (parsed.value, _required_k(args.k, parsed),
+                       _weight_bound(args.problem, args.W, parsed))
     t1 = time.perf_counter()
-
-    if args.problem == "kiob":
-        res = kiob_mod.solve_kiob(parsed.value, k, trace=trace)
-        timings["solve"] = time.perf_counter() - t1
-        witness = {"root": res.root, "branching": [list(a) for a in res.branching]} \
-            if res.accept else None
-        _report(argv, "accept" if res.accept else "reject", witness, timings, trace)
-        return EXIT_ACCEPT if res.accept else EXIT_REJECT
-
-    if args.problem == "kpath":
-        res = kpath_mod.path_alg(parsed.value, W, k, args.inv_eps, args.delta,
-                                 args.gamma, args.budget, trace)
-        timings["solve"] = time.perf_counter() - t1
-        witness = {"path": list(res.path), "weight": res.weight} \
-            if res.status == "accept" else None
-        _report(argv, res.status, witness, timings, trace)
-        return _verdict_exit(res.status)
-
-    if args.problem == "wsp":
-        fam: WeightedSetFamily = parsed.value
-        res = wsp_mod.wsp_alg(fam.universe, fam, W, k, args.inv_eps, budget=args.budget,
-                              trace=trace)
-        timings["solve"] = time.perf_counter() - t1
-        witness = None
-        if res.status == "accept":
-            labels = fam.universe.elements
-            witness = {"sets": [[labels[e] for e in fam.members(p)] for p in res.packing],
-                       "weight": res.weight}
-        _report(argv, res.status, witness, timings, trace)
-        return _verdict_exit(res.status)
-
-    res = p2_mod.solve_p2packing(parsed.value, k, args.inv_eps, budget=args.budget,
-                                 trace=trace)
-    timings["solve"] = time.perf_counter() - t1
-    witness = {"paths": [list(p) for p in res.packing.paths]} \
-        if res.status == "accept" else None
-    _report(argv, res.status, witness, timings, trace)
-    return _verdict_exit(res.status)
+    verdict, witness = _run(args.problem, value, k, W, args.budget, trace, args.inv_eps,
+                            args.delta, args.gamma)
+    timings = {"parse": t1 - t0, "solve": time.perf_counter() - t1}
+    _report(argv, verdict, witness, timings, trace)
+    return _verdict_exit(verdict)
 
 
 # ------------------------------------------------------------------ check
+
+def _oracle(problem: str, value, k, W, budget=None) -> tuple[str, int | None]:
+    """The brute-force verdict, and for kpath and wsp the optimum (None when
+    no k-structure exists); with no W any optimum accepts."""
+    budget = None if budget is None else oracles.OracleBudget(budget)
+    if problem == "kiob":
+        ok, opt = oracles.oracle_kiob(value, k, budget), None
+    elif problem == "p2p":
+        ok, opt = oracles.oracle_p2p(value, k, budget), None
+    elif problem == "kpath":
+        opt = oracles.oracle_kpath(value, k, budget)
+        ok = opt is not None and (W is None or opt <= W)
+    else:
+        opt = oracles.oracle_wsp(value, k, budget)
+        ok = opt is not None and (W is None or opt >= W)
+    return ("accept" if ok else "reject"), opt
+
 
 def _cmd_check(args, argv) -> int:
     parsed = _parse_for(args.problem, _load(args.instance))
     k = _required_k(args.k, parsed)
     W = args.W if args.W is not None else parsed.W
-    budget = oracles.OracleBudget(args.budget)
-    if args.problem == "kpath":
-        opt = oracles.oracle_kpath(parsed.value, k, budget)
-        verdict = "accept" if opt is not None and (W is None or opt <= W) else "reject"
-        _report(argv, verdict, {"optimum": opt})
-    elif args.problem == "kiob":
-        ok = oracles.oracle_kiob(parsed.value, k, budget)
-        verdict = "accept" if ok else "reject"
-        _report(argv, verdict)
-    elif args.problem == "wsp":
-        opt = oracles.oracle_wsp(parsed.value, k, budget)
-        verdict = "accept" if opt is not None and (W is None or opt >= W) else "reject"
-        _report(argv, verdict, {"optimum": opt})
-    else:
-        ok = oracles.oracle_p2p(parsed.value, k, budget)
-        verdict = "accept" if ok else "reject"
-        _report(argv, verdict)
+    verdict, opt = _oracle(args.problem, parsed.value, k, W, args.budget)
+    _report(argv, verdict, {"optimum": opt} if args.problem in ("kpath", "wsp") else None)
     return _verdict_exit(verdict)
 
 
@@ -340,7 +334,11 @@ def gen_instance(kind: str, params: dict, seed: int) -> tuple[dict, dict | None]
         raise ParameterError("n must be positive")
     density = params.get("density", 0.3)
     lo, hi = params.get("weightRange", (1, 9))
+    if lo > hi:
+        raise ParameterError(f"the weight range {lo}..{hi} is empty")
     plant = params.get("plant")
+    if plant and plant["k"] < 0:
+        raise ParameterError("the planted k must not be negative")
     if kind == "digraph":
         arcs: dict[tuple[int, int], int] = {}
         cert = None
@@ -380,6 +378,8 @@ def gen_instance(kind: str, params: dict, seed: int) -> tuple[dict, dict | None]
         return {"nodes": n, "edges": [[a, b] for a, b in sorted(edges)]}, cert
     if kind == "setfamily":
         count = params.get("sets", 2 * n)
+        if n < 3 or count < 0:
+            raise ParameterError("a setfamily needs n >= 3 and a non-negative set count")
         labels = [f"u{i}" for i in range(n)]
         sets = []
         cert = None
@@ -430,18 +430,6 @@ def _cmd_gen(args, argv) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def _oracle_accepts(problem: str, value, k, W) -> bool:
-    if problem == "kiob":
-        return oracles.oracle_kiob(value, k)
-    if problem == "p2p":
-        return oracles.oracle_p2p(value, k)
-    if problem == "kpath":
-        opt = oracles.oracle_kpath(value, k)
-        return opt is not None and opt <= W
-    opt = oracles.oracle_wsp(value, k)
-    return opt is not None and opt >= W
-
-
 def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
     if budget is None:
         budget = _default_budget()
@@ -452,23 +440,14 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
         trace: dict = {}
         t0 = time.perf_counter()
         try:
-            if problem == "kiob":
-                verdict = "accept" if kiob_mod.solve_kiob(value, k, trace=trace).accept \
-                    else "reject"
-            elif problem == "kpath":
-                verdict = kpath_mod.path_alg(value, W, k, budget=budget, trace=trace).status
-            elif problem == "wsp":
-                verdict = wsp_mod.wsp_alg(value.universe, value, W, k, budget=budget,
-                                          trace=trace).status
-            else:
-                verdict = p2_mod.solve_p2packing(value, k, budget=budget, trace=trace).status
+            verdict = _run(problem, value, k, W, budget, trace)[0]
         except BudgetExceededError:
             verdict = "budget-exceeded"
         elapsed = time.perf_counter() - t0  # the oracle below is not timed
         oracle = None
         if verdict != "budget-exceeded":
             try:
-                oracle = "accept" if _oracle_accepts(problem, value, k, W) else "reject"
+                oracle = _oracle(problem, value, k, W)[0]
             except BudgetExceededError:  # the oracle's own enumeration cap
                 pass
         return {"instance": name, "problem": problem, "verdict": verdict,
@@ -477,8 +456,14 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
                 "match": (verdict == oracle) if oracle is not None else None}
 
     # every row is checked before any runs, so a bad row fails the whole suite
+    rows = suite.get("rows", []) if isinstance(suite, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ParameterError("a bench suite must be an object whose 'rows' lists objects")
     jobs = []
-    for i, row in enumerate(suite.get("rows", [])):
+    for i, row in enumerate(rows):
+        for field in ("problem", "instance"):
+            if field not in row:
+                raise ParameterError(f"bench row {i} has no {field!r} field")
         problem = row["problem"]
         parsed = _parse_for(problem, json.dumps(row["instance"]))
         jobs.append((row.get("name", f"row{i}"), problem, parsed.value,
@@ -519,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int)
     solve.add_argument("--W", type=int)
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
-    solve.add_argument("--delta", type=Fraction, default=Fraction(1, 12))
-    solve.add_argument("--gamma", type=Fraction, default=Fraction(84, 1000))
+    solve.add_argument("--delta", type=_fraction, default=Fraction(1, 12))
+    solve.add_argument("--gamma", type=_fraction, default=Fraction(84, 1000))
     solve.add_argument("--budget", type=int, default=_default_budget())
     solve.set_defaults(func=_cmd_solve)
 
@@ -589,8 +574,6 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "budget", 1) <= 0:
             raise ParameterError(f"--budget must be a positive integer, got {args.budget}")
-        if getattr(args, "inv_eps", None) is None and hasattr(args, "inv_eps"):
-            args.inv_eps = {"kpath": 13, "kcwp": 13}.get(getattr(args, "problem", ""), 2)
         return args.func(args, ["fpt-mix"] + argv)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

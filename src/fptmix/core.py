@@ -348,14 +348,21 @@ def _edge(entry):
 
 
 def _parse_setfamily(data, objective) -> WeightedSetFamily:
-    universe = OrderedUniverse.from_labels(data["universe"])
+    labels, entries = data["universe"], data.get("sets", [])
+    if not isinstance(labels, list):
+        raise InstanceError("setfamily field 'universe' must be a list of labels")
+    if not isinstance(entries, list):
+        raise InstanceError("setfamily field 'sets' must be a list of objects")
+    universe = OrderedUniverse.from_labels(labels)
     index = {label: i for i, label in enumerate(universe.elements)}
     sets = []
     size = None
-    for entry in data.get("sets", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise InstanceError(f"set entry must be an object: {entry!r}")
         members = entry.get("members")
-        if members is None or "weight" not in entry:
-            raise InstanceError(f"set entry must have members and weight: {entry!r}")
+        if not isinstance(members, list) or "weight" not in entry:
+            raise InstanceError(f"set entry must have a members list and a weight: {entry!r}")
         try:
             idxs = tuple(index[str(m)] for m in members)
         except KeyError as exc:

@@ -61,6 +61,13 @@ def test_gen_rejects_bad_plant(capsys):
     assert code == 2
     code, _, err = run(capsys, "gen", "digraph", "--n", "3")
     assert code == 2 and "seed" in err
+    # each of these once exited 1 with a ValueError, or emitted an empty family
+    for argv in (("setfamily", "--n", "2"), ("digraph", "--n", "4", "--plant", "-1"),
+                 ("graph", "--n", "4", "--plant", "-1"),
+                 ("digraph", "--n", "4", "--wmin", "5", "--wmax", "1"),
+                 ("setfamily", "--n", "6", "--sets", "-2")):
+        code, out, err = run(capsys, "gen", *argv, "--seed", "1")
+        assert code == 2 and err.startswith("error:") and not out, argv
 
 
 def test_solve_exit_codes(tmp_path, capsys):
@@ -302,6 +309,10 @@ def test_usage_errors(capsys, tmp_path):
     inst.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1, 1]]}))
     code, _, err = run(capsys, "solve", "kiob", str(inst))  # missing k
     assert code == 2
+    for flag in ("--delta", "--gamma"):  # once a ZeroDivisionError and exit 1
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "solve", "kpath", str(inst), "--k", "2", "--W", "1", flag, "1/0")
+        assert exc.value.code == 2 and "invalid Fraction value: '1/0'" in capsys.readouterr().err
 
 
 def test_bench_budget_exceeded_rows(tmp_path, capsys):
@@ -375,14 +386,27 @@ def test_bench_rows_rejects_a_non_positive_budget():
     ({"problem": "kiob", "instance": DOCUMENTS["digraph"], "k": "2"}, "k must be an integer"),
     ({"problem": "p2p", "instance": DOCUMENTS["graph"], "k": True}, "k must be an integer"),
     ({"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1, "W": "1"},
-     "weight must be an exact integer")])
+     "weight must be an exact integer"),
+    (3, "'rows' lists objects"),
+    ({"instance": DOCUMENTS["digraph"], "k": 1}, "no 'problem' field"),
+    ({"problem": "kiob", "k": 1}, "no 'instance' field"),
+    ({"problem": ["kiob"], "instance": DOCUMENTS["digraph"], "k": 1}, "unknown problem")])
 def test_bench_row_without_a_valid_k_or_W_is_a_usage_error(tmp_path, capsys, row, message):
     """Such a row once failed inside the solver with a TypeError and exit 1,
-    or, given k = true, ran as k = 1."""
+    or, given k = true, ran as k = 1; a row that is not an object, or lacks
+    its problem or instance, once crashed or named only the missing key."""
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({"name": "bad", "rows": [row]}))
     code, out, err = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 2 and err.startswith("error:") and message in err and not out
+
+
+@pytest.mark.parametrize("suite", [[1, 2], {"rows": {"a": 1}}, "rows"])
+def test_bench_suite_that_is_not_an_object_of_rows_is_a_usage_error(tmp_path, capsys, suite):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    code, out, err = run(capsys, "bench", str(path), "--format", "json")
+    assert code == 2 and err.startswith("error:") and "'rows' lists objects" in err and not out
 
 
 def test_bench_row_reads_k_from_its_instance(tmp_path, capsys):
@@ -424,3 +448,39 @@ def test_bad_repfam_spec_is_a_usage_error(tmp_path, capsys, spec, named):
     code, out, err = _repfam(tmp_path, capsys, spec)
     assert code == 2 and err.startswith("error:") and named in err and not out
     assert "Traceback" not in err
+
+
+# one small accept instance per problem, with k and W; kpath's small-k exhaustive
+# fallback runs no reduction, so its three counters are null on both paths
+AGREEMENT = {
+    "kpath": ({"nodes": 5, "arcs": [[i, i + 1, 1] for i in range(4)]}, 5, 4),
+    "kiob": ({"nodes": 7, "arcs": [
+        [0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 5, 1], [2, 3, 1], [2, 4, 1],
+        [3, 4, 1], [3, 6, 1], [4, 5, 1], [5, 6, 1]]}, 3, None),
+    "wsp": ({"universe": [f"u{i}" for i in range(6)],
+             "sets": [{"members": [f"u{e}" for e in members], "weight": w}
+                      for members, w in (((0, 2, 3), 3), ((1, 2, 4), 2), ((0, 2, 4), 4),
+                                         ((1, 3, 5), 4), ((2, 4, 5), 5))]}, 2, 8),
+    "p2p": ({"nodes": 4, "edges": [[0, 1], [0, 2], [0, 3]]}, 1, None),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(AGREEMENT))
+def test_solve_and_bench_run_a_row_alike(tmp_path, capsys, problem):
+    """A bench row runs its solver exactly as ``solve`` with default flags."""
+    doc, k, W = AGREEMENT[problem]
+    weight = () if W is None else ("--W", str(W))
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "solve", problem, str(inst), "--k", str(k), *weight)
+    assert code == 0
+    solved = json.loads(out)
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"problem": problem, "instance": doc, "k": k,
+                                           "W": W}]}))
+    code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["verdict"] == solved["verdict"] == "accept" and row["match"]
+    for field in ("peakFamilySize", "reductions", "denseSkips"):
+        assert row[field] == solved[field], field

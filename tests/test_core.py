@@ -43,6 +43,20 @@ def test_parse_index_out_of_range():
         parse_instance(doc)
 
 
+@pytest.mark.parametrize("doc,named", [
+    ({"universe": "abc", "sets": []}, "'universe'"),
+    ({"universe": ["a", "b", "c"], "sets": {"x": 1}}, "'sets'"),
+    ({"universe": ["a", "b", "c"], "sets": [3]}, "must be an object"),
+    ({"universe": ["a", "b", "c"], "sets": [{"members": "abc", "weight": 1}]},
+     "members list"),
+], ids=["universe-string", "sets-object", "set-not-object", "members-string"])
+def test_parse_setfamily_checks_its_shape(doc, named):
+    """Such documents once crashed with AttributeError, or read a string
+    universe as one label per character."""
+    with pytest.raises(InstanceError, match=named):
+        parse_instance(json.dumps(doc))
+
+
 def test_parse_malformed():
     with pytest.raises(InstanceError, match="malformed"):
         parse_instance(b"{not json")
