@@ -2,8 +2,8 @@
 
 Exit codes: 0 accept/valid, 1 reject/invalid, 2 usage error, 3 budget
 exceeded.  Randomized behavior always takes an explicit --seed; omitting it
-for a randomized mode is an error.  FPTMIX_BUDGET overrides enumeration caps
-globally.
+for a randomized mode is an error.  FPTMIX_BUDGET sets the default --budget
+and the constraint cap of uniset and check-uniset; it is read here only.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -27,13 +28,12 @@ from . import repsets
 from . import unisets
 from . import wsp as wsp_mod
 from .core import (
+    MAX_NODES,
     BudgetExceededError,
     FptMixError,
     InstanceError,
     ParameterError,
     WeightedSetFamily,
-    _int_field,
-    budget_from_env,
     check_weight,
     parse_instance,
 )
@@ -44,8 +44,20 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _default_budget() -> int:
-    return budget_from_env(200_000)
+def budget_from_env(default: int = 200_000) -> int:
+    """The enumeration cap set by ``FPTMIX_BUDGET``, or ``default`` (the solvers'
+    when none is named) when it is unset or empty; anything but a positive
+    integer is a ``ParameterError``."""
+    value = os.environ.get("FPTMIX_BUDGET")
+    if not value:
+        return default
+    try:
+        budget = int(value)
+    except ValueError:
+        budget = 0
+    if budget <= 0:
+        raise ParameterError(f"FPTMIX_BUDGET must be a positive integer, got {value!r}")
+    return budget
 
 
 def _load(path: str) -> str:
@@ -73,6 +85,8 @@ def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=Non
 
 
 _DOCUMENT_KIND = {"kpath": "digraph", "kiob": "digraph", "wsp": "setfamily", "p2p": "graph"}
+# the least k each solver takes (kpath takes any k: below 1 no path exists)
+_LEAST_K = {"kiob": 1, "wsp": 0, "p2p": 0}
 # 1/eps when neither ``--inv-eps`` nor a caller names one (kcwp reads its own, kiob has none)
 _INV_EPS = {"kpath": 13, "wsp": 2, "p2p": 2}
 
@@ -88,13 +102,15 @@ def _parse_for(problem: str, doc: str):
     return parsed
 
 
-def _required_k(k, parsed) -> int:
+def _required_k(problem: str, k, parsed) -> int:
     """``k`` as given (a flag or a bench row's field), else the instance's."""
     k = k if k is not None else parsed.k
     if k is None:
         raise ParameterError("k is required (flag, row or instance field)")
     if not isinstance(k, int) or isinstance(k, bool):
         raise ParameterError(f"k must be an integer, got {k!r}")
+    if k < _LEAST_K.get(problem, k):
+        raise ParameterError(f"k must be at least {_LEAST_K[problem]} for {problem}, got {k}")
     return k
 
 
@@ -162,7 +178,7 @@ def _cmd_solve(args, argv) -> int:
         value, k, W = kpath_mod.kcwp_instance_from_document(doc), None, None
     else:
         parsed = _parse_for(args.problem, doc)
-        value, k, W = (parsed.value, _required_k(args.k, parsed),
+        value, k, W = (parsed.value, _required_k(args.problem, args.k, parsed),
                        _weight_bound(args.problem, args.W, parsed))
     t1 = time.perf_counter()
     verdict, witness = _run(args.problem, value, k, W, args.budget, trace, args.inv_eps,
@@ -193,7 +209,7 @@ def _oracle(problem: str, value, k, W, budget=None) -> tuple[str, int | None]:
 
 def _cmd_check(args, argv) -> int:
     parsed = _parse_for(args.problem, _load(args.instance))
-    k = _required_k(args.k, parsed)
+    k = _required_k(args.problem, args.k, parsed)
     W = args.W if args.W is not None else parsed.W
     verdict, opt = _oracle(args.problem, parsed.value, k, W, args.budget)
     _report(argv, verdict, {"optimum": opt} if args.problem in ("kpath", "wsp") else None)
@@ -260,7 +276,8 @@ def _cmd_bounds(args, argv) -> int:
 # ------------------------------------------------------------------ unisets
 
 def _cmd_uniset(args, argv) -> int:
-    u = unisets.build_universal(args.n, args.k, args.p, args.mode, args.seed)
+    u = unisets.build_universal(args.n, args.k, args.p, args.mode, args.seed,
+                                budget_from_env(unisets.DEFAULT_CONSTRAINT_BUDGET))
     for line in u.lines():
         print(line)
     return EXIT_ACCEPT
@@ -269,7 +286,7 @@ def _cmd_uniset(args, argv) -> int:
 def _cmd_check_uniset(args, argv) -> int:
     lines = _load(args.file).splitlines()
     u = unisets.UniversalSet.from_lines(args.n, args.k, args.p, lines)
-    result = unisets.verify_universal(u)
+    result = unisets.verify_universal(u, budget_from_env(unisets.DEFAULT_CONSTRAINT_BUDGET))
     if result.valid:
         print("valid")
         return EXIT_ACCEPT
@@ -278,6 +295,13 @@ def _cmd_check_uniset(args, argv) -> int:
 
 
 # ------------------------------------------------------------------ repfam
+
+def _int_field(data, name):
+    v = data.get(name)
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise InstanceError(f"field {name!r} must be an integer")
+    return v
+
 
 def _cmd_repfam(args, argv) -> int:
     fam_parsed = parse_instance(_load(args.family), objective=args.objective)
@@ -330,9 +354,11 @@ def gen_instance(kind: str, params: dict, seed: int) -> tuple[dict, dict | None]
     a sidecar certificate that names it."""
     rng = random.Random(seed)
     n = params.get("n", 0)
-    if n <= 0:
-        raise ParameterError("n must be positive")
+    if not 0 < n <= MAX_NODES:
+        raise ParameterError(f"n must be from 1 to {MAX_NODES}, got {n}")
     density = params.get("density", 0.3)
+    if not 0 <= density <= 1:
+        raise ParameterError(f"density must be from 0 to 1, got {density}")
     lo, hi = params.get("weightRange", (1, 9))
     if lo > hi:
         raise ParameterError(f"the weight range {lo}..{hi} is empty")
@@ -432,7 +458,7 @@ def _cmd_gen(args, argv) -> int:
 
 def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
     if budget is None:
-        budget = _default_budget()
+        budget = budget_from_env()
     elif budget <= 0:
         raise ParameterError(f"budget must be a positive integer, got {budget}")
 
@@ -467,7 +493,7 @@ def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
         problem = row["problem"]
         parsed = _parse_for(problem, json.dumps(row["instance"]))
         jobs.append((row.get("name", f"row{i}"), problem, parsed.value,
-                     _required_k(row.get("k"), parsed),
+                     _required_k(problem, row.get("k"), parsed),
                      _weight_bound(problem, row.get("W"), parsed)))
     return [run(*job) for job in jobs]
 
@@ -506,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
     solve.add_argument("--delta", type=_fraction, default=Fraction(1, 12))
     solve.add_argument("--gamma", type=_fraction, default=Fraction(84, 1000))
-    solve.add_argument("--budget", type=int, default=_default_budget())
+    solve.add_argument("--budget", type=int, default=budget_from_env())
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="brute-force oracle verdict")
@@ -562,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a suite and cross-check oracles")
     ben.add_argument("suite")
     ben.add_argument("--format", choices=["csv", "json"], default="csv")
-    ben.add_argument("--budget", type=int, default=_default_budget())
+    ben.add_argument("--budget", type=int, default=budget_from_env())
     ben.set_defaults(func=_cmd_bench)
 
     return top

@@ -7,11 +7,12 @@ boundary.  Every type is immutable after construction and safe to share.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 WEIGHT_MIN = -(2**63)
 WEIGHT_MAX = 2**63 - 1
+# most nodes a Digraph or Graph may have, checked before anything is built per node
+MAX_NODES = 2**12
 
 
 class FptMixError(Exception):
@@ -36,21 +37,6 @@ class BudgetExceededError(FptMixError):
 
 def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def budget_from_env(default: int) -> int:
-    """The enumeration cap set by ``FPTMIX_BUDGET``, or ``default`` when it is
-    unset or empty; anything but a positive integer is a ``ParameterError``."""
-    value = os.environ.get("FPTMIX_BUDGET")
-    if not value:
-        return default
-    try:
-        budget = int(value)
-    except ValueError:
-        budget = 0
-    if budget <= 0:
-        raise ParameterError(f"FPTMIX_BUDGET must be a positive integer, got {value!r}")
-    return budget
 
 
 def check_weight(value) -> int:
@@ -202,6 +188,12 @@ def bit_positions(mask: int) -> list[int]:
     return out
 
 
+def _check_node_count(n) -> int:
+    if type(n) is not int or not 0 <= n <= MAX_NODES:
+        raise InstanceError(f"node count must be an integer from 0 to {MAX_NODES}, got {n!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Adjacency-list digraph with exact arc weights.
@@ -213,21 +205,21 @@ class Digraph:
     arcs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise InstanceError("node count must be non-negative")
+        n = _check_node_count(self.node_count)
         best: dict[tuple[int, int], int] = {}
-        for tail, head, weight in self.arcs:
-            for v in (tail, head):
-                if not 0 <= v < self.node_count:
-                    raise InstanceError(f"index out of range: node {v} on a {self.node_count}-node graph")
+        for arc in self.arcs:
+            try:
+                tail, head, weight = arc
+            except (TypeError, ValueError):
+                raise InstanceError(f"arc must be [tail, head, weight], got {arc!r}") from None
+            if not (type(tail) is int and type(head) is int and 0 <= tail < n and 0 <= head < n):
+                raise InstanceError(f"index out of range or not an int: arc {arc!r} on {n} nodes")
             if tail == head:
                 raise InstanceError(f"self-loop at node {tail}")
             check_weight(weight)
             key = (tail, head)
             best[key] = min(best.get(key, weight), weight)
-        object.__setattr__(
-            self, "arcs", tuple((t, h, best[(t, h)]) for (t, h) in sorted(best))
-        )
+        object.__setattr__(self, "arcs", tuple((t, h, w) for (t, h), w in sorted(best.items())))
 
     def out_neighbors(self) -> list[list[int]]:
         out = [[] for _ in range(self.node_count)]
@@ -268,16 +260,18 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.node_count < 0:
-            raise InstanceError("node count must be non-negative")
+        n = _check_node_count(self.node_count)
         seen = set()
-        for u, v in self.edges:
-            for x in (u, v):
-                if not 0 <= x < self.node_count:
-                    raise InstanceError(f"index out of range: node {x} on a {self.node_count}-node graph")
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise InstanceError(f"edge must be [u, v], got {edge!r}") from None
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise InstanceError(f"index out of range or not an int: edge {edge!r} on {n} nodes")
             if u == v:
                 raise InstanceError(f"self-loop at node {u}")
-            seen.add((min(u, v), max(u, v)))
+            seen.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     def adjacency(self) -> list[set[int]]:
@@ -314,37 +308,18 @@ def parse_instance(document: bytes | str, objective: str = "max") -> ParsedInsta
     if W is not None:
         check_weight(W)
 
-    if "arcs" in data:
-        value: object = Digraph(_int_field(data, "nodes"), tuple(map(_arc, data["arcs"])))
-        kind = "digraph"
-    elif "edges" in data:
-        value = Graph(_int_field(data, "nodes"), tuple(map(_edge, data["edges"])))
-        kind = "graph"
+    if "arcs" in data or "edges" in data:
+        kind, name, build = (("digraph", "arcs", Digraph) if "arcs" in data
+                             else ("graph", "edges", Graph))
+        if not isinstance(data[name], list):
+            raise InstanceError(f"field {name!r} must be a list")
+        value: object = build(data.get("nodes"), data[name])
     elif "universe" in data:
         value = _parse_setfamily(data, objective)
         kind = "setfamily"
     else:
         raise InstanceError("document is not a digraph, graph or setfamily instance")
     return ParsedInstance(kind, value, k, W)
-
-
-def _int_field(data, name):
-    v = data.get(name)
-    if not isinstance(v, int) or isinstance(v, bool):
-        raise InstanceError(f"field {name!r} must be an integer")
-    return v
-
-
-def _arc(entry):
-    if not isinstance(entry, list) or len(entry) != 3:
-        raise InstanceError(f"arc must be [tail, head, weight], got {entry!r}")
-    return tuple(entry)
-
-
-def _edge(entry):
-    if not isinstance(entry, list) or len(entry) != 2:
-        raise InstanceError(f"edge must be [u, v], got {entry!r}")
-    return tuple(entry)
 
 
 def _parse_setfamily(data, objective) -> WeightedSetFamily:

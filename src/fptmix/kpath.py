@@ -165,10 +165,10 @@ def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
         delta, gamma = Fraction(data["delta"]), Fraction(data["gamma"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InstanceError(f"kcwp fields 'delta' and 'gamma' must be fractions: {exc}")
-    try:  # Digraph reads every arc; checking each with ``core._arc`` first would repeat that
-        g = Digraph(data["digraph"]["nodes"], tuple(tuple(a) for a in data["digraph"]["arcs"]))
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"kcwp field 'digraph.arcs' holds a malformed arc: {exc}")
+    try:
+        g = Digraph(data["digraph"]["nodes"], data["digraph"]["arcs"])
+    except InstanceError as exc:  # name the field, as every check above does
+        raise InstanceError(f"kcwp field 'digraph.nodes' or 'digraph.arcs': {exc}") from None
     return KcwpInstance(
         g, data["W"], data["k"], data["invEps"], delta, gamma,
         frozenset(data["L"]), frozenset(data["R"]),
@@ -241,6 +241,8 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
         raise ParameterError("degenerate regime: pieces need at least one internal node")
     g = inst.digraph
     n = g.node_count
+    if inst.k > n:  # no simple k-node path; the layers would take about k steps to say so
+        return KcwpResult(False)
     weights = g.arc_weights()
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     endp = set(inst.l1) | set(inst.l2) | set(inst.r1) | set(inst.r2) | {inst.vl, inst.vr}

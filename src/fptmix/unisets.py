@@ -23,16 +23,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BudgetExceededError, ParameterError, budget_from_env
+from .core import BudgetExceededError, ParameterError
 
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
 RANDOMIZED_K_CAP = 10
 _MATRIX_CELL_CAP = 1 << 20  # cells per block of a cover matrix: 8 MB of uint64 temporaries
-
-
-def constraint_budget() -> int:
-    return budget_from_env(DEFAULT_CONSTRAINT_BUDGET)
 
 
 @dataclass(frozen=True)
@@ -102,12 +98,11 @@ class VerifyResult:
     violation: tuple[tuple[int, ...], tuple[int, ...]] | None = None
 
 
-def verify_universal(u: UniversalSet, budget: int | None = None) -> VerifyResult:
+def verify_universal(u: UniversalSet, budget: int = DEFAULT_CONSTRAINT_BUDGET) -> VerifyResult:
     """Check the covering property exhaustively.
 
     Reports the first violated (I, ones-of-f') pair in lexicographic order.
     """
-    budget = budget if budget is not None else constraint_budget()
     total = constraint_count(u.n, u.k, u.p)
     if total > budget:
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
@@ -134,9 +129,9 @@ def _lex_candidates(n: int) -> np.ndarray:
 
 
 def build_universal(n: int, k: int, p: int, mode: str = "greedy",
-                    seed: int | None = None, budget: int | None = None) -> UniversalSet:
+                    seed: int | None = None,
+                    budget: int = DEFAULT_CONSTRAINT_BUDGET) -> UniversalSet:
     _check_params(n, k, p)
-    budget = budget if budget is not None else constraint_budget()
     total = constraint_count(n, k, p)
     if total > budget:
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from fptmix import cli
-from fptmix.core import BudgetExceededError, ParameterError
+from fptmix import cli, repsets
+from fptmix.core import MAX_NODES, BudgetExceededError, ParameterError
 
 
 def run(capsys, *argv):
@@ -65,7 +65,11 @@ def test_gen_rejects_bad_plant(capsys):
     for argv in (("setfamily", "--n", "2"), ("digraph", "--n", "4", "--plant", "-1"),
                  ("graph", "--n", "4", "--plant", "-1"),
                  ("digraph", "--n", "4", "--wmin", "5", "--wmax", "1"),
-                 ("setfamily", "--n", "6", "--sets", "-2")):
+                 ("setfamily", "--n", "6", "--sets", "-2"),
+                 # these once wrote an edgeless or complete graph, or one parse refuses
+                 ("graph", "--n", "5", "--density", "-1"),
+                 ("digraph", "--n", "5", "--density", "1.5"),
+                 ("graph", "--n", str(MAX_NODES + 1))):
         code, out, err = run(capsys, "gen", *argv, "--seed", "1")
         assert code == 2 and err.startswith("error:") and not out, argv
 
@@ -288,6 +292,38 @@ def test_bounds_cli_all_tables(capsys):
         assert code == 0 and out.strip()
 
 
+def test_budget_variable_reaches_only_the_cli_caps(capsys, monkeypatch, tmp_path):
+    """FPTMIX_BUDGET once also capped the universal sets every separator is
+    built from, so it changed the separators a solver's DP used: here kiob's
+    denseSkips read 43 with the variable at 1 and 0 without it."""
+    digraph = tmp_path / "d.json"
+    digraph.write_text(json.dumps(cli.gen_instance("digraph", {"n": 9}, 4)[0]))
+    family = tmp_path / "s.json"
+    family.write_text(json.dumps(cli.gen_instance("setfamily", {"n": 9, "sets": 14}, 1)[0]))
+
+    def report(*argv):
+        repsets.clear_separator_cache()
+        code, out, _ = run(capsys, *argv)
+        rep = json.loads(out)
+        del rep["timings"]
+        return code, rep
+
+    for argv in (("solve", "kiob", str(digraph), "--k", "5"),
+                 ("solve", "wsp", str(family), "--k", "3", "--W", "10", "--budget", "200000")):
+        monkeypatch.delenv("FPTMIX_BUDGET", raising=False)
+        unset = report(*argv)
+        monkeypatch.setenv("FPTMIX_BUDGET", "1")
+        assert report(*argv) == unset and unset[1]["reductions"], argv
+    uniset = tmp_path / "u.txt"
+    uniset.write_text("0011\n0101\n1001\n0110\n1010\n1100\n")
+    for argv in (("uniset",), ("check-uniset", str(uniset))):  # 12 constraints
+        code, _, err = run(capsys, *argv, "--n", "4", "--k", "2", "--p", "1")
+        assert code == 3 and "exceed budget 1" in err, argv
+        monkeypatch.setenv("FPTMIX_BUDGET", "12")
+        assert run(capsys, *argv, "--n", "4", "--k", "2", "--p", "1")[0] == 0, argv
+        monkeypatch.setenv("FPTMIX_BUDGET", "1")
+
+
 def test_bad_budget_variable_is_a_usage_error(capsys, monkeypatch, tmp_path):
     for value in ("abc", "0", "-5"):
         monkeypatch.setenv("FPTMIX_BUDGET", value)
@@ -418,6 +454,44 @@ def test_bench_row_reads_k_from_its_instance(tmp_path, capsys):
     assert code == 0
     (row,) = json.loads(out)
     assert row["verdict"] == "accept" and row["match"]
+
+
+@pytest.mark.parametrize("problem,kind,k", [
+    ("kiob", "digraph", 0), ("kiob", "digraph", -1), ("wsp", "setfamily", -1),
+    ("p2p", "graph", -1)])
+def test_k_below_the_solvers_least_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    problem, kind, k):
+    """``check`` once gave a verdict here where ``solve`` exits 2 (kiob at -1
+    accepted), and ``bench`` ran the rows before such a row until its solver
+    raised."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(DOCUMENTS[kind]))
+    for command in ("solve", "check"):
+        code, out, err = run(capsys, command, problem, str(inst), "--k", str(k), "--W", "1")
+        assert code == 2 and err.startswith("error:") and "k must be at least" in err and not out
+    ran = []
+    monkeypatch.setattr(cli, "_run", lambda *args, **kw: ran.append(args) or ("reject", None))
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "low-k", "rows": [
+        {"problem": "kiob", "instance": DOCUMENTS["digraph"], "k": 1},
+        {"problem": problem, "instance": DOCUMENTS[kind], "k": k, "W": 1}]}))
+    code, out, err = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 2 and "k must be at least" in err and not out and not ran
+
+
+@pytest.mark.parametrize("problem,doc", [
+    ("kiob", {"nodes": 3, "arcs": [[None, 1, 2]]}), ("kiob", {"nodes": 3, "arcs": [["x", 1, 2]]}),
+    ("kiob", {"nodes": 3, "arcs": [[1.5, 1, 2]]}), ("kiob", {"nodes": 3, "arcs": [[True, 2, 2]]}),
+    ("kpath", {"nodes": 3, "arcs": 5}), ("p2p", {"nodes": 3, "edges": [["x", 1]]}),
+    ("kiob", {"nodes": 10**30, "arcs": [[0, 1, 1]]}), ("p2p", {"nodes": 10**30, "edges": []})])
+def test_ill_typed_graph_document_is_a_usage_error(tmp_path, capsys, problem, doc):
+    """Each once raised TypeError (exit 1 with a traceback), or, with 10**30
+    nodes, ran until it was killed."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc))
+    for command in ("solve", "check"):
+        code, out, err = run(capsys, command, problem, str(inst), "--k", "1", "--W", "1")
+        assert code == 2 and err.startswith("error:") and not out, command
 
 
 @pytest.mark.parametrize("problem,kind", [

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fptmix.core import (
+    MAX_NODES,
     Digraph,
     Graph,
     InstanceError,
@@ -87,6 +88,7 @@ def test_digraph_invariants():
         Digraph(2, ((1, 1, 0),))
     g = Digraph(2, ((0, 1, 5), (0, 1, 3)))
     assert g.arcs == ((0, 1, 3),)  # parallel arcs collapse to the minimum
+    assert Digraph(2, [[0, 1, 5]]).arcs == ((0, 1, 5),)  # a document's lists are read as they are
 
 
 def test_graph_invariants():
@@ -94,6 +96,38 @@ def test_graph_invariants():
         Graph(2, ((0, 2),))
     g = Graph(3, ((1, 0), (0, 1), (2, 0)))
     assert g.edges == ((0, 1), (0, 2))
+
+
+@pytest.mark.parametrize("nodes", [-1, MAX_NODES + 1, 10**30, True, 3.0, "3", None])
+def test_node_count_is_an_int_from_0_to_max_nodes(nodes):
+    """A count of 10**30 once passed and ran a solver until it was killed."""
+    for build in (Digraph, Graph):
+        with pytest.raises(InstanceError, match="node count"):
+            build(nodes, ())
+    assert Digraph(MAX_NODES, ()).node_count == MAX_NODES and Graph(0, ()).node_count == 0
+
+
+@pytest.mark.parametrize("build,entry,message", [
+    (Digraph, (None, 1, 2), "index out of range"), (Digraph, ("x", 1, 2), "index out of range"),
+    (Digraph, (1.5, 1, 2), "index out of range"), (Digraph, (True, 2, 2), "index out of range"),
+    (Digraph, (0, 1), r"arc must be \[tail, head, weight\]"), (Digraph, 5, "arc must be"),
+    (Digraph, (0, 1, 1.0), "weight must be an exact integer"),
+    (Graph, ("x", 1), "index out of range"), (Graph, (0, False), "index out of range"),
+    (Graph, (0, 1, 2), r"edge must be \[u, v\]"), (Graph, None, "edge must be"),
+    (Graph, (2, 2), "self-loop")])
+def test_graph_entries_are_checked_by_their_constructor(build, entry, message):
+    """Each entry once raised TypeError, or, like (True, 2, 2), passed as node 1."""
+    with pytest.raises(InstanceError, match=message):
+        build(3, (entry,))
+    with pytest.raises(InstanceError, match=message):
+        parse_instance(json.dumps({"nodes": 3, "arcs" if build is Digraph else "edges": [entry]}))
+
+
+@pytest.mark.parametrize("doc", [{"nodes": 3, "arcs": 5}, {"nodes": 3, "edges": {"0": 1}},
+                                 {"arcs": []}, {"nodes": 2.0, "edges": []}])
+def test_parse_graph_checks_its_fields(doc):
+    with pytest.raises(InstanceError, match="must be a list|node count"):
+        parse_instance(json.dumps(doc))
 
 
 def test_dedup_policy_max_and_min():
