@@ -147,7 +147,7 @@ def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None,
     elif problem == "kiob":
         res = kiob_mod.solve_kiob(value, k, trace=trace)
     elif problem == "kpath":
-        res = kpath_mod.path_alg(value, W, k, inv_eps, delta, gamma, budget, trace)
+        res = kpath_mod.path_alg(value, W, k, inv_eps, delta, gamma, budget)
     elif problem == "wsp":
         res = wsp_mod.wsp_alg(value.universe, value, W, k, inv_eps, budget=budget, trace=trace)
     else:

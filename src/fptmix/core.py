@@ -82,9 +82,6 @@ class OrderedUniverse:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def index_of(self, label: str) -> int:
-        return self.elements.index(label)
-
     def by_rank(self) -> list[int]:
         """Element indices in ascending rank order."""
         order = [0] * len(self.elements)
@@ -348,31 +345,3 @@ def _parse_setfamily(data, objective) -> WeightedSetFamily:
     if size is None:
         size = 0
     return WeightedSetFamily(universe, size, tuple(sets), objective)
-
-
-def serialize_instance(inst: ParsedInstance) -> str:
-    """Canonical JSON; parse -> serialize -> parse is a fixed point."""
-    doc: dict = {}
-    v = inst.value
-    if inst.kind == "digraph":
-        doc["nodes"] = v.node_count
-        doc["arcs"] = [[t, h, w] for t, h, w in v.arcs]
-    elif inst.kind == "graph":
-        doc["nodes"] = v.node_count
-        doc["edges"] = [[a, b] for a, b in v.edges]
-    elif inst.kind == "setfamily":
-        order = v.universe.by_rank()
-        doc["universe"] = [v.universe.elements[i] for i in order]
-        doc["sets"] = [
-            {"members": sorted((v.universe.elements[i] for i in members),
-                               key=lambda s: v.universe.rank[v.universe.index_of(s)]),
-             "weight": w}
-            for members, w in sorted(v.sets)
-        ]
-    else:
-        raise InstanceError(f"unknown instance kind {inst.kind!r}")
-    if inst.k is not None:
-        doc["k"] = inst.k
-    if inst.W is not None:
-        doc["W"] = inst.W
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

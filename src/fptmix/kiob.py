@@ -115,8 +115,6 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                 for x1 in range(1, x + 1):
                     for y1 in range(0, y + 1):
                         x2, y2 = x + 1 - x1, y - y1
-                        if x2 < 1 or y2 < 0:
-                            continue
                         merged = table[v].get((x2, y2))
                         if merged:
                             ones = one_child_sets(x1, y1)
@@ -291,8 +289,6 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
             for q in range(max(0, 2 * l - k), l + 1):
                 x, y = k - q, l - q
                 if y == 0 and x > 0:
-                    continue
-                if x + y + 2 * q > n:
                     continue
                 if y and l not in tables:
                     tables[l] = tree_families(g, root, x, y, 2 * q, trace).table

@@ -9,12 +9,13 @@ late pieces) over families of internal-node sets, with generalized
 representative reductions after every entry; once the middle piece is done,
 all L nodes are dropped from partial solutions.
 
-The top-level search enumerates universal-set colorings and cut-node
-choices and hands each legal tuple to the cut solver.  At realistic
-parameters that enumeration is astronomically large; the budget makes this
-explicit, a small-k guard answers by brute force, and the witness
-constructor builds an accepting cut instance directly from a known path so
-the cut solver is exercised end to end without the outer enumeration.
+The paper's top-level search enumerates universal-set colorings and
+cut-node choices and hands each legal tuple to the cut solver.  Those
+colorings need universal sets on more nodes than unisets builds, so
+``path_alg`` answers small k by brute force and reports budget-exceeded
+above it; the witness constructor builds an accepting cut instance directly
+from a known path, so the cut solver is exercised end to end without the
+outer enumeration.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
-from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError, OrderedUniverse,
+from .core import (Digraph, FptMixError, InstanceError, OrderedUniverse,
                    ParameterError, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
-from . import unisets
 
 
 @dataclass(frozen=True)
@@ -570,8 +570,6 @@ def best_kpath(g: Digraph, k: int):
     """Exhaustive minimum-weight simple k-node path, with the path itself."""
     if k <= 0:
         return None
-    if k == 1:
-        return (0, (0,)) if g.node_count else None
     out = g.out_neighbors()
     weights = g.arc_weights()
     best: list = [None]
@@ -594,64 +592,25 @@ def best_kpath(g: Digraph, k: int):
 
 def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
              delta: Fraction = Fraction(1, 12), gamma: Fraction = Fraction(84, 1000),
-             budget: int = 100_000, trace: dict | None = None) -> PathAlgResult:
-    """Full driver: universal-set colorings, cut-node subsets, threshold
-    index, endpoint-map tuples, legality check, inner cut solver.
+             budget: int = 100_000) -> PathAlgResult:
+    """Decide whether ``g`` has a k-node path of weight at most ``W``.
 
-    Small k (below the regime where pieces have an internal node) falls back
-    to exhaustive search; the enumeration is budget-counted per tuple and
-    reports budget-exceeded honestly instead of running for geological time.
-    ``trace`` is passed to the cut solver.
+    Below the regime where pieces have an internal node (k < 2/eps + 1) the
+    answer comes from exhaustive search; above it the result is
+    budget-exceeded at any node count.
     """
-    par = kcwp_params(k, inv_eps, delta, gamma)
-    n = g.node_count
+    kcwp_params(k, inv_eps, delta, gamma)
     if budget <= 0:
         return PathAlgResult("budget-exceeded")
-    if n < k:
+    if g.node_count < k:
         return PathAlgResult("reject")
     if k < 2 * inv_eps + 1:
         got = best_kpath(g, k)
         if got is not None and got[0] <= W:
             return PathAlgResult("accept", got[1], got[0])
         return PathAlgResult("reject")
-
-    spent = 0
-    cut_size = inv_eps + 1
-    try:
-        colorings = unisets.build_universal(n, par.k1 + par.k2, par.k2, mode="greedy")
-    except BudgetExceededError:
-        return PathAlgResult("budget-exceeded")
-    m_plus, m_minus = par.m + par.mt, par.m - par.mt
-    for f in colorings.functions:
-        for u_nodes in combinations(range(n), cut_size):
-            u_set = set(u_nodes)
-            for i in range(n):
-                spent += 1
-                if spent > budget:
-                    return PathAlgResult("budget-exceeded")
-                Lset = frozenset(v for v in range(i, n) if v not in u_set and not (f >> v) & 1)
-                Rset = frozenset(v for v in range(i, n) if v not in u_set and (f >> v) & 1)
-                slots = 2 * m_plus + 2 * m_minus + 2
-                for combo in product(u_nodes, repeat=slots):
-                    spent += 1
-                    if spent > budget:
-                        return PathAlgResult("budget-exceeded")
-                    l1 = combo[:m_plus]
-                    l2 = combo[m_plus: 2 * m_plus]
-                    r1 = combo[2 * m_plus: 2 * m_plus + m_minus]
-                    r2 = combo[2 * m_plus + m_minus: 2 * m_plus + 2 * m_minus]
-                    vl, vr = combo[-2], combo[-1]
-                    try:
-                        inst = KcwpInstance(g, W, k, inv_eps, Fraction(delta),
-                                            Fraction(gamma), Lset, Rset,
-                                            l1, l2, r1, r2, vl, vr)
-                    except ParameterError:
-                        continue
-                    if not validate_kcwp(inst).valid:
-                        continue
-                    res = solve_kcwp(inst, trace=trace)
-                    if res.accept:
-                        seq = chain_pieces(inst, res.pieces)
-                        if seq is not None:
-                            return PathAlgResult("accept", seq, res.weight)
-    return PathAlgResult("reject")
+    # The paper draws colorings from an (n, k1 + k2, k2)-universal set and
+    # hands every cut tuple to solve_kcwp.  kcwp_params admits only odd
+    # 1/eps >= 13 (at 11, delta * 10 is never whole), so n >= k >= 27 here:
+    # past the 16 nodes (GREEDY_MAX_N) that unisets builds universal sets on.
+    return PathAlgResult("budget-exceeded")

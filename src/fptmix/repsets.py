@@ -88,19 +88,15 @@ def _local_family(m: int, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     key = (m, k, p)
     if key in _separator_cache:
         return (*_separator_cache[key], "cached")
-    cells = (1 << m) * unisets.constraint_count(m, k, p) if m <= 24 else None
-    mode = "greedy"
-    fam = None
-    if cells is not None and cells <= _GREEDY_CELL_CAP:
-        try:
-            uni = unisets.build_universal(m, k, p, mode="greedy")
-            fam = tuple(f & ((1 << m) - 1) for f in uni.functions)
-        except BudgetExceededError:
-            fam = None
-    if fam is None:
-        if math.comb(m, p) > _DENSE_PART_CAP:
-            raise BudgetExceededError(
-                f"part of size {m} needs {math.comb(m, p)} dense separator sets")
+    # with m <= GREEDY_MAX_N, 2^m * C <= _GREEDY_CELL_CAP leaves at most 6,930
+    # constraints C, inside build_universal's default budget: it cannot raise
+    if m <= unisets.GREEDY_MAX_N and \
+            (1 << m) * unisets.constraint_count(m, k, p) <= _GREEDY_CELL_CAP:
+        fam = unisets.build_universal(m, k, p, mode="greedy").functions
+        mode = "greedy"
+    elif math.comb(m, p) > _DENSE_PART_CAP:
+        raise BudgetExceededError(f"part of size {m} needs {math.comb(m, p)} dense separator sets")
+    else:
         fam = tuple(sum(1 << i for i in members) for members in combinations(range(m), p))
         mode = "dense"
     maps = [0] * m

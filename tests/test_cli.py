@@ -1,10 +1,14 @@
+import csv
+import io
 import json
+import random
 import time
 
 import pytest
 
-from fptmix import cli, repsets
-from fptmix.core import MAX_NODES, BudgetExceededError, ParameterError
+from fptmix import cli, oracles, repsets
+from fptmix.core import MAX_NODES, BudgetExceededError, Graph, ParameterError, parse_instance
+from fptmix.p2pack import Packing, validate_packing
 
 
 def run(capsys, *argv):
@@ -54,6 +58,28 @@ def test_gen_deterministic_and_planted(tmp_path, capsys):
     assert code == 0
 
 
+def test_gen_graph_and_setfamily_certificates(capsys):
+    code, out, _ = run(capsys, "gen", "graph", "--n", "10", "--plant", "3", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    doc = payload["instance"]
+    g = Graph(doc["nodes"], tuple(map(tuple, doc["edges"])))
+    paths = tuple(tuple(path) for path in payload["certificate"]["paths"])
+    assert len(paths) == 3
+    validate_packing(g, Packing(paths))
+    assert oracles.oracle_p2p(g, 3)
+
+    code, out, _ = run(capsys, "gen", "setfamily", "--n", "9", "--plant", "2", "--seed", "5")
+    assert code == 0
+    payload = json.loads(out)
+    cert, doc = payload["certificate"], payload["instance"]
+    planted = doc["sets"][:len(cert["sets"])]  # planted sets come first
+    assert [s["members"] for s in planted] == cert["sets"]
+    assert cert["weight"] == sum(s["weight"] for s in planted)
+    family = parse_instance(json.dumps(doc)).value
+    assert oracles.oracle_wsp(family, 2) >= cert["weight"]
+
+
 def test_gen_rejects_bad_plant(capsys):
     code, _, err = run(capsys, "gen", "digraph", "--n", "3", "--plant", "5", "--seed", "1")
     assert code == 2
@@ -97,6 +123,26 @@ def test_solve_budget_exit_code(tmp_path, capsys):
                        "--W", "100", "--budget", "10")
     assert code == 3
     assert json.loads(out)["verdict"] == "budget-exceeded"
+
+
+def test_solve_kpath_past_the_small_k_guard_exits_3_at_any_node_count(tmp_path, capsys):
+    """At 70 nodes this once exited 2: unisets refused a universal set on
+    more than 64 nodes."""
+    inst = tmp_path / "d.json"
+    inst.write_text(json.dumps({"nodes": 70, "arcs": [[i, i + 1, 1] for i in range(69)]}))
+    code, out, _ = run(capsys, "solve", "kpath", str(inst), "--k", "30", "--W", "100")
+    assert code == 3 and json.loads(out)["verdict"] == "budget-exceeded"
+
+
+def test_solve_p2p_budget_exit_code(tmp_path, capsys):
+    rng = random.Random(1)
+    edges = set()
+    while len(edges) < 18:
+        edges.add(tuple(sorted(rng.sample(range(12), 2))))
+    inst = tmp_path / "g.json"
+    inst.write_text(json.dumps({"nodes": 12, "edges": sorted(edges)}))
+    code, out, _ = run(capsys, "solve", "p2p", str(inst), "--k", "4", "--budget", "1")
+    assert code == 3 and json.loads(out)["verdict"] == "budget-exceeded"
 
 
 def test_solve_kcwp_document(tmp_path, capsys):
@@ -251,6 +297,30 @@ def test_bench_suite_and_missing(tmp_path, capsys):
     assert rows[0]["peakFamilySize"] is None and rows[1]["peakFamilySize"] is None
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
+
+
+def test_bench_csv_matches_json(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"name": "csv", "rows": [
+        {"problem": "kiob", "instance": {"nodes": 3, "arcs": [[0, 1, 1], [1, 2, 1]]}, "k": 2},
+        {"problem": "p2p", "instance": {"nodes": 4, "edges": [[0, 1], [0, 2], [0, 3]]},
+         "k": 1},
+        {"problem": "kpath", "instance": {"nodes": 3, "arcs": [[0, 1, 4]]}, "k": 2, "W": 3},
+    ]}))
+    code, text, _ = run(capsys, "bench", str(suite))
+    assert code == 0
+    assert text.splitlines()[0] == ("instance,problem,verdict,oracle,match,seconds,"
+                                    "peakFamilySize,reductions,denseSkips")
+    code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    read = list(csv.DictReader(io.StringIO(text)))
+    assert len(read) == len(rows) == 3
+    for got, want in zip(read, rows):
+        float(got.pop("seconds"))  # timings differ from run to run
+        want.pop("seconds")
+        assert got == {name: "" if value is None else str(value)
+                       for name, value in want.items()}
 
 
 def test_bench_seconds_leave_out_the_oracle(tmp_path, capsys, monkeypatch):

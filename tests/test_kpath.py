@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fptmix.core import Digraph, ParameterError
-from fptmix import kpath, oracles
+from fptmix import kpath, oracles, unisets
 
 DELTA = Fraction(1, 12)
 GAMMA = Fraction(95, 1000)
@@ -153,6 +153,25 @@ def test_path_alg_budget():
     g = Digraph(40, tuple((i, i + 1, 1) for i in range(39)))
     assert kpath.path_alg(g, 100, 30, budget=0).status == "budget-exceeded"
     assert kpath.path_alg(g, 100, 30, budget=100).status == "budget-exceeded"
+
+
+def test_kcwp_params_admit_no_1_over_eps_below_13():
+    """The premise of path_alg's budget-exceeded answer: past the small-k
+    guard k >= 2 * 13 + 1 = 27 nodes, more than unisets builds a universal
+    set on."""
+    for inv_eps in range(1, 13):
+        for delta in (Fraction(1, 11), Fraction(1, 12), Fraction(1, 20), Fraction(99, 1000)):
+            with pytest.raises(ParameterError):
+                kpath.kcwp_params(27, inv_eps, delta, GAMMA)
+    kpath.kcwp_params(27, 13, DELTA, GAMMA)
+    assert 2 * 13 + 1 > unisets.GREEDY_MAX_N
+
+
+@pytest.mark.parametrize("n", [27, 40, 64, 65, 200])
+def test_path_alg_past_the_small_k_guard_is_budget_exceeded_at_any_n(n):
+    """Above 64 nodes this once raised ParameterError from unisets."""
+    g = Digraph(n, tuple((i, i + 1, 1) for i in range(n - 1)))
+    assert kpath.path_alg(g, 10**6, 27).status == "budget-exceeded"
 
 
 def test_chain_pieces_detects_cycles():

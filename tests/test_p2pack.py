@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -196,3 +197,71 @@ def test_solve_p2packing_checks_c_when_no_reduction_runs():
     assert trace == {}
     with pytest.raises(ParameterError, match="c must be at least 1"):
         p2pack.solve_p2packing(path, 1, 2, 0.5)
+
+
+def _eighteen_edge_graph():
+    """12 nodes, 18 distinct edges drawn with ``random.Random(1)``: it holds
+    a 4-packing and no 5-packing."""
+    rng = random.Random(1)
+    edges = set()
+    while len(edges) < 18:
+        edges.add(tuple(sorted(rng.sample(range(12), 2))))
+    return Graph(12, tuple(sorted(edges)))
+
+
+def test_p2packing_budget_exits():
+    g = _eighteen_edge_graph()
+    # one cut tuple is too few for procedure2 at the planted k
+    assert p2pack.solve_p2packing(g, 4, 2, 1.0, 1).status == "budget-exceeded"
+    assert p2pack.solve_p2packing(g, 5, 2, 1.0, 10).status == "reject"
+    assert p2pack.solve_p2packing(g, 4, 2, 1.0, 10).status == "accept"
+
+
+def test_procedure2_per_cut_entry_cap(monkeypatch):
+    g = _eighteen_edge_graph()
+    uni = OrderedUniverse.from_labels(str(v) for v in range(12))
+    family = tuple(sorted(tuple(sorted(path)) for path in oracles.all_p2_paths(g)))
+    # three disjoint paths avoiding the empty footprint
+    inst = p2pack.Pro2Instance(uni, 4, family, 3, 1, (frozenset(),), 2)
+    assert p2pack.procedure2(inst).status == "accept"
+    monkeypatch.setattr(p2pack, "_CUT_ENTRY_CAP", 1)
+    assert p2pack.procedure2(inst).status == "budget-exceeded"
+
+
+def _random_pro2(rng):
+    m = rng.randint(6, 9)
+    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
+    family = tuple(tuple(sorted(rng.sample(range(m), 3))) for _ in range(rng.randint(1, 7)))
+    k = rng.randint(2, 3)
+    q = rng.randint(1, k - 1)  # the cut subproblem needs k - q >= 1
+    p = rng.randint(max(1, 3 * q - m), 3 * q)
+    pool = list(combinations(range(m), 3 * q - p))
+    rng.shuffle(pool)
+    cands = tuple(frozenset(c) for c in pool[: rng.randint(0, 3)])
+    return p2pack.Pro2Instance(uni, k, family, p, q, cands, rng.choice([1, 2]))
+
+
+def test_solve_cpro2_accepts_under_some_cut_iff_procedure2_accepts():
+    rng = random.Random(57)
+    accepted = 0
+    for _ in range(60):
+        inst = _random_pro2(rng)
+        inv_eps = inst.inv_eps if (inst.k - inst.q) // inst.inv_eps >= 1 else 1
+        any_cut = False
+        for rank, f in wsp.cut_universes(inst.universe, inv_eps, 10**6):
+            cut = replace(inst, universe=OrderedUniverse(inst.universe.elements, rank),
+                          inv_eps=inv_eps, f=f)
+            res = p2pack.solve_cpro2(cut)
+            if res.accept:
+                any_cut = True
+                assert res.footprint in inst.candidates
+                assert len(res.ordered_sets) == inst.k - inst.q
+                used = set(res.footprint)
+                for pos in res.ordered_sets:
+                    assert used.isdisjoint(inst.family[pos]), (inst, res)
+                    used.update(inst.family[pos])
+        assert any_cut == (p2pack.procedure2(inst).status == "accept"), inst
+        accepted += any_cut
+    assert 0 < accepted < 60
+    with pytest.raises(ParameterError, match="stage function f"):
+        p2pack.solve_cpro2(_random_pro2(rng))

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from fptmix import kiob, kpath, p2pack, repsets, wsp
+from fptmix import kiob, kpath, p2pack, repsets, unisets, wsp
 from fptmix.core import (Digraph, Graph, InstanceError, OrderedUniverse, WeightedSetFamily,
                          bit_positions)
 from fptmix.repsets import (
@@ -467,6 +467,18 @@ def test_dense_flag_on_known_shapes():
     assert build_separator(u, (0, 1, 2), 3, 3).dense  # the one 3-subset
     assert build_separator(u, (0, 1, 2, 3), 4, 1).dense  # singletons separate all
     assert not build_separator(u, (0, 1, 2, 3, 4), 2, 1).dense
+
+
+def test_greedy_shapes_fit_the_default_constraint_budget():
+    """The premise of _local_family's gate: every shape it sends to the
+    greedy cover stays within build_universal's default budget, so that
+    build cannot raise BudgetExceededError."""
+    for m in range(unisets.GREEDY_MAX_N + 1):
+        for k in range(m + 1):
+            for p in range(k + 1):
+                count = unisets.constraint_count(m, k, p)
+                if (1 << m) * count <= repsets._GREEDY_CELL_CAP:
+                    assert count <= unisets.DEFAULT_CONSTRAINT_BUDGET, (m, k, p)
 
 
 def test_evicted_separator_is_rebuilt_identically(monkeypatch):

@@ -27,3 +27,29 @@ def test_only_cli_reads_the_environment():
     modules = sorted(SRC.glob("*.py"))
     assert _env_reads(SRC / "cli.py"), "the scan no longer sees cli's FPTMIX_BUDGET read"
     assert [read for path in modules if path.name != "cli.py" for read in _env_reads(path)] == []
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The ``fptmix`` modules ``path`` imports, relatively or by name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1:  # from . import x / from .x import y
+                found.update([module] if module else [alias.name for alias in node.names])
+            elif module == "fptmix":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("fptmix."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("fptmix."))
+    return found
+
+
+def test_oracles_import_only_core():
+    """The oracles are the independent check on every solver, so they may
+    share the instance types in ``core`` and nothing else."""
+    imports = _package_imports(SRC / "oracles.py")
+    assert "core" in imports, "the scan no longer sees the oracles' core import"
+    assert imports == {"core"}
