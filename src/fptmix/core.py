@@ -213,9 +213,12 @@ class Digraph:
                 raise InstanceError(f"index out of range or not an int: arc {arc!r} on {n} nodes")
             if tail == head:
                 raise InstanceError(f"self-loop at node {tail}")
-            check_weight(weight)
+            if type(weight) is not int or not WEIGHT_MIN <= weight <= WEIGHT_MAX:
+                check_weight(weight)  # raises unless weight is an in-range int subclass
             key = (tail, head)
-            best[key] = min(best.get(key, weight), weight)
+            old = best.get(key)
+            if old is None or weight < old:
+                best[key] = weight
         object.__setattr__(self, "arcs", tuple((t, h, w) for (t, h), w in sorted(best.items())))
 
     def out_neighbors(self) -> list[list[int]]:

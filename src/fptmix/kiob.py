@@ -63,7 +63,10 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     first built, which ``find_out_tree`` follows: None for the one-node tree,
     (u, a) for the arc v -> u over u's tree a, and (u, a, x2, y2, b) for that
     one-child tree merged with v's tree b of shape (x2, y2).  Later builds of
-    the same mask are dropped.  A round of one tree size reads only smaller
+    the same mask are dropped.  Splits run x1-ascending, then y1-ascending,
+    and only those whose child shape (x1 - 1, y1) some child of v holds are
+    visited: a split no child can fill builds nothing, so skipping it moves
+    no back-pointer.  A round of one tree size reads only smaller
     sizes, so its states (v, x, y) are reduced as one layer, with ``trace``.
     Every state is reduced against k' = internal + leaves + slack, whatever
     the root, so the entry's ``table[v][(x, y)]`` serves every root and
@@ -87,6 +90,20 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
         layer: dict[tuple[int, int, int], dict[int, tuple | None]] = {}
         for v in range(n):
             vbit = 1 << v
+            # the shapes of v's child trees: a one-child tree (x1, y1) at v
+            # needs (x1 - 1, y1) among them, so no other split builds anything
+            below = {shape for u in out[v] for shape in table[u]}
+            splits = sorted(below)  # x1 ascending, then y1
+            one_child: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
+
+            def one_child_sets(x1: int, y1: int) -> list[tuple[int, tuple]]:
+                key = (x1, y1)
+                if key not in one_child:
+                    one_child[key] = [(a | vbit, (u, a)) for u in out[v]
+                                      for a in table[u].get((x1 - 1, y1), ())
+                                      if not a & vbit]
+                return one_child[key]
+
             for x in range(0, size + 1):
                 y = size - x
                 if x == 0 and y != 1:
@@ -100,28 +117,22 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                         table[v][(0, 1)] = {vbit: None}
                     continue
                 found: dict[int, tuple] = {}  # the first construction of a mask wins
-                one_child: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
-
-                def one_child_sets(x1: int, y1: int) -> list[tuple[int, tuple]]:
-                    key = (x1, y1)
-                    if key not in one_child:
-                        one_child[key] = [(a | vbit, (u, a)) for u in out[v]
-                                          for a in table[u].get((x1 - 1, y1), ())
-                                          if not a & vbit]
-                    return one_child[key]
-
-                for mask, how in one_child_sets(x, y):
-                    found.setdefault(mask, how)
-                for x1 in range(1, x + 1):
-                    for y1 in range(0, y + 1):
-                        x2, y2 = x + 1 - x1, y - y1
-                        merged = table[v].get((x2, y2))
-                        if merged:
-                            ones = one_child_sets(x1, y1)
-                            for b in merged:
-                                for a, how in ones:
-                                    if a & b == vbit:
-                                        found.setdefault(a | b, how + (x2, y2, b))
+                if (x - 1, y) in below:
+                    for mask, how in one_child_sets(x, y):
+                        found.setdefault(mask, how)
+                for x1_below, y1 in splits:
+                    if x1_below >= x:
+                        break
+                    if y1 > y:
+                        continue
+                    x2, y2 = x - x1_below, y - y1
+                    merged = table[v].get((x2, y2))
+                    if merged:
+                        ones = one_child_sets(x1_below + 1, y1)
+                        for b in merged:
+                            for a, how in ones:
+                                if a & b == vbit:
+                                    found.setdefault(a | b, how + (x2, y2, b))
                 if found:
                     layer[(v, x, y)] = found
         reduce_layer(universe, layer, lambda key: parts, None, trace)
@@ -150,13 +161,14 @@ def tp_alg(inst: TpInstance, trace: dict | None = None,
     2q, or else from a ``tree_families`` call given ``trace``."""
     g = inst.digraph
     n = g.node_count
-    arc_set = {(t, h) for t, h, _ in g.arcs}
     if inst.k + inst.l + 2 * inst.q > n or (inst.l == 0 and inst.k > 0):
         return TpResult(False)
     if table is None and inst.k:
         table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, trace).table
     # k = 0 (so l = 0): the tree is empty, only the q disjoint 2-node paths are sought
     trees = table[inst.root].get((inst.k, inst.l), ()) if inst.k else (0,)
+    if not trees:
+        return TpResult(False)
     undirected = g.underlying_graph()
     for tree in trees:
         nodes = frozenset(bit_positions(tree))
@@ -164,6 +176,7 @@ def tp_alg(inst: TpInstance, trace: dict | None = None,
                      if u not in nodes and v not in nodes)
         m = max_matching(Graph(n, free))
         if len(m) >= inst.q:
+            arc_set = {(t, h) for t, h, _ in g.arcs}
             paths = tuple((a, b) if (a, b) in arc_set else (b, a) for a, b in m.edges[: inst.q])
             arcs = find_out_tree(table, inst.root, inst.k, inst.l, tree) if tree else ()
             return TpResult(True, nodes, tuple(arcs), paths)

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import functools
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .core import (Digraph, FptMixError, InstanceError, OrderedUniverse,
-                   ParameterError, add_weights, bit_positions)
+from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError,
+                   OrderedUniverse, ParameterError, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -99,9 +98,12 @@ class KcwpInstance:
     r2: tuple[int, ...]
     vl: int
     vr: int
+    # derived once, by __post_init__, which dataclasses.replace re-runs
+    _params: KcwpParams = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        par = self.params()
+        par = kcwp_params(self.k, self.inv_eps, self.delta, self.gamma)
+        object.__setattr__(self, "_params", par)
         n = self.digraph.node_count
         if self.L & self.R:
             raise ParameterError("L and R must be disjoint")
@@ -125,7 +127,7 @@ class KcwpInstance:
                 raise ParameterError("L/R node out of range")
 
     def params(self) -> KcwpParams:
-        return kcwp_params(self.k, self.inv_eps, self.delta, self.gamma)
+        return self._params
 
 
 def kcwp_instance_to_document(inst: KcwpInstance) -> str:
@@ -214,6 +216,17 @@ class KcwpResult:
     chained: bool | None = None
 
 
+def _least_l(i: int, early: int, k1: int, mid: int) -> int:
+    """ceil(i / early * (k1 - mid)): the fewest L nodes i early pieces hold."""
+    return -(-i * (k1 - mid) // early)
+
+
+def _most_r(i: int, late: int, k2: int, mid: int) -> int:
+    """floor(i / late * (k2 - mid)) + mid: the most R nodes the middle piece
+    and i late pieces hold."""
+    return i * (k2 - mid) // late + mid
+
+
 def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                reduce: bool = True, trace: dict | None = None,
                audit: bool = False) -> KcwpResult:
@@ -266,12 +279,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
         return tuple(PartitionPart(elements, k_part, count)
                      for (elements, k_part), count in zip(part_shapes[first:], counts))
 
-    def put(layer, key, fs, weight, payload):
-        entry = layer.setdefault(key, {})
-        old = entry.get(fs)
-        if old is None or weight < old[0]:
-            entry[fs] = (weight, payload)
-
     # layer 0: the empty set, standing at the start node of the first piece
     layers = [{(0, 0, 0, starts[0]): {0: (0, None)}}]
     for p, length in enumerate(lengths):
@@ -281,16 +288,16 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
             total = len(layers)
             # count bounds of this layer: lo_l <= L count <= k1, R count <= hi_r
             if phase == "M":
-                lo_l, hi_r = math.ceil(Fraction(p, early) * (k1 - mid)), k2
+                lo_l, hi_r = _least_l(p, early, k1, mid), k2
             elif phase == "N":
                 lo_l, hi_r = k1 - (aftermid - total), k2
             else:
-                lo_l = 0
-                hi_r = min(k2, math.floor(Fraction(p - early, m - mt) * (k2 - mid) + mid))
+                lo_l, hi_r = 0, min(k2, _most_r(p - early, m - mt, k2, mid))
             bridge_to = (ends[p - 1], starts[p]) if pos == 0 and p else None
             # L nodes leave the stored sets when the first late piece opens;
             # every key of the last middle layer has L count k1 (lo_l is k1 there)
             drop_l = bridge_to is not None and p == early + 1
+            keep = ~l_mask if drop_l else -1  # the bits a stored set keeps
             layer: dict = {}
             for key, entry in layers[-1].items():
                 l, r, s, u = key
@@ -313,13 +320,19 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                     nkey = (nl, nr, ns, v)
                     arc = weights[(src, v)]
                     bit = 1 << v
+                    # made on its first insert, so layer keys keep first-insert order
+                    target = layer.get(nkey)
                     for fs, (w, _) in entry.items():
                         if fs & bit:
                             continue
                         nw = (add_weights(w, arc) if bridge is None
                               else add_weights(add_weights(w, bridge), arc))
-                        put(layer, nkey, (fs & ~l_mask if drop_l else fs) | bit, nw,
-                            (key, fs, v))
+                        nfs = (fs & keep) | bit
+                        if target is None:
+                            target = layer[nkey] = {}
+                        old = target.get(nfs)
+                        if old is None or nw < old[0]:  # the first of equal weights stays
+                            target[nfs] = (nw, (key, fs, v))
             if reduce:
                 reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min",
                              trace)
@@ -566,21 +579,28 @@ class PathAlgResult:
     weight: int | None = None
 
 
-def best_kpath(g: Digraph, k: int):
-    """Exhaustive minimum-weight simple k-node path, with the path itself."""
+def best_kpath(g: Digraph, k: int, budget: int):
+    """Exhaustive minimum-weight simple k-node path, with the path itself.
+    Each extension of a partial path by one node is charged against
+    ``budget``; the extension past it raises ``BudgetExceededError``."""
     if k <= 0:
         return None
     out = g.out_neighbors()
     weights = g.arc_weights()
     best: list = [None]
+    spent = 0
 
     def extend(v, trail, total):
+        nonlocal spent
         if len(trail) == k:
             if best[0] is None or total < best[0][0]:
                 best[0] = (total, tuple(trail))
             return
         for u in sorted(out[v]):
             if u not in trail:
+                spent += 1
+                if spent > budget:
+                    raise BudgetExceededError(f"k-path search needs > {budget} extensions")
                 trail.append(u)
                 extend(u, trail, add_weights(total, weights[(v, u)]))
                 trail.pop()
@@ -596,8 +616,9 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
     """Decide whether ``g`` has a k-node path of weight at most ``W``.
 
     Below the regime where pieces have an internal node (k < 2/eps + 1) the
-    answer comes from exhaustive search; above it the result is
-    budget-exceeded at any node count.
+    answer comes from exhaustive search, which charges ``budget`` one unit
+    per path extension and reports budget-exceeded when it runs out; above
+    it the result is budget-exceeded at any node count.
     """
     kcwp_params(k, inv_eps, delta, gamma)
     if budget <= 0:
@@ -605,7 +626,10 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
     if g.node_count < k:
         return PathAlgResult("reject")
     if k < 2 * inv_eps + 1:
-        got = best_kpath(g, k)
+        try:
+            got = best_kpath(g, k, budget)
+        except BudgetExceededError:
+            return PathAlgResult("budget-exceeded")
         if got is not None and got[0] <= W:
             return PathAlgResult("accept", got[1], got[0])
         return PathAlgResult("reject")

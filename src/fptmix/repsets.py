@@ -99,10 +99,13 @@ def _local_family(m: int, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, .
     else:
         fam = tuple(sum(1 << i for i in members) for members in combinations(range(m), p))
         mode = "dense"
-    maps = [0] * m
+    # one little-endian bit row per position, so each member costs O(1) per element
+    rows = [bytearray((len(fam) + 7) // 8) for _ in range(m)]
     for j, f in enumerate(fam):
+        byte, bit = j >> 3, 1 << (j & 7)
         for pos in bit_positions(f):
-            maps[pos] |= 1 << j
+            rows[pos][byte] |= bit
+    maps = [int.from_bytes(row, "little") for row in rows]
     # comb(m, p) distinct members of size p are all the p-subsets
     dense = all(f.bit_count() == p for f in fam) and len(set(fam)) == math.comb(m, p)
     return (*_remember(_separator_cache, key, (fam, tuple(maps), dense)), mode)
@@ -141,9 +144,19 @@ def query_separator(sep: SeparatorFamily, s) -> list[int]:
 
 @dataclass(frozen=True)
 class PartitionPart:
+    """One part (E_i, k_i, p_i); its hash is computed once, as parts tuples
+    key the per-layer caches of ``reduce_layer``."""
+
     elements: tuple[int, ...]
     k: int
     p: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.elements, self.k, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -258,15 +271,6 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     return selected, product_size
 
 
-def _member_key(mask: int) -> str:
-    """Descending key for ascending sorted-member order of equal-size masks.
-
-    The key lists the mask's bits from bit 0 up.  A sorts before B iff the
-    lowest bit of A ^ B is in A, which gives A the larger key; when one key
-    is a prefix of the other, the longer one holds that bit."""
-    return bin(mask)[:1:-1]
-
-
 def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective: str | None,
                  trace: dict | None = None) -> None:
     """Reduce every entry of one DP layer, in place, to the masks the sweep keeps.
@@ -276,9 +280,11 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
     parts.  The solvers build every mask with the counts its key names, so
     none are checked.  ``objective`` "max" or "min" weighs a mask by its
     value's first item; None marks an unweighted DP.  Entries of one set are
-    left alone.  A reduced entry keeps its masks in ascending sorted-member
-    order, the tie-break of the sweep and of the solvers' first-wins
-    updates.  Each parts tuple is resolved once per call.
+    left alone.  A reduced entry's dict order is ascending sorted-member
+    order, whatever order its masks arrived in.  That dict order is the
+    tie-break: the sweep keeps it among equal weights, and the solvers'
+    first-wins updates read entries in it.  Each parts tuple is resolved
+    once per call.
     When all its active separators are dense, a set's chi-product is the one
     index of its own per-part restriction, so the sweep would keep every set
     and such an entry is only sorted.  ``trace`` gets the largest reduced entry
@@ -291,7 +297,12 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
         if len(entry) <= 1:
             continue
         parts = parts_of_key(key)
-        ordered = sorted(entry, key=_member_key, reverse=True)
+        # ascending sorted-member order: a key lists a mask's bits from bit 0
+        # up, and A sorts before B iff the lowest bit of A ^ B is in A, which
+        # gives A the larger key (when one key is a prefix of the other, the
+        # longer one holds that bit); keys are distinct, so masks never compare
+        ordered = [fs for _, fs in sorted(zip([bin(fs)[:1:-1] for fs in entry], entry),
+                                          reverse=True)]
         if parts not in dense:
             seps = _plan(universe, [part for part in parts if part.k or part.p])
             dense[parts] = all(sep.dense for sep in seps)

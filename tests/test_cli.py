@@ -125,6 +125,19 @@ def test_solve_budget_exit_code(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "budget-exceeded"
 
 
+def test_solve_kpath_budget_bounds_the_exhaustive_search(tmp_path, capsys):
+    """k = 20 is below the small-k guard, so the search runs; before it took
+    a budget it ran for more than 10 s."""
+    _, doc, _ = run(capsys, "gen", "digraph", "--n", "30", "--density", "0.5", "--seed", "1")
+    inst = tmp_path / "d.json"
+    inst.write_text(doc)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "solve", "kpath", str(inst), "--k", "20", "--W", "0",
+                       "--budget", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and json.loads(out)["verdict"] == "budget-exceeded"
+
+
 def test_solve_kpath_past_the_small_k_guard_exits_3_at_any_node_count(tmp_path, capsys):
     """At 70 nodes this once exited 2: unisets refused a universal set on
     more than 64 nodes."""

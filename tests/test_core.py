@@ -77,6 +77,22 @@ def test_digraph_invariants():
     assert Digraph(2, [[0, 1, 5]]).arcs == ((0, 1, 5),)  # a document's lists are read as they are
 
 
+def test_digraph_weight_checks():
+    """The constructor's in-range-int fast path still sends every other
+    weight to check_weight."""
+    for weight in (True, 1.0, "1", None):
+        with pytest.raises(InstanceError, match="exact integer"):
+            Digraph(2, ((0, 1, weight),))
+    for weight in (2**63, -(2**63) - 1):
+        with pytest.raises(WeightOverflowError):
+            Digraph(2, ((0, 1, weight),))
+    assert Digraph(2, ((0, 1, 2**63 - 1), (1, 0, -(2**63)))).arcs == \
+        ((0, 1, 2**63 - 1), (1, 0, -(2**63)))
+    for arcs in (((0, 1, 3), (0, 1, 5)), ((0, 1, 4), (0, 1, 3), (0, 1, 9))):
+        assert Digraph(2, arcs).arcs == ((0, 1, 3),)  # parallel arcs keep the minimum
+    assert Digraph(2, ((0, 1, -1), (0, 1, -2**63))).arcs == ((0, 1, -2**63),)
+
+
 def test_graph_invariants():
     with pytest.raises(InstanceError):
         Graph(2, ((0, 2),))

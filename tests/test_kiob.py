@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fptmix.core import (Digraph, FptMixError, OrderedUniverse, ParameterError,
                          WeightedSetFamily, bit_positions)
 from fptmix import kiob, oracles
-from fptmix.repsets import PartitionPart, PartitionSpec, check_representation
+from fptmix.repsets import PartitionPart, PartitionSpec, check_representation, reduce_layer
 
 
 def random_digraph(rng, n, density=0.35):
@@ -280,3 +280,79 @@ def test_solve_kiob_checks_c_when_no_reduction_runs():
     assert not kiob.solve_kiob(single, 1, 1.0, trace).accept and trace == {}
     with pytest.raises(ParameterError, match="c must be at least 1"):
         kiob.solve_kiob(single, 1, 0.5)
+
+
+def _all_splits_table(g, internal, leaves, slack, trace):
+    """``tree_families``'s table as first written: every (v, x, y) state
+    probes every (x1, y1) split, x1-ascending then y1-ascending, whether or
+    not a child of v holds a tree of shape (x1 - 1, y1)."""
+    n = g.node_count
+    universe = OrderedUniverse.from_labels(str(v) for v in range(n))
+    out = g.out_neighbors()
+    total = internal + leaves
+    table = [dict() for _ in range(n)]
+    for size in range(1, total + 1):
+        parts = (PartitionPart(tuple(range(n)), total + slack, size),)
+        layer = {}
+        for v in range(n):
+            vbit = 1 << v
+            for x in range(0, size + 1):
+                y = size - x
+                if (x == 0 and y != 1) or y == 0 or x > internal or y > leaves:
+                    continue
+                if size == 1:
+                    table[v][(0, 1)] = {vbit: None}
+                    continue
+
+                def one_child_sets(x1, y1):
+                    return [(a | vbit, (u, a)) for u in out[v]
+                            for a in table[u].get((x1 - 1, y1), ()) if not a & vbit]
+
+                found = {}
+                for mask, how in one_child_sets(x, y):
+                    found.setdefault(mask, how)
+                for x1 in range(1, x + 1):
+                    for y1 in range(0, y + 1):
+                        x2, y2 = x + 1 - x1, y - y1
+                        merged = table[v].get((x2, y2))
+                        if merged:
+                            ones = one_child_sets(x1, y1)
+                            for b in merged:
+                                for a, how in ones:
+                                    if a & b == vbit:
+                                        found.setdefault(a | b, how + (x2, y2, b))
+                if found:
+                    layer[(v, x, y)] = found
+        reduce_layer(universe, layer, lambda key: parts, None, trace)
+        for (v, x, y), entry in layer.items():
+            table[v][(x, y)] = entry
+    return table
+
+
+@st.composite
+def digraphs_and_tree_shapes(draw):
+    """A digraph on 1-8 nodes and a tree shape (internal, leaves, slack) that
+    ``tree_families`` accepts on it."""
+    n = draw(st.integers(1, 8))
+    g = random_digraph(random.Random(draw(st.integers(0, 2**32))), n,
+                       draw(st.sampled_from([0.2, 0.35, 0.5, 0.75])))
+    internal = draw(st.integers(0, n - 1))
+    leaves = 1 if internal == 0 else draw(st.integers(0, n - internal))
+    slack = draw(st.integers(0, n - internal - leaves))
+    return g, internal, leaves, slack
+
+
+@settings(max_examples=300)
+@given(digraphs_and_tree_shapes())
+def test_tree_families_visits_splits_in_the_all_splits_order(case):
+    """Skipping the splits no child can fill keeps every state, every mask,
+    the masks' order and each mask's back-pointer, and the trace."""
+    g, internal, leaves, slack = case
+    got_trace, want_trace = {}, {}
+    got = kiob.tree_families(g, 0, internal, leaves, slack, got_trace).table
+    want = _all_splits_table(g, internal, leaves, slack, want_trace)
+    assert [[(shape, list(entry.items())) for shape, entry in states.items()]
+            for states in got] == \
+        [[(shape, list(entry.items())) for shape, entry in states.items()]
+         for states in want]
+    assert got_trace == want_trace

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -153,6 +155,52 @@ def test_path_alg_budget():
     g = Digraph(40, tuple((i, i + 1, 1) for i in range(39)))
     assert kpath.path_alg(g, 100, 30, budget=0).status == "budget-exceeded"
     assert kpath.path_alg(g, 100, 30, budget=100).status == "budget-exceeded"
+
+
+def test_path_alg_charges_one_unit_per_path_extension():
+    """On the path 0 -> 1 -> 2 the search for a 3-node path extends 0 to 1,
+    0 1 to 2 and 1 to 2: three extensions, so a budget of 3 is enough."""
+    g = Digraph(3, ((0, 1, 1), (1, 2, 1)))
+    assert kpath.path_alg(g, 2, 3, budget=3) == kpath.PathAlgResult("accept", (0, 1, 2), 2)
+    assert kpath.path_alg(g, 2, 3, budget=2).status == "budget-exceeded"
+    assert kpath.path_alg(g, 1, 3, budget=3).status == "reject"
+
+
+def test_path_alg_budget_stops_the_exhaustive_search():
+    """Below the small-k guard the search on a complete 30-node digraph is
+    far beyond any budget; once it ran unbounded, whatever the budget."""
+    g = Digraph(30, tuple((t, h, 1) for t in range(30) for h in range(30) if t != h))
+    start = time.perf_counter()
+    assert kpath.path_alg(g, 0, 20, budget=1).status == "budget-exceeded"
+    assert kpath.path_alg(g, 0, 20).status == "budget-exceeded"  # the default, 100,000
+    assert time.perf_counter() - start < 5
+
+
+def test_integer_layer_bounds_are_the_fraction_bounds():
+    """solve_kcwp's count bounds in integers equal verify_kcwp_witness's
+    Fraction forms, k1 - mid and k2 - mid negative included."""
+    for parts in range(1, 8):
+        for i in range(parts + 1):
+            for k_blue in range(6):
+                for mid in range(12):
+                    assert kpath._least_l(i, parts, k_blue, mid) == \
+                        math.ceil(Fraction(i, parts) * (k_blue - mid))
+                    assert kpath._most_r(i, parts, k_blue, mid) == \
+                        math.floor(Fraction(i, parts) * (k_blue - mid) + mid)
+
+
+def test_kcwp_params_are_derived_once_and_again_on_replace():
+    g, path = planted_instance(random.Random(3))
+    inst = kpath.construct_kcwp_witness(g, path, INV, DELTA, GAMMA)
+    assert inst.params() == kpath.kcwp_params(inst.k, INV, DELTA, GAMMA)
+    assert inst.params() is inst.params()
+    longer = replace(inst, k=inst.k + 1)
+    assert longer.params() == kpath.kcwp_params(inst.k + 1, INV, DELTA, GAMMA)
+    assert longer.params() != inst.params()
+    with pytest.raises(ParameterError):
+        replace(inst, delta=Fraction(1, 5))
+    with pytest.raises(ParameterError):
+        replace(inst, inv_eps=15)
 
 
 def test_kcwp_params_admit_no_1_over_eps_below_13():
