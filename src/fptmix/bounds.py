@@ -170,10 +170,10 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
     a red-part term whose usage fraction is pinned to the blue progress."""
     if not c1 >= c2 >= 1:
         raise ParameterError("need c1 >= c2 >= 1")
-    al, _ = alpha_for(cl)
-    ar, _ = alpha_for(cr)
-    b1, _ = alpha_for(c1)
-    b2, _ = alpha_for(c2)
+    # the four alpha_for searches, in lockstep
+    cs = np.array([[cl], [cr], [c1], [c2]])
+    al, ar, b1, b2 = _golden_rows(lambda a: log_tradeoff_term(cs, a), [0.0] * 4, [1.0] * 4,
+                                  10_001, 1e-9)[0].tolist()
     half_p = 0.5 + delta
     half_m = 0.5 - delta
     flags = []
@@ -183,19 +183,20 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
         flags.append("second-branch pinning assumption violated")
     a_prime = max(0.0, (b2 - half_p) / half_m)
 
-    def y1(a: float) -> float:
-        return (half_p * gamma * log_tradeoff_term(cl, a)
-                + (1 - gamma) * log_tradeoff_term(c1, a * half_p))
+    if ar < a_prime:
+        raise ParameterError("empty maximization interval")
+    # rows y1 over [al, 1] and y2 over [a', ar].  The reference rows pin the
+    # second branch's blue factor at the (1/2 + delta) fraction; the
+    # (1/2 - delta) variant reproduces none of them
+    red, blue = np.array([[cl], [cr]]), np.array([[c1], [c2]])
+    offset, scale = np.array([[0.0], [half_p]]), np.array([[half_p], [half_m]])
 
-    def y2(a: float) -> float:
-        # the reference rows pin the second branch's blue factor at the
-        # (1/2 + delta) fraction; the (1/2 - delta) variant reproduces none
-        # of them
-        return (half_p * gamma * log_tradeoff_term(cr, a)
-                + (1 - gamma) * log_tradeoff_term(c2, half_p + a * half_m))
+    def ys(a):
+        return (half_p * gamma * log_tradeoff_term(red, a)
+                + (1 - gamma) * log_tradeoff_term(blue, offset + a * scale))
 
-    a1, ly1 = golden_max(y1, al, 1.0)
-    a2, ly2 = golden_max(y2, a_prime, ar)
+    (a1, a2), (ly1, ly2) = (v.tolist() for v in _golden_rows(ys, [al, a_prime], [1.0, ar],
+                                                              10_001, 1e-9))
     color = math.exp(gamma * _entropy(half_m))  # divide-and-color universal set factor
     z1 = math.exp(ly1) * color * _TWO_EPS
     z2 = math.exp(ly2) * color * _TWO_EPS

@@ -6,9 +6,9 @@ some stored vector agrees with that assignment on all of I.
 
 Bit-vectors are stored as ints, bit i holding f(i+1), so n is at most 64.
 Two construction modes exist: a deterministic greedy cover of the explicit
-constraint space, which subtracts only what each round newly covers from
-every candidate's count, and randomized sampling that only returns after a
-full verification pass.  Both scan cover matrices in bounded row blocks.
+constraint space, whose counts start from a closed form and lose only what
+each round newly covers, and randomized sampling until its pools cover every
+constraint.  Cover matrices are scanned in bounded lexicographic column blocks.
 Neither reproduces the asymptotically optimal size; both reproduce the
 covering property exactly, which is the correctness contract everything
 downstream relies on.
@@ -28,7 +28,7 @@ from .core import BudgetExceededError, ParameterError
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
 RANDOMIZED_K_CAP = 10
-_MATRIX_CELL_CAP = 1 << 20  # cells per block of a cover matrix: 8 MB of uint64 temporaries
+_MATRIX_CELL_CAP = 1 << 18  # cells per block of a cover matrix: 2 MB of uint64 temporaries
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ class UniversalSet:
                 continue
             if len(line) != n or set(line) - {"0", "1"}:
                 raise ParameterError(f"bad function line {line!r} for n={n}")
-            funcs.append(sum(1 << i for i, ch in enumerate(line) if ch == "1"))
+            funcs.append(int(line[::-1], 2))
         return cls(n, k, p, tuple(funcs))
 
 
@@ -86,10 +86,11 @@ def _constraint_masks(n, k, p):
 
 def _cover_blocks(funcs, index, ones):
     """Yield the cover matrix of ``funcs`` against the constraints (f agrees
-    with one when f & I == X) in row blocks of at most _MATRIX_CELL_CAP cells."""
-    step = max(1, _MATRIX_CELL_CAP // max(1, len(ones)))
-    for lo in range(0, len(funcs), step):
-        yield (funcs[lo:lo + step, None] & index) == ones
+    with one when f & I == X) in lexicographic column blocks of at most
+    _MATRIX_CELL_CAP cells, or of one column when ``funcs`` alone exceeds it."""
+    step = max(1, _MATRIX_CELL_CAP // max(1, len(funcs)))
+    for lo in range(0, len(ones), step):
+        yield (funcs[:, None] & index[lo:lo + step]) == ones[lo:lo + step]
 
 
 @dataclass(frozen=True)
@@ -107,14 +108,15 @@ def verify_universal(u: UniversalSet, budget: int = DEFAULT_CONSTRAINT_BUDGET) -
     if total > budget:
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
     subsets, patterns, index, ones = _constraint_masks(u.n, u.k, u.p)
-    covered = np.zeros(len(ones), dtype=bool)
+    lo = 0
     for block in _cover_blocks(np.asarray(u.functions, dtype=np.uint64), index, ones):
-        covered |= block.any(axis=0)
-    if covered.all():
-        return VerifyResult(True)
-    at, pattern = divmod(int(np.argmin(covered)), len(patterns))
-    I = tuple(int(i) for i in subsets[at])
-    return VerifyResult(False, (I, tuple(I[j] for j in patterns[pattern])))
+        covered = block.any(axis=0)
+        if not covered.all():  # the first block with a violation holds the first one
+            at, pattern = divmod(lo + int(np.argmin(covered)), len(patterns))
+            I = tuple(int(i) for i in subsets[at])
+            return VerifyResult(False, (I, tuple(I[j] for j in patterns[pattern])))
+        lo += len(covered)
+    return VerifyResult(True)
 
 
 def _lex_candidates(n: int) -> np.ndarray:
@@ -142,7 +144,7 @@ def build_universal(n: int, k: int, p: int, mode: str = "greedy",
             raise ParameterError("randomized mode requires an explicit seed")
         if k > RANDOMIZED_K_CAP:
             raise BudgetExceededError(f"k={k} exceeds randomized cap {RANDOMIZED_K_CAP}")
-        return _build_randomized(n, k, p, seed, budget)
+        return _build_randomized(n, k, p, seed)
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -159,30 +161,33 @@ def _build_greedy(n, k, p) -> UniversalSet:
     _, _, index, ones = _constraint_masks(n, k, p)
     cands = _lex_candidates(n)
 
-    def counts_of(cols):
-        return np.concatenate([b.sum(axis=1)
-                               for b in _cover_blocks(cands, index[cols], ones[cols])])
-
+    # f covers (I, X) iff X = f & I, so it starts with C(|f|, p) C(n - |f|, k - p);
+    # popcounts by lex index, as the lex order permutes each vector's bits
+    pop = sum((np.arange(len(cands)) >> i) & 1 for i in range(n))
+    counts = np.array([math.comb(c, p) * math.comb(n - c, k - p) for c in range(n + 1)])[pop]
     live = np.ones(len(ones), dtype=bool)
-    counts = counts_of(live)
     chosen: list[int] = []
     while live.any():
         f = cands[np.argmax(counts)]  # first max = lex-smallest by candidate order
         chosen.append(int(f))
         new = live & ((f & index) == ones)
         live &= ~new
-        counts -= counts_of(new)  # only newly covered constraints leave the counts
+        # only newly covered constraints leave the counts
+        counts -= sum(b.sum(axis=1) for b in _cover_blocks(cands, index[new], ones[new]))
     return UniversalSet(n, k, p, tuple(chosen))
 
 
-def _build_randomized(n, k, p, seed, budget) -> UniversalSet:
-    """Sample coupon-collector-sized pools until a full verification passes."""
+def _build_randomized(n, k, p, seed) -> UniversalSet:
+    """Sample coupon-collector-sized pools until together they cover every
+    constraint, checking each against what the earlier ones left uncovered."""
     rng = random.Random(seed)
-    total = constraint_count(n, k, p)
-    pool = max(1, math.ceil(2 * math.comb(k, p) * math.log(max(total, 2))))
+    _, _, index, ones = _constraint_masks(n, k, p)
+    pool = max(1, math.ceil(2 * math.comb(k, p) * math.log(max(len(ones), 2))))
+    live = np.arange(len(ones))  # the uncovered constraints
     funcs: list[int] = []
-    while True:
-        funcs.extend(rng.getrandbits(n) if n else 0 for _ in range(pool))
-        u = UniversalSet(n, k, p, tuple(funcs))
-        if verify_universal(u, budget).valid:
-            return u
+    while len(live):
+        new = np.array([rng.getrandbits(n) if n else 0 for _ in range(pool)], dtype=np.uint64)
+        funcs.extend(new.tolist())
+        live = live[~np.concatenate([b.any(axis=0)
+                                     for b in _cover_blocks(new, index[live], ones[live])])]
+    return UniversalSet(n, k, p, tuple(funcs))

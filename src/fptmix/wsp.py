@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import add, lt
 
@@ -148,6 +149,10 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(
         if old is None or weight > old[0]:
             entry[fs] = (weight, payload)
 
+    @cache  # one parts tuple per (layer size j, stored-set size)
+    def parts_of_size(j, size):
+        return (PartitionPart(everything, size + 3 * (k - j), size),)
+
     def pack(rank, f) -> tuple[tuple[int, ...], int, int] | None:
         t = len(f)
         ek = k // t
@@ -216,8 +221,7 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(
                 if reduce:
                     def parts_of(key):
                         # stored sets hold 2j elements less stage i - 1's deletable count
-                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                        return (PartitionPart(everything, size + 3 * (k - j), size),)
+                        return parts_of_size(j, 2 * j - (key[0][i - 2] if i >= 2 else 0))
                     reduce_layer(universe, layer, parts_of, "max", trace)
                 if audit:
                     for (s_vec, mrank), entry in layer.items():

@@ -235,3 +235,49 @@ def test_staged_bound_skips_nan_cells_like_a_scalar_scan():
     # at c = 1/2 whole cells take the log of a negative number
     for c, inv_eps in ((1.0, 1), (1.0, 2), (0.5, 7), (0.5, 13)):
         assert bounds.wsp_bound(c, inv_eps) == _wsp_reference(c, inv_eps)
+
+
+def _kpath_reference(delta, gamma, c1, c2, cl, cr):
+    """``kpath_bound`` as six separate scalar ``golden_max`` searches."""
+    if not c1 >= c2 >= 1:
+        raise ParameterError("need c1 >= c2 >= 1")
+    al, ar, b1, b2 = (bounds.golden_max(lambda a: bounds.log_tradeoff_term(c, a), 0.0, 1.0)[0]
+                      for c in (cl, cr, c1, c2))
+    half_p, half_m = 0.5 + delta, 0.5 - delta
+    flags = []
+    if not half_p < b1:
+        flags.append("first-branch pinning assumption violated")
+    if not b2 < half_p + ar * half_m:
+        flags.append("second-branch pinning assumption violated")
+    a_prime = max(0.0, (b2 - half_p) / half_m)
+    a1, ly1 = bounds.golden_max(lambda a: half_p * gamma * bounds.log_tradeoff_term(cl, a)
+                                + (1 - gamma) * bounds.log_tradeoff_term(c1, a * half_p),
+                                al, 1.0)
+    a2, ly2 = bounds.golden_max(lambda a: half_p * gamma * bounds.log_tradeoff_term(cr, a)
+                                + (1 - gamma) * bounds.log_tradeoff_term(c2, half_p + a * half_m),
+                                a_prime, ar)
+    color = math.exp(gamma * bounds._entropy(half_m))
+    z1 = math.exp(ly1) * color * bounds._TWO_EPS
+    z2 = math.exp(ly2) * color * bounds._TWO_EPS
+    return {"base": max(z1, z2), "Z1": z1, "Z2": z2,
+            "argmax": {"alpha1": a1, "alpha2": a2, "alphaL": al, "alphaR": ar,
+                       "beta1": b1, "beta2": b2, "flags": flags}}
+
+
+KPATH_EXTRA = [(0.1, 0.3, 2.0, 1.2, 1.5, 1.3), (0.0, 0.0, 1.0, 1.0, 1.0, 1.0),
+               (0.2, 1.0, 3.0, 2.5, 1.1, 2.0), (-0.2, 0.5, 1.7, 1.7, 1.4, 1.6),
+               (0.3, 0.05, 1.2, 1.0, 3.0, 1.0)]
+
+
+@pytest.mark.parametrize("params", list(bounds.REFERENCE_TABLE4) + KPATH_EXTRA)
+def test_kpath_bound_equals_six_scalar_searches(params):
+    got = bounds.kpath_bound(*params)
+    assert repr(got) == repr(_kpath_reference(*params))
+
+
+def test_kpath_bound_raises_on_an_empty_second_interval():
+    # c2 = 4 puts beta2 near 0.92, so a' = (beta2 - 1/2) / (1/2) lies above alphaR at cr = 1
+    params = (0.0, 0.084, 4.0, 4.0, 1.092, 1.0)
+    for fn in (bounds.kpath_bound, _kpath_reference):
+        with pytest.raises(ParameterError, match="empty maximization interval"):
+            fn(*params)

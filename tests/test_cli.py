@@ -641,3 +641,14 @@ def test_solve_and_bench_run_a_row_alike(tmp_path, capsys, problem):
     assert row["verdict"] == solved["verdict"] == "accept" and row["match"]
     for field in ("peakFamilySize", "reductions", "denseSkips"):
         assert row[field] == solved[field], field
+
+
+@pytest.mark.parametrize("n, line", [(3, "1_0"), (3, "+10"), (3, "0b1"), (2, "１０"),
+                                     (3, "1 0"), (2, "101")])
+def test_check_uniset_bad_line_is_a_usage_error(tmp_path, capsys, n, line):
+    """Lines ``int(..., 2)`` would read, and a line of the wrong length, exit
+    2 rather than parse or look like an invalid set."""
+    path = tmp_path / "u.txt"
+    path.write_text("1" * n + "\n" + line + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-uniset", str(path), "--n", str(n), "--k", "1", "--p", "1")
+    assert code == 2 and out == "" and "bad function line" in err

@@ -53,3 +53,137 @@ def test_oracles_import_only_core():
     imports = _package_imports(SRC / "oracles.py")
     assert "core" in imports, "the scan no longer sees the oracles' core import"
     assert imports == {"core"}
+
+
+CONTAINER_CALLS = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter",
+                   "deque"}
+CONTAINER_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+READ_METHODS = {"get", "items", "keys", "values", "copy", "count", "index"}
+READ_CALLS = {"len", "list", "tuple", "sorted", "iter", "enumerate", "zip", "min", "max", "any",
+              "all", "frozenset"}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _callee(node) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _module_containers(tree) -> set[str]:
+    """Names a module binds at its top level to a dict, list or set display,
+    a comprehension or a container constructor."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            value = node.value
+            if isinstance(value, CONTAINER_DISPLAYS) or \
+                    (isinstance(value, ast.Call) and _callee(value) in CONTAINER_CALLS):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found.update(t.id for t in targets if isinstance(t, ast.Name))
+    return found
+
+
+def _aliases(tree) -> dict[str, tuple]:
+    """Local name -> ("module", m) for an imported fptmix module, or
+    ("name", m, x) for a name imported from one."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 1 and module:
+                for alias in node.names:
+                    out[alias.asname or alias.name] = ("name", module, alias.name)
+            elif (node.level == 1 and not module) or module == "fptmix":
+                for alias in node.names:
+                    out[alias.asname or alias.name] = ("module", alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("fptmix.") and alias.asname:
+                    out[alias.asname] = ("module", alias.name.split(".")[1])
+    return out
+
+
+def _mutated_module_state() -> tuple[set, set]:
+    """The module-level containers, and those the package writes to or
+    hands to a call that could: a subscript store or delete, an augmented
+    assignment, a method other than a read, an argument to any call but a
+    read-only builtin, or a ``global`` rebinding."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    containers = {(m, x) for m, tree in trees.items() for x in _module_containers(tree)}
+    written = set()
+    for m, tree in trees.items():
+        aliases = _aliases(tree)
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                written.update((m, x) for x in node.names if (m, x) in containers)
+                continue
+            if isinstance(node, ast.Name):
+                bound = aliases.get(node.id, ())
+                ref = (bound[1], bound[2]) if bound[:1] == ("name",) else (m, node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and \
+                    aliases.get(node.value.id, ())[:1] == ("module",):
+                ref = (aliases[node.value.id][1], node.attr)
+            else:
+                continue
+            if ref not in containers:
+                continue
+            up = parent.get(node)
+            if isinstance(up, ast.Subscript) and up.value is node and \
+                    isinstance(up.ctx, (ast.Store, ast.Del)):
+                written.add(ref)
+            elif isinstance(up, ast.AugAssign) and up.target is node:
+                written.add(ref)
+            elif isinstance(up, ast.Attribute) and isinstance(parent.get(up), ast.Call) and \
+                    parent[up].func is up and up.attr not in READ_METHODS:
+                written.add(ref)
+            elif isinstance(up, (ast.Call, ast.keyword)):
+                call = up if isinstance(up, ast.Call) else parent[up]
+                if call.func is not node and _callee(call) not in READ_CALLS:
+                    written.add(ref)
+    return containers, written
+
+
+def test_only_the_separator_caches_are_mutable_module_state():
+    """Global state stays bounded: the only module-level containers the
+    package mutates are the two size-capped separator caches of ``repsets``.
+    The other module-level dicts (the reference tables, the CLI's lookup
+    tables) are only read."""
+    containers, written = _mutated_module_state()
+    assert {("bounds", "REFERENCE_TABLE1"), ("cli", "_TRACE_FIELDS")} <= containers, \
+        "the scan no longer sees the read-only tables"
+    assert written == {("repsets", "_separator_cache"), ("repsets", "_plans")}
+
+
+def _caches(tree, top_level_only: bool) -> list[int]:
+    """Lines of functions decorated with ``cache``/``lru_cache``, at module
+    level and in module-level classes, or anywhere; and of module-level
+    assignments that wrap a function in one."""
+    if top_level_only:
+        defs = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [item for node in tree.body if isinstance(node, ast.ClassDef)
+                 for item in node.body if isinstance(item, ast.FunctionDef)]
+        wraps = [node.lineno for node in tree.body if isinstance(node, ast.Assign) and
+                 isinstance(node.value, ast.Call) and
+                 (_callee(node.value) in CACHE_DECORATORS or
+                  _callee(node.value.func) in CACHE_DECORATORS)]
+    else:
+        defs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        wraps = []
+    return [node.lineno for node in defs
+            if any(_callee(d) in CACHE_DECORATORS for d in node.decorator_list)] + wraps
+
+
+def test_no_module_level_function_cache():
+    """A module-level ``functools.cache`` or ``lru_cache`` lives as long as
+    the process and holds every argument and result; per-call caches on
+    nested functions end with their call."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _caches(trees["kpath.py"], top_level_only=False), \
+        "the scan no longer sees kpath's per-call parts cache"
+    assert {name: lines for name, tree in trees.items()
+            if (lines := _caches(tree, top_level_only=True))} == {}

@@ -1,3 +1,5 @@
+import functools
+import math
 import random
 from itertools import combinations, product
 
@@ -177,3 +179,122 @@ def test_verify_matches_brute_force_first_violation(cap, monkeypatch):
         assert verify_universal(UniversalSet(n, k, p, funcs)) == VerifyResult(ref is None, ref)
         verdicts.add(ref is None)
     assert verdicts == {True, False}
+
+
+@functools.cache
+def _randomized_reference(n, k, p, seed):
+    """The rebuild-and-reverify loop: after each new pool, verify the whole
+    family grown so far, and stop at the first pool that makes it valid."""
+    rng = random.Random(seed)
+    total = constraint_count(n, k, p)
+    pool = max(1, math.ceil(2 * math.comb(k, p) * math.log(max(total, 2))))
+    funcs = []
+    while True:
+        funcs.extend(rng.getrandbits(n) if n else 0 for _ in range(pool))
+        if verify_universal(UniversalSet(n, k, p, tuple(funcs))).valid:
+            return tuple(funcs)
+
+
+ALL_SHAPES_10 = [(n, k, p) for n in range(11) for k in range(n + 1) for p in range(k + 1)]
+
+
+@pytest.mark.parametrize("cap", [None, 2_000])
+def test_randomized_matches_rebuild_and_reverify(cap, monkeypatch):
+    want = {(shape, seed): _randomized_reference(*shape, seed)
+            for shape in ALL_SHAPES_10 for seed in (0, 1, 99)}  # at the default cap
+    if cap is not None:  # column blocks of a few columns, and of one column at k = 10
+        monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
+    for (shape, seed), funcs in want.items():
+        assert build_universal(*shape, mode="rand", seed=seed).functions == funcs, (shape, seed)
+
+
+def test_greedy_counts_equal_full_matrix_counts(monkeypatch):
+    """The counts every greedy round picks from, the closed-form start
+    C(|f|, p) C(n - |f|, k - p) and each round's decrements, against a
+    recount of the full cover matrix over the live constraints, n <= 9."""
+    seen = []
+    real = np.argmax
+
+    def spy(a, *args, **kw):
+        seen.append(a.copy())
+        # every round covers a constraint, unless its counts are wrong
+        assert len(seen) <= len(live), "more rounds than constraints"
+        return real(a, *args, **kw)
+
+    monkeypatch.setattr(np, "argmax", spy)
+    for n, k, p in [(n, k, p) for n in range(1, 10) for k in range(1, n + 1)
+                    for p in range(k + 1)]:
+        seen.clear()
+        live = np.ones(constraint_count(n, k, p), dtype=bool)
+        chosen = build_universal(n, k, p).functions
+        cons = [(x, y) for _, _, x, y in iter_constraints(n, k, p)]
+        xs = np.array([x for x, _ in cons], dtype=np.uint64)
+        ys = np.array([y for _, y in cons], dtype=np.uint64)
+        cands = np.array([sum(1 << i for i, ch in enumerate(s) if ch == "1")
+                          for s in ("".join(t) for t in product("01", repeat=n))],
+                         dtype=np.uint64)
+        cover = ((cands[:, None] & xs) == xs) & ((cands[:, None] & ys) == 0)
+        assert len(seen) == len(chosen), (n, k, p)
+        for counts, f in zip(seen, chosen):
+            assert counts.tolist() == cover[:, live].sum(axis=1).tolist(), (n, k, p)
+            live &= ~cover[int(np.flatnonzero(cands == f)[0])]
+        assert not live.any()
+
+
+@pytest.mark.parametrize("cap", [64, 500])
+def test_verify_stops_at_the_block_holding_the_first_violation(cap, monkeypatch):
+    monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
+    blocks = []
+    real = unisets._cover_blocks
+
+    def spy(funcs, index, ones):
+        for block in real(funcs, index, ones):
+            blocks.append(block.shape)
+            yield block
+
+    monkeypatch.setattr(unisets, "_cover_blocks", spy)
+    rng = random.Random(7)
+    stops = set()
+    for n, k, p in [(6, 3, 1), (7, 3, 2), (8, 4, 2)]:
+        full = build_universal(n, k, p).functions
+        order = [(I, ones) for I, ones, _, _ in iter_constraints(n, k, p)]
+        for _ in range(20):
+            funcs = tuple(f for f in full if rng.random() < 0.85)
+            step = max(1, cap // max(1, len(funcs)))
+            blocks.clear()
+            got = verify_universal(UniversalSet(n, k, p, funcs))
+            first = _first_violation(n, k, p, funcs)
+            assert got == VerifyResult(first is None, first)
+            # every block up to the one holding the first violation, each within the cap
+            total_blocks = -(-len(order) // step)
+            assert len(blocks) == (order.index(first) // step + 1 if first else total_blocks)
+            assert all(shape == (len(funcs), min(step, len(order) - i * step))
+                       for i, shape in enumerate(blocks))
+            assert all(rows * cols <= cap for rows, cols in blocks)
+            stops.add("valid" if first is None else
+                      "early" if len(blocks) < total_blocks else "last")
+    assert stops >= {"valid", "early"}
+
+
+def _parse_reference(line):
+    """f(i + 1) is character i of the line, stored at bit i."""
+    return sum(1 << i for i, ch in enumerate(line) if ch == "1")
+
+
+def test_from_lines_parses_every_vector():
+    for n in range(1, 9):
+        lines = ["".join(t) for t in product("01", repeat=n)]
+        u = UniversalSet.from_lines(n, 1, 1, lines + ["", "  "])
+        assert u.functions == tuple(_parse_reference(line) for line in lines)
+        assert u.lines() == lines
+
+
+# each is something int(..., 2) reads, or a line of the wrong length
+BAD_LINES = [(3, "1_0"), (3, "+10"), (3, "0b1"), (2, "\uff11\uff10"), (3, "1 0"), (2, "101"),
+             (3, "10"), (4, "-101"), (3, "1\u0661\u0660")]
+
+
+@pytest.mark.parametrize("n, line", BAD_LINES)
+def test_from_lines_rejects_what_the_format_forbids(n, line):
+    with pytest.raises(ParameterError, match="bad function line"):
+        UniversalSet.from_lines(n, 1, 1, ["0" * n, line])
