@@ -18,6 +18,7 @@ from .core import ParameterError
 
 _FOUR_EPS = 4.0 ** 1e-10  # per-k nuisance factor attached to the tree-and-paths tables
 _TWO_EPS = 2.0 ** 1e-10
+_TOL = 1e-9  # argument tolerance of every golden-section refinement
 
 
 def _xlogx(x):
@@ -38,13 +39,13 @@ def _plogq(p, q):
     return np.where(skip, 0.0, p * np.log(np.where(skip, 1.0, q)))
 
 
-def _golden_rows(fn, lo, hi, grid: int, tol: float):
-    """Coarse grid scan followed by golden-section refinement to ``tol``, in
+def _golden_rows(fn, lo, hi, grid: int):
+    """Coarse grid scan followed by golden-section refinement to ``_TOL``, in
     lockstep on every row's interval [lo, hi]; ``fn`` maps a (rows, m) array
     of arguments to their values.  Returns the (argmax, value) arrays.
 
     Each row takes the scalar search's steps: its first best grid point
-    brackets it, and it stops once its bracket is within ``tol``.  The
+    brackets it, and it stops once its bracket is within ``_TOL``.  The
     refinement assumes local unimodality inside that bracket, which the
     concavity sanity check in the tests watches independently.
     """
@@ -60,7 +61,7 @@ def _golden_rows(fn, lo, hi, grid: int, tol: float):
     b = xs[rows, np.minimum(best + 1, grid - 1)]
     c, d = b - phi * (b - a), a + phi * (b - a)
     fc, fd = fn(np.stack([c, d], axis=1)).T
-    while np.any(live := b - a > tol):
+    while np.any(live := b - a > _TOL):
         left = fc >= fd  # keep [a, d], else [c, b]; a finished row keeps a and b
         a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
         x = np.where(left, b - phi * (b - a), a + phi * (b - a))
@@ -71,12 +72,12 @@ def _golden_rows(fn, lo, hi, grid: int, tol: float):
     return x, fn(x[:, None])[:, 0]
 
 
-def golden_max(fn, lo: float, hi: float, grid: int = 10_001, tol: float = 1e-9):
+def golden_max(fn, lo: float, hi: float, grid: int = 10_001):
     """The one-row case of the lockstep search: (argmax, value) of ``fn``,
     which maps an array of arguments to their values, over [lo, hi]."""
     if hi < lo:
         raise ParameterError("empty maximization interval")
-    x, val = _golden_rows(fn, [lo], [hi], grid, tol)
+    x, val = _golden_rows(fn, [lo], [hi], grid)
     return float(x[0]), float(val[0])
 
 
@@ -173,7 +174,7 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
     # the four alpha_for searches, in lockstep
     cs = np.array([[cl], [cr], [c1], [c2]])
     al, ar, b1, b2 = _golden_rows(lambda a: log_tradeoff_term(cs, a), [0.0] * 4, [1.0] * 4,
-                                  10_001, 1e-9)[0].tolist()
+                                  10_001)[0].tolist()
     half_p = 0.5 + delta
     half_m = 0.5 - delta
     flags = []
@@ -195,8 +196,7 @@ def kpath_bound(delta: float, gamma: float, c1: float, c2: float,
         return (half_p * gamma * log_tradeoff_term(red, a)
                 + (1 - gamma) * log_tradeoff_term(blue, offset + a * scale))
 
-    (a1, a2), (ly1, ly2) = (v.tolist() for v in _golden_rows(ys, [al, a_prime], [1.0, ar],
-                                                              10_001, 1e-9))
+    (a1, a2), (ly1, ly2) = (v.tolist() for v in _golden_rows(ys, [al, a_prime], [1.0, ar], 10_001))
     color = math.exp(gamma * _entropy(half_m))  # divide-and-color universal set factor
     z1 = math.exp(ly1) * color * _TWO_EPS
     z2 = math.exp(ly2) * color * _TWO_EPS
@@ -244,8 +244,7 @@ def _staged_argmax(t_next, objective, inv_eps: int) -> dict:
     cell_right = objective(idx.astype(float), that, eps)
     order = np.argsort(cell_right)[::-1][:200]
     stages, th = idx[order], that[order, None]
-    alphas, vals = _golden_rows(lambda a: objective(a, th, eps), stages - 1.0, stages * 1.0,
-                                201, 1e-9)
+    alphas, vals = _golden_rows(lambda a: objective(a, th, eps), stages - 1.0, stages * 1.0, 201)
     if np.isnan(vals).all():
         raise ParameterError("the bound's objective is undefined on every stage cell")
     top = int(np.argmax(np.nan_to_num(vals, nan=-np.inf)))  # first best row, never a NaN one

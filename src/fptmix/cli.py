@@ -70,7 +70,7 @@ _TRACE_FIELDS = {"peakFamilySize": "peak_family", "reductions": "reductions",
                  "denseSkips": "dense_skips"}
 
 
-def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=None) -> dict:
+def _report(args, verdict: str, witness=None, timings=None, trace=None) -> dict:
     report = {
         "command": " ".join(args),
         "verdict": verdict,
@@ -78,7 +78,7 @@ def _report(args, verdict: str, witness=None, timings=None, trace=None, seed=Non
         "witness": witness,
         "timings": timings or {},
         **{name: (trace or {}).get(key) for name, key in _TRACE_FIELDS.items()},
-        "seed": seed,
+        "seed": None,  # no solve path takes a seed; the key keeps the report's shape
     }
     print(json.dumps(report, sort_keys=True))
     return report
@@ -211,7 +211,8 @@ def _cmd_check(args, argv) -> int:
     parsed = _parse_for(args.problem, _load(args.instance))
     k = _required_k(args.problem, args.k, parsed)
     W = args.W if args.W is not None else parsed.W
-    verdict, opt = _oracle(args.problem, parsed.value, k, W, args.budget)
+    verdict, opt = _oracle(args.problem, parsed.value, k, W if W is None else check_weight(W),
+                           args.budget)
     _report(argv, verdict, {"optimum": opt} if args.problem in ("kpath", "wsp") else None)
     return _verdict_exit(verdict)
 

@@ -26,9 +26,6 @@ from .repsets import PartitionPart, reduce_layer
 
 @dataclass(frozen=True)
 class TreeFamilyEntry:
-    root: int
-    internal_count: int
-    leaf_count: int
     family: WeightedSetFamily
     table: list = field(default_factory=list, compare=False, repr=False)
 
@@ -142,7 +139,7 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     sets = table[root].get((internal, leaves), [])
     members = tuple((tuple(bit_positions(s)), 0) for s in sets)
     fam = WeightedSetFamily(universe, total, members, "max")
-    return TreeFamilyEntry(root, internal, leaves, fam, table)
+    return TreeFamilyEntry(fam, table)
 
 
 @dataclass(frozen=True)
@@ -153,18 +150,17 @@ class TpResult:
     paths: tuple[tuple[int, int], ...] | None = None
 
 
-def tp_alg(inst: TpInstance, trace: dict | None = None,
-           table: list | None = None) -> TpResult:
+def tp_alg(inst: TpInstance, table: list | None = None) -> TpResult:
     """Tree-and-paths: accept iff some tree in the representing family leaves
     room for a q-edge matching, which supplies the q disjoint 2-node paths.
     Trees come from ``table``, a ``tree_families`` table of the same k + l +
-    2q, or else from a ``tree_families`` call given ``trace``."""
+    2q, or else from a ``tree_families`` call."""
     g = inst.digraph
     n = g.node_count
     if inst.k + inst.l + 2 * inst.q > n or (inst.l == 0 and inst.k > 0):
         return TpResult(False)
     if table is None and inst.k:
-        table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q, trace).table
+        table = tree_families(g, inst.root, inst.k, inst.l, 2 * inst.q).table
     # k = 0 (so l = 0): the tree is empty, only the q disjoint 2-node paths are sought
     trees = table[inst.root].get((inst.k, inst.l), ()) if inst.k else (0,)
     if not trees:
@@ -310,7 +306,3 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
                     branching = extract_branching(g, root, res.tree_arcs, res.paths, k)
                     return KiobResult(True, root, branching)
     return KiobResult(False)
-
-
-def branching_internal_nodes(arcs) -> int:
-    return len({t for t, _ in arcs})

@@ -471,7 +471,7 @@ def chain_pieces(inst: KcwpInstance, pieces) -> tuple[int, ...] | None:
 
 
 def construct_kcwp_witness(g: Digraph, known_path, inv_eps: int, delta: Fraction,
-                           gamma: Fraction, W: int | None = None) -> KcwpInstance:
+                           gamma: Fraction) -> KcwpInstance:
     """Build an accepting cut instance from a known simple k-node path.
 
     Follows the completeness construction: positional cut nodes, a threshold
@@ -546,7 +546,7 @@ def construct_kcwp_witness(g: Digraph, known_path, inv_eps: int, delta: Fraction
         Rset = {v for i in right_idx for v in small[i][1:-1] if v in vstar} | \
                (set(mid_blue) - l_mid)
         inst = KcwpInstance(
-            g, total if W is None else W, k, inv_eps, Fraction(delta), Fraction(gamma),
+            g, total, k, inv_eps, Fraction(delta), Fraction(gamma),
             frozenset(Lset), frozenset(Rset),
             tuple(small[i][0] for i in left), tuple(small[i][-1] for i in left),
             tuple(small[i][0] for i in right), tuple(small[i][-1] for i in right),

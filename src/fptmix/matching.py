@@ -59,7 +59,7 @@ def max_matching(g: Graph) -> Matching:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom, used):
+    def mark_path(v: int, b: int, child: int, blossom):
         while base[v] != b:
             blossom[base[v]] = True
             blossom[base[match[v]]] = True
@@ -82,8 +82,8 @@ def max_matching(g: Graph) -> Matching:
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
                     curbase = lca(v, to)
                     blossom = [False] * n
-                    mark_path(v, curbase, to, blossom, used)
-                    mark_path(to, curbase, v, blossom, used)
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
                     for i in range(n):
                         if blossom[base[i]]:
                             base[i] = curbase
@@ -115,37 +115,3 @@ def max_matching(g: Graph) -> Matching:
     result = Matching(edges)
     validate_matching(g, result)
     return result
-
-
-def has_naive_augmenting_path(g: Graph, m: Matching) -> bool:
-    """One-sided Berge spot-check: an alternating BFS without blossom handling.
-
-    Can miss augmenting paths that thread a blossom, so a True answer always
-    disproves maximality while False is only evidence for it.
-    """
-    n = g.node_count
-    adj = g.adjacency()
-    mate = [-1] * n
-    for u, v in m.edges:
-        mate[u], mate[v] = v, u
-    exposed = [v for v in range(n) if mate[v] == -1]
-    for root in exposed:
-        # layer parity: even nodes reached by matched edges (root is even)
-        even = {root}
-        odd: set[int] = set()
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for to in adj[v]:
-                    if to in odd or to in even:
-                        continue
-                    if mate[to] == -1 and to != root:
-                        return True
-                    odd.add(to)
-                    w = mate[to]
-                    if w != -1 and w not in even:
-                        even.add(w)
-                        nxt.append(w)
-            frontier = nxt
-    return False

@@ -21,7 +21,7 @@ from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, 
 from .repsets import PartitionPart, reduce_layer
 from .wsp import _pack_stages, cut_universes, stage_schedule
 
-# the entries one cut's footprint DP may create
+# the entries one cut's footprint DP may create, as explicit subsets can multiply out
 _CUT_ENTRY_CAP = 5_000_000
 
 
@@ -172,7 +172,7 @@ class Cpro2Result:
     ordered_sets: tuple[int, ...] | None = None  # positions into inst.family
 
 
-def solve_cpro2(inst: Pro2Instance, budget: int = _CUT_ENTRY_CAP) -> Cpro2Result:
+def solve_cpro2(inst: Pro2Instance) -> Cpro2Result:
     """Decide whether some candidate footprint leaves room for k - q
     disjoint family sets, on the weighted cut packing solver's staged DP.
 
@@ -180,33 +180,33 @@ def solve_cpro2(inst: Pro2Instance, budget: int = _CUT_ENTRY_CAP) -> Cpro2Result
     keep the exact set of still-relevant elements: the chosen footprint
     plus non-minimum set elements above the last stage threshold.  Layer
     (0, 0) holds one seed per candidate footprint, and the schedule counts
-    the footprint's 3q - p elements from the start.  ``budget`` caps the
-    number of materialized entries; explicit subsets can multiply out on
-    adversarial inputs.  It runs the same two steps as ``procedure2``: the
-    per-call set-up, then one cut, under the instance's own order and f.
+    the footprint's 3q - p elements from the start.  It runs the same two
+    steps as ``procedure2``: the per-call set-up, then one cut, under the
+    instance's own order and f.
     """
     if inst.f is None:
         raise ParameterError("the cut subproblem needs the stage function f")
     if inst.k - inst.q < 1:
         raise ParameterError("k - q must be at least 1 for the staged table")
-    found = _footprint_packer(inst, inst.inv_eps, budget)(inst.universe.rank, inst.f)
+    found = _footprint_packer(inst, inst.inv_eps)(inst.universe.rank, inst.f)
     if found is None:
         return Cpro2Result(False)
     positions, footprint, _ = found
     return Cpro2Result(True, frozenset(bit_positions(footprint)), positions)
 
 
-def _footprint_packer(inst: Pro2Instance, inv_eps: int, cap: int):
+def _footprint_packer(inst: Pro2Instance, inv_eps: int):
     """The staged DP's per-call set-up for ``inst`` at ``inv_eps`` stages:
     the schedule with the footprint offset, the zero-weight sets and the
-    candidate footprints as seed masks.  Returns its per-cut ``pack``."""
+    candidate footprints as seed masks.  Returns its per-cut ``pack``, which
+    may create ``_CUT_ENTRY_CAP`` entries."""
     kq = inst.k - inst.q
     sched = stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
     # raw member tuples: a triangle's three paths share one node set and
     # must keep the three positions the caller maps back through
     return _pack_stages(inst.universe.elements, [(members, 0) for members in inst.family], kq,
                         sched, 0, [sum(1 << e for e in cand) for cand in inst.candidates],
-                        cap=cap)
+                        cap=_CUT_ENTRY_CAP)
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,7 @@ def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
     inv_eps = inst.inv_eps
     if kq // inv_eps < 1:
         inv_eps = 1
-    pack = _footprint_packer(inst, inv_eps, _CUT_ENTRY_CAP)
+    pack = _footprint_packer(inst, inv_eps)
     try:
         for rank, f in cut_universes(inst.universe, inv_eps, budget):
             found = pack(rank, f)

@@ -8,15 +8,15 @@ answers chi(S) = indices of members containing S.
 ``gen_rep_alg`` computes a subfamily that max/min represents its input in
 the generalized, per-part-budget sense: one separator per part, an implicit
 product family addressed by mixed radix, and a single weight-ordered sweep
-that claims product indices.  ``check_representation`` is the exhaustive
-oracle for the same property and never shares code with the selection path.
+that claims product indices.  ``check_representation``, the exhaustive check
+of the same property, lives with the tests in ``tests/helpers.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
                    WeightedSetFamily, _mask, bit_positions)
@@ -257,8 +257,6 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
             i, members_map = element_map[low]
             chi[i] &= members_map
             rest ^= low
-        if not all(chi):
-            continue
         indices = [0]
         for size, mask in zip(sizes, chi):
             bits = bit_positions(mask)
@@ -334,69 +332,3 @@ def gen_rep_alg(spec: PartitionSpec, family: WeightedSetFamily,
     positions, _ = select_representative_positions(spec, family, objective)
     kept = tuple(family.sets[i] for i in positions)
     return WeightedSetFamily(family.universe, family.set_size, kept, objective)
-
-
-@dataclass(frozen=True)
-class RepresentationCheck:
-    valid: bool
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-
-
-def check_representation(spec: PartitionSpec, original: WeightedSetFamily,
-                         candidate: WeightedSetFamily, objective: str,
-                         budget: int | None = None) -> RepresentationCheck:
-    """Exhaustive verification of the generalized representation property.
-
-    Enumerates, for every X in the original family, the per-part-maximal
-    avoidance sets Y drawn from elements of candidate sets (elements outside
-    every candidate set can never invalidate a witness, so skipping them
-    loses nothing).  Returns a concrete violating (X, Y) on failure.
-    """
-    if objective not in ("max", "min"):
-        raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
-    _validate_membership(spec, original.masks)
-    cand_lookup = dict(candidate.sets)
-    orig_lookup = dict(original.sets)
-    for members, weight in candidate.sets:
-        if members not in orig_lookup or orig_lookup[members] != weight:
-            raise InstanceError("candidate is not a subfamily of the original")
-
-    relevant: set[int] = set()
-    for members, _ in candidate.sets:
-        relevant.update(members)
-
-    ordered = sorted(candidate.sets, key=lambda sw: sw[1], reverse=(objective == "max"))
-    cand_masks = [(sum(1 << e for e in m), w) for m, w in ordered]
-
-    budget = budget if budget is not None else 5_000_000
-    work = 0
-    for x_members, x_weight in original.sets:
-        x_set = set(x_members)
-        pools = []
-        for part in spec.parts:
-            avail = sorted(relevant.intersection(part.elements) - x_set)
-            take = min(part.k - part.p, len(avail))
-            pools.append(list(combinations(avail, take)))
-        total_y = math.prod(len(p) for p in pools)
-        work += total_y
-        if work > budget:
-            raise BudgetExceededError(f"representation check needs > {budget} (X, Y) pairs")
-        for choice in product(*pools):
-            y_mask = 0
-            y_flat: tuple[int, ...] = ()
-            for group in choice:
-                y_flat += group
-                for e in group:
-                    y_mask |= 1 << e
-            ok = False
-            for mask, w in cand_masks:
-                if objective == "max" and w < x_weight:
-                    break
-                if objective == "min" and w > x_weight:
-                    break
-                if mask & y_mask == 0:
-                    ok = True
-                    break
-            if not ok:
-                return RepresentationCheck(False, (x_members, y_flat))
-    return RepresentationCheck(True)

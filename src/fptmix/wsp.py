@@ -17,8 +17,8 @@ from functools import cache
 from itertools import accumulate
 from operator import add, lt
 
-from .core import (BudgetExceededError, OrderedUniverse, ParameterError, WeightedSetFamily,
-                   _ceildiv, add_weights, bit_positions)
+from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
+                   WeightedSetFamily, _ceildiv, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -380,7 +380,7 @@ def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
 
 def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int,
             inv_eps: int = 2, c: float = 1.591, budget: int = 200_000,
-            reduce: bool = True, trace: dict | None = None) -> WspResult:
+            trace: dict | None = None) -> WspResult:
     """Unbalanced-cutting driver for weighted 3-set k-packing.
 
     Enumerates every cut tuple and accepts iff the staged DP accepts under
@@ -395,6 +395,8 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     the k heaviest weigh less than W, no cut can accept: the call then draws
     the cut tuples a reject draws, for the budget, and builds no cut order
     and runs no DP, so no reduction runs and ``trace`` is left as it is.
+    ``family`` is used as given; each of its sets must have 3 members, all
+    inside ``universe``.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -406,8 +408,12 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         raise ParameterError("1/eps must be in 1..6")
     if k // inv_eps < 1:
         inv_eps = 1  # staged machinery needs floor(eps*k) >= 1; one stage always works
-    sets = WeightedSetFamily(universe, 3, family.sets, "max")  # ranks come from each cut
-    top = sorted((w for _, w in sets.sets), reverse=True)[:k]  # the k heaviest weights
+    if family.sets and family.set_size != 3:
+        raise InstanceError(f"set {family.members(0)} does not have exactly 3 members")
+    for members, _ in family.sets:
+        if members[-1] >= len(universe):
+            raise InstanceError(f"member index out of range in {members}")
+    top = sorted((w for _, w in family.sets), reverse=True)[:k]  # the k heaviest weights
     try:
         if len(top) < k or sum(top) < W:
             # no k sets reach W under any cut; draw what a reject draws, for the budget
@@ -415,13 +421,13 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
                 if inv_eps == 1:
                     break
             return WspResult("reject")
-        pack = _pack_stages(universe.elements, sets.sets, k, stage_schedule(k, inv_eps), W,
-                            reduce=reduce, trace=trace)
+        pack = _pack_stages(universe.elements, family.sets, k, stage_schedule(k, inv_eps), W,
+                            reduce=True, trace=trace)
         for rank, f in cut_universes(universe, inv_eps, budget):
             found = pack(rank, f)
             if found is not None:
                 positions, _, weight = found
-                inst = CwspInstance(OrderedUniverse(universe.elements, rank), sets, W, k,
+                inst = CwspInstance(OrderedUniverse(universe.elements, rank), family, W, k,
                                     inv_eps, f)
                 verify_cwsp_witness(inst, CwspResult(True, positions, weight))
                 return WspResult("accept", positions, weight)

@@ -12,6 +12,7 @@ from itertools import combinations
 
 from fptmix import bounds, kiob, kpath, matching, oracles, p2pack, repsets, unisets, wsp
 from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
+from helpers import branching_internal_nodes, check_representation
 
 
 def _line(num, ok, detail):
@@ -100,7 +101,7 @@ def test_criterion_3_oracle_equivalence():
         got = kiob.solve_kiob(g, k)
         if got.accept != want:
             mism.append(f"kiob {trial}")
-        if got.accept and kiob.branching_internal_nodes(got.branching) < k:
+        if got.accept and branching_internal_nodes(got.branching) < k:
             witness_fail.append(f"kiob {trial}")
 
     rng = random.Random(102)
@@ -227,7 +228,7 @@ def test_criterion_4_representation_property():
         if len(out) > product_size:
             failures.append(f"size {trial}")
             continue
-        if not repsets.check_representation(spec, fam, out, objective).valid:
+        if not check_representation(spec, fam, out, objective).valid:
             failures.append(f"represent {trial}")
     elapsed = time.time() - t0
     ok = not failures and elapsed < 300
@@ -355,7 +356,7 @@ def test_criterion_8_witness_integrity():
         arcset = {(t, h) for t, h, _ in g.arcs}
         if set(parent) != set(range(n)) - {got.root} \
                 or any(a not in arcset for a in got.branching) \
-                or kiob.branching_internal_nodes(got.branching) < k:
+                or branching_internal_nodes(got.branching) < k:
             bad.append("kiob")
 
     rng = random.Random(506)

@@ -586,6 +586,18 @@ def test_check_without_k_is_a_usage_error(tmp_path, capsys, problem, kind):
     assert code == 2 and err.startswith("error:") and "k is required" in err and not out
 
 
+
+@pytest.mark.parametrize("problem,kind,W", [("wsp", "setfamily", "99999999999999999999999"),
+                                            ("kpath", "digraph", "-99999999999999999999999")])
+def test_check_with_an_out_of_range_W_is_a_usage_error(tmp_path, capsys, problem, kind, W):
+    """A W outside the signed 64-bit range is a usage error in ``check`` as
+    in ``solve``, never a reject."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(DOCUMENTS[kind]))
+    for command in ("solve", "check"):
+        code, out, err = run(capsys, command, problem, str(inst), "--k", "1", "--W", W)
+        assert code == 2 and "outside signed 64-bit range" in err and not out, command
+
 def _repfam(tmp_path, capsys, spec):
     fam = tmp_path / "f.json"
     fam.write_text(json.dumps(DOCUMENTS["setfamily"]))

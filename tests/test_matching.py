@@ -2,8 +2,42 @@ import random
 from itertools import combinations
 
 from fptmix.core import Graph
-from fptmix.matching import has_naive_augmenting_path, max_matching, validate_matching
+from fptmix.matching import Matching, max_matching, validate_matching
 from fptmix.oracles import brute_matching_size, brute_matching_size_by_vertex
+
+
+def has_naive_augmenting_path(g: Graph, m: Matching) -> bool:
+    """One-sided Berge spot-check: an alternating BFS without blossom handling.
+
+    Can miss augmenting paths that thread a blossom, so a True answer always
+    disproves maximality while False is only evidence for it.
+    """
+    n = g.node_count
+    adj = g.adjacency()
+    mate = [-1] * n
+    for u, v in m.edges:
+        mate[u], mate[v] = v, u
+    exposed = [v for v in range(n) if mate[v] == -1]
+    for root in exposed:
+        # layer parity: even nodes reached by matched edges (root is even)
+        even = {root}
+        odd: set[int] = set()
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for to in adj[v]:
+                    if to in odd or to in even:
+                        continue
+                    if mate[to] == -1 and to != root:
+                        return True
+                    odd.add(to)
+                    w = mate[to]
+                    if w != -1 and w not in even:
+                        even.add(w)
+                        nxt.append(w)
+            frontier = nxt
+    return False
 
 
 def test_empty_graph():

@@ -13,13 +13,13 @@ from fptmix.repsets import (
     PartitionPart,
     PartitionSpec,
     build_separator,
-    check_representation,
     clear_separator_cache,
     gen_rep_alg,
     query_separator,
     reduce_layer,
     select_representative_positions,
 )
+from helpers import check_representation
 
 
 def uni(n):

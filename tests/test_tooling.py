@@ -187,3 +187,60 @@ def test_no_module_level_function_cache():
         "the scan no longer sees kpath's per-call parts cache"
     assert {name: lines for name, tree in trees.items()
             if (lines := _caches(tree, top_level_only=True))} == {}
+
+
+ROOT = SRC.parent.parent
+# oracles.py stays whole, independent of the solvers, and several of its
+# enumeration budgets are never passed
+KNOB_EXEMPT = {"oracles.py"}
+
+
+def _defaulted_parameters(tree) -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position among the call's arguments or None
+    for keyword-only) of every parameter with a default; a leading ``self``
+    or ``cls`` takes no call argument."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                found.append((node.name, positional[i].arg, i - bound))
+            found.extend((node.name, arg.arg, None)
+                         for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                         if default is not None)
+    return found
+
+
+def _passes(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """The call names ``parameter``, unpacks ``**kwargs``, or reaches its
+    position with its positional arguments (``*args`` reaches every one)."""
+    if any(kw.arg in (None, parameter) for kw in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position or
+                                     any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default no caller overrides is a constant dressed as an option:
+    every parameter with a default in ``src/fptmix`` is passed by at least
+    one call, matched by function name, in ``src``, ``tests`` or
+    ``perfbench``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and (name := _callee(node)):
+                calls.setdefault(name, []).append(node)
+    unpassed = []
+    checked = 0
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in KNOB_EXEMPT:
+            continue
+        for function, parameter, position in \
+                _defaulted_parameters(ast.parse(path.read_text(encoding="utf-8"))):
+            checked += 1
+            if not any(_passes(call, parameter, position) for call in calls.get(function, ())):
+                unpassed.append(f"{path.name}:{function}({parameter})")
+    assert checked > 40, "the scan no longer sees the defaulted parameters"
+    assert unpassed == []

@@ -200,6 +200,17 @@ def test_wsp_alg_rejects_a_family_of_pairs():
             wsp.wsp_alg(uni, fam, 6, 2, inv_eps)
 
 
+
+def test_wsp_alg_rejects_a_member_outside_the_universe():
+    """``wsp_alg`` uses the family as given, so a family over a larger
+    universe than the one passed is refused before any cut is drawn, even
+    when its weights alone would settle a reject."""
+    fam = WeightedSetFamily(universe(6), 3, (((0, 1, 2), 4), ((3, 4, 5), 2)), "max")
+    for W in (1, 10**6):
+        for inv_eps in (1, 2):
+            with pytest.raises(InstanceError, match=r"member index out of range in \(3, 4, 5\)"):
+                wsp.wsp_alg(universe(5), fam, W, 2, inv_eps)
+
 def test_wsp_alg_small_k_guard():
     # floor(eps*k) = 0 at inv_eps=2, k=1: the driver must still answer
     uni = universe(5)
