@@ -63,8 +63,11 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     the same mask are dropped.  Splits run x1-ascending, then y1-ascending,
     and only those whose child shape (x1 - 1, y1) some child of v holds are
     visited: a split no child can fill builds nothing, so skipping it moves
-    no back-pointer.  A round of one tree size reads only smaller
-    sizes, so its states (v, x, y) are reduced as one layer, with ``trace``.
+    no back-pointer.  The table is seeded with the one-node trees, state
+    (v, 0, 1) of every v when ``leaves`` >= 1, and the rounds run from size 2
+    up over the shapes with 1 <= x <= ``internal`` and 1 <= y <= ``leaves``.
+    A round reads only smaller sizes, so its states (v, x, y) are reduced as
+    one layer, with ``trace``.
     Every state is reduced against k' = internal + leaves + slack, whatever
     the root, so the entry's ``table[v][(x, y)]`` serves every root and
     smaller shape with the same k'.
@@ -78,11 +81,13 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     total = internal + leaves
 
-    # table[v][(x, y)] -> {node bitmask of an out-tree at v: how it was built}
-    table: list[dict[tuple[int, int], dict[int, tuple | None]]] = [dict() for _ in range(n)]
+    # table[v][(x, y)] -> {node bitmask of an out-tree at v: how it was built},
+    # seeded with the one-node trees
+    table: list[dict[tuple[int, int], dict[int, tuple | None]]] = [
+        {(0, 1): {1 << v: None}} if leaves else {} for v in range(n)]
     everything = tuple(range(n))
 
-    for size in range(1, total + 1):
+    for size in range(2, total + 1):
         parts = (PartitionPart(everything, total + slack, size),)
         layer: dict[tuple[int, int, int], dict[int, tuple | None]] = {}
         for v in range(n):
@@ -101,18 +106,8 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                                       if not a & vbit]
                 return one_child[key]
 
-            for x in range(0, size + 1):
+            for x in range(max(1, size - leaves), min(internal, size - 1) + 1):
                 y = size - x
-                if x == 0 and y != 1:
-                    continue
-                if y == 0:
-                    continue
-                if x > internal or y > leaves:
-                    continue
-                if size == 1:
-                    if (x, y) == (0, 1):
-                        table[v][(0, 1)] = {vbit: None}
-                    continue
                 found: dict[int, tuple] = {}  # the first construction of a mask wins
                 if (x - 1, y) in below:
                     for mask, how in one_child_sets(x, y):

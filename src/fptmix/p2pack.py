@@ -75,7 +75,9 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     ordered by their smallest outside node, which is dropped from the stored
     set; stored sets (over outside-node indices) and footprints (over nodes)
     are bitmasks, and each layer's families are (p - p')-reduced by one
-    unweighted ``reduce_layer`` call, with ``trace`` passed to it.
+    unweighted ``reduce_layer`` call, with ``trace`` passed to it.  Layer
+    (0, 0) is the seed, the empty packing, which every (p', q') layer grows
+    from one path at a time and every rebuild walks back to.
     """
     x_nodes = sorted(inst.previous.nodes())
     x_set = set(x_nodes)
@@ -92,57 +94,42 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
         paths.append((min(ys), sum(1 << y for y in ys), len(ys), xpart, triple))
     paths.sort(key=lambda t: (t[0], t[4]))
 
-    # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}
-    layers: dict[tuple[int, int], dict] = {}
+    # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}; (0, 0) holds the
+    # empty packing, with no smallest outside node, that every packing starts from
+    layers: dict[tuple[int, int], dict] = {(0, 0): {(-1, 0): {0: None}}}
     y_all = tuple(range(len(y_nodes)))
 
     for p_used in range(1, p + 1):
         for q_used in range(_ceildiv(p_used, 3), min(p_used, q) + 1):
             layer: dict = {}
             for m, ypart, y_count, xpart, triple in paths:
-                if y_count > p_used:
-                    continue
+                child_lk = (p_used - y_count, q_used - 1)
                 stored_new = ypart ^ (1 << m)
-                if q_used == 1:
-                    if y_count != p_used:
+                for (m2, x2), entry2 in layers.get(child_lk, {}).items():
+                    if m2 >= m or x2 & xpart:
                         continue
-                    entry = layer.setdefault((m, xpart), {})
-                    entry.setdefault(stored_new, (None, None, None, triple))
-                else:
-                    child_layer = layers.get((p_used - y_count, q_used - 1))
-                    if not child_layer:
-                        continue
-                    for (m2, x2), entry2 in child_layer.items():
-                        if m2 >= m or x2 & xpart:
+                    for fs2 in entry2:
+                        if fs2 & ypart:
                             continue
-                        for fs2 in entry2:
-                            if fs2 & ypart:
-                                continue
-                            key = (m, x2 | xpart)
-                            entry = layer.setdefault(key, {})
-                            entry.setdefault(fs2 | stored_new,
-                                             ((p_used - y_count, q_used - 1), (m2, x2), fs2, triple))
+                        entry = layer.setdefault((m, x2 | xpart), {})
+                        entry.setdefault(fs2 | stored_new, (child_lk, (m2, x2), fs2, triple))
             size = p_used - q_used
             parts = (PartitionPart(y_all, size + (p - p_used), size),)
             reduce_layer(y_universe, layer, lambda key: parts, None, trace)
             layers[(p_used, q_used)] = layer
 
     result: dict[frozenset, Packing] = {}
-    final = layers.get((p, q), {})
+    final = layers.get((p, q), {}) if p else {}  # the (0, 0) seed is no result
     for (m, xpart), entry in sorted(final.items(),
                                     key=lambda kv: (kv[0][0], bit_positions(kv[0][1]))):
         footprint = frozenset(bit_positions(xpart))
         if footprint in result:
             continue
-        fs = min(entry, key=bit_positions)
         triples = []
-        lk, key, cur = (p, q), (m, xpart), fs
-        while True:
-            child_lk, child_key, child_fs, triple = layers[lk][key][cur]
+        lk, key, cur = (p, q), (m, xpart), min(entry, key=bit_positions)
+        while lk != (0, 0):
+            lk, key, cur, triple = layers[lk][key][cur]
             triples.append(triple)
-            if child_lk is None:
-                break
-            lk, key, cur = child_lk, child_key, child_fs
         result[footprint] = Packing(tuple(reversed(triples)))
     return result
 

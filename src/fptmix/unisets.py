@@ -54,11 +54,11 @@ class UniversalSet:
         funcs = []
         for line in lines:
             line = line.strip()
-            if not line:
+            if not line and n:  # at n = 0 a blank line is the one 0-bit function
                 continue
             if len(line) != n or set(line) - {"0", "1"}:
                 raise ParameterError(f"bad function line {line!r} for n={n}")
-            funcs.append(int(line[::-1], 2))
+            funcs.append(int(line[::-1] or "0", 2))
         return cls(n, k, p, tuple(funcs))
 
 

@@ -29,6 +29,20 @@ def test_uniset_and_check_roundtrip(tmp_path, capsys):
     assert code == 1 and out.startswith("invalid")
 
 
+def test_uniset_at_n_zero_round_trips(tmp_path, capsys):
+    """At n = 0 the one 0-bit function prints as an empty line, which
+    check-uniset reads back as that function; an empty file stays invalid."""
+    code, out, _ = run(capsys, "uniset", "--n", "0", "--k", "0", "--p", "0")
+    assert code == 0 and out == "\n"
+    path = tmp_path / "u.txt"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check-uniset", str(path), "--n", "0", "--k", "0", "--p", "0")
+    assert code == 0 and out.strip() == "valid"
+    path.write_text("")
+    code, out, _ = run(capsys, "check-uniset", str(path), "--n", "0", "--k", "0", "--p", "0")
+    assert code == 1 and out.startswith("invalid")
+
+
 def test_uniset_rand_needs_seed(capsys):
     code, _, err = run(capsys, "uniset", "--n", "4", "--k", "2", "--p", "1", "--mode", "rand")
     assert code == 2 and "seed" in err

@@ -114,6 +114,17 @@ def test_tp_alg_parameter_validation():
         kiob.TpInstance(Digraph(3, ((0, 1, 1),)), 0, 1, 1, 0)  # root not spanning
 
 
+def test_tp_instance_root_checks():
+    """A shape that passes the (k, l, q) checks reaches the root checks."""
+    g = Digraph(3, ((0, 1, 1),))
+    for root in (-1, 3):
+        with pytest.raises(ParameterError, match=f"root {root} out of range"):
+            kiob.TpInstance(g, root, 1, 1, 1)
+    with pytest.raises(ParameterError, match="root 0 does not root an out-branching"):
+        kiob.TpInstance(g, 0, 1, 1, 1)
+    assert kiob.TpInstance(Digraph(3, ((0, 1, 1), (0, 2, 1))), 0, 1, 1, 1).root == 0
+
+
 def test_tp_alg_vs_oracle_random():
     rng = random.Random(23)
     checked = 0
@@ -357,3 +368,29 @@ def test_tree_families_visits_splits_in_the_all_splits_order(case):
         [[(shape, list(entry.items())) for shape, entry in states.items()]
          for states in want]
     assert got_trace == want_trace
+
+
+@st.composite
+def digraphs_at_leaf_loop_ends(draw):
+    """A digraph on 2-8 nodes, often with a node that reaches every node, and
+    k = n - 1 (the leaf loop runs l = 1 only) or k = n // 2 or n - n // 2
+    (it runs up to l = k = n - k, or to n - k = k - 1)."""
+    n = draw(st.integers(2, 8))
+    arcs = set()
+    if draw(st.booleans()):
+        label = draw(st.permutations(range(n)))
+        arcs = {(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)}
+    arcs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                         .filter(lambda a: a[0] != a[1]), max_size=2 * n))
+    k = draw(st.sampled_from(sorted({n - 1, n // 2, n - n // 2} - {0})))
+    return Digraph(n, tuple((t, h, 1) for t, h in sorted(arcs))), k
+
+
+@settings(max_examples=200)
+@given(digraphs_at_leaf_loop_ends())
+def test_solve_kiob_matches_oracle_at_the_leaf_loop_ends(case):
+    g, k = case
+    got = kiob.solve_kiob(g, k)
+    assert got.accept == oracles.oracle_kiob(g, k)
+    if got.accept:
+        assert branching_internal_nodes(got.branching) >= k

@@ -3,6 +3,7 @@ from dataclasses import replace
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fptmix.core import Graph, OrderedUniverse, ParameterError
 from fptmix import oracles, p2pack, wsp
@@ -265,3 +266,59 @@ def test_solve_cpro2_accepts_under_some_cut_iff_procedure2_accepts():
     assert 0 < accepted < 60
     with pytest.raises(ParameterError, match="stage function f"):
         p2pack.solve_cpro2(_random_pro2(rng))
+
+
+def test_icp_pro1_returns_nothing_at_zero_outside_nodes():
+    """(p, q) = (0, 0) names no path leaving X, so no footprint comes back,
+    though the DP starts from the empty packing at (0, 0); nor does a split
+    with q = 0 or p = 0 alone."""
+    rng = random.Random(51)
+    g = Graph(9, tuple(e for e in combinations(range(9), 2) if rng.random() < 0.45))
+    inst = p2pack.IcpInstance(g, 3, p2pack.Packing(oracles.enumerate_packings(g, 2)[0]))
+    assert p2pack.icp_pro1(inst, 0, 0) == {}
+    assert p2pack.icp_pro1(inst, 3, 0) == {} and p2pack.icp_pro1(inst, 0, 1) == {}
+    assert p2pack.icp_pro1(inst, 3, 2)  # the graph has paths that leave X
+
+
+@st.composite
+def compression_rounds(draw):
+    """A graph on 5-9 nodes, a round t in 1..3 (lower if the graph has no
+    (t - 1)-packing) and one (t - 1)-packing of it."""
+    n = draw(st.integers(5, 9))
+    g = random_graph(random.Random(draw(st.integers(0, 2**32))), n,
+                     draw(st.sampled_from([0.3, 0.45, 0.6])))
+    t = draw(st.sampled_from([3, 2, 1]))
+    while not (previous := oracles.enumerate_packings(g, t - 1)):
+        t -= 1
+    return p2pack.IcpInstance(g, t, p2pack.Packing(draw(st.sampled_from(previous))))
+
+
+@settings(max_examples=200)
+@given(compression_rounds())
+def test_icp_pro1_biconditional_at_its_first_and_last_splits(inst):
+    """At q = 1 (the layer grown from the seed), p = q (one outside node per
+    path) and p = 3q (no footprint), brute-forced: the map holds exactly the
+    footprints of the q-packings whose paths all leave X with p outside nodes
+    in all, each with a valid such packing, so some footprint leaves room for
+    k - q paths inside X iff some k-packing splits as (p, q)."""
+    g, k, x = inst.graph, inst.k, inst.previous.nodes()
+
+    def split(pack):
+        return (sum(1 for path in pack for v in path if v not in x),
+                sum(1 for path in pack if not x.issuperset(path)))
+
+    k_splits = {split(pack) for pack in oracles.enumerate_packings(g, k)}
+    for q in range(1, k + 1):
+        leaving = [pack for pack in oracles.enumerate_packings(g, q)
+                   if all(not x.issuperset(path) for path in pack)]
+        for p in sorted({q, 3 * q} | ({1, 2, 3} if q == 1 else set())):
+            fmap = p2pack.icp_pro1(inst, p, q)
+            assert set(fmap) == {frozenset(v for path in pack for v in path if v in x)
+                                 for pack in leaving if split(pack) == (p, q)}, (p, q)
+            for foot, outside in fmap.items():
+                p2pack.validate_packing(g, outside)
+                assert split(outside.paths) == (p, q) and outside.nodes() & x == foot
+            room = any(oracles.oracle_p2p(Graph(g.node_count, tuple(
+                (a, b) for a, b in g.edges if a in x - foot and b in x - foot)), k - q)
+                for foot in fmap)
+            assert room == ((p, q) in k_splits), (p, q)
