@@ -457,10 +457,8 @@ def _cmd_gen(args, argv) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def bench_rows(suite: dict, budget: int | None = None) -> list[dict]:
-    if budget is None:
-        budget = budget_from_env()
-    elif budget <= 0:
+def bench_rows(suite: dict, budget: int) -> list[dict]:
+    if budget <= 0:
         raise ParameterError(f"budget must be a positive integer, got {budget}")
 
     def run(name, problem, value, k, W):

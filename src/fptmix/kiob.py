@@ -287,7 +287,7 @@ def solve_kiob(g: Digraph, k: int, c: float = 1.0, trace: dict | None = None) ->
     n = g.node_count
     tables: dict[int, list] = {}  # l -> shared tree table
     for root in range(n):
-        if n > 0 and not g.reaches_all(root):
+        if not g.reaches_all(root):
             continue
         for l in range(1, min(k, n - k) + 1):  # k + l > n nodes never fit
             for q in range(max(0, 2 * l - k), l + 1):

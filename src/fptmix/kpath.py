@@ -24,7 +24,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError,
                    OrderedUniverse, ParameterError, add_weights, bit_positions)
@@ -243,8 +243,10 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     its last node, or, at the first internal node of a piece, closes the
     previous piece at its end node and opens this one at its start node.
     Once the middle piece completes, L nodes are deleted from stored sets and
-    the L part leaves the partition.  ``tradeoffs`` checks itself when it is
-    built; no construction reads it.
+    the L part leaves the partition.  The witness is the lightest final set
+    within W, ties broken by key and then by members, rebuilt by one walk
+    back; ``chained`` is decided by the endpoint maps alone.  ``tradeoffs``
+    checks itself when it is built; no construction reads it.
     """
     check = validate_kcwp(inst)
     if not check.valid:
@@ -347,39 +349,32 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
             layers.append(layer)
 
     # ---- acceptance --------------------------------------------------------
-    candidates = []
+    # every final key has R count k2 and other count k3: the last middle layer
+    # holds exactly k1 L nodes (its lo_l is k1) and later layers add none, so
+    # r + s = k2 + k3 with r <= k2 and s <= k3
+    best = None
     for key, entry in layers[-1].items():
-        _, r, s, v = key
-        if r != k2 or s != k3 or (v, ends[-1]) not in weights:
+        if (key[3], ends[-1]) not in weights:
             continue
-        closing = weights[(v, ends[-1])]
+        closing = weights[(key[3], ends[-1])]
         for fs, (w, _) in entry.items():
             totalw = add_weights(w, closing)
             if totalw <= inst.W:
-                candidates.append((totalw, key, fs))
-    if not candidates:
+                cand = (totalw, key, bit_positions(fs), fs)
+                best = cand if best is None else min(best, cand)
+    if best is None:
         return KcwpResult(False)
-    candidates.sort(key=lambda t: (t[0], t[1], bit_positions(t[2])))
-
-    def rebuild(key, fs) -> tuple[tuple[int, ...], ...]:
-        nodes: list[int] = []
-        for total in range(len(layers) - 1, 0, -1):
-            key, fs, added = layers[total][key][fs][1]
-            nodes.append(added)
-        nodes.reverse()
-        pieces = []
-        pos = 0
-        for start, end, length in zip(starts, ends, lengths):
-            pieces.append((start,) + tuple(nodes[pos: pos + length]) + (end,))
-            pos += length
-        return tuple(pieces)
-
-    for totalw, key, fs in candidates:
-        pieces = rebuild(key, fs)
-        if chain_pieces(inst, pieces) is not None:
-            return KcwpResult(True, pieces, totalw, True)
-    totalw, key, fs = candidates[0]
-    return KcwpResult(True, rebuild(key, fs), totalw, False)
+    totalw, key, _, fs = best
+    nodes: list[int] = []
+    for layer in layers[:0:-1]:
+        key, fs, added = layer[key][fs][1]
+        nodes.append(added)
+    walk = reversed(nodes)
+    pieces = tuple((start, *islice(walk, length), end)
+                   for start, end, length in zip(starts, ends, lengths))
+    # which piece follows which is fixed by starts and ends, and the DP keeps
+    # internal nodes distinct and off them: every final set chains, or none
+    return KcwpResult(True, pieces, totalw, chain_pieces(inst, pieces) is not None)
 
 
 def verify_kcwp_witness(inst: KcwpInstance, result: KcwpResult) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain, combinations, islice
 from operator import add, lt
 
 from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
@@ -306,39 +306,22 @@ class WspResult:
 def cut_tuples(order: list[int], pieces: int):
     """All choices of `pieces` disjoint (l_i, r_i) rank pairs, l_i <= r_i.
 
-    Singleton spans (l_i = r_i) are included: with floor(eps*k) = 1 the
-    completeness construction can need a one-element first piece, which
-    strictly-ordered endpoint pairs cannot express.
+    Singleton spans (l_i = r_i) are included, before the pairs: with
+    floor(eps*k) = 1 the completeness construction can need a one-element
+    first piece, which strictly-ordered endpoint pairs cannot express.
     """
-    from itertools import combinations
-
     taken: list[tuple[int, int]] = []
 
     def rec(avail: tuple[int, ...]):
         if len(taken) == pieces:
             yield tuple(taken)
             return
-        for single in avail:
-            taken.append((single, single))
-            rest = tuple(x for x in avail if x != single)
-            yield from rec(rest)
-            taken.pop()
-        for pair in combinations(avail, 2):
-            taken.append(pair)
-            rest = tuple(x for x in avail if x not in pair)
-            yield from rec(rest)
+        for span in chain(((x, x) for x in avail), combinations(avail, 2)):
+            taken.append(span)
+            yield from rec(tuple(x for x in avail if x not in span))
             taken.pop()
 
     yield from rec(tuple(range(len(order))))
-
-
-def _drawn_cuts(order: list[int], pieces: int, budget: int):
-    """The raw cut tuples of ``cut_tuples``, each charged to ``budget``:
-    drawing one more than it allows raises ``BudgetExceededError``."""
-    for spent, cut in enumerate(cut_tuples(order, pieces), 1):
-        if spent > budget:
-            raise BudgetExceededError(f"more than {budget} cut tuples")
-        yield cut
 
 
 def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
@@ -357,7 +340,9 @@ def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
     """
     order = universe.by_rank()
     seen: set[tuple] = set()
-    for cut in _drawn_cuts(order, pieces, budget):
+    for spent, cut in enumerate(cut_tuples(order, pieces), 1):
+        if spent > budget:
+            raise BudgetExceededError(f"more than {budget} cut tuples")
         claimed = 0  # bit r: rank r lies in an earlier span
         placed: list[int] = []  # the blocks' ranks, in block order
         ends: list[int] = []  # len(placed) after each block
@@ -392,9 +377,10 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     floor(eps*k) = 0) nothing is stripped, so the first cut instance is the
     exact ordered-packing DP and its reject stands for every cut: a
     one-stage reject draws one cut tuple.  When fewer than k sets exist, or
-    the k heaviest weigh less than W, no cut can accept: the call then draws
-    the cut tuples a reject draws, for the budget, and builds no cut order
-    and runs no DP, so no reduction runs and ``trace`` is left as it is.
+    the k heaviest weigh less than W, no cut can accept: the call then only
+    counts the cut tuples a reject would draw, at most budget + 1, and is
+    budget-exceeded when they are more than the budget.  It builds no cut
+    order and runs no DP, so no reduction runs and ``trace`` is left as it is.
     ``family`` is used as given; each of its sets must have 3 members, all
     inside ``universe``.
     """
@@ -414,13 +400,14 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         if members[-1] >= len(universe):
             raise InstanceError(f"member index out of range in {members}")
     top = sorted((w for _, w in family.sets), reverse=True)[:k]  # the k heaviest weights
+    if len(top) < k or sum(top) < W:
+        # no k sets reach W under any cut; count what a reject draws, up to one
+        # past the budget (a budget below 0 charges as 0 does)
+        budget = max(budget, 0)
+        drawn = sum(1 for _ in islice(cut_tuples(universe.by_rank(), inv_eps),
+                                      1 if inv_eps == 1 else budget + 1))
+        return WspResult("budget-exceeded" if drawn > budget else "reject")
     try:
-        if len(top) < k or sum(top) < W:
-            # no k sets reach W under any cut; draw what a reject draws, for the budget
-            for _ in _drawn_cuts(universe.by_rank(), inv_eps, budget):
-                if inv_eps == 1:
-                    break
-            return WspResult("reject")
         pack = _pack_stages(universe.elements, family.sets, k, stage_schedule(k, inv_eps), W,
                             reduce=True, trace=trace)
         for rank, f in cut_universes(universe, inv_eps, budget):

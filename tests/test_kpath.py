@@ -5,6 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fptmix.core import Digraph, ParameterError
 from fptmix import kpath, oracles, unisets
@@ -308,3 +309,63 @@ def test_solver_deterministic_and_dense_threshold_agreement():
             from fptmix.core import BudgetExceededError
 
             assert isinstance(exc, BudgetExceededError)
+
+
+# the cycle-plus-path skeleton of test_literal_conditions_admit_unchained_configurations:
+# piece i runs starts[i] -> 14 + i -> ends[i], and pieces 0 and 1 close a cycle
+SKELETON_MAPS = ((0, 1, 2, 3, 4, 5, 6), (1, 0, 3, 4, 5, 6, 7), (8, 9, 10, 11, 12),
+                 (9, 10, 11, 12, 13), 7, 8)
+SKELETON_STARTS = (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+SKELETON_ENDS = (1, 0, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13)
+
+
+def skeleton_instance(n, arcs, W):
+    return kpath.KcwpInstance(Digraph(n, tuple((a, b, w) for (a, b), w in arcs.items())), W,
+                              27, 13, Fraction(1, 12), Fraction(1, 20), frozenset(),
+                              frozenset(), *SKELETON_MAPS)
+
+
+def skeleton_arcs(nodes):
+    """The skeleton's arcs, each of weight 1, on the first ``nodes`` nodes."""
+    arcs = {}
+    for i, (start, end) in enumerate(zip(SKELETON_STARTS, SKELETON_ENDS)):
+        if 14 + i < nodes:
+            arcs[(start, 14 + i)] = arcs[(14 + i, end)] = 1
+    return arcs
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_unchained_answer_is_the_lightest_final_set(data):
+    """Extra nodes give random pieces of the skeleton a second internal
+    realization at random weights.  No final set chains, whichever the DP
+    picks, so the answer is the lightest one within W: the solver accepts
+    exactly when the oracle does, its witness is flagged unchained and meets
+    the literal conditions, and one below its weight both reject."""
+    extra = data.draw(st.integers(1, 4))
+    arcs = skeleton_arcs(27)
+    for x in range(27, 27 + extra):
+        piece = data.draw(st.integers(0, 12))
+        arcs[(SKELETON_STARTS[piece], x)] = data.draw(st.integers(-1, 3))
+        arcs[(x, SKELETON_ENDS[piece])] = data.draw(st.integers(-1, 3))
+    inst = skeleton_instance(27 + extra, arcs, data.draw(st.integers(22, 28)))
+    res = kpath.solve_kcwp(inst)
+    assert res.accept == oracles.oracle_kcwp(inst)
+    if res.accept:
+        assert res.chained is False and kpath.chain_pieces(inst, res.pieces) is None
+        kpath.verify_kcwp_witness(inst, res)
+        low = replace(inst, W=res.weight - 1)
+        assert not kpath.solve_kcwp(low).accept and not oracles.oracle_kcwp(low)
+
+
+def test_more_path_nodes_than_graph_nodes_rejects_before_the_dp(monkeypatch):
+    """On 26 nodes no 27-node path fits, so the solver rejects without
+    building a layer, as the oracle rejects."""
+    inst = skeleton_instance(26, skeleton_arcs(26), 26)
+    assert not oracles.oracle_kcwp(inst)
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a reject settled by the node count ran the DP")
+
+    monkeypatch.setattr(kpath, "reduce_layer", no_dp)
+    assert kpath.solve_kcwp(inst) == kpath.KcwpResult(False)

@@ -244,3 +244,20 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 unpassed.append(f"{path.name}:{function}({parameter})")
     assert checked > 40, "the scan no longer sees the defaulted parameters"
     assert unpassed == []
+
+
+def test_every_private_helper_is_referenced():
+    """A module-level ``_`` function or class that nothing in the package
+    names outside its own definition is dead code, or a test helper kept in
+    the library: only the package can reach it by intent."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    helpers = [node for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    where: dict[str, set[int]] = {}  # name -> the top-level statements naming it
+    for tree in trees:
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)):
+                    where.setdefault(_callee(node), set()).add(id(stmt))
+    assert len(helpers) > 50, "the scan no longer sees the private helpers"
+    assert [node.name for node in helpers if not where.get(node.name, set()) - {id(node)}] == []

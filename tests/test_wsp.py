@@ -388,6 +388,39 @@ def test_reject_with_every_set_skipped_still_draws_every_cut(monkeypatch):
     assert wsp.wsp_alg(uni, fam, -10**6, 6, 1, budget=1).status == "reject"
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_weight_settled_reject_at_the_budget_boundary(n, monkeypatch):
+    """A reject settled by weight, on an empty family and on two sets out of
+    reach of W, counts the N cut tuples ``cut_tuples`` yields at the stage
+    count ``wsp_alg`` runs (one when floor(eps*k) = 0): budget-exceeded
+    exactly when the budget is below N, or below min(N, 1) at one stage,
+    with no DP run and the trace left empty.  A budget below 0 charges as
+    0 does."""
+    uni = universe(n)
+    families = [WeightedSetFamily(uni, 3, (), "max")]
+    if n >= 3:
+        families.append(WeightedSetFamily(uni, 3, ((tuple(range(3)), 5),
+                                                   (tuple(range(n - 3, n)), 4)), "max"))
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("a reject settled by weight ran the DP")
+
+    monkeypatch.setattr(wsp, "_pack_stages", no_dp)
+    for inv in (1, 2, 3):
+        for k in (1, 2, 3):
+            stages = inv if k // inv >= 1 else 1
+            cuts = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), stages))
+            charged = min(cuts, 1) if stages == 1 else cuts
+            for fam in families:
+                for budget in sorted({0, 1, cuts - 1, cuts, cuts + 1} - {-1}):
+                    trace = {}
+                    got = wsp.wsp_alg(uni, fam, 10, k, inv, budget=budget, trace=trace)
+                    want = "budget-exceeded" if budget < charged else "reject"
+                    assert (got.status, trace) == (want, {}), (inv, k, fam.sets, budget)
+                assert wsp.wsp_alg(uni, fam, 10, k, inv, budget=-1) == \
+                    wsp.wsp_alg(uni, fam, 10, k, inv, budget=0)
+
+
 def _reference_cut_universes(uni, pieces):
     """The cuts of ``cut_universes`` through ``block_permutation`` and
     ``reorder_universe``: (rank tuple, f) per distinct block tuple."""
