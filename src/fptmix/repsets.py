@@ -37,9 +37,9 @@ class SeparatorFamily:
     ``family`` holds bitsets over part-local positions; positions follow the
     part's universe-rank order.  ``element_maps[i]`` is the bitmask of family
     members containing local element ``i``.  ``dense`` says the family is
-    exactly the set of all p'-subsets of the part.  All three are computed
-    once per ``(m, min(k', m), p')`` and shared by every separator of that
-    shape.
+    exactly the set of all p'-subsets of the part.  All three depend only on
+    the shape ``(m, min(k', m), p')``: the separator cache holds them once
+    per shape for every separator of that shape.
     """
 
     part_elements: tuple[int, ...]
@@ -54,81 +54,68 @@ class SeparatorFamily:
         return self.part_elements.index(element)
 
 
-_CACHE_CAP = 512  # both caches drop their oldest entry beyond this many
+_CACHE_CAP = 512  # the cache drops its oldest entry beyond this many
 _separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
-_plans: dict[tuple, list[SeparatorFamily]] = {}
 
 
 def clear_separator_cache() -> None:
     _separator_cache.clear()
-    _plans.clear()
-
-
-def _remember(cache: dict, key, value):
-    if len(cache) >= _CACHE_CAP:
-        del cache[next(iter(cache))]
-    cache[key] = value
-    return value
 
 
 _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy cover on
-
-
-def _local_family(m: int, k: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...], bool, str]:
-    """Family of local bitsets that is (m, k, p)-good, its element maps, its
-    dense flag and how it was obtained (``"cached"`` when an earlier call
-    built it).
-
-    Greedy universal-set backed while the cover computation is cheap; beyond
-    that, the complete family of p-subsets (a valid universal set via
-    extension by zeros, so goodness holds exactly, only without compression).
-    The dense flag is cached with the family: it holds when the family is
-    exactly the set of all p-subsets, whichever way it was built.
-    """
-    key = (m, k, p)
-    if key in _separator_cache:
-        return (*_separator_cache[key], "cached")
-    # with m <= GREEDY_MAX_N, 2^m * C <= _GREEDY_CELL_CAP leaves at most 6,930
-    # constraints C, inside build_universal's default budget: it cannot raise
-    if m <= unisets.GREEDY_MAX_N and \
-            (1 << m) * unisets.constraint_count(m, k, p) <= _GREEDY_CELL_CAP:
-        fam = unisets.build_universal(m, k, p, mode="greedy").functions
-        mode = "greedy"
-    elif math.comb(m, p) > _DENSE_PART_CAP:
-        raise BudgetExceededError(f"part of size {m} needs {math.comb(m, p)} dense separator sets")
-    else:
-        fam = tuple(sum(1 << i for i in members) for members in combinations(range(m), p))
-        mode = "dense"
-    # one little-endian bit row per position, so each member costs O(1) per element
-    rows = [bytearray((len(fam) + 7) // 8) for _ in range(m)]
-    for j, f in enumerate(fam):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for pos in bit_positions(f):
-            rows[pos][byte] |= bit
-    maps = [int.from_bytes(row, "little") for row in rows]
-    # comb(m, p) distinct members of size p are all the p-subsets
-    dense = all(f.bit_count() == p for f in fam) and len(set(fam)) == math.comb(m, p)
-    return (*_remember(_separator_cache, key, (fam, tuple(maps), dense)), mode)
 
 
 def build_separator(universe: OrderedUniverse, part, k_prime: int,
                     p_prime: int) -> SeparatorFamily:
     """Construct a goodness-backed separator for one universe part.
 
-    The family and its element maps are built on the first call for a shape
-    ``(m, min(k', m), p')`` and reused afterwards; such a reuse reports
-    ``stats.construction == "cached"``.  The family is a greedy cover or all
-    p'-subsets of the part, so the c' tradeoff of the analytic bounds has
-    nothing to steer here.
+    The family, its element maps and its dense flag are built on the first
+    call for a shape ``(m, min(k', m), p')`` and kept in the separator cache;
+    a later call of that shape reports ``stats.construction == "cached"``.
+    The family is a greedy universal-set cover while that is cheap, else all
+    p'-subsets of the part (a universal set via extension by zeros, so
+    goodness holds exactly, only without compression); the c' tradeoff of
+    the analytic bounds has nothing to steer here.
     """
-    elements = tuple(sorted(part, key=universe.rank.__getitem__))
+    elements = tuple(part)
+    if not all(0 <= e < len(universe) for e in elements):
+        raise InstanceError(f"part {elements} has an element outside the universe")
+    if len(set(elements)) != len(elements):
+        raise InstanceError(f"part {elements} lists an element twice")
+    elements = tuple(sorted(elements, key=universe.rank.__getitem__))
     m = len(elements)
     if not 0 <= p_prime <= k_prime:
         raise ParameterError(f"need 0 <= p' <= k', got k'={k_prime} p'={p_prime}")
     if p_prime > m:
         raise ParameterError(f"p'={p_prime} exceeds part size {m}")
-    k_eff = min(k_prime, m)  # Y cannot use more than m - p' elements anyway
-    fam, maps, dense, mode = _local_family(m, k_eff, p_prime)
+    key = (m, min(k_prime, m), p_prime)  # Y cannot use more than m - p' elements anyway
+    mode = "cached"
+    if key not in _separator_cache:
+        # with m <= GREEDY_MAX_N, 2^m * C <= _GREEDY_CELL_CAP leaves at most 6,930
+        # constraints C, inside build_universal's default budget: it cannot raise
+        if m <= unisets.GREEDY_MAX_N and \
+                (1 << m) * unisets.constraint_count(*key) <= _GREEDY_CELL_CAP:
+            fam = unisets.build_universal(*key, mode="greedy").functions
+            mode = "greedy"
+        elif math.comb(m, p_prime) > _DENSE_PART_CAP:
+            raise BudgetExceededError(
+                f"part of size {m} needs {math.comb(m, p_prime)} dense separator sets")
+        else:
+            fam = tuple(_mask(members) for members in combinations(range(m), p_prime))
+            mode = "dense"
+        # one little-endian bit row per position, so each member costs O(1) per element
+        rows = [bytearray((len(fam) + 7) // 8) for _ in range(m)]
+        for j, f in enumerate(fam):
+            byte, bit = j >> 3, 1 << (j & 7)
+            for pos in bit_positions(f):
+                rows[pos][byte] |= bit
+        # comb(m, p') distinct members of size p' are all the p'-subsets
+        dense = all(f.bit_count() == p_prime for f in fam) and \
+            len(set(fam)) == math.comb(m, p_prime)
+        if len(_separator_cache) >= _CACHE_CAP:
+            del _separator_cache[next(iter(_separator_cache))]
+        _separator_cache[key] = fam, tuple(int.from_bytes(row, "little") for row in rows), dense
+    fam, maps, dense = _separator_cache[key]
     return SeparatorFamily(elements, k_prime, p_prime, fam, SeparatorStats(mode), maps, dense)
 
 
@@ -182,17 +169,14 @@ class PartitionSpec:
             union |= mask
 
 
-def _plan(universe: OrderedUniverse, active: list[PartitionPart]) -> list[SeparatorFamily]:
-    """Separators of the first active parts seen with these (size, k, p)
-    shapes.  Callers read only their families, element maps and dense flags,
-    which depend on nothing else (see ``_local_family``), so a few dozen
-    plans serve every instance."""
-    key = tuple((len(part.elements), part.k, part.p) for part in active)
-    seps = _plans.get(key)
-    if seps is None:
-        seps = _remember(_plans, key, [build_separator(universe, part.elements, part.k, part.p)
-                                       for part in active])
-    return seps
+def _shape(universe: OrderedUniverse, part: PartitionPart):
+    """Family, element maps and dense flag of the part's (size, k, p) shape,
+    which depend on nothing else; ``build_separator`` runs only for a shape
+    the separator cache does not hold."""
+    key = (len(part.elements), min(part.k, len(part.elements)), part.p)
+    if key not in _separator_cache:
+        build_separator(universe, part.elements, part.k, part.p)
+    return _separator_cache[key]
 
 
 def _validate_membership(spec: PartitionSpec, masks) -> None:
@@ -231,14 +215,14 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
         return list(range(count)), 1
 
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = _plan(universe, active)
-    sizes = [len(sep.family) for sep in seps]
+    shapes = [_shape(universe, part) for part in active]
+    sizes = [len(fam) for fam, _, _ in shapes]
     product_size = math.prod(sizes) if sizes else 1
     element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
-    for i, (part, sep) in enumerate(zip(active, seps)):
+    for i, (part, (_, maps, _)) in enumerate(zip(active, shapes)):
         # local positions follow this part's universe-rank order
         ranked = sorted(part.elements, key=universe.rank.__getitem__)
-        for e, members_map in zip(ranked, sep.element_maps):
+        for e, members_map in zip(ranked, maps):
             element_map[1 << e] = i, members_map
     full = [(1 << size) - 1 for size in sizes]
 
@@ -302,8 +286,7 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
         ordered = [fs for _, fs in sorted(zip([bin(fs)[:1:-1] for fs in entry], entry),
                                           reverse=True)]
         if parts not in dense:
-            seps = _plan(universe, [part for part in parts if part.k or part.p])
-            dense[parts] = all(sep.dense for sep in seps)
+            dense[parts] = all(_shape(universe, part)[2] for part in parts if part.k or part.p)
         if dense[parts]:
             dense_skips += 1
         else:

@@ -394,3 +394,10 @@ def test_solve_kiob_matches_oracle_at_the_leaf_loop_ends(case):
     assert got.accept == oracles.oracle_kiob(g, k)
     if got.accept:
         assert branching_internal_nodes(got.branching) >= k
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_solve_kiob_on_arcless_digraphs_matches_oracle(n):
+    g = Digraph(n, ())
+    for k in range(1, n + 2):
+        assert kiob.solve_kiob(g, k).accept == oracles.oracle_kiob(g, k), k

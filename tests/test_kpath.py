@@ -369,3 +369,13 @@ def test_more_path_nodes_than_graph_nodes_rejects_before_the_dp(monkeypatch):
 
     monkeypatch.setattr(kpath, "reduce_layer", no_dp)
     assert kpath.solve_kcwp(inst) == kpath.KcwpResult(False)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_path_alg_on_arcless_digraphs_matches_oracle(n):
+    g = Digraph(n, ())
+    for k in range(n + 2):
+        best = oracles.oracle_kpath(g, k)
+        for W in (-1, 0, 1):
+            want = "accept" if best is not None and best <= W else "reject"
+            assert kpath.path_alg(g, W, k).status == want, (k, W)

@@ -322,3 +322,32 @@ def test_icp_pro1_biconditional_at_its_first_and_last_splits(inst):
                 (a, b) for a, b in g.edges if a in x - foot and b in x - foot)), k - q)
                 for foot in fmap)
             assert room == ((p, q) in k_splits), (p, q)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_solve_p2packing_on_edgeless_graphs_matches_oracle(n):
+    g = Graph(n, ())
+    for k in range(n + 2):
+        want = oracles.oracle_p2p(g, k)
+        for inv in (1, 2):
+            got = p2pack.solve_p2packing(g, k, inv)
+            assert got.status == ("accept" if want else "reject"), (k, inv)
+            if want:
+                assert got.packing == p2pack.Packing(())
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_procedure2_with_no_sets_matches_exhaustive(m):
+    """The exhaustive check of ``test_procedure2_vs_exhaustive`` with no sets:
+    k - q disjoint sets avoiding the one candidate footprint exist only
+    when k = q, as the empty subfamily."""
+    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
+    for k in range(1, 4):
+        for q in range(1, k + 2):
+            for p in range(max(q, 3 * q - m), 3 * q + 1):
+                cand = frozenset(range(3 * q - p))
+                for inv in (1, 2):
+                    got = p2pack.procedure2(p2pack.Pro2Instance(uni, k, (), p, q, (cand,), inv))
+                    want = p2pack.Pro2Result("accept", cand, ()) if k == q else \
+                        p2pack.Pro2Result("reject")
+                    assert got == want, (k, q, p, inv)

@@ -442,8 +442,9 @@ def test_part_listing_an_element_twice_is_rejected():
 
 
 def test_shape_plan_built_from_other_parts_serves_every_entry():
-    """Plans are keyed on the parts' (size, k, p) only: one built from other
-    elements in another universe order reduces an entry as a fresh one does."""
+    """The separator cache is keyed on the parts' shapes only: separators
+    built from other elements in another universe order reduce an entry as
+    fresh ones do, and the sweep then builds no shape of its own."""
     rng = random.Random(7)
     for _ in range(500):
         spec, fam, objective = _random_case(rng)
@@ -455,9 +456,41 @@ def test_shape_plan_built_from_other_parts_serves_every_entry():
         others = tuple(PartitionPart(tuple(n - 1 - e for e in part.elements), part.k, part.p)
                        for part in spec.parts)
         clear_separator_cache()
-        repsets._plan(uni(n), [part for part in others if part.k or part.p])
+        for part in others:
+            if part.k or part.p:
+                build_separator(uni(n), part.elements, part.k, part.p)
+        shapes = dict(repsets._separator_cache)
         assert select_representative_positions(spec, fam, objective) == want
-        assert len(repsets._plans) == 1
+        assert repsets._separator_cache == shapes
+
+
+def test_separator_rejects_a_part_it_cannot_represent():
+    """A repeated element would take two local positions, and an element
+    outside the universe has no rank to sort it by."""
+    u = uni(4)
+    with pytest.raises(InstanceError, match="lists an element twice"):
+        build_separator(u, (0, 0, 1), 2, 1)
+    for part in ((-1, 0), (5, 0), (0, 4)):
+        with pytest.raises(InstanceError, match="outside the universe"):
+            build_separator(u, part, 2, 1)
+
+
+@pytest.mark.parametrize("m, k, p, mode, size", [
+    (unisets.GREEDY_MAX_N, 2, 1, "greedy", 8),  # the widest shape the cell cap admits
+    (unisets.GREEDY_MAX_N, 3, 1, "dense", 16),  # past the cell cap
+    (unisets.GREEDY_MAX_N + 1, 2, 1, "dense", 17),  # past the greedy candidate space
+])
+def test_separators_at_the_greedy_dense_gate(m, k, p, mode, size):
+    clear_separator_cache()
+    first = build_separator(uni(m + 3), tuple(range(m)), k, p)
+    assert (first.stats.construction, len(first.family)) == (mode, size)
+    assert first.dense == (mode == "dense")
+    assert unisets.verify_universal(unisets.UniversalSet(m, k, p, first.family)).valid
+    # other elements, ranked in reverse
+    reversed_order = OrderedUniverse(uni(m + 3).elements, tuple(range(m + 2, -1, -1)))
+    again = build_separator(reversed_order, tuple(range(3, m + 3)), k, p)
+    assert again.stats.construction == "cached"
+    assert (again.family, again.element_maps) == (first.family, first.element_maps)
 
 
 def test_dense_flag_on_known_shapes():
@@ -470,7 +503,7 @@ def test_dense_flag_on_known_shapes():
 
 
 def test_greedy_shapes_fit_the_default_constraint_budget():
-    """The premise of _local_family's gate: every shape it sends to the
+    """The premise of build_separator's gate: every shape it sends to the
     greedy cover stays within build_universal's default budget, so that
     build cannot raise BudgetExceededError."""
     for m in range(unisets.GREEDY_MAX_N + 1):
@@ -511,7 +544,7 @@ def test_caches_stay_within_their_bound(monkeypatch):
     for kept in rounds:  # the second round rebuilds what the first evicted
         for parts, sets in cases:
             kept.append(_reduce_one(u, sets, parts, "max"))
-            assert len(repsets._separator_cache) <= 8 and len(repsets._plans) <= 8
+            assert len(repsets._separator_cache) <= 8
     assert len(cases) > 8 and rounds[0] == rounds[1]
 
 
@@ -590,3 +623,24 @@ def test_reduction_counters_match_select_calls(monkeypatch):
         solve(trace)
         assert trace["reductions"] - trace["dense_skips"] == len(calls) > 0, name
         assert trace["peak_family"] >= max(calls)
+
+
+def test_each_separator_shape_is_built_once(monkeypatch):
+    """The sweep and the dense flag read a cached shape without building a
+    separator, so the solves build each shape once and a second run none."""
+    real = repsets.build_separator
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(repsets, "build_separator", counted)
+    clear_separator_cache()
+    for _, solve in _solver_runs():
+        solve({})
+    assert len(calls) == len(repsets._separator_cache) > 0
+    calls.clear()
+    for _, solve in _solver_runs():
+        solve({})
+    assert calls == []

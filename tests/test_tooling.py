@@ -148,14 +148,14 @@ def _mutated_module_state() -> tuple[set, set]:
 
 
 def test_only_the_separator_caches_are_mutable_module_state():
-    """Global state stays bounded: the only module-level containers the
-    package mutates are the two size-capped separator caches of ``repsets``.
+    """Global state stays bounded: the only module-level container the
+    package mutates is the size-capped separator cache of ``repsets``.
     The other module-level dicts (the reference tables, the CLI's lookup
     tables) are only read."""
     containers, written = _mutated_module_state()
     assert {("bounds", "REFERENCE_TABLE1"), ("cli", "_TRACE_FIELDS")} <= containers, \
         "the scan no longer sees the read-only tables"
-    assert written == {("repsets", "_separator_cache"), ("repsets", "_plans")}
+    assert written == {("repsets", "_separator_cache")}
 
 
 def _caches(tree, top_level_only: bool) -> list[int]:

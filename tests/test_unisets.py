@@ -118,6 +118,24 @@ def test_verification_reports_first_violation():
     assert verify_universal(broken) == VerifyResult(False, first)
 
 
+def test_blocks_ending_mid_run_change_no_result(monkeypatch):
+    """At n = GREEDY_MAX_N a 2^10-cell block holds one column of the greedy
+    candidates, and a 2^4-cell block two columns of a 7-function verify, so
+    most first violations of the copies missing one function lie past the
+    first block: the cover and those violations match the default blocks'."""
+    n = unisets.GREEDY_MAX_N
+    u = build_universal(n, 2, 1)
+    broken = [UniversalSet(n, 2, 1, u.functions[:i] + u.functions[i + 1:])
+              for i in range(len(u.functions))]
+    want = [verify_universal(b) for b in broken]
+    assert not any(result.valid for result in want)
+    monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", 1 << 10)
+    assert build_universal(n, 2, 1).functions == u.functions
+    for cap in (1 << 10, 1 << 4):
+        monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
+        assert [verify_universal(b) for b in broken] == want
+
+
 def _greedy_reference(n, k, p):
     """The full-matrix greedy: every round recounts each candidate over the
     live constraints and takes the first, lexicographically smallest, best."""

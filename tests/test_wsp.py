@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,3 +456,31 @@ def test_cut_universes_match_block_permutation():
             if raw:
                 with pytest.raises(BudgetExceededError):
                     list(wsp.cut_universes(uni, pieces, raw - 1))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_wsp_alg_on_an_empty_family_matches_oracle(n):
+    uni = universe(n)
+    fam = WeightedSetFamily(uni, 3, (), "max")
+    for k in range(3):
+        best = oracles.oracle_wsp(fam, k)
+        for W in (-1, 0, 1):
+            want = "accept" if best is not None and best >= W else "reject"
+            for inv in (1, 2):
+                assert wsp.wsp_alg(uni, fam, W, k, inv).status == want, (k, W, inv)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solve_cwsp_on_an_empty_family_matches_oracle(n):
+    """The staged DP itself on no sets, which ``wsp_alg`` never runs: every
+    stage function f, non-decreasing in the universe order."""
+    uni = universe(n)
+    fam = WeightedSetFamily(uni, 3, (), "max")
+    for k in range(1, 4):
+        for inv in (1, 2, 3):
+            if k // inv < 1:
+                continue
+            for f in combinations_with_replacement(uni.by_rank(), inv):
+                for W in (-1, 0, 1):
+                    inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+                    assert wsp.solve_cwsp(inst).accept == oracles.oracle_cwsp(inst), (k, f, W)
