@@ -228,8 +228,7 @@ def _most_r(i: int, late: int, k2: int, mid: int) -> int:
 
 
 def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
-               reduce: bool = True, trace: dict | None = None,
-               audit: bool = False) -> KcwpResult:
+               trace: dict | None = None, audit: bool = False) -> KcwpResult:
     """Three-phase staged DP over internal-node sets.
 
     Layer t holds, per (L count, R count, other count, last node), a
@@ -335,9 +334,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                         old = target.get(nfs)
                         if old is None or nw < old[0]:  # the first of equal weights stays
                             target[nfs] = (nw, (key, fs, v))
-            if reduce:
-                reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min",
-                             trace)
+            reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min", trace)
             if audit:
                 # budget ledger: stored sets carry exactly the counts the key
                 # claims, and never touch piece endpoints

@@ -19,7 +19,7 @@ from itertools import combinations
 from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv,
                    bit_positions)
 from .repsets import PartitionPart, reduce_layer
-from .wsp import _pack_stages, cut_universes, stage_schedule
+from .wsp import _check_stage_function, _pack_stages, cut_universes, stage_schedule
 
 # the entries one cut's footprint DP may create, as explicit subsets can multiply out
 _CUT_ENTRY_CAP = 5_000_000
@@ -76,8 +76,10 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     set; stored sets (over outside-node indices) and footprints (over nodes)
     are bitmasks, and each layer's families are (p - p')-reduced by one
     unweighted ``reduce_layer`` call, with ``trace`` passed to it.  Layer
-    (0, 0) is the seed, the empty packing, which every (p', q') layer grows
-    from one path at a time and every rebuild walks back to.
+    (0, 0) is the seed, the empty packing, which every rebuild walks back
+    to.  A (p', q') layer is built only if q - q' <= p - p' <= 3(q - q'):
+    each later path adds one to three outside nodes, so no other layer can
+    grow into the (p, q) layer that is read.
     """
     x_nodes = sorted(inst.previous.nodes())
     x_set = set(x_nodes)
@@ -100,7 +102,8 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     y_all = tuple(range(len(y_nodes)))
 
     for p_used in range(1, p + 1):
-        for q_used in range(_ceildiv(p_used, 3), min(p_used, q) + 1):
+        for q_used in range(max(_ceildiv(p_used, 3), q - (p - p_used)),
+                            min(p_used, q - _ceildiv(p - p_used, 3)) + 1):
             layer: dict = {}
             for m, ypart, y_count, xpart, triple in paths:
                 child_lk = (p_used - y_count, q_used - 1)
@@ -150,6 +153,7 @@ class Pro2Instance:
         for cand in self.candidates:
             if len(cand) != want:
                 raise ParameterError(f"candidate footprint of size {len(cand)}, expected {want}")
+        _check_stage_function(self)
 
 
 @dataclass(frozen=True)

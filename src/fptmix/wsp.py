@@ -40,6 +40,15 @@ def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
     return values
 
 
+def _check_stage_function(inst) -> None:
+    """Raise unless ``inst.f`` is None or names 1/eps elements in rank order."""
+    ranks = [inst.universe.rank[e] for e in inst.f or () if 0 <= e < len(inst.universe)]
+    if inst.f is not None and not len(ranks) == len(inst.f) == inst.inv_eps:
+        raise ParameterError("f must assign one element of the universe per stage")
+    if ranks != sorted(ranks):
+        raise ParameterError("f must be non-decreasing in the universe order")
+
+
 @dataclass(frozen=True)
 class CwspInstance:
     universe: OrderedUniverse
@@ -54,11 +63,7 @@ class CwspInstance:
             raise ParameterError("family must consist of 3-sets")
         if self.inv_eps < 1:
             raise ParameterError("1/eps must be a positive integer")
-        if len(self.f) != self.inv_eps:
-            raise ParameterError("f must assign one element per stage")
-        ranks = [self.universe.rank[e] for e in self.f]
-        if any(ranks[i] > ranks[i + 1] for i in range(len(ranks) - 1)):
-            raise ParameterError("f must be non-decreasing in the universe order")
+        _check_stage_function(self)
 
 
 @dataclass(frozen=True)
@@ -68,22 +73,20 @@ class CwspResult:
     weight: int | None = None
 
 
-def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
-               trace: dict | None = None, audit: bool = False) -> CwspResult:
+def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None,
+               audit: bool = False) -> CwspResult:
     """Staged dynamic program over ordered packings of the whole family.
 
     After every entry the family is replaced by a max 3(k - j)-representative
-    subfamily unless ``reduce`` is off (the A/B soundness mode).  It runs the
-    same two ``_pack_stages`` steps as ``wsp_alg``: the per-call set-up, then
-    one cut, under the instance's own order and f.
+    subfamily.  It runs the same two ``_pack_stages`` steps as ``wsp_alg``:
+    the per-call set-up, then one cut, under the instance's own order and f.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
     pack = _pack_stages(inst.universe.elements, inst.family.sets, inst.k,
-                        stage_schedule(inst.k, inst.inv_eps), inst.W,
-                        reduce=reduce, trace=trace, audit=audit)
+                        stage_schedule(inst.k, inst.inv_eps), inst.W, trace=trace, audit=audit)
     found = pack(inst.universe.rank, inst.f)
     if found is None:
         return CwspResult(False)
@@ -91,9 +94,8 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, reduce: bool = True,
     return CwspResult(True, positions, weight)
 
 
-def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(0,),
-                 reduce: bool = False, trace: dict | None = None, audit: bool = False,
-                 cap: int | None = None):
+def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=None,
+                 trace: dict | None = None, audit: bool = False, cap: int | None = None):
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
 
     It runs in two steps.  This call does what no cut changes, once per
@@ -111,13 +113,13 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(
     deletable counts, smallest element of the last set); stored sets are
     element bitmasks holding the seed's elements and the sets' non-minimum
     elements that lie above the previous stage threshold.
-    Layer (0, 0) holds ``seeds``, the stored masks to start from: the empty
-    mask for a plain packing, or one mask per footprint that the packing
-    must avoid, counted per stage under each cut.  ``reduce`` replaces each
-    entry by a max 3(k - j)-representative subfamily, one ``reduce_layer``
-    call per layer over the cut's order, and ``audit`` checks the element
-    ledger; both assume empty seeds.  ``cap`` bounds the entries one cut
-    creates, checked after every layer.  Before that count and the
+    Layer (0, 0) holds ``seeds``, the stored masks to start from: one per
+    footprint that the packing must avoid, counted per stage under each cut,
+    or for None the empty packing.  Only an unseeded DP reduces: each entry
+    becomes a max 3(k - j)-representative subfamily, one ``reduce_layer``
+    call per layer over the cut's order.  ``audit`` checks the element
+    ledger of an unseeded DP.  ``cap`` bounds the entries one cut creates,
+    checked after every layer.  Before that count and the
     reductions, a layer drops each stored set of j sets that stays below
     ``W`` even when k - j sets of the heaviest weight follow; keys left
     empty go too.  This leaves verdicts and weights as they are, while a
@@ -169,11 +171,11 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(
                                 others, mask, w))
         sets_by_min.sort()
         mranks = [row[0] for row in sets_by_min]
-        universe = OrderedUniverse(elements, rank) if reduce else None
+        universe = OrderedUniverse(elements, rank) if seeds is None else None
 
         seed_layer: dict[tuple, Entry] = {}
         layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
-        for fs in seeds:
+        for fs in (0,) if seeds is None else seeds:
             put(seed_layer, (tuple([(fs & b).bit_count() for b in below]), -1), fs, 0, None)
         spent = 0
         for i in range(1, t + 2):
@@ -218,7 +220,7 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=(
                     spent += sum(len(entry) for entry in layer.values())
                     if spent > cap:
                         raise BudgetExceededError(f"more than {cap} cut packing table entries")
-                if reduce:
+                if seeds is None:
                     def parts_of(key):
                         # stored sets hold 2j elements less stage i - 1's deletable count
                         return parts_of_size(j, 2 * j - (key[0][i - 2] if i >= 2 else 0))
@@ -409,7 +411,7 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         return WspResult("budget-exceeded" if drawn > budget else "reject")
     try:
         pack = _pack_stages(universe.elements, family.sets, k, stage_schedule(k, inv_eps), W,
-                            reduce=True, trace=trace)
+                            trace=trace)
         for rank, f in cut_universes(universe, inv_eps, budget):
             found = pack(rank, f)
             if found is not None:

@@ -1,6 +1,6 @@
 """Checks that only the tests call: the exhaustive representation check
-that the representative-family sweep is compared against, and the
-internal-node count of a branching."""
+that the representative-family sweep is compared against, the
+internal-node count of a branching, and the reduction on/off A/B run."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
+from fptmix import repsets
 from fptmix.core import BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily
 from fptmix.repsets import PartitionSpec, _validate_membership
 
@@ -81,3 +82,28 @@ def check_representation(spec: PartitionSpec, original: WeightedSetFamily,
 
 def branching_internal_nodes(arcs) -> int:
     return len({t for t, _ in arcs})
+
+
+def reduction_ab(monkeypatch, module, solve, inst):
+    """Solve ``inst`` with the representative reduction on, then off.
+
+    The off arm replaces ``reduce_layer`` on the solver's ``module`` with a
+    pass-through; a spy on ``repsets.reduce_layer`` and the off arm's trace
+    show that no reduction ran there by any route, and the pass-through shows
+    that the solver reached it.  Returns (on, off, swept), where ``swept``
+    says the on arm's trace holds a sweep: more reductions than dense skips.
+    """
+    on_trace, off_trace = {}, {}
+    on = solve(inst, trace=on_trace)
+    real, real_calls, skipped = repsets.reduce_layer, [], []
+
+    def spy(*args, **kwargs):
+        real_calls.append(args)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(repsets, "reduce_layer", spy)
+        patch.setattr(module, "reduce_layer", lambda *args, **kwargs: skipped.append(args))
+        off = solve(inst, trace=off_trace)
+    assert real_calls == [] and off_trace == {} and skipped, "the off arm still reduced"
+    return on, off, on_trace.get("reductions", 0) > on_trace.get("dense_skips", 0)

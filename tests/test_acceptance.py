@@ -12,7 +12,7 @@ from itertools import combinations
 
 from fptmix import bounds, kiob, kpath, matching, oracles, p2pack, repsets, unisets, wsp
 from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
-from helpers import branching_internal_nodes, check_representation
+from helpers import branching_internal_nodes, check_representation, reduction_ab
 
 
 def _line(num, ok, detail):
@@ -291,9 +291,10 @@ def test_criterion_6_matching_optimality():
 
 # ---------------------------------------------------------------- 7
 
-def test_criterion_7_reduction_ab():
+def test_criterion_7_reduction_ab(monkeypatch):
     t0 = time.time()
     bad = []
+    swept = {"cwsp": 0, "kcwp": 0}
     rng = random.Random(404)
     for trial in range(100):
         n = rng.randint(6, 9)
@@ -306,8 +307,8 @@ def test_criterion_7_reduction_ab():
         order = uni.by_rank()
         f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
         inst = wsp.CwspInstance(uni, fam, rng.randint(1, 25), k, inv, f)
-        on = wsp.solve_cwsp(inst, reduce=True)
-        off = wsp.solve_cwsp(inst, reduce=False)
+        on, off, sweep = reduction_ab(monkeypatch, wsp, wsp.solve_cwsp, inst)
+        swept["cwsp"] += sweep
         if on.accept != off.accept or (on.accept and on.weight != off.weight):
             bad.append(f"cwsp {trial}")
 
@@ -326,13 +327,14 @@ def test_criterion_7_reduction_ab():
             arcs.setdefault((a, b), rng.randint(1, 9))
         g = Digraph(n, tuple((a, b, w) for (a, b), w in arcs.items()))
         inst = kpath.construct_kcwp_witness(g, path, 13, delta, gamma)
-        on = kpath.solve_kcwp(inst, reduce=True)
-        off = kpath.solve_kcwp(inst, reduce=False)
+        on, off, sweep = reduction_ab(monkeypatch, kpath, kpath.solve_kcwp, inst)
+        swept["kcwp"] += sweep
         if on.accept != off.accept or (on.accept and on.weight != off.weight):
             bad.append(f"kcwp {trial}")
+    bad.extend(f"{solver} never swept" for solver, count in swept.items() if not count)
     elapsed = time.time() - t0
     ok = not bad and elapsed < 300
-    _line(7, ok, f"100+100 A/B instances identical, {elapsed:.1f}s"
+    _line(7, ok, f"100+100 A/B instances identical, sweeps {swept}, {elapsed:.1f}s"
           if ok else f"bad={bad[:5]} t={elapsed:.0f}s")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fptmix.core import Digraph, ParameterError
 from fptmix import kpath, oracles, unisets
+from helpers import reduction_ab
 
 DELTA = Fraction(1, 12)
 GAMMA = Fraction(95, 1000)
@@ -113,16 +114,22 @@ def test_solver_matches_oracle_decisions():
                 oracles.oracle_kcwp(probe, oracles.OracleBudget(4_000_000))
 
 
-def test_reduction_ab_decision_stable():
+def test_reduction_ab_decision_stable(monkeypatch):
+    """Reduction on and off agree.  With at most 15 noise arcs no entry
+    holds two sets, so six denser trials follow that make the reduction
+    sweep."""
     rng = random.Random(17)
-    for trial in range(6):
-        g, path = planted_instance(rng, noise=rng.randint(0, 15))
+    swept = 0
+    for trial in range(12):
+        g, path = planted_instance(rng, noise=rng.randint(0, 15) if trial < 6 else
+                                   rng.randint(60, 150))
         inst = kpath.construct_kcwp_witness(g, path, INV, DELTA, GAMMA)
-        on = kpath.solve_kcwp(inst, reduce=True)
-        off = kpath.solve_kcwp(inst, reduce=False)
+        on, off, sweep = reduction_ab(monkeypatch, kpath, kpath.solve_kcwp, inst)
+        swept += sweep
         assert on.accept == off.accept
         if on.accept:
             assert on.weight == off.weight
+    assert swept, "no trial's reduction swept, so the A/B compared nothing"
 
 
 def test_path_alg_guard_small_k():
@@ -379,3 +386,64 @@ def test_path_alg_on_arcless_digraphs_matches_oracle(n):
         for W in (-1, 0, 1):
             want = "accept" if best is not None and best <= W else "reject"
             assert kpath.path_alg(g, W, k).status == want, (k, W)
+
+
+def random_digraph(data, n, path=(), noise=12):
+    """``path``'s arcs and up to ``noise`` random arcs on ``n`` nodes, all
+    at drawn weights."""
+    arcs = {(a, b): data.draw(st.integers(1, 6)) for a, b in zip(path, path[1:])}
+    for _ in range(data.draw(st.integers(0, noise))):
+        a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        arcs.setdefault((a, b), data.draw(st.integers(1, 9)))
+    return Digraph(n, tuple((a, b, w) for (a, b), w in arcs.items()))
+
+
+@pytest.mark.parametrize("n", range(24, 30))
+@settings(max_examples=8)
+@given(st.data())
+def test_path_alg_at_the_last_exhaustive_k_matches_oracle(n, data):
+    """k = 26 = 2/eps is the largest k that ``path_alg`` searches
+    exhaustively: it accepts exactly the W at or above the oracle's lightest
+    26-node path, and rejects below 26 nodes."""
+    path = data.draw(st.permutations(range(n)))[:26] if data.draw(st.booleans()) else ()
+    g = random_digraph(data, n, path)
+    best = oracles.oracle_kpath(g, 26)
+    if best is None:
+        assert kpath.path_alg(g, 10**6, 26).status == "reject"
+    else:
+        assert kpath.path_alg(g, best, 26).status == "accept"
+        assert kpath.path_alg(g, best - 1, 26).status == "reject"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 25, 26, 27, 28, 30])
+@settings(max_examples=5)
+@given(st.data())
+def test_path_alg_one_past_the_last_exhaustive_k(n, data):
+    """At k = 27 = 2/eps + 1 the node count is checked first: below 27 nodes
+    no 27-node path exists and the answer is the oracle's reject; from 27
+    nodes on it is budget-exceeded."""
+    path = data.draw(st.permutations(range(n)))[:27] if n >= 27 else ()
+    g = random_digraph(data, n, path) if n >= 2 else Digraph(n, ())
+    status = kpath.path_alg(g, 10**6, 27).status
+    if n < 27:
+        assert oracles.oracle_kpath(g, 27) is None and status == "reject"
+    else:
+        assert status == "budget-exceeded"
+
+
+@settings(max_examples=40)
+@given(st.integers(27, 30), st.sampled_from([Fraction(85, 1000), GAMMA]), st.data())
+def test_solve_kcwp_at_one_internal_node_per_piece_matches_oracle(n, gamma, data):
+    """k = 27 at 1/eps = 13 gives ek = 2, the fewest for which every piece
+    has an internal node (ek - 1 = 1).  At the planted path's lightest
+    within-W weight and one below, ``solve_kcwp`` decides as the oracle."""
+    path = data.draw(st.permutations(range(n)))[:27]
+    g = random_digraph(data, n, path, noise=40)
+    inst = kpath.construct_kcwp_witness(g, path, INV, DELTA, gamma)
+    assert inst.params().ek == 2
+    res = kpath.solve_kcwp(inst)
+    assert res.accept and oracles.oracle_kcwp(inst)
+    kpath.verify_kcwp_witness(inst, res)
+    for W in (res.weight, res.weight - 1):
+        probe = replace(inst, W=W)
+        assert kpath.solve_kcwp(probe).accept == oracles.oracle_kcwp(probe), W

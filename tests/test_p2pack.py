@@ -351,3 +351,82 @@ def test_procedure2_with_no_sets_matches_exhaustive(m):
                     want = p2pack.Pro2Result("accept", cand, ()) if k == q else \
                         p2pack.Pro2Result("reject")
                     assert got == want, (k, q, p, inv)
+
+
+@pytest.mark.parametrize("f", [(2,), (2, 5, 6), (9, 9), (-7, 6), (6, 7), (5, 2)])
+def test_pro2_instance_checks_its_stage_function(f):
+    """As ``CwspInstance`` does, the cut instance of ``solve_cpro2`` takes
+    only an f that names one universe element per stage in non-decreasing
+    rank; before, (2,) ran one stage against a two-stage schedule and
+    accepted, and (5, 2) silently rejected."""
+    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(7)])
+    inst = p2pack.Pro2Instance(uni, 3, ((0, 1, 2), (3, 4, 5)), 3, 1, (frozenset(),), 2)
+    assert p2pack.solve_cpro2(replace(inst, f=(2, 5))).accept
+    with pytest.raises(ParameterError, match="^f must"):
+        replace(inst, f=f)
+
+
+def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeypatch):
+    """A (p', q') layer, 1 <= q' <= p' <= 3q', is built, with one
+    ``reduce_layer`` call, only when the q - q' paths still to come can
+    bring p - p' more outside nodes, one to three each."""
+    rng = random.Random(51)
+    g = Graph(9, tuple(e for e in combinations(range(9), 2) if rng.random() < 0.45))
+    inst = p2pack.IcpInstance(g, 3, p2pack.Packing(oracles.enumerate_packings(g, 2)[0]))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = p2pack.reduce_layer
+    monkeypatch.setattr(p2pack, "reduce_layer", spy)
+    for p in range(10):
+        for q in range(5):
+            calls.clear()
+            p2pack.icp_pro1(inst, p, q)
+            live = [(p1, q1) for p1 in range(1, p + 1) for q1 in range(1, q + 1)
+                    if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1)]
+            assert len(calls) == len(live), (p, q)
+
+
+def room_for_the_rest(inst) -> bool:
+    """The exhaustive check of ``test_procedure2_vs_exhaustive``: some
+    candidate footprint and k - q pairwise disjoint family sets avoiding it."""
+    for cand in inst.candidates:
+        for combo in combinations(inst.family, inst.k - inst.q):
+            used = [e for members in combo for e in members]
+            if len(set(used)) == len(used) and cand.isdisjoint(used):
+                return True
+    return False
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_procedure2_at_its_footprint_offsets_matches_exhaustive(data):
+    """The schedule counts a footprint's 3q - p elements from the start: the
+    offset is 0 at p = 3q (all of every leaving path lies outside X) and 2q
+    at p = q (one outside node per path).  At both, ``procedure2`` accepts
+    exactly when the exhaustive check finds room, with a valid witness."""
+    m = data.draw(st.integers(3, 12))
+    k = data.draw(st.integers(2, 4))
+    q = data.draw(st.integers(1, min(k - 1, m // 2)))
+    p = data.draw(st.sampled_from([q, 3 * q]))
+    footprint = st.frozensets(st.integers(0, m - 1), min_size=3 * q - p, max_size=3 * q - p)
+    cands = tuple(data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True)))
+    triple = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
+    family = data.draw(st.lists(triple, max_size=10))
+    # half the time, plant k - q disjoint sets beside the first candidate
+    free = [e for e in range(m) if e not in cands[0]]
+    if len(free) >= 3 * (k - q) and data.draw(st.booleans()):
+        free = data.draw(st.permutations(free))
+        family += [free[3 * i:3 * i + 3] for i in range(k - q)]
+    family = tuple(tuple(sorted(s)) for s in family)
+    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
+    inst = p2pack.Pro2Instance(uni, k, family, p, q, cands, data.draw(st.sampled_from([1, 2])))
+    got = p2pack.procedure2(inst)
+    assert got.status == ("accept" if room_for_the_rest(inst) else "reject")
+    if got.status == "accept":
+        assert got.footprint in cands and len(got.ordered_sets) == k - q
+        used = [e for pos in got.ordered_sets for e in family[pos]]
+        assert len(set(used)) == len(used) and got.footprint.isdisjoint(used)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fptmix.core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
                          WeightedSetFamily, block_permutation, reorder_universe)
 from fptmix import oracles, wsp
+from helpers import reduction_ab
 
 
 def universe(n):
@@ -79,8 +80,9 @@ def test_cwsp_matches_oracle_with_enumerated_f():
                     wsp.verify_cwsp_witness(inst, got)
 
 
-def test_cwsp_reduction_ab_decision_stable():
+def test_cwsp_reduction_ab_decision_stable(monkeypatch):
     rng = random.Random(37)
+    swept = 0
     for trial in range(20):
         n = rng.randint(6, 9)
         uni = universe(n)
@@ -92,11 +94,12 @@ def test_cwsp_reduction_ab_decision_stable():
         f = tuple(order[r] for r in ranks)
         W = rng.randint(1, 20)
         inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
-        on = wsp.solve_cwsp(inst, reduce=True)
-        off = wsp.solve_cwsp(inst, reduce=False)
+        on, off, sweep = reduction_ab(monkeypatch, wsp, wsp.solve_cwsp, inst)
+        swept += sweep
         assert on.accept == off.accept
         if on.accept:
             assert on.weight == off.weight
+    assert swept, "no trial's reduction swept, so the A/B compared nothing"
 
 
 def smallest_element_closure_check(family: WeightedSetFamily, prefix) -> bool:
@@ -255,9 +258,10 @@ def test_one_stage_reject_draws_one_cut():
     assert wsp.wsp_alg(uni, fam, 11, 2, 2, budget=1).status == "budget-exceeded"
 
 
-def test_threshold_pruning_keeps_verdicts_and_weights():
+def test_threshold_pruning_keeps_verdicts_and_weights(monkeypatch):
     """solve_cwsp at W against the unpruned DP (W far below every weight):
-    same verdict and weight, and every witness still checks out."""
+    same verdict and weight, and every witness still checks out.  A case
+    with the reduction off runs with ``reduce_layer`` a pass-through."""
     rng = random.Random(71)
     accepts = 0
     for case in range(2000):
@@ -270,12 +274,14 @@ def test_threshold_pruning_keeps_verdicts_and_weights():
         order = uni.by_rank()
         f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
         reduce, audit = rng.random() < 0.7, rng.random() < 0.3
-        free = wsp.solve_cwsp(wsp.CwspInstance(uni, fam, -10**18, k, inv, f),
-                              reduce=reduce, audit=audit)
-        base = free.weight if free.accept else rng.randint(3 * k * lo, 3 * k * hi)
-        W = base + rng.choice([-1, 0, 0, 1])
-        inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
-        got = wsp.solve_cwsp(inst, reduce=reduce, audit=audit)
+        with monkeypatch.context() as patch:
+            if not reduce:
+                patch.setattr(wsp, "reduce_layer", lambda *args, **kwargs: None)
+            free = wsp.solve_cwsp(wsp.CwspInstance(uni, fam, -10**18, k, inv, f), audit=audit)
+            base = free.weight if free.accept else rng.randint(3 * k * lo, 3 * k * hi)
+            W = base + rng.choice([-1, 0, 0, 1])
+            inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+            got = wsp.solve_cwsp(inst, audit=audit)
         assert got.accept == (free.accept and free.weight >= W), (case, fam.sets, k, inv, f, W)
         if got.accept:
             accepts += 1
@@ -484,3 +490,15 @@ def test_solve_cwsp_on_an_empty_family_matches_oracle(n):
                 for W in (-1, 0, 1):
                     inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
                     assert wsp.solve_cwsp(inst).accept == oracles.oracle_cwsp(inst), (k, f, W)
+
+
+@pytest.mark.parametrize("f", [(2,), (2, 5, 6), (9, 9), (-7, 6), (6, 7), (5, 2)])
+def test_cwsp_instance_checks_its_stage_function(f):
+    """f names one element of the universe per stage, in non-decreasing
+    rank: too few or too many, one outside 0 .. n - 1, or a decreasing pair
+    is a ``ParameterError``, never an ``IndexError`` or a wrong element."""
+    uni = universe(7)
+    fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 1), ((3, 4, 5), 1)), "max")
+    assert wsp.solve_cwsp(wsp.CwspInstance(uni, fam, 2, 2, 2, (2, 5))).accept
+    with pytest.raises(ParameterError, match="^f must"):
+        wsp.CwspInstance(uni, fam, 2, 2, 2, f)
