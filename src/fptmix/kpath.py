@@ -607,10 +607,11 @@ def path_alg(g: Digraph, W: int, k: int, inv_eps: int = 13,
              budget: int = 100_000) -> PathAlgResult:
     """Decide whether ``g`` has a k-node path of weight at most ``W``.
 
-    Below the regime where pieces have an internal node (k < 2/eps + 1) the
-    answer comes from exhaustive search, which charges ``budget`` one unit
-    per path extension and reports budget-exceeded when it runs out; above
-    it the result is budget-exceeded at any node count.
+    A non-positive ``budget`` gives budget-exceeded, and then a graph with
+    fewer than k nodes is rejected, at any k.  Otherwise, below the regime where
+    pieces have an internal node (k < 2/eps + 1), the answer comes from exhaustive
+    search, which charges ``budget`` one unit per path extension and reports
+    budget-exceeded when it runs out; above it the result is budget-exceeded.
     """
     kcwp_params(k, inv_eps, delta, gamma)
     if budget <= 0:

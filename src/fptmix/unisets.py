@@ -8,7 +8,9 @@ Bit-vectors are stored as ints, bit i holding f(i+1), so n is at most 64.
 Two construction modes exist: a deterministic greedy cover of the explicit
 constraint space, whose counts start from a closed form and lose only what
 each round newly covers, and randomized sampling until its pools cover every
-constraint.  Cover matrices are scanned in bounded lexicographic column blocks.
+constraint.  A greedy round updates only the counts of the candidates that
+cover a newly covered constraint.  Vectors and masks use the narrowest unsigned
+dtype holding n bits; cover matrices are scanned in bounded lexicographic blocks.
 Neither reproduces the asymptotically optimal size; both reproduce the
 covering property exactly, which is the correctness contract everything
 downstream relies on.
@@ -28,7 +30,9 @@ from .core import BudgetExceededError, ParameterError
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
 RANDOMIZED_K_CAP = 10
-_MATRIX_CELL_CAP = 1 << 18  # cells per block of a cover matrix: 2 MB of uint64 temporaries
+# cells per block of a cover matrix and hit cells per block of a greedy count update: 2 bytes
+# a cell at n <= 16 (all greedy n, though bincount widens hits to 8), 4 to n = 32, 8 above
+_MATRIX_CELL_CAP = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ class UniversalSet:
             line = line.strip()
             if not line and n:  # at n = 0 a blank line is the one 0-bit function
                 continue
-            if len(line) != n or set(line) - {"0", "1"}:
+            if len(line) != n or line.strip("01"):
                 raise ParameterError(f"bad function line {line!r} for n={n}")
             funcs.append(int(line[::-1] or "0", 2))
         return cls(n, k, p, tuple(funcs))
@@ -73,14 +77,20 @@ def constraint_count(n: int, k: int, p: int) -> int:
     return math.comb(n, k) * math.comb(k, p)
 
 
+def _dtype(n):
+    """The narrowest unsigned integer dtype that holds an n-bit vector."""
+    return np.uint16 if n <= 16 else np.uint32 if n <= 32 else np.uint64
+
+
 def _constraint_masks(n, k, p):
     """The index sets, the ones-position patterns inside an I, and the I and
     X masks of every constraint, flat over (I, pattern) in lexicographic order."""
-    subsets = np.array(list(combinations(range(n), k)), dtype=np.uint64)
+    dt = _dtype(n)
+    subsets = np.array(list(combinations(range(n), k)), dtype=dt)
     patterns = np.array(list(combinations(range(k), p)), dtype=np.intp)
-    bits = np.left_shift(np.uint64(1), subsets)
-    ones = bits[:, patterns].sum(axis=2, dtype=np.uint64).ravel()  # distinct bits: sum is OR
-    index = np.repeat(bits.sum(axis=1, dtype=np.uint64), len(patterns))
+    bits = np.left_shift(dt(1), subsets)
+    ones = bits[:, patterns].sum(axis=2, dtype=dt).ravel()  # distinct bits: sum is OR
+    index = np.repeat(bits.sum(axis=1, dtype=dt), len(patterns))
     return subsets, patterns, index, ones
 
 
@@ -109,7 +119,7 @@ def verify_universal(u: UniversalSet, budget: int = DEFAULT_CONSTRAINT_BUDGET) -
         raise BudgetExceededError(f"{total} constraints exceed budget {budget}")
     subsets, patterns, index, ones = _constraint_masks(u.n, u.k, u.p)
     lo = 0
-    for block in _cover_blocks(np.asarray(u.functions, dtype=np.uint64), index, ones):
+    for block in _cover_blocks(np.asarray(u.functions, dtype=_dtype(u.n)), index, ones):
         covered = block.any(axis=0)
         if not covered.all():  # the first block with a violation holds the first one
             at, pattern = divmod(lo + int(np.argmin(covered)), len(patterns))
@@ -121,12 +131,12 @@ def verify_universal(u: UniversalSet, budget: int = DEFAULT_CONSTRAINT_BUDGET) -
 
 def _lex_candidates(n: int) -> np.ndarray:
     """All n-bit vectors ordered lexicographically as 0/1 strings f(1)..f(n)."""
-    count = 1 << n
-    idx = np.arange(count, dtype=np.uint64)
-    out = np.zeros(count, dtype=np.uint64)
+    count, dt = 1 << n, _dtype(n)
+    idx = np.arange(count, dtype=dt)
+    out = np.zeros(count, dtype=dt)
     for i in range(n):
         # lex index bit (n-1-i) is f(i+1), stored at bit i
-        out |= ((idx >> np.uint64(n - 1 - i)) & np.uint64(1)) << np.uint64(i)
+        out |= ((idx >> dt(n - 1 - i)) & dt(1)) << dt(i)
     return out
 
 
@@ -159,7 +169,8 @@ def _build_greedy(n, k, p) -> UniversalSet:
     if n == 0 or k == 0:
         return UniversalSet(n, k, p, (0,))
     _, _, index, ones = _constraint_masks(n, k, p)
-    cands = _lex_candidates(n)
+    cands = _lex_candidates(n)  # reverses bits, so it maps each vector to its lex index too
+    full, step = cands[-1], max(1, _MATRIX_CELL_CAP >> (n - k))
 
     # f covers (I, X) iff X = f & I, so it starts with C(|f|, p) C(n - |f|, k - p);
     # popcounts by lex index, as the lex order permutes each vector's bits
@@ -170,10 +181,18 @@ def _build_greedy(n, k, p) -> UniversalSet:
     while live.any():
         f = cands[np.argmax(counts)]  # first max = lex-smallest by candidate order
         chosen.append(int(f))
-        new = live & ((f & index) == ones)
-        live &= ~new
-        # only newly covered constraints leave the counts
-        counts -= sum(b.sum(axis=1) for b in _cover_blocks(cands, index[new], ones[new]))
+        new = np.flatnonzero(live & ((f & index) == ones))
+        live[new] = False
+        # a newly covered (I, X) leaves the counts of X | fill, fill inside I's
+        # complement, at lex index rev(X) | rev(fill); 2^(n-k) hits per constraint
+        for lo in range(0, len(new), step):
+            hits = cands[ones[new[lo:lo + step]]][:, None]
+            rest = cands[index[new[lo:lo + step]]] ^ full
+            for _ in range(n - k):
+                low = rest & ~(rest - 1)  # the lowest complement bit not yet split on
+                hits = np.concatenate([hits, hits | low[:, None]], axis=1)
+                rest ^= low
+            counts -= np.bincount(hits.ravel(), minlength=len(counts))
     return UniversalSet(n, k, p, tuple(chosen))
 
 
@@ -186,7 +205,7 @@ def _build_randomized(n, k, p, seed) -> UniversalSet:
     live = np.arange(len(ones))  # the uncovered constraints
     funcs: list[int] = []
     while len(live):
-        new = np.array([rng.getrandbits(n) if n else 0 for _ in range(pool)], dtype=np.uint64)
+        new = np.array([rng.getrandbits(n) if n else 0 for _ in range(pool)], dtype=_dtype(n))
         funcs.extend(new.tolist())
         live = live[~np.concatenate([b.any(axis=0)
                                      for b in _cover_blocks(new, index[live], ones[live])])]

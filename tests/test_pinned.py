@@ -6,12 +6,13 @@ run turns budget-exceeded moves.  These values catch that: each one was read
 off the solvers and is compared exactly.
 """
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
-from fptmix import kiob, kpath, oracles, p2pack, wsp
+from fptmix import kiob, kpath, oracles, p2pack, unisets, wsp
 from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
 
 
@@ -290,3 +291,24 @@ def test_smallest_sufficient_budget_pinned():
     for run, budget, status in BUDGET_CASES:
         assert run(budget - 1).status == "budget-exceeded"
         assert run(budget).status == status
+
+
+# ------------------------------------------------------------------ unisets
+
+# sha256 of the comma-joined greedy functions: the benchmark's four separator
+# shapes, and two at n = 16, where test_unisets' full-matrix greedy reference
+# would need a cover matrix of about 0.5 GB
+GREEDY_DIGESTS = {
+    (10, 4, 2): "6bd4114aaf9bc519a82b895fe7621381c8a70d240371d604f901324652cec388",
+    (11, 4, 2): "25f6c055352e74ca4b7830c3488d2b0bbeebc18d2bc821f27bec464c92a9dedd",
+    (12, 4, 2): "8c1e9ea1ac3e61eb5058178451ef5bada4e9fb66f21ad3c04f9873c41fe5b5eb",
+    (10, 5, 2): "bca7d811003d5b1b329f3949780b77cfab4ce3806ea340bec673caa1d5e1c43d",
+    (16, 2, 1): "072db39d17e096e1907c2a03f238a19bc6fe583d1c67ce42daf3673c6e71aeac",
+    (16, 4, 2): "641b37861959c6e6b4e7399259bc6b8460108e421ff59ede698404b89ea714d3",
+}
+
+
+def test_greedy_universal_sets_pinned():
+    for shape, digest in GREEDY_DIGESTS.items():
+        funcs = unisets.build_universal(*shape).functions
+        assert hashlib.sha256(",".join(map(str, funcs)).encode()).hexdigest() == digest, shape

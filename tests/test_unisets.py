@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -157,7 +158,8 @@ def _greedy_reference(n, k, p):
     return tuple(chosen)
 
 
-GREEDY_SHAPES = [(4, 2, 1), (6, 3, 0), (6, 3, 3), (8, 4, 2), (10, 5, 2)]
+# at cap 2,000, (12, 1, 1)'s 2^11 count hits per constraint make one-constraint blocks
+GREEDY_SHAPES = [(4, 2, 1), (6, 3, 0), (6, 3, 3), (8, 4, 2), (10, 5, 2), (12, 1, 1)]
 
 
 @pytest.mark.parametrize("cap", [None, 2_000])
@@ -197,6 +199,43 @@ def test_verify_matches_brute_force_first_violation(cap, monkeypatch):
         assert verify_universal(UniversalSet(n, k, p, funcs)) == VerifyResult(ref is None, ref)
         verdicts.add(ref is None)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [16, 17, 32, 33, 64])
+def test_dtype_cut_overs_keep_the_top_bit(n):
+    """On each side of a dtype cut-over (uint16 to n = 16, uint32 to 32, uint64
+    above), families whose top bit f(n) is free, forced on or forced off verify
+    as the brute force says, and their lines round-trip: a dtype one size too
+    narrow, or a shift past its width, cannot hold bit n - 1."""
+    top = 1 << (n - 1)
+    for k, p in [(1, 0), (1, 1), (2, 1), (2, 2)]:
+        free = build_universal(n, k, p, mode="rand", seed=n).functions
+        assert any(f & top for f in free) and not all(f & top for f in free)
+        on, off = tuple(f | top for f in free), tuple(f & ~top for f in free)
+        # f(n) forced on uncovers a constraint on n - 1 unless p = k, forced off unless p = 0
+        for funcs, broken in ((free, False), (on, p < k), (off, p > 0)):
+            ref = _first_violation(n, k, p, funcs)
+            assert verify_universal(UniversalSet(n, k, p, funcs)) == \
+                VerifyResult(ref is None, ref), (k, p)
+            assert (ref is not None and n - 1 in ref[0]) if broken else ref is None, (k, p)
+            lines = UniversalSet(n, k, p, funcs).lines()
+            assert UniversalSet.from_lines(n, k, p, lines).functions == funcs
+            assert [line[-1] == "1" for line in lines] == [f >= top for f in funcs]
+    for k in (1, 2):
+        u = build_universal(16, k, 1)
+        assert verify_universal(u).valid and _first_violation(16, k, 1, u.functions) is None
+
+
+def test_greedy_at_16_4_2_peaks_below_8_mb():
+    """The count update builds the covering candidates of one block of newly
+    covered constraints at a time; one table over every I peaked near 131 MB."""
+    tracemalloc.start()
+    try:
+        build_universal(16, 4, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @functools.cache
