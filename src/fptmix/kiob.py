@@ -96,15 +96,10 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
             # needs (x1 - 1, y1) among them, so no other split builds anything
             below = {shape for u in out[v] for shape in table[u]}
             splits = sorted(below)  # x1 ascending, then y1
-            one_child: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
 
             def one_child_sets(x1: int, y1: int) -> list[tuple[int, tuple]]:
-                key = (x1, y1)
-                if key not in one_child:
-                    one_child[key] = [(a | vbit, (u, a)) for u in out[v]
-                                      for a in table[u].get((x1 - 1, y1), ())
-                                      if not a & vbit]
-                return one_child[key]
+                return [(a | vbit, (u, a)) for u in out[v]
+                        for a in table[u].get((x1 - 1, y1), ()) if not a & vbit]
 
             for x in range(max(1, size - leaves), min(internal, size - 1) + 1):
                 y = size - x

@@ -13,7 +13,7 @@ partial-solution sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv,
@@ -49,21 +49,37 @@ def validate_packing(g: Graph, packing: Packing) -> None:
 
 @dataclass(frozen=True)
 class IcpInstance:
+    """One compression round over the (k-1)-packing ``previous``, whose nodes
+    form X.  ``__post_init__`` derives what every (p, q) split of the round
+    shares, in one scan of the graph's 3-node paths: X ascending, the paths
+    inside X, and the paths that leave X as sorted (smallest outside index,
+    outside mask, outside count, X mask, path) rows."""
     graph: Graph
     k: int
     previous: Packing
+    x_nodes: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    inside: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
+    leaving: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.previous) != self.k - 1:
             raise ParameterError("compression step needs a (k-1)-packing")
         validate_packing(self.graph, self.previous)
-
-
-def _all_triples(g: Graph):
-    adj = g.adjacency()
-    for mid in range(g.node_count):
-        for a, c in combinations(sorted(adj[mid]), 2):
-            yield (a, mid, c)
+        g, x_set = self.graph, self.previous.nodes()
+        y_index = {v: i for i, v in enumerate(v for v in range(g.node_count) if v not in x_set)}
+        inside, leaving = [], []
+        for mid, near in enumerate(g.adjacency()):
+            for a, c in combinations(sorted(near), 2):
+                ys = [y_index[v] for v in (a, mid, c) if v not in x_set]
+                if ys:
+                    leaving.append((min(ys), sum(1 << y for y in ys), len(ys),
+                                    sum(1 << v for v in (a, mid, c) if v in x_set), (a, mid, c)))
+                else:
+                    inside.append((a, mid, c))
+        leaving.sort(key=lambda t: (t[0], t[4]))
+        object.__setattr__(self, "x_nodes", tuple(sorted(x_set)))
+        object.__setattr__(self, "inside", tuple(inside))
+        object.__setattr__(self, "leaving", tuple(leaving))
 
 
 def icp_pro1(inst: IcpInstance, p: int, q: int,
@@ -75,37 +91,26 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     ordered by their smallest outside node, which is dropped from the stored
     set; stored sets (over outside-node indices) and footprints (over nodes)
     are bitmasks, and each layer's families are (p - p')-reduced by one
-    unweighted ``reduce_layer`` call, with ``trace`` passed to it.  Layer
-    (0, 0) is the seed, the empty packing, which every rebuild walks back
-    to.  A (p', q') layer is built only if q - q' <= p - p' <= 3(q - q'):
-    each later path adds one to three outside nodes, so no other layer can
-    grow into the (p, q) layer that is read.
+    unweighted ``reduce_layer`` call, with ``trace`` passed to it.  The paths
+    that leave X are read from ``inst.leaving``, derived once per round, so
+    no call scans the graph.  Layer (0, 0) is the seed, the empty packing,
+    which every rebuild walks back to.  A (p', q') layer is built only if
+    q - q' <= p - p' <= 3(q - q'): each later path adds one to three outside
+    nodes, so no other layer can grow into the (p, q) layer that is read.
     """
-    x_nodes = sorted(inst.previous.nodes())
-    x_set = set(x_nodes)
-    y_nodes = [v for v in range(inst.graph.node_count) if v not in x_set]
-    y_index = {v: i for i, v in enumerate(y_nodes)}
-    y_universe = OrderedUniverse.from_labels(str(v) for v in y_nodes)
-
-    paths = []
-    for triple in _all_triples(inst.graph):
-        ys = [y_index[v] for v in triple if v not in x_set]
-        if not ys:
-            continue
-        xpart = sum(1 << v for v in triple if v in x_set)
-        paths.append((min(ys), sum(1 << y for y in ys), len(ys), xpart, triple))
-    paths.sort(key=lambda t: (t[0], t[4]))
+    y_nodes = set(range(inst.graph.node_count)).difference(inst.x_nodes)
+    y_universe = OrderedUniverse.from_labels(str(v) for v in sorted(y_nodes))
 
     # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}; (0, 0) holds the
     # empty packing, with no smallest outside node, that every packing starts from
     layers: dict[tuple[int, int], dict] = {(0, 0): {(-1, 0): {0: None}}}
-    y_all = tuple(range(len(y_nodes)))
+    y_all = tuple(range(len(y_universe)))
 
     for p_used in range(1, p + 1):
         for q_used in range(max(_ceildiv(p_used, 3), q - (p - p_used)),
                             min(p_used, q - _ceildiv(p - p_used, 3)) + 1):
             layer: dict = {}
-            for m, ypart, y_count, xpart, triple in paths:
+            for m, ypart, y_count, xpart, triple in inst.leaving:
                 child_lk = (p_used - y_count, q_used - 1)
                 stored_new = ypart ^ (1 << m)
                 for (m2, x2), entry2 in layers.get(child_lk, {}).items():
@@ -251,7 +256,9 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     Each round tries every (p, q) split sanctioned by the containment
     guarantee for packings extending the previous round's witness, combining
     the footprint family with the in-X packing decision; the reconstructed
-    t-packing feeds the next round.  ``trace`` is passed to ``icp_pro1``.
+    t-packing feeds the next round.  The round's ``IcpInstance`` derives X
+    and its paths once, and every split reads them.  ``trace`` is passed to
+    ``icp_pro1``.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -262,15 +269,10 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     current = Packing(())
     for t in range(1, k + 1):
         inst = IcpInstance(g, t, current)
-        x_nodes = sorted(current.nodes())
-        x_index = {v: i for i, v in enumerate(x_nodes)}
+        x_index = {v: i for i, v in enumerate(inst.x_nodes)}
         p_cap = 3 * t - _ceildiv(5 * (t - 1), 2)
-        triples_in_x = []
-        for a, mid, cc in _all_triples(g):
-            if a in x_index and mid in x_index and cc in x_index:
-                triples_in_x.append((a, mid, cc))
-        x_universe = OrderedUniverse.from_labels(str(v) for v in x_nodes)
-        family = tuple(tuple(sorted(x_index[v] for v in tr)) for tr in triples_in_x)
+        x_universe = OrderedUniverse.from_labels(str(v) for v in inst.x_nodes)
+        family = tuple(tuple(sorted(x_index[v] for v in tr)) for tr in inst.inside)
         found: Packing | None = None
         for p in range(3, p_cap + 1):
             for q in range(_ceildiv(p, 3), min(p, t) + 1):
@@ -287,9 +289,9 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
                 if res.status == "budget-exceeded":
                     return P2Result("budget-exceeded")
                 if res.status == "accept":
-                    foot = frozenset(x_nodes[i] for i in res.footprint)
+                    foot = frozenset(inst.x_nodes[i] for i in res.footprint)
                     outside = fmap[foot]
-                    inside = tuple(triples_in_x[pos] for pos in res.ordered_sets)
+                    inside = tuple(inst.inside[pos] for pos in res.ordered_sets)
                     found = Packing(tuple(outside.paths) + inside)
                     validate_packing(g, found)
                     break

@@ -25,7 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import BudgetExceededError, ParameterError
+from .core import BudgetExceededError, FptMixError, ParameterError
 
 DEFAULT_CONSTRAINT_BUDGET = 120_000
 GREEDY_MAX_N = 16
@@ -182,6 +182,8 @@ def _build_greedy(n, k, p) -> UniversalSet:
         f = cands[np.argmax(counts)]  # first max = lex-smallest by candidate order
         chosen.append(int(f))
         new = np.flatnonzero(live & ((f & index) == ones))
+        if not len(new):  # over-stated counts would pick f again and again
+            raise FptMixError(f"greedy round picked {int(f)}, which covers no live constraint")
         live[new] = False
         # a newly covered (I, X) leaves the counts of X | fill, fill inside I's
         # complement, at lex index rev(X) | rev(fill); 2^(n-k) hits per constraint

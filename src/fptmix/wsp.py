@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate, chain, combinations, islice
 from operator import add, lt
 
@@ -151,10 +150,6 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
         if old is None or weight > old[0]:
             entry[fs] = (weight, payload)
 
-    @cache  # one parts tuple per (layer size j, stored-set size)
-    def parts_of_size(j, size):
-        return (PartitionPart(everything, size + 3 * (k - j), size),)
-
     def pack(rank, f) -> tuple[tuple[int, ...], int, int] | None:
         t = len(f)
         ek = k // t
@@ -223,7 +218,8 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
                 if seeds is None:
                     def parts_of(key):
                         # stored sets hold 2j elements less stage i - 1's deletable count
-                        return parts_of_size(j, 2 * j - (key[0][i - 2] if i >= 2 else 0))
+                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                        return (PartitionPart(everything, size + 3 * (k - j), size),)
                     reduce_layer(universe, layer, parts_of, "max", trace)
                 if audit:
                     for (s_vec, mrank), entry in layer.items():

@@ -1,5 +1,5 @@
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import pytest
@@ -388,6 +388,77 @@ def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeyp
             live = [(p1, q1) for p1 in range(1, p + 1) for q1 in range(1, q + 1)
                     if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1)]
             assert len(calls) == len(live), (p, q)
+
+
+def test_icp_instance_derives_its_round_in_one_path_scan(monkeypatch):
+    """``IcpInstance`` reads the adjacency once beside ``validate_packing``'s
+    read, and its derived fields hold X ascending, the 3-node paths inside X
+    and the rows of the paths that leave it, sorted by smallest outside
+    index, then path.  They take no part in ``==``, ``hash`` or ``repr``."""
+    rng = random.Random(52)
+    g = Graph(9, tuple(e for e in combinations(range(9), 2) if rng.random() < 0.45))
+    prev = p2pack.Packing(oracles.enumerate_packings(g, 2)[0])
+    where, seen = ["init"], []
+    real_adjacency, real_validate = Graph.adjacency, p2pack.validate_packing
+
+    def validate(*args):
+        where[0] = "validate"
+        real_validate(*args)
+        where[0] = "init"
+
+    monkeypatch.setattr(Graph, "adjacency", lambda self: seen.append(where[0]) or
+                        real_adjacency(self))
+    monkeypatch.setattr(p2pack, "validate_packing", validate)
+    inst = p2pack.IcpInstance(g, 3, prev)
+    assert seen == ["validate", "init"]
+
+    x = sorted(prev.nodes())
+    y = [v for v in range(9) if v not in x]
+    adj = real_adjacency(g)
+    paths = [(a, mid, c) for mid in range(9) for a, c in combinations(sorted(adj[mid]), 2)]
+    assert inst.x_nodes == tuple(x)
+    assert inst.inside == tuple(t for t in paths if set(t) <= set(x))
+    rows = [(min(y.index(v) for v in t if v in y), sum(1 << y.index(v) for v in t if v in y),
+             sum(v in y for v in t), sum(1 << v for v in t if v in x), t)
+            for t in paths if not set(t) <= set(x)]
+    assert inst.leaving == tuple(sorted(rows, key=lambda r: (r[0], r[4])))
+
+    assert [f.name for f in fields(inst) if f.init or f.compare or f.repr] == \
+        ["graph", "k", "previous"]
+    assert inst == p2pack.IcpInstance(g, 3, prev) and hash(inst) == hash((g, 3, prev))
+    assert repr(inst) == f"IcpInstance(graph={g!r}, k=3, previous={prev!r})"
+
+
+def test_icp_pro1_scans_no_graph_and_each_round_scans_once(monkeypatch):
+    """In ``solve_p2packing`` every adjacency read outside ``validate_packing``
+    is a round's one path scan, k of them at k rounds, and none comes from
+    the many ``icp_pro1`` calls of a rejecting last round."""
+    rng = random.Random(53)
+    g = random_graph(rng, 10, 0.4)
+    opt = max(t for t in range(4) if oracles.oracle_p2p(g, t))
+    where, seen, pro1_calls = ["solve"], [], []
+    real_adjacency, real_pro1 = Graph.adjacency, p2pack.icp_pro1
+
+    def in_phase(name, fn):
+        def run(*args):
+            outer, where[0] = where[0], name
+            try:
+                return fn(*args)
+            finally:
+                where[0] = outer
+        return run
+
+    monkeypatch.setattr(Graph, "adjacency", lambda self: seen.append(where[0]) or
+                        real_adjacency(self))
+    monkeypatch.setattr(p2pack, "validate_packing", in_phase("validate", p2pack.validate_packing))
+    monkeypatch.setattr(p2pack, "icp_pro1", in_phase("icp_pro1", lambda *args: pro1_calls.append(
+        args) or real_pro1(*args)))
+    for k, status in ((opt, "accept"), (opt + 1, "reject")):
+        seen.clear()
+        pro1_calls.clear()
+        assert p2pack.solve_p2packing(g, k).status == status
+        assert "icp_pro1" not in seen and seen.count("solve") == k
+    assert len(pro1_calls) > 2 * k
 
 
 def room_for_the_rest(inst) -> bool:

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import signal
 import tracemalloc
 from itertools import combinations, product
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fptmix import unisets
-from fptmix.core import BudgetExceededError, ParameterError
+from fptmix.core import BudgetExceededError, FptMixError, ParameterError
 from fptmix.unisets import (
     UniversalSet,
     VerifyResult,
@@ -168,6 +169,25 @@ def test_greedy_matches_full_matrix_recount(cap, monkeypatch):
         monkeypatch.setattr(unisets, "_MATRIX_CELL_CAP", cap)
     for shape in GREEDY_SHAPES:
         assert build_universal(*shape).functions == _greedy_reference(*shape), shape
+
+
+def test_greedy_raises_when_a_round_covers_nothing(monkeypatch):
+    """Counts that over-state a candidate make a round pick a vector that
+    covers no live constraint; without a progress check that round repeats
+    forever, so the call runs under an alarm."""
+    monkeypatch.setattr(unisets.math, "comb", lambda a, b: 1)
+
+    def hung(signum, frame):
+        raise TimeoutError("_build_greedy did not end")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(8)
+    try:
+        with pytest.raises(FptMixError, match="covers no live constraint"):
+            unisets._build_greedy(6, 3, 1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def _first_violation(n, k, p, funcs):
