@@ -67,7 +67,7 @@ def _load(path: str) -> str:
 
 # report field -> trace key, as ``repsets.reduce_layer`` counts them
 _TRACE_FIELDS = {"peakFamilySize": "peak_family", "reductions": "reductions",
-                 "denseSkips": "dense_skips"}
+                 "denseSkips": "dense_skips", "dpEntries": "entries"}
 
 
 def _report(args, verdict: str, witness=None, timings=None, trace=None) -> dict:
@@ -89,6 +89,9 @@ _DOCUMENT_KIND = {"kpath": "digraph", "kiob": "digraph", "wsp": "setfamily", "p2
 _LEAST_K = {"kiob": 1, "wsp": 0, "p2p": 0}
 # 1/eps when neither ``--inv-eps`` nor a caller names one (kcwp reads its own, kiob has none)
 _INV_EPS = {"kpath": 13, "wsp": 2, "p2p": 2}
+# the optional solve flags each problem reads (kiob and p2p only check a W)
+_SOLVE_FLAGS = {"kpath": {"k", "W", "inv_eps", "delta", "gamma"}, "kcwp": set(),
+                "kiob": {"k", "W"}, "wsp": {"k", "W", "inv_eps"}, "p2p": {"k", "W", "inv_eps"}}
 
 
 def _parse_for(problem: str, doc: str):
@@ -137,8 +140,8 @@ def _verdict_exit(verdict: str) -> int:
 
 # ------------------------------------------------------------------ solve
 
-def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None,
-         delta=Fraction(1, 12), gamma=Fraction(84, 1000)) -> tuple[str, dict | None]:
+def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None, delta=None,
+         gamma=None) -> tuple[str, dict | None]:
     """Run ``problem``'s solver on its parsed instance, as ``solve`` and every
     ``bench`` row do: the verdict, and on accept the re-verified witness."""
     inv_eps = _INV_EPS.get(problem) if inv_eps is None else inv_eps
@@ -147,7 +150,8 @@ def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None,
     elif problem == "kiob":
         res = kiob_mod.solve_kiob(value, k, trace=trace)
     elif problem == "kpath":
-        res = kpath_mod.path_alg(value, W, k, inv_eps, delta, gamma, budget)
+        tuning = {name: v for name, v in (("delta", delta), ("gamma", gamma)) if v is not None}
+        res = kpath_mod.path_alg(value, W, k, inv_eps, budget=budget, **tuning)
     elif problem == "wsp":
         res = wsp_mod.wsp_alg(value.universe, value, W, k, inv_eps, budget=budget, trace=trace)
     else:
@@ -171,6 +175,9 @@ def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None,
 
 
 def _cmd_solve(args, argv) -> int:
+    for name in ("k", "W", "inv_eps", "delta", "gamma"):
+        if getattr(args, name) is not None and name not in _SOLVE_FLAGS[args.problem]:
+            raise ParameterError(f"{args.problem} does not read --{name.replace('_', '-')}")
     trace: dict = {}
     t0 = time.perf_counter()
     doc = _load(args.instance)
@@ -529,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int)
     solve.add_argument("--W", type=int)
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
-    solve.add_argument("--delta", type=_fraction, default=Fraction(1, 12))
-    solve.add_argument("--gamma", type=_fraction, default=Fraction(84, 1000))
+    solve.add_argument("--delta", type=_fraction)
+    solve.add_argument("--gamma", type=_fraction)
     solve.add_argument("--budget", type=int, default=budget_from_env())
     solve.set_defaults(func=_cmd_solve)
 

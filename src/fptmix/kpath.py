@@ -228,7 +228,7 @@ def _most_r(i: int, late: int, k2: int, mid: int) -> int:
 
 
 def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
-               trace: dict | None = None, audit: bool = False) -> KcwpResult:
+               trace: dict | None = None) -> KcwpResult:
     """Three-phase staged DP over internal-node sets.
 
     Layer t holds, per (L count, R count, other count, last node), a
@@ -261,7 +261,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     endp = set(inst.l1) | set(inst.l2) | set(inst.r1) | set(inst.r2) | {inst.vl, inst.vr}
     L, R = inst.L, inst.R
-    l_mask, r_mask = sum(1 << v for v in L), sum(1 << v for v in R)
     e3 = [v for v in range(n) if v not in L and v not in R and v not in endp]
     k1, k2, k3, mid, ek, m, mt = par.k1, par.k2, par.k3, par.mid, par.ek, par.m, par.mt
     early = m + mt
@@ -298,7 +297,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
             # L nodes leave the stored sets when the first late piece opens;
             # every key of the last middle layer has L count k1 (lo_l is k1 there)
             drop_l = bridge_to is not None and p == early + 1
-            keep = ~l_mask if drop_l else -1  # the bits a stored set keeps
+            keep = ~sum(1 << v for v in L) if drop_l else -1  # the bits a stored set keeps
             layer: dict = {}
             for key, entry in layers[-1].items():
                 l, r, s, u = key
@@ -335,14 +334,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                         if old is None or nw < old[0]:  # the first of equal weights stays
                             target[nfs] = (nw, (key, fs, v))
             reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min", trace)
-            if audit:
-                # budget ledger: stored sets carry exactly the counts the key
-                # claims, and never touch piece endpoints
-                for key, entry in layer.items():
-                    for fs in entry:
-                        in_l, in_r = (fs & l_mask).bit_count(), (fs & r_mask).bit_count()
-                        assert not endp.intersection(bit_positions(fs)) and \
-                            (in_l, in_r, fs.bit_count() - in_l - in_r) == key[:3], (phase, key)
             layers.append(layer)
 
     # ---- acceptance --------------------------------------------------------
@@ -520,7 +511,8 @@ def construct_kcwp_witness(g: Digraph, known_path, inv_eps: int, delta: Fraction
     vr_pos = ends_pos[jstar]
     for i in range(inv_eps - 1 - jstar):
         small.append(span_nodes(vr_pos + i * ek, vr_pos + (i + 1) * ek))
-    assert len(small) == 2 * m
+    if len(small) != 2 * m:
+        raise FptMixError(f"{len(small)} small pieces beside the middle one, expected {2 * m}")
 
     mid_blue = [v for v in mid_nodes[1:-1] if v in vstar]
     piece_blue = [blue_of(p[1:-1]) for p in small]
@@ -580,18 +572,18 @@ def best_kpath(g: Digraph, k: int, budget: int):
     out = g.out_neighbors()
     weights = g.arc_weights()
     best: list = [None]
-    spent = 0
+    extensions = 0
 
     def extend(v, trail, total):
-        nonlocal spent
+        nonlocal extensions
         if len(trail) == k:
             if best[0] is None or total < best[0][0]:
                 best[0] = (total, tuple(trail))
             return
         for u in sorted(out[v]):
             if u not in trail:
-                spent += 1
-                if spent > budget:
+                extensions += 1
+                if extensions > budget:
                     raise BudgetExceededError(f"k-path search needs > {budget} extensions")
                 trail.append(u)
                 extend(u, trail, add_weights(total, weights[(v, u)]))

@@ -450,6 +450,62 @@ def enumerate_packings(g: Graph, k: int, budget: OracleBudget | None = None):
     return out
 
 
+def _r_schedule_cpro2(k: int, inv_eps: int, offset: int) -> list[int]:
+    """R(0..1/eps) with a footprint's ``offset`` elements counted from the
+    start, so R(1) = ceil(offset / ceil(3k / floor(eps k)))."""
+    ek = k // inv_eps
+    if ek <= 0:
+        raise ValueError("floor(eps*k) must be >= 1")
+    r = [0]
+    for j in range(1, inv_eps + 1):
+        denom = _ceildiv(3 * (k - (j - 1) * ek), ek)
+        r.append(r[-1] + _ceildiv(offset + 2 * (j - 1) * ek - r[-1], denom))
+    return r
+
+
+def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
+    """Literal check of the footprint-avoiding cut subproblem.
+
+    ``inst`` needs: universe, k, family (3-sets as index triples), p, q,
+    candidates (footprints of 3q - p elements), inv_eps and f (one
+    threshold element per stage).  Accepts iff, for some candidate C, k - q
+    family sets at distinct positions, pairwise disjoint and disjoint from
+    C, ordered by smallest element, meet every stage s: C's elements at or
+    below f(s), with the non-minimum ones of the first
+    min(s * floor(eps(k - q)), k - q) sets, number at least R(s), where R
+    counts C's 3q - p elements from the start, and no later set holds an
+    element at or below f(s).
+    """
+    counter = _Counter(budget)
+    rank = inst.universe.rank
+    kq = inst.k - inst.q
+    ek = kq // inst.inv_eps
+    sched = _r_schedule_cpro2(kq, inst.inv_eps, 3 * inst.q - inst.p)
+    f_ranks = [rank[e] for e in inst.f]
+    if any(f_ranks[i] > f_ranks[i + 1] for i in range(len(f_ranks) - 1)):
+        raise ValueError("f must be non-decreasing in the universe order")
+
+    def stages_hold(foot: list[int], sets: list[list[int]]) -> bool:
+        for stage, fr in enumerate(f_ranks, 1):
+            upto = min(stage * ek, kq)
+            deleted = sum(r <= fr for r in foot) + \
+                sum(r <= fr for ranks in sets[:upto] for r in ranks[1:])
+            if deleted < sched[stage] or any(ranks[0] <= fr for ranks in sets[upto:]):
+                return False
+        return True
+
+    for cand in inst.candidates:
+        foot = [rank[e] for e in cand]
+        for combo in combinations(inst.family, kq):
+            counter.tick()
+            # each set as its ascending ranks, the sets by smallest element
+            sets = sorted(sorted(rank[e] for e in members) for members in combo)
+            used = foot + [r for ranks in sets for r in ranks]
+            if len(set(used)) == len(used) and stages_hold(foot, sets):
+                return True
+    return False
+
+
 # ---------------------------------------------------------------- k-CWP
 
 def _kcwp_params(k: int, inv_eps: int, delta: Fraction, gamma: Fraction) -> dict:

@@ -253,9 +253,12 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     return selected, product_size
 
 
-def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective: str | None,
-                 trace: dict | None = None) -> None:
-    """Reduce every entry of one DP layer, in place, to the masks the sweep keeps.
+def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
+                 objective: str | None, trace: dict | None = None, cap: int | None = None) -> None:
+    """Close one DP layer, as every DP does once per layer it builds: add
+    its masks to ``trace["entries"]``, raise ``BudgetExceededError`` once
+    that passes ``cap``, and unless ``parts_of_key`` is None reduce every
+    entry, in place, to the masks the sweep keeps.
 
     ``layer`` maps a key to an entry, a dict from distinct equal-size member
     bitmasks (bit e is element e) to values; ``parts_of_key(key)`` names its
@@ -272,11 +275,15 @@ def reduce_layer(universe: OrderedUniverse, layer: dict, parts_of_key, objective
     and such an entry is only sorted.  ``trace`` gets the largest reduced entry
     as ``peak_family`` and adds the counts ``reductions`` and ``dense_skips``.
     """
+    if trace is not None and layer:  # the DPs store no empty entry
+        trace["entries"] = trace.get("entries", 0) + sum(map(len, layer.values()))
+        if cap is not None and trace["entries"] > cap:
+            raise BudgetExceededError(f"more than {cap} DP table entries")
     dense: dict[tuple, bool] = {}
     specs: dict[tuple, PartitionSpec] = {}
     reductions = dense_skips = peak = 0
     for key, entry in layer.items():
-        if len(entry) <= 1:
+        if parts_of_key is None or len(entry) <= 1:
             continue
         parts = parts_of_key(key)
         # ascending sorted-member order: a key lists a mask's bits from bit 0

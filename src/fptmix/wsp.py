@@ -17,7 +17,7 @@ from itertools import accumulate, chain, combinations, islice
 from operator import add, lt
 
 from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
-                   WeightedSetFamily, _ceildiv, add_weights, bit_positions)
+                   WeightedSetFamily, _ceildiv, add_weights)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -72,8 +72,7 @@ class CwspResult:
     weight: int | None = None
 
 
-def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None,
-               audit: bool = False) -> CwspResult:
+def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None) -> CwspResult:
     """Staged dynamic program over ordered packings of the whole family.
 
     After every entry the family is replaced by a max 3(k - j)-representative
@@ -85,7 +84,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None,
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
     pack = _pack_stages(inst.universe.elements, inst.family.sets, inst.k,
-                        stage_schedule(inst.k, inst.inv_eps), inst.W, trace=trace, audit=audit)
+                        stage_schedule(inst.k, inst.inv_eps), inst.W, trace=trace)
     found = pack(inst.universe.rank, inst.f)
     if found is None:
         return CwspResult(False)
@@ -94,7 +93,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None,
 
 
 def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=None,
-                 trace: dict | None = None, audit: bool = False, cap: int | None = None):
+                 trace: dict | None = None, cap: int | None = None):
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
 
     It runs in two steps.  This call does what no cut changes, once per
@@ -114,24 +113,23 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
     elements that lie above the previous stage threshold.
     Layer (0, 0) holds ``seeds``, the stored masks to start from: one per
     footprint that the packing must avoid, counted per stage under each cut,
-    or for None the empty packing.  Only an unseeded DP reduces: each entry
-    becomes a max 3(k - j)-representative subfamily, one ``reduce_layer``
-    call per layer over the cut's order.  ``audit`` checks the element
-    ledger of an unseeded DP.  ``cap`` bounds the entries one cut creates,
-    checked after every layer.  Before that count and the
-    reductions, a layer drops each stored set of j sets that stays below
-    ``W`` even when k - j sets of the heaviest weight follow; keys left
-    empty go too.  This leaves verdicts and weights as they are, while a
-    witness can move to another packing of equal weight.  A set lighter than
-    W - (k - 1) * heaviest is skipped before any cut: j sets holding it weigh
-    less than W - (k - j) * heaviest, so that drop would remove every packing
-    it builds, and the layers after the drop hold the same (key, mask,
-    weight) triples.  Sets are scanned in order of their smallest element;
-    for each child key the scan starts, by bisection, past every set whose
-    minimum is not above both the key's last minimum and the stage floor.
-    ``pack`` returns the positions, the seed set and the weight of the first
-    heaviest k-set packing of weight at least ``W`` that meets the schedule,
-    or None; the seed comes back as its mask.
+    or for None the empty packing.  One ``reduce_layer`` call closes each
+    layer: it counts the entries into ``trace``, or with ``cap`` into a fresh
+    dict per cut that may reach ``cap``, and reduces each entry of an unseeded
+    DP to a max 3(k - j)-representative subfamily over the cut's order.
+    Before that count and the reductions, a layer drops each stored set of j
+    sets that stays below ``W`` even when k - j sets of the heaviest weight
+    follow; keys left empty go too.  This leaves verdicts and weights as they
+    are, while a witness can move to another packing of equal weight.  A set
+    lighter than W - (k - 1) * heaviest is skipped before any cut: j sets
+    holding it weigh less than W - (k - j) * heaviest, so that drop would
+    remove every packing it builds, and the layers after the drop hold the
+    same (key, mask, weight) triples.  Sets are scanned in order of their
+    smallest element; for each child key the scan starts, by bisection, past
+    every set whose minimum is not above both the key's last minimum and the
+    stage floor.  ``pack`` returns the positions, the seed set and the weight
+    of the first heaviest k-set packing of weight at least ``W`` that meets
+    the schedule, or None; the seed comes back as its mask.
     """
     weights = [w for _, w in sets]
     heaviest, lightest = max(weights, default=0), min(weights, default=0)
@@ -167,12 +165,12 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
         sets_by_min.sort()
         mranks = [row[0] for row in sets_by_min]
         universe = OrderedUniverse(elements, rank) if seeds is None else None
+        cut_trace = trace if cap is None else {}
 
         seed_layer: dict[tuple, Entry] = {}
         layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
         for fs in (0,) if seeds is None else seeds:
             put(seed_layer, (tuple([(fs & b).bit_count() for b in below]), -1), fs, 0, None)
-        spent = 0
         for i in range(1, t + 2):
             j_lo = 1 + (i - 1) * ek
             j_hi = i * ek if i <= t else k
@@ -211,28 +209,12 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
                             layer[key] = alive
                         else:
                             del layer[key]
-                if cap is not None:
-                    spent += sum(len(entry) for entry in layer.values())
-                    if spent > cap:
-                        raise BudgetExceededError(f"more than {cap} cut packing table entries")
-                if seeds is None:
-                    def parts_of(key):
-                        # stored sets hold 2j elements less stage i - 1's deletable count
-                        size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                        return (PartitionPart(everything, size + 3 * (k - j), size),)
-                    reduce_layer(universe, layer, parts_of, "max", trace)
-                if audit:
-                    for (s_vec, mrank), entry in layer.items():
-                        for fs in map(bit_positions, entry):
-                            # element ledger: nothing at or below the last stage
-                            # threshold survives, sizes track 2j - s_(i-1), and
-                            # the per-stage counts match the coordinates
-                            assert all(rank[e] > floor_i for e in fs)
-                            base = s_vec[i - 2] if i >= 2 else 0
-                            assert len(fs) == 2 * j - base
-                            for l in range(max(0, i - 2), t):
-                                got = sum(1 for e in fs if rank[e] <= f_rank[l])
-                                assert got == s_vec[l] - base, (i, j, s_vec, l)
+                def parts_of(key):
+                    # stored sets hold 2j elements less stage i - 1's deletable count
+                    size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
+                    return (PartitionPart(everything, size + 3 * (k - j), size),)
+                reduce_layer(universe, layer, parts_of if seeds is None else None, "max",
+                             cut_trace, cap)
                 layers[(i, j)] = layer
 
         best: tuple[int, tuple, int] | None = None
@@ -338,8 +320,8 @@ def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
     """
     order = universe.by_rank()
     seen: set[tuple] = set()
-    for spent, cut in enumerate(cut_tuples(order, pieces), 1):
-        if spent > budget:
+    for drawn, cut in enumerate(cut_tuples(order, pieces), 1):
+        if drawn > budget:
             raise BudgetExceededError(f"more than {budget} cut tuples")
         claimed = 0  # bit r: rank r lies in an earlier span
         placed: list[int] = []  # the blocks' ranks, in block order

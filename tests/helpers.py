@@ -1,6 +1,7 @@
 """Checks that only the tests call: the exhaustive representation check
 that the representative-family sweep is compared against, the
-internal-node count of a branching, and the reduction on/off A/B run."""
+internal-node count of a branching, the reduction on/off A/B run, and the
+ledger spies that check the cut DPs' layers as they reach ``reduce_layer``."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from fptmix import repsets
-from fptmix.core import BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily
+from fptmix.core import (BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily,
+                         bit_positions)
 from fptmix.repsets import PartitionSpec, _validate_membership
 
 # (X, Y) pairs one representation check may enumerate
@@ -84,26 +86,93 @@ def branching_internal_nodes(arcs) -> int:
     return len({t for t, _ in arcs})
 
 
+# the real step, taken before any test replaces it on a module
+_STEP = repsets.reduce_layer
+
+
+def count_only(universe, layer, parts_of_key, *args):
+    """The real step with ``parts_of_key`` None: it counts the layer's
+    entries into the trace and reduces nothing."""
+    return _STEP(universe, layer, None, *args)
+
+
+def stage_ledger(inst, then=_STEP):
+    """A stand-in for ``reduce_layer`` on ``wsp`` that checks the element
+    ledger of each layer of ``solve_cwsp(inst)``'s DP, then hands the layer
+    to ``then``.
+
+    Layer (i, j) has one part of size 2j - base, base being stage i - 1's
+    deletable count s_(i-1) (0 at stage 1), with 3(k - j) more elements to
+    come, so j = k - (part.k - part.p) / 3 and i is j's stage.  The key's
+    coordinate gives the same base; every stored set has the part's size,
+    holds nothing at or below stage i - 1's threshold, and its elements at
+    or below each later threshold number the key's count there less base.
+    """
+    rank, k, t = inst.universe.rank, inst.k, inst.inv_eps
+    f_rank = [rank[e] for e in inst.f]
+    ek = k // t
+
+    def step(universe, layer, parts_of_key, *args):
+        for key, entry in layer.items():
+            (part,) = parts_of_key(key)
+            j = k - (part.k - part.p) // 3
+            i = min(-(-j // ek), t + 1)
+            base, s_vec = 2 * j - part.p, key[0]
+            assert base == (s_vec[i - 2] if i >= 2 else 0), (i, j, key)
+            floor_i = f_rank[i - 2] if i >= 2 else -1
+            for fs in map(bit_positions, entry):
+                assert len(fs) == part.p and all(rank[e] > floor_i for e in fs), (i, j, key)
+                for l in range(max(0, i - 2), t):
+                    got = sum(1 for e in fs if rank[e] <= f_rank[l])
+                    assert got == s_vec[l] - base, (i, j, key, l)
+        return then(universe, layer, parts_of_key, *args)
+    return step
+
+
+def kcwp_ledger(inst):
+    """A stand-in for ``reduce_layer`` on ``kpath`` that checks the budget
+    ledger of each layer of ``solve_kcwp(inst)``'s DP, then runs the real
+    step: every stored set avoids the piece endpoints, carries exactly the
+    L, R and other counts its key claims, and lies inside the parts it is
+    handed, so no L node is left once the late pieces' parts drop L."""
+    l_mask, r_mask = sum(1 << v for v in inst.L), sum(1 << v for v in inst.R)
+    endp = sum(1 << v for v in {*inst.l1, *inst.l2, *inst.r1, *inst.r2, inst.vl, inst.vr})
+
+    def step(universe, layer, parts_of_key, *args):
+        for key, entry in layer.items():
+            union = sum(1 << e for part in parts_of_key(key) for e in part.elements)
+            for fs in entry:
+                in_l, in_r = (fs & l_mask).bit_count(), (fs & r_mask).bit_count()
+                assert not fs & (endp | ~union), key
+                assert (in_l, in_r, fs.bit_count() - in_l - in_r) == key[:3], key
+        return _STEP(universe, layer, parts_of_key, *args)
+    return step
+
+
 def reduction_ab(monkeypatch, module, solve, inst):
     """Solve ``inst`` with the representative reduction on, then off.
 
-    The off arm replaces ``reduce_layer`` on the solver's ``module`` with a
-    pass-through; a spy on ``repsets.reduce_layer`` and the off arm's trace
-    show that no reduction ran there by any route, and the pass-through shows
-    that the solver reached it.  Returns (on, off, swept), where ``swept``
-    says the on arm's trace holds a sweep: more reductions than dense skips.
+    The off arm replaces ``reduce_layer`` on the solver's ``module`` with
+    ``count_only``, so its layers are counted and never reduced.  A spy on
+    ``repsets.reduce_layer`` and the off arm's trace, which holds no key
+    but ``entries``, show that no reduction ran there by any route.
+    Reducing only drops masks, so the off arm counts at least the on arm's
+    entries, which it can only do through the step.  Returns (on, off, swept),
+    where ``swept`` says the on arm's trace holds a sweep: more reductions
+    than dense skips.
     """
     on_trace, off_trace = {}, {}
     on = solve(inst, trace=on_trace)
-    real, real_calls, skipped = repsets.reduce_layer, [], []
+    real_calls = []
 
     def spy(*args, **kwargs):
         real_calls.append(args)
-        return real(*args, **kwargs)
+        return _STEP(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(repsets, "reduce_layer", spy)
-        patch.setattr(module, "reduce_layer", lambda *args, **kwargs: skipped.append(args))
+        patch.setattr(module, "reduce_layer", count_only)
         off = solve(inst, trace=off_trace)
-    assert real_calls == [] and off_trace == {} and skipped, "the off arm still reduced"
+    assert real_calls == [] and off_trace.keys() <= {"entries"}, "the off arm still reduced"
+    assert off_trace.get("entries", 0) >= on_trace.get("entries", 0)
     return on, off, on_trace.get("reductions", 0) > on_trace.get("dense_skips", 0)

@@ -244,6 +244,22 @@ def test_solve_kcwp_names_an_arc_without_a_weight(tmp_path, capsys):
     assert code == 2 and not out and err.startswith("error:") and "'digraph.arcs'" in err, err
 
 
+@pytest.mark.parametrize("problem,flags", [
+    ("kiob", ("--k", "2", "--inv-eps", "7")), ("kiob", ("--k", "2", "--delta", "1/20")),
+    ("wsp", ("--k", "1", "--W", "1", "--gamma", "1/20")),
+    ("p2p", ("--k", "1", "--delta", "1/20")), ("kcwp", ("--k", "27")), ("kcwp", ("--W", "30")),
+    ("kcwp", ("--inv-eps", "13")), ("kcwp", ("--gamma", "95/1000"))])
+def test_a_flag_the_problem_never_reads_is_a_usage_error(tmp_path, capsys, problem, flags):
+    """Such a flag was once ignored (``solve kiob d.json --k 3 --inv-eps 7
+    --delta 1/20`` exited 0); without it each solve accepts."""
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(_kcwp_document() if problem == "kcwp"
+                               else DOCUMENTS[cli._DOCUMENT_KIND[problem]]))
+    code, out, err = run(capsys, "solve", problem, str(inst), *flags)
+    assert code == 2 and not out and f"error: {problem} does not read {flags[-2]}" in err, err
+    assert run(capsys, "solve", problem, str(inst), *flags[:-2])[0] == 0
+
+
 def test_wsp_and_p2p_cli(tmp_path, capsys):
     fam = tmp_path / "s.json"
     fam.write_text(json.dumps({
@@ -320,8 +336,11 @@ def test_bench_suite_and_missing(tmp_path, capsys):
     assert all(r["match"] for r in rows)
     for i in (2, 3, 4):
         assert isinstance(rows[i]["peakFamilySize"], int)
-    # on the 3-node paths every DP entry holds one set, so no reduction runs
+        assert rows[i]["dpEntries"] >= rows[i]["peakFamilySize"]
+    # on the 3-node paths every DP entry holds one set, so no reduction runs,
+    # while the step still counts the entries
     assert rows[0]["peakFamilySize"] is None and rows[1]["peakFamilySize"] is None
+    assert rows[0]["dpEntries"] > 0 and rows[1]["dpEntries"] > 0
     code, _, err = run(capsys, "bench", str(tmp_path / "nope.json"))
     assert code == 2 and "missing suite" in err
 
@@ -337,7 +356,7 @@ def test_bench_csv_matches_json(tmp_path, capsys):
     code, text, _ = run(capsys, "bench", str(suite))
     assert code == 0
     assert text.splitlines()[0] == ("instance,problem,verdict,oracle,match,seconds,"
-                                    "peakFamilySize,reductions,denseSkips")
+                                    "peakFamilySize,reductions,denseSkips,dpEntries")
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
@@ -665,7 +684,7 @@ def test_solve_and_bench_run_a_row_alike(tmp_path, capsys, problem):
     assert code == 0
     (row,) = json.loads(out)
     assert row["verdict"] == solved["verdict"] == "accept" and row["match"]
-    for field in ("peakFamilySize", "reductions", "denseSkips"):
+    for field in ("peakFamilySize", "reductions", "denseSkips", "dpEntries"):
         assert row[field] == solved[field], field
 
 

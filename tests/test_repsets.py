@@ -577,13 +577,18 @@ def _solver_runs():
 
 def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     """The DPs are trusted to build every mask with exactly p members in each
-    part and none outside the parts, so no solve runs the membership check."""
+    part and none outside the parts, so no solve runs the membership check.
+    Every DP hands each layer it builds to the step once: k layers per cut
+    DP run, the footprint DP's included, one per internal node for
+    ``solve_kcwp``, one per tree size from 2 for ``tree_families``, and for
+    ``icp_pro1`` one per (p', q') layer that can grow into the (p, q) layer
+    it reads."""
     real = repsets.reduce_layer
-    seen = {}
+    seen, stepped = {}, []
 
     def spy(module):
         def checked(universe, layer, parts_of_key, *args, **kwargs):
-            for key, entry in layer.items():
+            for key, entry in layer.items() if parts_of_key else ():
                 parts = parts_of_key(key)
                 union = sum(1 << e for part in parts for e in part.elements)
                 for mask in entry:
@@ -592,11 +597,40 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
                         inside = sum(mask >> e & 1 for e in part.elements)
                         assert inside == part.p, (module, key, part)
                 seen[module] = seen.get(module, 0) + sum(map(len, layer.values()))
+            stepped.append(layer)
             return real(universe, layer, parts_of_key, *args, **kwargs)
         return checked
 
     for module in (kpath, kiob, wsp, p2pack):
         monkeypatch.setattr(module, "reduce_layer", spy(module.__name__))
+
+    def steps(count, fn):
+        """``fn``, checking that each call hands ``count(*args)`` layers to the step."""
+        def run(*args, **kwargs):
+            before = len(stepped)
+            out = fn(*args, **kwargs)
+            assert len(stepped) - before == count(*args), fn.__name__
+            return out
+        return run
+
+    def pack_stages(elements, sets, k, *args, **kwargs):
+        return steps(lambda rank, f: k, real_pack_stages(elements, sets, k, *args, **kwargs))
+
+    def live(inst, p, q, *_):
+        return sum(1 for p1 in range(1, p + 1) for q1 in range(1, q + 1)
+                   if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1))
+
+    def internal_nodes(inst, *_):
+        par = inst.params()
+        return 2 * par.m * (par.ek - 1) + par.mid
+
+    real_pack_stages = wsp._pack_stages
+    for module in (wsp, p2pack):
+        monkeypatch.setattr(module, "_pack_stages", pack_stages)
+    monkeypatch.setattr(kpath, "solve_kcwp", steps(internal_nodes, kpath.solve_kcwp))
+    monkeypatch.setattr(kiob, "tree_families", steps(lambda g, root, internal, leaves, *_:
+                                                     internal + leaves - 1, kiob.tree_families))
+    monkeypatch.setattr(p2pack, "icp_pro1", steps(live, p2pack.icp_pro1))
 
     def unexpected(*args):
         raise AssertionError("a solver ran the membership check")
@@ -605,6 +639,14 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     for _, solve in _solver_runs():
         solve({})
     assert set(seen) == {"fptmix.kpath", "fptmix.kiob", "fptmix.wsp", "fptmix.p2pack"}
+    # the seeded footprint DP, whose layers the step counts and never reduces
+    rng = random.Random(0)
+    family = tuple(tuple(sorted(rng.sample(range(10), 3))) for _ in range(12))
+    cut = p2pack.Pro2Instance(uni(10), 3, family, 2, 1, (frozenset({0}), frozenset({5})), 2,
+                              (4, 9))
+    before = len(stepped)
+    assert p2pack.solve_cpro2(cut).accept and len(stepped) == before + 2
+    assert len({id(layer) for layer in stepped}) == len(stepped)
 
 
 def test_reduction_counters_match_select_calls(monkeypatch):

@@ -189,6 +189,16 @@ def test_no_module_level_function_cache():
             if (lines := _caches(tree, top_level_only=True))} == {}
 
 
+def test_no_assert_in_src():
+    """``python -O`` strips ``assert`` statements, so a check that matters
+    raises an error of its own: ``src/fptmix`` holds no ``assert``."""
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) > 10, "the scan no longer sees the package"
+    assert [f"{path.name}:{node.lineno}" for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Assert)] == []
+
+
 ROOT = SRC.parent.parent
 # oracles.py stays whole, independent of the solvers, and several of its
 # enumeration budgets are never passed

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fptmix.core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
                          WeightedSetFamily, block_permutation, reorder_universe)
 from fptmix import oracles, wsp
-from helpers import reduction_ab
+from helpers import count_only, reduction_ab, stage_ledger
 
 
 def universe(n):
@@ -47,17 +47,18 @@ def test_schedule_rejects_zero_piece():
         wsp.stage_schedule(1, 2)
 
 
-def test_cwsp_trivial_pair():
+def test_cwsp_trivial_pair(monkeypatch):
     uni = universe(6)
     fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 1), ((3, 4, 5), 1)), "max")
     inst = wsp.CwspInstance(uni, fam, 2, 2, 1, (5,))
-    res = wsp.solve_cwsp(inst, audit=True)
+    monkeypatch.setattr(wsp, "reduce_layer", stage_ledger(inst))
+    res = wsp.solve_cwsp(inst)
     assert res.accept and res.weight == 2
     wsp.verify_cwsp_witness(inst, res)
     assert not wsp.solve_cwsp(wsp.CwspInstance(uni, fam, 3, 2, 1, (5,))).accept
 
 
-def test_cwsp_matches_oracle_with_enumerated_f():
+def test_cwsp_matches_oracle_with_enumerated_f(monkeypatch):
     rng = random.Random(31)
     for trial in range(25):
         n = rng.randint(6, 9)
@@ -74,7 +75,8 @@ def test_cwsp_matches_oracle_with_enumerated_f():
                 W = rng.randint(0, 3 * k * 9)
                 inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
                 want = oracles.oracle_cwsp(inst)
-                got = wsp.solve_cwsp(inst, audit=True)
+                monkeypatch.setattr(wsp, "reduce_layer", stage_ledger(inst))
+                got = wsp.solve_cwsp(inst)
                 assert got.accept == want, (fam.sets, k, inv, f, W)
                 if got.accept:
                     wsp.verify_cwsp_witness(inst, got)
@@ -261,7 +263,8 @@ def test_one_stage_reject_draws_one_cut():
 def test_threshold_pruning_keeps_verdicts_and_weights(monkeypatch):
     """solve_cwsp at W against the unpruned DP (W far below every weight):
     same verdict and weight, and every witness still checks out.  A case
-    with the reduction off runs with ``reduce_layer`` a pass-through."""
+    with the reduction off runs with ``reduce_layer`` counting only, and
+    some cases check the element ledger of every layer."""
     rng = random.Random(71)
     accepts = 0
     for case in range(2000):
@@ -274,14 +277,15 @@ def test_threshold_pruning_keeps_verdicts_and_weights(monkeypatch):
         order = uni.by_rank()
         f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
         reduce, audit = rng.random() < 0.7, rng.random() < 0.3
+        free_inst = wsp.CwspInstance(uni, fam, -10**18, k, inv, f)
+        step = wsp.reduce_layer if reduce else count_only
         with monkeypatch.context() as patch:
-            if not reduce:
-                patch.setattr(wsp, "reduce_layer", lambda *args, **kwargs: None)
-            free = wsp.solve_cwsp(wsp.CwspInstance(uni, fam, -10**18, k, inv, f), audit=audit)
+            patch.setattr(wsp, "reduce_layer", stage_ledger(free_inst, step) if audit else step)
+            free = wsp.solve_cwsp(free_inst)
             base = free.weight if free.accept else rng.randint(3 * k * lo, 3 * k * hi)
             W = base + rng.choice([-1, 0, 0, 1])
             inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
-            got = wsp.solve_cwsp(inst, audit=audit)
+            got = wsp.solve_cwsp(inst)
         assert got.accept == (free.accept and free.weight >= W), (case, fam.sets, k, inv, f, W)
         if got.accept:
             accepts += 1
@@ -323,7 +327,8 @@ def test_entry_points_check_c_when_no_reduction_runs():
     inst = wsp.CwspInstance(uni, fam, 0, 1, 1, (2,))
     trace = {}
     assert wsp.wsp_alg(uni, fam, 0, 1, 1, 1.0, trace=trace).status == "accept"
-    assert wsp.solve_cwsp(inst, 1.0, trace=trace).accept and trace == {}
+    # one set, one entry per DP: counted, and no reduction runs
+    assert wsp.solve_cwsp(inst, 1.0, trace=trace).accept and trace == {"entries": 2}
     with pytest.raises(ParameterError, match="c must be at least 1"):
         wsp.wsp_alg(uni, fam, 0, 1, 1, 0.5)
     with pytest.raises(ParameterError, match="c must be at least 1"):
