@@ -67,7 +67,8 @@ def _load(path: str) -> str:
 
 # report field -> trace key, as ``repsets.reduce_layer`` counts them
 _TRACE_FIELDS = {"peakFamilySize": "peak_family", "reductions": "reductions",
-                 "denseSkips": "dense_skips", "dpEntries": "entries"}
+                 "denseSkips": "dense_skips", "smallSkips": "small_skips",
+                 "dpEntries": "entries"}
 
 
 def _report(args, verdict: str, witness=None, timings=None, trace=None) -> dict:
@@ -89,9 +90,9 @@ _DOCUMENT_KIND = {"kpath": "digraph", "kiob": "digraph", "wsp": "setfamily", "p2
 _LEAST_K = {"kiob": 1, "wsp": 0, "p2p": 0}
 # 1/eps when neither ``--inv-eps`` nor a caller names one (kcwp reads its own, kiob has none)
 _INV_EPS = {"kpath": 13, "wsp": 2, "p2p": 2}
-# the optional solve flags each problem reads (kiob and p2p only check a W)
+# the optional flags each problem reads in solve (check takes only k and W)
 _SOLVE_FLAGS = {"kpath": {"k", "W", "inv_eps", "delta", "gamma"}, "kcwp": set(),
-                "kiob": {"k", "W"}, "wsp": {"k", "W", "inv_eps"}, "p2p": {"k", "W", "inv_eps"}}
+                "kiob": {"k"}, "wsp": {"k", "W", "inv_eps"}, "p2p": {"k", "inv_eps"}}
 
 
 def _parse_for(problem: str, doc: str):
@@ -174,10 +175,14 @@ def _run(problem: str, value, k, W, budget: int, trace: dict, inv_eps=None, delt
     return verdict, {"paths": [list(p) for p in res.packing.paths]}
 
 
-def _cmd_solve(args, argv) -> int:
-    for name in ("k", "W", "inv_eps", "delta", "gamma"):
+def _refuse_unread_flags(args, names) -> None:
+    for name in names:
         if getattr(args, name) is not None and name not in _SOLVE_FLAGS[args.problem]:
             raise ParameterError(f"{args.problem} does not read --{name.replace('_', '-')}")
+
+
+def _cmd_solve(args, argv) -> int:
+    _refuse_unread_flags(args, ("k", "W", "inv_eps", "delta", "gamma"))
     trace: dict = {}
     t0 = time.perf_counter()
     doc = _load(args.instance)
@@ -215,6 +220,7 @@ def _oracle(problem: str, value, k, W, budget=None) -> tuple[str, int | None]:
 
 
 def _cmd_check(args, argv) -> int:
+    _refuse_unread_flags(args, ("k", "W"))
     parsed = _parse_for(args.problem, _load(args.instance))
     k = _required_k(args.problem, args.k, parsed)
     W = args.W if args.W is not None else parsed.W

@@ -230,8 +230,9 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     order = sorted(range(count), key=lambda pos: family[pos][1], reverse=reverse)
 
     # indices z_F claimed in the mixed-radix product space, whose member sets
-    # are never materialized
-    used: set[int] = set()
+    # are never materialized: the mixed-radix index over every active part but
+    # the last maps to the bitmask of the last part's members claimed with it
+    used: dict[int, int] = {}
     selected: list[int] = []
     for pos in order:
         chi = full.copy()
@@ -241,14 +242,15 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
             i, members_map = element_map[low]
             chi[i] &= members_map
             rest ^= low
-        indices = [0]
+        last = chi.pop() if chi else 1
+        prefixes = [0]
         for size, mask in zip(sizes, chi):
-            bits = bit_positions(mask)
-            indices = [idx * size + j for idx in indices for j in bits]
-        fresh = [idx for idx in indices if idx not in used]
-        if fresh:
+            prefixes = [idx * size + j for idx in prefixes for j in bit_positions(mask)]
+        grown = [(idx, claimed | last) for idx in prefixes
+                 if (claimed := used.get(idx, 0)) | last != claimed]
+        if grown:
             selected.append(pos)
-            used.update(fresh)
+            used.update(grown)
     selected.sort()
     return selected, product_size
 
@@ -272,16 +274,19 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
     once per call.
     When all its active separators are dense, a set's chi-product is the one
     index of its own per-part restriction, so the sweep would keep every set
-    and such an entry is only sorted.  ``trace`` gets the largest reduced entry
-    as ``peak_family`` and adds the counts ``reductions`` and ``dense_skips``.
+    and such an entry is only sorted.  So is one of n <= 1 + min(k_i - p_i) masks, over
+    active parts: in each part a good separator member holds S there and avoids one element
+    of every earlier set that differs there, and these members give S an unclaimed index.
+    ``trace`` gets the largest reduced entry as ``peak_family`` and adds the
+    counts ``reductions``, ``dense_skips`` and ``small_skips``.
     """
     if trace is not None and layer:  # the DPs store no empty entry
         trace["entries"] = trace.get("entries", 0) + sum(map(len, layer.values()))
         if cap is not None and trace["entries"] > cap:
             raise BudgetExceededError(f"more than {cap} DP table entries")
-    dense: dict[tuple, bool] = {}
+    resolved: dict[tuple, tuple[bool, float]] = {}  # parts -> (all dense, slack)
     specs: dict[tuple, PartitionSpec] = {}
-    reductions = dense_skips = peak = 0
+    reductions = dense_skips = small_skips = peak = 0
     for key, entry in layer.items():
         if parts_of_key is None or len(entry) <= 1:
             continue
@@ -292,10 +297,15 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
         # longer one holds that bit); keys are distinct, so masks never compare
         ordered = [fs for _, fs in sorted(zip([bin(fs)[:1:-1] for fs in entry], entry),
                                           reverse=True)]
-        if parts not in dense:
-            dense[parts] = all(_shape(universe, part)[2] for part in parts if part.k or part.p)
-        if dense[parts]:
+        if parts not in resolved:
+            active = [part for part in parts if part.k or part.p]
+            resolved[parts] = (all(_shape(universe, part)[2] for part in active),
+                               min((part.k - part.p for part in active), default=math.inf))
+        all_dense, slack = resolved[parts]
+        if all_dense:
             dense_skips += 1
+        elif len(entry) - 1 <= slack:
+            small_skips += 1
         else:
             if parts not in specs:
                 specs[parts] = PartitionSpec(parts)
@@ -310,6 +320,7 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
         trace["peak_family"] = max(trace.get("peak_family", 0), peak)
         trace["reductions"] = trace.get("reductions", 0) + reductions
         trace["dense_skips"] = trace.get("dense_skips", 0) + dense_skips
+        trace["small_skips"] = trace.get("small_skips", 0) + small_skips
 
 
 def gen_rep_alg(spec: PartitionSpec, family: WeightedSetFamily,

@@ -159,7 +159,7 @@ def reduction_ab(monkeypatch, module, solve, inst):
     Reducing only drops masks, so the off arm counts at least the on arm's
     entries, which it can only do through the step.  Returns (on, off, swept),
     where ``swept`` says the on arm's trace holds a sweep: more reductions
-    than dense skips.
+    than dense and small skips.
     """
     on_trace, off_trace = {}, {}
     on = solve(inst, trace=on_trace)
@@ -175,4 +175,5 @@ def reduction_ab(monkeypatch, module, solve, inst):
         off = solve(inst, trace=off_trace)
     assert real_calls == [] and off_trace.keys() <= {"entries"}, "the off arm still reduced"
     assert off_trace.get("entries", 0) >= on_trace.get("entries", 0)
-    return on, off, on_trace.get("reductions", 0) > on_trace.get("dense_skips", 0)
+    skips = on_trace.get("dense_skips", 0) + on_trace.get("small_skips", 0)
+    return on, off, on_trace.get("reductions", 0) > skips

@@ -297,10 +297,12 @@ def test_criterion_7_reduction_ab(monkeypatch):
     swept = {"cwsp": 0, "kcwp": 0}
     rng = random.Random(404)
     for trial in range(100):
-        n = rng.randint(6, 9)
+        n = rng.randint(7, 10)
         uni = OrderedUniverse.from_labels([f"u{i}" for i in range(n)])
+        # layer j's entries are swept only past 1 + 3(k - j) masks, so the
+        # families are dense enough for a quarter of the trials to sweep
         sets = tuple((tuple(sorted(rng.sample(range(n), 3))), rng.randint(0, 9))
-                     for _ in range(rng.randint(2, 10)))
+                     for _ in range(rng.randint(12, 30)))
         fam = WeightedSetFamily(uni, 3, sets, "max")
         k = rng.choice([2, 3])
         inv = rng.choice([1, 2])
@@ -333,9 +335,9 @@ def test_criterion_7_reduction_ab(monkeypatch):
         swept["kcwp"] += sweep
         if on.accept != off.accept or (on.accept and on.weight != off.weight):
             bad.append(f"kcwp {trial}")
-    bad.extend(f"{solver} never swept" for solver, count in swept.items() if not count)
-    if swept["kcwp"] < 50:
-        bad.append(f"kcwp swept in {swept['kcwp']} of 100 trials, fewer than 50")
+    for solver, floor in (("cwsp", 25), ("kcwp", 50)):
+        if swept[solver] < floor:
+            bad.append(f"{solver} swept in {swept[solver]} of 100 trials, fewer than {floor}")
     elapsed = time.time() - t0
     ok = not bad and elapsed < 300
     _line(7, ok, f"100+100 A/B instances identical, sweeps {swept}, {elapsed:.1f}s"

@@ -248,16 +248,20 @@ def test_solve_kcwp_names_an_arc_without_a_weight(tmp_path, capsys):
     ("kiob", ("--k", "2", "--inv-eps", "7")), ("kiob", ("--k", "2", "--delta", "1/20")),
     ("wsp", ("--k", "1", "--W", "1", "--gamma", "1/20")),
     ("p2p", ("--k", "1", "--delta", "1/20")), ("kcwp", ("--k", "27")), ("kcwp", ("--W", "30")),
-    ("kcwp", ("--inv-eps", "13")), ("kcwp", ("--gamma", "95/1000"))])
+    ("kcwp", ("--inv-eps", "13")), ("kcwp", ("--gamma", "95/1000")),
+    ("kiob", ("--k", "2", "--W", "5")), ("p2p", ("--k", "1", "--W", "-3"))])
 def test_a_flag_the_problem_never_reads_is_a_usage_error(tmp_path, capsys, problem, flags):
     """Such a flag was once ignored (``solve kiob d.json --k 3 --inv-eps 7
-    --delta 1/20`` exited 0); without it each solve accepts."""
+    --delta 1/20`` exited 0, and so did ``--W 5`` for kiob and ``--W -3`` for
+    p2p, in ``check`` too); without it each solve accepts."""
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(_kcwp_document() if problem == "kcwp"
                                else DOCUMENTS[cli._DOCUMENT_KIND[problem]]))
-    code, out, err = run(capsys, "solve", problem, str(inst), *flags)
-    assert code == 2 and not out and f"error: {problem} does not read {flags[-2]}" in err, err
-    assert run(capsys, "solve", problem, str(inst), *flags[:-2])[0] == 0
+    commands = ("solve", "check") if flags[-2] == "--W" and problem != "kcwp" else ("solve",)
+    for command in commands:
+        code, out, err = run(capsys, command, problem, str(inst), *flags)
+        assert code == 2 and not out and f"error: {problem} does not read {flags[-2]}" in err, err
+        assert run(capsys, command, problem, str(inst), *flags[:-2])[0] == 0
 
 
 def test_wsp_and_p2p_cli(tmp_path, capsys):
@@ -356,7 +360,7 @@ def test_bench_csv_matches_json(tmp_path, capsys):
     code, text, _ = run(capsys, "bench", str(suite))
     assert code == 0
     assert text.splitlines()[0] == ("instance,problem,verdict,oracle,match,seconds,"
-                                    "peakFamilySize,reductions,denseSkips,dpEntries")
+                                    "peakFamilySize,reductions,denseSkips,smallSkips,dpEntries")
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
@@ -488,6 +492,11 @@ DOCUMENTS = {
 }
 
 
+def weight_flag(problem):
+    """``--W 1`` for the problems that read a W; kiob and p2p refuse the flag."""
+    return ("--W", "1") if problem in ("kpath", "wsp") else ()
+
+
 @pytest.mark.parametrize("problem,kind", [
     ("kpath", "graph"), ("kpath", "setfamily"), ("kiob", "graph"), ("kiob", "setfamily"),
     ("wsp", "digraph"), ("wsp", "graph"), ("p2p", "digraph"), ("p2p", "setfamily")])
@@ -495,7 +504,8 @@ def test_wrong_document_kind_is_a_usage_error(tmp_path, capsys, problem, kind):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(DOCUMENTS[kind]))
     for command in ("solve", "check"):
-        code, out, err = run(capsys, command, problem, str(inst), "--k", "1", "--W", "1")
+        code, out, err = run(capsys, command, problem, str(inst), "--k", "1",
+                             *weight_flag(problem))
         assert code == 2 and err.startswith("error:") and kind in err and not out
     # one bad row fails the whole suite, the good row before it included
     suite = tmp_path / "suite.json"
@@ -583,7 +593,8 @@ def test_k_below_the_solvers_least_is_a_usage_error(tmp_path, capsys, monkeypatc
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(DOCUMENTS[kind]))
     for command in ("solve", "check"):
-        code, out, err = run(capsys, command, problem, str(inst), "--k", str(k), "--W", "1")
+        code, out, err = run(capsys, command, problem, str(inst), "--k", str(k),
+                             *weight_flag(problem))
         assert code == 2 and err.startswith("error:") and "k must be at least" in err and not out
     ran = []
     monkeypatch.setattr(cli, "_run", lambda *args, **kw: ran.append(args) or ("reject", None))
@@ -606,8 +617,10 @@ def test_ill_typed_graph_document_is_a_usage_error(tmp_path, capsys, problem, do
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(doc))
     for command in ("solve", "check"):
-        code, out, err = run(capsys, command, problem, str(inst), "--k", "1", "--W", "1")
+        code, out, err = run(capsys, command, problem, str(inst), "--k", "1",
+                             *weight_flag(problem))
         assert code == 2 and err.startswith("error:") and not out, command
+        assert "does not read" not in err, command
 
 
 @pytest.mark.parametrize("problem,kind", [
@@ -615,7 +628,7 @@ def test_ill_typed_graph_document_is_a_usage_error(tmp_path, capsys, problem, do
 def test_check_without_k_is_a_usage_error(tmp_path, capsys, problem, kind):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(DOCUMENTS[kind]))
-    code, out, err = run(capsys, "check", problem, str(inst), "--W", "1")
+    code, out, err = run(capsys, "check", problem, str(inst), *weight_flag(problem))
     assert code == 2 and err.startswith("error:") and "k is required" in err and not out
 
 
@@ -684,7 +697,7 @@ def test_solve_and_bench_run_a_row_alike(tmp_path, capsys, problem):
     assert code == 0
     (row,) = json.loads(out)
     assert row["verdict"] == solved["verdict"] == "accept" and row["match"]
-    for field in ("peakFamilySize", "reductions", "denseSkips", "dpEntries"):
+    for field in ("peakFamilySize", "reductions", "denseSkips", "smallSkips", "dpEntries"):
         assert row[field] == solved[field], field
 
 

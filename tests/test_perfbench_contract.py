@@ -56,7 +56,7 @@ def _ops():
     graph = json.dumps({"nodes": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]})
     digraph = json.dumps({"nodes": 5, "arcs": [[v, v + 1, 1] for v in range(4)]})
     # a 7-node path with chords: at k = 3 its tree DP reduces multi-set states
-    # that are not all dense, so the sweep runs (10 calls, 4 of which shrink)
+    # that are not all dense, so the sweep runs (6 calls, 4 of which shrink)
     chorded = json.dumps({"nodes": 7, "arcs": [[v, v + 1, 1] for v in range(6)] + [
         [0, 2, 1], [0, 3, 1], [2, 4, 1], [1, 5, 1], [3, 6, 1]]})
     return [

@@ -414,12 +414,13 @@ def test_mask_reduce_entry_matches_family_reference(entry):
 def test_reduce_layer_matches_reference_per_key(case):
     """Every key is reduced as its own entry would be, dense or not: its
     kept masks and their values, in member order; the trace counts the
-    entries of more than one set, the dense ones among them and the largest."""
+    entries of more than one set, the dense ones among them, the small ones
+    among the rest and the largest."""
     universe, entries, objective = case
     layer = {key: {mask: (w, key) for mask, w in sets} for key, (_, sets) in enumerate(entries)}
     trace = {}
     reduce_layer(universe, layer, lambda key: entries[key][0], objective, trace)
-    dense = 0
+    dense = small = 0
     for key, (parts, sets) in enumerate(entries):
         weighed = sets if objective else [(mask, 0) for mask, _ in sets]
         want = _reference_reduce(universe, weighed, parts, objective or "max")
@@ -427,11 +428,57 @@ def test_reduce_layer_matches_reference_per_key(case):
         assert list(layer[key]) == sorted(layer[key], key=bit_positions)
         assert all(value == (dict(sets)[mask], key) for mask, value in layer[key].items())
         if len(sets) > 1:
-            dense += all(build_separator(universe, part.elements, part.k, part.p).dense
-                         for part in parts if part.k or part.p)
+            active = [part for part in parts if part.k or part.p]
+            if all(build_separator(universe, part.elements, part.k, part.p).dense
+                   for part in active):
+                dense += 1
+            else:
+                small += len(sets) - 1 <= min(part.k - part.p for part in active)
     assert trace["peak_family"] == max(len(sets) for _, sets in entries)
     assert trace["reductions"] == sum(len(sets) > 1 for _, sets in entries)
-    assert trace["dense_skips"] == dense
+    assert (trace["dense_skips"], trace["small_skips"]) == (dense, small)
+
+
+def test_sweep_keeps_every_set_of_at_most_one_plus_slack_masks():
+    """An entry of n distinct masks with n - 1 <= slack, the least k_i - p_i
+    over active parts, loses no set to the sweep, over 1-3 parts of mixed
+    slacks on greedy and dense separators; so ``reduce_layer`` skips such an
+    entry.  One mask more can lose a set, and ``reduce_layer`` then sweeps."""
+    rng = random.Random(29)
+    shapes, tight = set(), 0
+    for _ in range(1500):
+        n = rng.randint(6, 14)
+        u = OrderedUniverse(tuple(f"e{i}" for i in range(n)), tuple(rng.sample(range(n), n)))
+        pool, parts = rng.sample(range(n), n), []
+        for _ in range(rng.randint(1, 3)):
+            m = rng.randint(1, min(5, len(pool)))
+            elements, pool = tuple(pool[:m]), pool[m:]
+            p = rng.randint(0, m)
+            parts.append(PartitionPart(elements, rng.randint(max(p, 1), m + 1), p))
+            if not pool:
+                break
+        parts, slack = tuple(parts), min(part.k - part.p for part in parts)
+        every = [sum(1 << e for c in chosen for e in c) for chosen in
+                 product(*(combinations(part.elements, part.p) for part in parts))]
+        if len(every) < 2:
+            continue
+        spec, objective = PartitionSpec(parts), rng.choice(("max", "min"))
+        dense = all(build_separator(u, part.elements, part.k, part.p).dense for part in parts)
+        small = min(len(every), slack + 1)
+        for count in ([rng.randint(2, small)] if small > 1 else []) + [slack + 2]:
+            if count > len(every):
+                continue
+            # in ascending sorted-member order, as reduce_layer hands them over
+            sets = sorted(((mask, rng.randint(0, 3)) for mask in rng.sample(every, count)),
+                          key=lambda sw: bit_positions(sw[0]))
+            keep, _ = select_representative_positions(spec, sets, objective, u)
+            if count <= slack + 1:
+                assert keep == list(range(count)), (parts, sets)
+                shapes.add(dense)
+            elif len(keep) < count:
+                tight += 1
+                assert _reduce_one(u, sets, parts, objective) == [sets[i][0] for i in keep]
+    assert shapes == {False, True} and tight > 20
 
 
 def test_part_listing_an_element_twice_is_rejected():
@@ -650,7 +697,8 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
 
 
 def test_reduction_counters_match_select_calls(monkeypatch):
-    """``reductions`` less ``dense_skips`` is the number of sweeps run."""
+    """``reductions`` less ``dense_skips`` and ``small_skips`` is the number
+    of sweeps run."""
     real = repsets.select_representative_positions
     calls = []
 
@@ -663,7 +711,8 @@ def test_reduction_counters_match_select_calls(monkeypatch):
         calls.clear()
         trace = {}
         solve(trace)
-        assert trace["reductions"] - trace["dense_skips"] == len(calls) > 0, name
+        skips = trace["dense_skips"] + trace["small_skips"]
+        assert trace["reductions"] - skips == len(calls) > 0, name
         assert trace["peak_family"] >= max(calls)
 
 

@@ -88,7 +88,9 @@ def test_cwsp_reduction_ab_decision_stable(monkeypatch):
     for trial in range(20):
         n = rng.randint(6, 9)
         uni = universe(n)
-        fam = random_family(rng, uni, rng.randint(3, 10))
+        # an entry of at most 1 + 3(k - j) masks at layer j keeps every set
+        # without a sweep, so the families are dense enough to exceed that
+        fam = random_family(rng, uni, rng.randint(10, 24))
         k = rng.choice([2, 3])
         inv = rng.choice([1, 2])
         order = uni.by_rank()
@@ -101,7 +103,7 @@ def test_cwsp_reduction_ab_decision_stable(monkeypatch):
         assert on.accept == off.accept
         if on.accept:
             assert on.weight == off.weight
-    assert swept, "no trial's reduction swept, so the A/B compared nothing"
+    assert swept >= 2, f"only {swept} trials swept, so the A/B compared almost nothing"
 
 
 def smallest_element_closure_check(family: WeightedSetFamily, prefix) -> bool:
