@@ -18,15 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import (Digraph, FptMixError, Graph, OrderedUniverse, ParameterError,
-                   WeightedSetFamily, bit_positions)
+from .core import Digraph, FptMixError, Graph, ParameterError, bit_positions
 from .matching import max_matching
 from .repsets import PartitionPart, reduce_layer
 
 
 @dataclass(frozen=True)
 class TreeFamilyEntry:
-    family: WeightedSetFamily
+    family: tuple[int, ...]  # the root state's node masks, in table order
     table: list = field(default_factory=list, compare=False, repr=False)
 
 
@@ -77,7 +76,6 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     n = g.node_count
     if internal + leaves + slack > n:
         raise ParameterError("internal + leaves + slack exceeds the node count")
-    universe = OrderedUniverse.from_labels(str(v) for v in range(n))
     out = g.out_neighbors()  # ascending, as the arcs are sorted
     total = internal + leaves
 
@@ -122,14 +120,11 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                                     found.setdefault(a | b, how + (x2, y2, b))
                 if found:
                     layer[(v, x, y)] = found
-        reduce_layer(universe, layer, lambda key: parts, None, trace)
+        reduce_layer(layer, lambda key: parts, None, trace)
         for (v, x, y), entry in layer.items():
             table[v][(x, y)] = entry
 
-    sets = table[root].get((internal, leaves), [])
-    members = tuple((tuple(bit_positions(s)), 0) for s in sets)
-    fam = WeightedSetFamily(universe, total, members, "max")
-    return TreeFamilyEntry(fam, table)
+    return TreeFamilyEntry(tuple(table[root].get((internal, leaves), ())), table)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError,
-                   OrderedUniverse, ParameterError, add_weights, bit_positions)
+from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError, ParameterError,
+                   add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -268,7 +268,6 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     ends = inst.l2 + (inst.vr,) + inst.r2
     lengths = [ek - 1] * early + [mid] + [ek - 1] * (m - mt)
     aftermid = early * (ek - 1) + mid
-    universe = OrderedUniverse.from_labels(str(v) for v in range(n))
     part_shapes = ((tuple(sorted(L)), k1), (tuple(sorted(R)), k2), (tuple(e3), k3))
     # per phase: the nodes a step may not add, and the first of the L, R and
     # other parts that enters its reductions (phase K leaves L out)
@@ -333,7 +332,7 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                         old = target.get(nfs)
                         if old is None or nw < old[0]:  # the first of equal weights stays
                             target[nfs] = (nw, (key, fs, v))
-            reduce_layer(universe, layer, lambda key: parts_of(first, key[first:3]), "min", trace)
+            reduce_layer(layer, lambda key: parts_of(first, key[first:3]), "min", trace)
             layers.append(layer)
 
     # ---- acceptance --------------------------------------------------------

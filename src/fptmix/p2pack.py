@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import (BudgetExceededError, Graph, OrderedUniverse, ParameterError, _ceildiv,
-                   bit_positions)
+from .core import (BudgetExceededError, Graph, InstanceError, OrderedUniverse, ParameterError,
+                   _ceildiv, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 from .wsp import _check_stage_function, _pack_stages, cut_universes, stage_schedule
 
@@ -98,13 +98,10 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     q - q' <= p - p' <= 3(q - q'): each later path adds one to three outside
     nodes, so no other layer can grow into the (p, q) layer that is read.
     """
-    y_nodes = set(range(inst.graph.node_count)).difference(inst.x_nodes)
-    y_universe = OrderedUniverse.from_labels(str(v) for v in sorted(y_nodes))
-
     # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}; (0, 0) holds the
     # empty packing, with no smallest outside node, that every packing starts from
     layers: dict[tuple[int, int], dict] = {(0, 0): {(-1, 0): {0: None}}}
-    y_all = tuple(range(len(y_universe)))
+    y_all = tuple(range(inst.graph.node_count - len(inst.x_nodes)))
 
     for p_used in range(1, p + 1):
         for q_used in range(max(_ceildiv(p_used, 3), q - (p - p_used)),
@@ -123,7 +120,7 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
                         entry.setdefault(fs2 | stored_new, (child_lk, (m2, x2), fs2, triple))
             size = p_used - q_used
             parts = (PartitionPart(y_all, size + (p - p_used), size),)
-            reduce_layer(y_universe, layer, lambda key: parts, None, trace)
+            reduce_layer(layer, lambda key: parts, None, trace)
             layers[(p_used, q_used)] = layer
 
     result: dict[frozenset, Packing] = {}
@@ -154,7 +151,13 @@ class Pro2Instance:
     f: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        want = 3 * self.q - self.p
+        n, want = len(self.universe), 3 * self.q - self.p
+        for members in self.family:
+            if len(members) != 3 or len(set(members)) != 3:
+                raise InstanceError(f"set {members} does not have exactly 3 members")
+        for members in (*self.family, *self.candidates):
+            if not all(0 <= e < n for e in members):
+                raise InstanceError(f"member index out of range in {tuple(sorted(members))}")
         for cand in self.candidates:
             if len(cand) != want:
                 raise ParameterError(f"candidate footprint of size {len(cand)}, expected {want}")
@@ -200,7 +203,7 @@ def _footprint_packer(inst: Pro2Instance, inv_eps: int):
     sched = stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
     # raw member tuples: a triangle's three paths share one node set and
     # must keep the three positions the caller maps back through
-    return _pack_stages(inst.universe.elements, [(members, 0) for members in inst.family], kq,
+    return _pack_stages(len(inst.universe), [(members, 0) for members in inst.family], kq,
                         sched, 0, [sum(1 << e for e in cand) for cand in inst.candidates],
                         cap=_CUT_ENTRY_CAP)
 

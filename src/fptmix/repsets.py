@@ -169,13 +169,14 @@ class PartitionSpec:
             union |= mask
 
 
-def _shape(universe: OrderedUniverse, part: PartitionPart):
+def _shape(part: PartitionPart):
     """Family, element maps and dense flag of the part's (size, k, p) shape,
-    which depend on nothing else; ``build_separator`` runs only for a shape
-    the separator cache does not hold."""
-    key = (len(part.elements), min(part.k, len(part.elements)), part.p)
-    if key not in _separator_cache:
-        build_separator(universe, part.elements, part.k, part.p)
+    which depend on nothing else; ``build_separator`` runs, on an identity
+    universe of the part's size, only for a shape the separator cache does
+    not hold."""
+    m = len(part.elements)
+    if (key := (m, min(part.k, m), part.p)) not in _separator_cache:
+        build_separator(OrderedUniverse.from_labels(range(m)), range(m), part.k, part.p)
     return _separator_cache[key]
 
 
@@ -192,15 +193,15 @@ def _validate_membership(spec: PartitionSpec, masks) -> None:
                                     f"in a part expecting exactly {part.p}")
 
 
-def select_representative_positions(spec: PartitionSpec, family, objective: str,
-                                    universe: OrderedUniverse | None = None
-                                    ) -> tuple[list[int], int]:
+def select_representative_positions(spec: PartitionSpec, family,
+                                    objective: str) -> tuple[list[int], int]:
     """Positions into ``family`` kept by the weight-ordered sweep, plus the
     implicit product-family size.  ``family`` is a ``WeightedSetFamily``,
-    whose per-part member counts are checked here, or the list of (mask,
-    weight) pairs over ``universe`` that ``reduce_layer`` passes, bit e
-    standing for element e, which are trusted to hold exactly p members in
-    each part and none outside the parts.
+    whose per-part member counts are checked here and whose universe orders
+    each part, or the list of (mask, weight) pairs that ``reduce_layer``
+    passes, bit e standing for element e, which are trusted to hold exactly
+    p members in each part and none outside the parts; each part's local
+    positions then follow the order it lists its elements in.
 
     chi(S) of each part is the AND of the cached element maps of S's members
     in that part; a product index is claimed by the first set, in weight
@@ -208,21 +209,24 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     if objective not in ("max", "min"):
         raise ParameterError(f"objective must be 'max' or 'min', got {objective!r}")
     if isinstance(family, WeightedSetFamily):
-        universe, family = family.universe, list(zip(family.masks, (w for _, w in family.sets)))
+        rank = family.universe.rank
+        if sum(spec.masks) >> len(rank):  # parts are disjoint: the sum is their union
+            raise InstanceError("a part has an element outside the family's universe")
+        spec = PartitionSpec(tuple(PartitionPart(tuple(sorted(part.elements, key=rank.__getitem__)),
+                                                 part.k, part.p) for part in spec.parts))
+        family = list(zip(family.masks, (w for _, w in family.sets)))
         _validate_membership(spec, [mask for mask, _ in family])
     count = len(family)
     if count <= 1:
         return list(range(count)), 1
 
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    shapes = [_shape(universe, part) for part in active]
+    shapes = [_shape(part) for part in active]
     sizes = [len(fam) for fam, _, _ in shapes]
     product_size = math.prod(sizes) if sizes else 1
     element_map: dict[int, tuple[int, int]] = {}  # element bit -> (active part, members map)
     for i, (part, (_, maps, _)) in enumerate(zip(active, shapes)):
-        # local positions follow this part's universe-rank order
-        ranked = sorted(part.elements, key=universe.rank.__getitem__)
-        for e, members_map in zip(ranked, maps):
+        for e, members_map in zip(part.elements, maps):
             element_map[1 << e] = i, members_map
     full = [(1 << size) - 1 for size in sizes]
 
@@ -255,8 +259,8 @@ def select_representative_positions(spec: PartitionSpec, family, objective: str,
     return selected, product_size
 
 
-def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
-                 objective: str | None, trace: dict | None = None, cap: int | None = None) -> None:
+def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict | None = None,
+                 cap: int | None = None) -> None:
     """Close one DP layer, as every DP does once per layer it builds: add
     its masks to ``trace["entries"]``, raise ``BudgetExceededError`` once
     that passes ``cap``, and unless ``parts_of_key`` is None reduce every
@@ -264,14 +268,15 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
 
     ``layer`` maps a key to an entry, a dict from distinct equal-size member
     bitmasks (bit e is element e) to values; ``parts_of_key(key)`` names its
-    parts.  The solvers build every mask with the counts its key names, so
-    none are checked.  ``objective`` "max" or "min" weighs a mask by its
-    value's first item; None marks an unweighted DP.  Entries of one set are
-    left alone.  A reduced entry's dict order is ascending sorted-member
-    order, whatever order its masks arrived in.  That dict order is the
-    tie-break: the sweep keeps it among equal weights, and the solvers'
-    first-wins updates read entries in it.  Each parts tuple is resolved
-    once per call.
+    parts, and the order a part lists its elements in is their local-position
+    order in its separator.  The solvers build every mask with the counts its
+    key names, so none are checked.  ``objective`` "max" or "min" weighs a
+    mask by its value's first item; None marks an unweighted DP.  Entries of
+    one set are left alone.  A reduced entry's dict order is ascending
+    sorted-member order, whatever order its masks arrived in.  That dict
+    order is the tie-break: the sweep keeps it among equal weights, and the
+    solvers' first-wins updates read entries in it.  Each parts tuple is
+    resolved once per call.
     When all its active separators are dense, a set's chi-product is the one
     index of its own per-part restriction, so the sweep would keep every set
     and such an entry is only sorted.  So is one of n <= 1 + min(k_i - p_i) masks, over
@@ -299,7 +304,7 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
                                           reverse=True)]
         if parts not in resolved:
             active = [part for part in parts if part.k or part.p]
-            resolved[parts] = (all(_shape(universe, part)[2] for part in active),
+            resolved[parts] = (all(_shape(part)[2] for part in active),
                                min((part.k - part.p for part in active), default=math.inf))
         all_dense, slack = resolved[parts]
         if all_dense:
@@ -310,8 +315,7 @@ def reduce_layer(universe: OrderedUniverse | None, layer: dict, parts_of_key,
             if parts not in specs:
                 specs[parts] = PartitionSpec(parts)
             pairs = [(fs, entry[fs][0] if objective else 0) for fs in ordered]
-            keep, _ = select_representative_positions(specs[parts], pairs, objective or "max",
-                                                      universe)
+            keep, _ = select_representative_positions(specs[parts], pairs, objective or "max")
             ordered = [ordered[i] for i in keep]
         layer[key] = {fs: entry[fs] for fs in ordered}
         reductions += 1

@@ -83,7 +83,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None) ->
         raise ParameterError(f"c must be at least 1, got {c}")
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
-    pack = _pack_stages(inst.universe.elements, inst.family.sets, inst.k,
+    pack = _pack_stages(len(inst.universe), inst.family.sets, inst.k,
                         stage_schedule(inst.k, inst.inv_eps), inst.W, trace=trace)
     found = pack(inst.universe.rank, inst.f)
     if found is None:
@@ -92,7 +92,7 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None) ->
     return CwspResult(True, positions, weight)
 
 
-def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=None,
+def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
                  trace: dict | None = None, cap: int | None = None):
     """The staged cut-packing DP shared by both unbalanced-cutting solvers.
 
@@ -100,10 +100,10 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
     solver call: it takes the set weights, the heaviest and lightest, each
     set's element mask, and the weight skip below.  It returns
     ``pack(rank, f)``, which runs the DP for one cut: ``rank`` is the rank
-    tuple of the cut's order of ``elements`` and ``f`` the stage threshold
-    function, one element per stage.  Per cut it builds only the per-set
-    (smallest-element rank, per-stage deletable counts) rows, the seeds'
-    counts and the layers.
+    tuple of the cut's order of the ``n`` elements and ``f`` the stage
+    threshold function, one element per stage.  Per cut it builds only the
+    per-set (smallest-element rank, per-stage deletable counts) rows, the
+    seeds' counts and the layers.
 
     ``sets`` lists (member tuple, weight) by position, duplicates allowed,
     and ``sched`` is the stage schedule R(0..t).
@@ -116,7 +116,8 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
     or for None the empty packing.  One ``reduce_layer`` call closes each
     layer: it counts the entries into ``trace``, or with ``cap`` into a fresh
     dict per cut that may reach ``cap``, and reduces each entry of an unseeded
-    DP to a max 3(k - j)-representative subfamily over the cut's order.
+    DP to a max 3(k - j)-representative subfamily over the cut's order, its
+    one part listing the elements in that order.
     Before that count and the reductions, a layer drops each stored set of j
     sets that stays below ``W`` even when k - j sets of the heaviest weight
     follow; keys left empty go too.  This leaves verdicts and weights as they
@@ -137,8 +138,7 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
     # every partial packing holding a lighter set is pruned below
     useful = [(pos, members, sum(1 << e for e in members), w)
               for pos, (members, w) in enumerate(sets) if w >= min_useful]
-    everything = tuple(range(len(elements)))
-    full = (1 << len(elements)) - 1
+    full = (1 << n) - 1
 
     Entry = dict  # {stored mask: (weight, payload)}
 
@@ -154,7 +154,8 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
         f_rank = [rank[e] for e in f]
         # prefix[r]: the elements of rank r or less; below[l]: those at or
         # below the stage threshold f(l + 1)
-        prefix = list(accumulate(1 << e for e in sorted(everything, key=rank.__getitem__)))
+        by_rank = tuple(sorted(range(n), key=rank.__getitem__))
+        prefix = list(accumulate(1 << e for e in by_rank))
         below = [prefix[fr] for fr in f_rank]
         sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
         for pos, members, mask, w in useful:
@@ -164,7 +165,6 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
                                 others, mask, w))
         sets_by_min.sort()
         mranks = [row[0] for row in sets_by_min]
-        universe = OrderedUniverse(elements, rank) if seeds is None else None
         cut_trace = trace if cap is None else {}
 
         seed_layer: dict[tuple, Entry] = {}
@@ -212,9 +212,8 @@ def _pack_stages(elements: tuple[str, ...], sets, k: int, sched, W: int, seeds=N
                 def parts_of(key):
                     # stored sets hold 2j elements less stage i - 1's deletable count
                     size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
-                    return (PartitionPart(everything, size + 3 * (k - j), size),)
-                reduce_layer(universe, layer, parts_of if seeds is None else None, "max",
-                             cut_trace, cap)
+                    return (PartitionPart(by_rank, size + 3 * (k - j), size),)
+                reduce_layer(layer, parts_of if seeds is None else None, "max", cut_trace, cap)
                 layers[(i, j)] = layer
 
         best: tuple[int, tuple, int] | None = None
@@ -388,7 +387,7 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
                                       1 if inv_eps == 1 else budget + 1))
         return WspResult("budget-exceeded" if drawn > budget else "reject")
     try:
-        pack = _pack_stages(universe.elements, family.sets, k, stage_schedule(k, inv_eps), W,
+        pack = _pack_stages(len(universe), family.sets, k, stage_schedule(k, inv_eps), W,
                             trace=trace)
         for rank, f in cut_universes(universe, inv_eps, budget):
             found = pack(rank, f)

@@ -90,10 +90,10 @@ def branching_internal_nodes(arcs) -> int:
 _STEP = repsets.reduce_layer
 
 
-def count_only(universe, layer, parts_of_key, *args):
+def count_only(layer, parts_of_key, *args):
     """The real step with ``parts_of_key`` None: it counts the layer's
     entries into the trace and reduces nothing."""
-    return _STEP(universe, layer, None, *args)
+    return _STEP(layer, None, *args)
 
 
 def stage_ledger(inst, then=_STEP):
@@ -112,7 +112,7 @@ def stage_ledger(inst, then=_STEP):
     f_rank = [rank[e] for e in inst.f]
     ek = k // t
 
-    def step(universe, layer, parts_of_key, *args):
+    def step(layer, parts_of_key, *args):
         for key, entry in layer.items():
             (part,) = parts_of_key(key)
             j = k - (part.k - part.p) // 3
@@ -125,7 +125,7 @@ def stage_ledger(inst, then=_STEP):
                 for l in range(max(0, i - 2), t):
                     got = sum(1 for e in fs if rank[e] <= f_rank[l])
                     assert got == s_vec[l] - base, (i, j, key, l)
-        return then(universe, layer, parts_of_key, *args)
+        return then(layer, parts_of_key, *args)
     return step
 
 
@@ -138,14 +138,14 @@ def kcwp_ledger(inst):
     l_mask, r_mask = sum(1 << v for v in inst.L), sum(1 << v for v in inst.R)
     endp = sum(1 << v for v in {*inst.l1, *inst.l2, *inst.r1, *inst.r2, inst.vl, inst.vr})
 
-    def step(universe, layer, parts_of_key, *args):
+    def step(layer, parts_of_key, *args):
         for key, entry in layer.items():
             union = sum(1 << e for part in parts_of_key(key) for e in part.elements)
             for fs in entry:
                 in_l, in_r = (fs & l_mask).bit_count(), (fs & r_mask).bit_count()
                 assert not fs & (endp | ~union), key
                 assert (in_l, in_r, fs.bit_count() - in_l - in_r) == key[:3], key
-        return _STEP(universe, layer, parts_of_key, *args)
+        return _STEP(layer, parts_of_key, *args)
     return step
 
 

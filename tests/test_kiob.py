@@ -54,13 +54,13 @@ def verify_tp_witness(inst: kiob.TpInstance, res: kiob.TpResult) -> None:
 def test_tree_families_star():
     g = Digraph(4, ((0, 1, 1), (0, 2, 1), (0, 3, 1)))
     entry = kiob.tree_families(g, 0, 1, 3, 0)
-    assert [set(m) for m, _ in entry.family.sets] == [{0, 1, 2, 3}]
+    assert [set(bit_positions(m)) for m in entry.family] == [{0, 1, 2, 3}]
 
 
 def test_tree_families_unique_path():
     g = Digraph(3, ((0, 1, 1), (1, 2, 1)))
     entry = kiob.tree_families(g, 0, 2, 1, 0)
-    assert [set(m) for m, _ in entry.family.sets] == [{0, 1, 2}]
+    assert [set(bit_positions(m)) for m in entry.family] == [{0, 1, 2}]
 
 
 def test_tree_families_represent_brute_force():
@@ -77,7 +77,7 @@ def test_tree_families_represent_brute_force():
                         continue
                     brute = oracles.out_tree_node_sets(g, root, x, y)
                     entry = kiob.tree_families(g, root, x, y, z)
-                    got = {frozenset(m) for m, _ in entry.family.sets}
+                    got = {frozenset(bit_positions(m)) for m in entry.family}
                     assert got <= brute
                     if not brute:
                         assert not got
@@ -299,7 +299,6 @@ def _all_splits_table(g, internal, leaves, slack, trace):
     probes every (x1, y1) split, x1-ascending then y1-ascending, whether or
     not a child of v holds a tree of shape (x1 - 1, y1)."""
     n = g.node_count
-    universe = OrderedUniverse.from_labels(str(v) for v in range(n))
     out = g.out_neighbors()
     total = internal + leaves
     table = [dict() for _ in range(n)]
@@ -335,7 +334,7 @@ def _all_splits_table(g, internal, leaves, slack, trace):
                                         found.setdefault(a | b, how + (x2, y2, b))
                 if found:
                     layer[(v, x, y)] = found
-        reduce_layer(universe, layer, lambda key: parts, None, trace)
+        reduce_layer(layer, lambda key: parts, None, trace)
         for (v, x, y), entry in layer.items():
             table[v][(x, y)] = entry
     return table

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Graph, OrderedUniverse, ParameterError
+from fptmix.core import Graph, InstanceError, OrderedUniverse, ParameterError
 from fptmix import oracles, p2pack, wsp
 
 
@@ -364,6 +364,20 @@ def test_pro2_instance_checks_its_stage_function(f):
     assert p2pack.solve_cpro2(replace(inst, f=(2, 5))).accept
     with pytest.raises(ParameterError, match="^f must"):
         replace(inst, f=f)
+
+
+@pytest.mark.parametrize("family, cand, message", [
+    (((0, 1, 2), (3, 4, 5)), {99}, "out of range"),  # was accepted with footprint {99}
+    (((0, 1, 2), (3, 4, 5)), {-1}, "out of range"),  # was a bare ValueError
+    (((0, 1, 9),), {0}, "out of range"),  # was a bare IndexError
+    (((0, 1),), {5}, "exactly 3 members"),  # was solved as if a 3-set
+])
+def test_pro2_instance_checks_its_family_and_candidates(family, cand, message):
+    """As ``wsp_alg`` does for its family, the cut instance takes only 3-sets
+    inside its universe, and only candidate footprints inside it."""
+    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(6)])
+    with pytest.raises(InstanceError, match=message):
+        p2pack.Pro2Instance(uni, 2, family, 2, 1, (frozenset(cand),), 1)
 
 
 def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeypatch):

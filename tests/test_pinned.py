@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from fptmix import kiob, kpath, oracles, p2pack, unisets, wsp
-from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
+from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily, bit_positions
 from helpers import kcwp_ledger
 
 
@@ -237,7 +237,7 @@ def tree_family_results():
                              if t != h and rng.random() < 0.45))
         for internal, leaves, slack in ((2, 2, 1), (2, 3, 0), (3, 2, 2)):
             entry = kiob.tree_families(g, 0, internal, leaves, slack)
-            out.append(tuple(members for members, _ in entry.family.sets))
+            out.append(tuple(tuple(bit_positions(m)) for m in entry.family))
     return out
 
 

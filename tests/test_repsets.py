@@ -379,6 +379,13 @@ def dp_layers(draw):
     return universe, entries, draw(st.sampled_from(["max", "min", None]))
 
 
+def _ranked(universe, parts):
+    """``parts`` listed in ``universe``'s order, the order in which
+    ``reduce_layer`` reads each part's local positions."""
+    return tuple(PartitionPart(tuple(sorted(part.elements, key=universe.rank.__getitem__)),
+                               part.k, part.p) for part in parts)
+
+
 def _reference_reduce(universe, sets, parts, objective):
     """The reduction as it ran on frozensets: sets sorted by their sorted
     members, a ``WeightedSetFamily`` built from them, then the
@@ -391,9 +398,10 @@ def _reference_reduce(universe, sets, parts, objective):
 
 
 def _reduce_one(universe, sets, parts, objective, trace=None):
-    """``reduce_layer`` on a layer of one key; the kept masks in stored order."""
+    """``reduce_layer`` on a layer of one key, its parts listed in
+    ``universe``'s order; the kept masks in stored order."""
     layer = {"key": {mask: (w, None) for mask, w in sets}}
-    reduce_layer(universe, layer, lambda key: parts, objective, trace)
+    reduce_layer(layer, lambda key: _ranked(universe, parts), objective, trace)
     return list(layer["key"])
 
 
@@ -419,7 +427,7 @@ def test_reduce_layer_matches_reference_per_key(case):
     universe, entries, objective = case
     layer = {key: {mask: (w, key) for mask, w in sets} for key, (_, sets) in enumerate(entries)}
     trace = {}
-    reduce_layer(universe, layer, lambda key: entries[key][0], objective, trace)
+    reduce_layer(layer, lambda key: _ranked(universe, entries[key][0]), objective, trace)
     dense = small = 0
     for key, (parts, sets) in enumerate(entries):
         weighed = sets if objective else [(mask, 0) for mask, _ in sets]
@@ -471,7 +479,8 @@ def test_sweep_keeps_every_set_of_at_most_one_plus_slack_masks():
             # in ascending sorted-member order, as reduce_layer hands them over
             sets = sorted(((mask, rng.randint(0, 3)) for mask in rng.sample(every, count)),
                           key=lambda sw: bit_positions(sw[0]))
-            keep, _ = select_representative_positions(spec, sets, objective, u)
+            keep, _ = select_representative_positions(PartitionSpec(_ranked(u, parts)), sets,
+                                                      objective)
             if count <= slack + 1:
                 assert keep == list(range(count)), (parts, sets)
                 shapes.add(dense)
@@ -486,6 +495,48 @@ def test_part_listing_an_element_twice_is_rejected():
     parts = (PartitionPart((0, 0, 1, 2, 3), 2, 1),)
     with pytest.raises(InstanceError, match="lists an element twice"):
         gen_rep_alg(PartitionSpec(parts), fam, "max")
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_part_naming_an_element_outside_the_family_is_rejected(warm):
+    """Whatever the separator cache holds: with the (3, 2, 1) shape already
+    cached, the rank sort of the part once raised a bare ``IndexError``."""
+    clear_separator_cache()
+    if warm:
+        build_separator(uni(3), (0, 1, 2), 2, 1)
+    fam = WeightedSetFamily(uni(3), 1, (((0,), 1), ((1,), 2)))
+    spec = PartitionSpec((PartitionPart((0, 1, 9), 2, 1),))
+    with pytest.raises(InstanceError, match="outside the family's universe"):
+        select_representative_positions(spec, fam, "max")
+    with pytest.raises(InstanceError, match="outside the family's universe"):
+        gen_rep_alg(spec, fam, "max")
+
+
+def test_reduce_layer_reads_each_part_in_its_listing_order():
+    """A part's listing order is its local-position order: one entry reduced
+    under one part listed in two orders keeps what the reference keeps under
+    the universe ranked in that order, and some entries keep other sets under
+    the two listings, which a step that re-sorted the part could not do."""
+    rng = random.Random(30)
+    differ = 0
+    for _ in range(200):
+        n = rng.randint(5, 9)
+        p = rng.randint(1, 2)
+        k = rng.randint(p + 1, min(p + 2, n - 1))
+        every = [sum(1 << e for e in c) for c in combinations(range(n), p)]
+        sets = [(mask, rng.randint(0, 2)) for mask in rng.sample(every, min(len(every), 12))]
+        objective = rng.choice(("max", "min"))
+        kept = []
+        for listing in (tuple(rng.sample(range(n), n)) for _ in range(2)):
+            rank = tuple(map(listing.index, range(n)))  # rank r for the r-th listed element
+            u = OrderedUniverse(tuple(f"e{i}" for i in range(n)), rank)
+            parts = (PartitionPart(listing, k, p),)
+            layer = {"key": {mask: (w, None) for mask, w in sets}}
+            reduce_layer(layer, lambda key: parts, objective)
+            assert list(layer["key"]) == _reference_reduce(u, sets, parts, objective)
+            kept.append(list(layer["key"]))
+        differ += kept[0] != kept[1]
+    assert differ > 10
 
 
 def test_shape_plan_built_from_other_parts_serves_every_entry():
@@ -634,7 +685,7 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     seen, stepped = {}, []
 
     def spy(module):
-        def checked(universe, layer, parts_of_key, *args, **kwargs):
+        def checked(layer, parts_of_key, *args, **kwargs):
             for key, entry in layer.items() if parts_of_key else ():
                 parts = parts_of_key(key)
                 union = sum(1 << e for part in parts for e in part.elements)
@@ -645,7 +696,7 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
                         assert inside == part.p, (module, key, part)
                 seen[module] = seen.get(module, 0) + sum(map(len, layer.values()))
             stepped.append(layer)
-            return real(universe, layer, parts_of_key, *args, **kwargs)
+            return real(layer, parts_of_key, *args, **kwargs)
         return checked
 
     for module in (kpath, kiob, wsp, p2pack):
@@ -660,8 +711,8 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
             return out
         return run
 
-    def pack_stages(elements, sets, k, *args, **kwargs):
-        return steps(lambda rank, f: k, real_pack_stages(elements, sets, k, *args, **kwargs))
+    def pack_stages(n, sets, k, *args, **kwargs):
+        return steps(lambda rank, f: k, real_pack_stages(n, sets, k, *args, **kwargs))
 
     def live(inst, p, q, *_):
         return sum(1 for p1 in range(1, p + 1) for q1 in range(1, q + 1)

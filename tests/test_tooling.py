@@ -271,3 +271,27 @@ def test_every_private_helper_is_referenced():
                     where.setdefault(_callee(node), set()).add(id(stmt))
     assert len(helpers) > 50, "the scan no longer sees the private helpers"
     assert [node.name for node in helpers if not where.get(node.name, set()) - {id(node)}] == []
+
+
+UNIVERSE_TYPES = {"OrderedUniverse", "WeightedSetFamily"}
+DPS = {"kpath": "solve_kcwp", "kiob": "tree_families", "p2pack": "icp_pro1", "wsp": "_pack_stages"}
+
+
+def _universe_builds(module: str, function: str) -> list[str]:
+    """Calls inside ``module.function``, nested functions included, whose
+    callee names an ``OrderedUniverse`` or a ``WeightedSetFamily`` (so
+    ``OrderedUniverse.from_labels`` too), by line."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (node,) = [stmt for stmt in tree.body
+               if isinstance(stmt, ast.FunctionDef) and stmt.name == function]
+    return [f"{module}.{function}:{call.lineno}" for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and any(_callee(part) in UNIVERSE_TYPES for part in ast.walk(call.func))]
+
+
+def test_the_dps_build_no_universe():
+    """Each part lists its elements in its separator's local-position order,
+    so no DP needs a universe to order them, nor a family to hand back."""
+    assert _universe_builds("wsp", "wsp_alg"), "the scan no longer sees wsp_alg's universe"
+    assert [site for module, function in DPS.items()
+            for site in _universe_builds(module, function)] == []
