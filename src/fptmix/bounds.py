@@ -1,9 +1,12 @@
 """Numeric evaluation of the closed-form running-time bounds.
 
 Every objective is evaluated in log space (x^x terms overflow floats fast),
-on whole arrays, with 0 * log 0 := 0 at boundary points.  Inner 1-D
-maximizations scan a coarse grid in one call and refine by golden-section
-search to 1e-9 in the argument, in lockstep over the staged bounds' cells.
+on whole arrays, with 0 * log 0 := 0 at boundary points; an array with no
+boundary point (no zero, negative or NaN where it matters) takes the plain
+formula, which gives the same floats.  Inner 1-D maximizations scan a coarse
+grid in one call and refine by golden-section search to 1e-9 in the argument,
+in lockstep over the staged bounds' cells: each row's bracket is Python
+floats, and each step evaluates the objective once for all rows.
 The near-unity nuisance factor 4^(1/10^10) is carried exactly where the
 reference tables carry it and omitted elsewhere.
 """
@@ -24,6 +27,8 @@ _TOL = 1e-9  # argument tolerance of every golden-section refinement
 def _xlogx(x):
     """x * log(x) elementwise; negatives above -1e-12 are round-off and read as 0."""
     x = np.asarray(x, dtype=float)
+    if x.min(initial=math.inf) > 0:  # no boundary point; a NaN fails this test
+        return x * np.log(x)
     if np.any(x <= -1e-12):
         raise ParameterError(f"negative base {x.min()} in an x^x term")
     zero = x <= 0
@@ -33,6 +38,8 @@ def _xlogx(x):
 def _plogq(p, q):
     """p * log(q) elementwise, with the p == 0 boundary treated as 0."""
     p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    if q.min(initial=math.inf) > 0 and p.all():  # p == 0 would give -0.0 where q < 1
+        return p * np.log(q)
     skip = p == 0
     if np.any(~skip & (q <= 0)):
         raise ParameterError("log of non-positive value (domain edge)")
@@ -57,18 +64,32 @@ def _golden_rows(fn, lo, hi, grid: int):
     best = np.argmax(np.nan_to_num(vals, nan=-np.inf), axis=1)
     best[np.isnan(vals[:, 0])] = 0
     rows = np.arange(len(xs))
-    a = xs[rows, np.maximum(best - 1, 0)]
-    b = xs[rows, np.minimum(best + 1, grid - 1)]
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = fn(np.stack([c, d], axis=1)).T
-    while np.any(live := b - a > _TOL):
-        left = fc >= fd  # keep [a, d], else [c, b]; a finished row keeps a and b
-        a, b = np.where(live & ~left, c, a), np.where(live & left, d, b)
-        x = np.where(left, b - phi * (b - a), a + phi * (b - a))
-        fx = fn(x[:, None])[:, 0]
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    x = (a + b) / 2
+    a = xs[rows, np.maximum(best - 1, 0)].tolist()
+    b = xs[rows, np.minimum(best + 1, grid - 1)].tolist()
+    # the bracket is Python floats: the same IEEE operations in the same order
+    # as the scalar search, without a NumPy call per step on a few rows
+    c = [bi - phi * (bi - ai) for ai, bi in zip(a, b)]
+    d = [ai + phi * (bi - ai) for ai, bi in zip(a, b)]
+    fc, fd = fn(np.array([c, d]).T).T.tolist()
+    x = c[:]  # a finished row's last probe, re-evaluated but never read
+    live = [i for i in rows.tolist() if b[i] - a[i] > _TOL]
+    while live:
+        left = [fc[i] >= fd[i] for i in live]  # keep [a, d], else [c, b]
+        for i, keep in zip(live, left):
+            if keep:
+                b[i], d[i] = d[i], c[i]
+                x[i] = c[i] = b[i] - phi * (b[i] - a[i])
+            else:
+                a[i], c[i] = c[i], d[i]
+                x[i] = d[i] = a[i] + phi * (b[i] - a[i])
+        fx = fn(np.array(x)[:, None])[:, 0].tolist()
+        for i, keep in zip(live, left):
+            if keep:
+                fc[i], fd[i] = fx[i], fc[i]
+            else:
+                fc[i], fd[i] = fd[i], fx[i]
+        live = [i for i in live if b[i] - a[i] > _TOL]
+    x = (np.array(a) + np.array(b)) / 2
     return x, fn(x[:, None])[:, 0]
 
 
@@ -97,6 +118,8 @@ def _leafy(c: float, b):
     # guard the open lower end of the domain
     b = np.asarray(b, dtype=float)
     out = c * (1 + b) - 3 * (1 - b) <= 0
+    if not out.any():
+        return log_leafy_term(c, b)
     return np.where(out, -math.inf, log_leafy_term(c, np.where(out, 1.0, b)))
 
 

@@ -60,9 +60,21 @@ def budget_from_env(default: int = 200_000) -> int:
     return budget
 
 
-def _load(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path: str, parse=str):
+    """``parse`` of the file's text.  A missing file stays a FileNotFoundError;
+    any other file that cannot be read as UTF-8 text, or a document nested too
+    deep to parse, is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read {path!r}: {exc}") from None
+    try:
+        return parse(text)
+    except RecursionError:
+        raise InstanceError(f"{path!r} is nested too deep to parse") from None
 
 
 # report field -> trace key, as ``repsets.reduce_layer`` counts them
@@ -185,11 +197,10 @@ def _cmd_solve(args, argv) -> int:
     _refuse_unread_flags(args, ("k", "W", "inv_eps", "delta", "gamma"))
     trace: dict = {}
     t0 = time.perf_counter()
-    doc = _load(args.instance)
     if args.problem == "kcwp":
-        value, k, W = kpath_mod.kcwp_instance_from_document(doc), None, None
+        value, k, W = _load(args.instance, kpath_mod.kcwp_instance_from_document), None, None
     else:
-        parsed = _parse_for(args.problem, doc)
+        parsed = _load(args.instance, lambda doc: _parse_for(args.problem, doc))
         value, k, W = (parsed.value, _required_k(args.problem, args.k, parsed),
                        _weight_bound(args.problem, args.W, parsed))
     t1 = time.perf_counter()
@@ -221,7 +232,7 @@ def _oracle(problem: str, value, k, W, budget=None) -> tuple[str, int | None]:
 
 def _cmd_check(args, argv) -> int:
     _refuse_unread_flags(args, ("k", "W"))
-    parsed = _parse_for(args.problem, _load(args.instance))
+    parsed = _load(args.instance, lambda doc: _parse_for(args.problem, doc))
     k = _required_k(args.problem, args.k, parsed)
     W = args.W if args.W is not None else parsed.W
     verdict, opt = _oracle(args.problem, parsed.value, k, W if W is None else check_weight(W),
@@ -318,11 +329,11 @@ def _int_field(data, name):
 
 
 def _cmd_repfam(args, argv) -> int:
-    fam_parsed = parse_instance(_load(args.family), objective=args.objective)
+    fam_parsed = _load(args.family, lambda doc: parse_instance(doc, objective=args.objective))
     if fam_parsed.kind != "setfamily":
         raise ParameterError("--family must be a setfamily document")
     fam: WeightedSetFamily = fam_parsed.value
-    spec_doc = json.loads(_load(args.spec))
+    spec_doc = _load(args.spec, json.loads)
     index = {label: i for i, label in enumerate(fam.universe.elements)}
     raw_parts = spec_doc.get("parts") if isinstance(spec_doc, dict) else None
     if not isinstance(raw_parts, list) or not all(isinstance(p, dict) for p in raw_parts):
@@ -353,7 +364,7 @@ def _cmd_repfam(args, argv) -> int:
 # ------------------------------------------------------------------ matching
 
 def _cmd_matching(args, argv) -> int:
-    parsed = parse_instance(_load(args.instance))
+    parsed = _load(args.instance, parse_instance)
     if parsed.kind != "graph":
         raise ParameterError("matching needs an undirected graph document")
     m = matching_mod.max_matching(parsed.value)
@@ -512,7 +523,7 @@ def bench_rows(suite: dict, budget: int) -> list[dict]:
 
 def _cmd_bench(args, argv) -> int:
     try:
-        suite = json.loads(_load(args.suite))
+        suite = _load(args.suite, json.loads)
     except FileNotFoundError:
         raise ParameterError(f"missing suite {args.suite!r}")
     rows = bench_rows(suite, args.budget)

@@ -292,11 +292,9 @@ class ParsedInstance:
 
 def parse_instance(document: bytes | str, objective: str = "max") -> ParsedInstance:
     """Parse a canonical JSON instance document, validating all invariants."""
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
+        data = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"malformed document: {exc}") from exc
     if not isinstance(data, dict):
         raise InstanceError("document root must be an object")

@@ -154,7 +154,10 @@ _KCWP_FIELDS = (("digraph", dict), ("digraph.nodes", int), ("digraph.arcs", list
 def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
     """Parse a kcwp instance file; a missing or ill-typed field, or a list
     field with an ill-typed entry, is an ``InstanceError`` that names it."""
-    data = json.loads(document)
+    try:
+        data = json.loads(document)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InstanceError(f"malformed kcwp document: {exc}") from None
     for name, kind in _KCWP_FIELDS:
         outer, _, inner = name.rpartition(".")
         value = (data[outer] if outer else data).get(inner) if isinstance(data, dict) else None

@@ -155,7 +155,11 @@ class PartitionSpec:
     masks: tuple[int, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "masks", tuple(_mask(part.elements) for part in self.parts))
+        try:
+            masks = tuple(_mask(part.elements) for part in self.parts)
+        except (TypeError, ValueError):  # a shift by a negative or non-int element
+            raise InstanceError("a part lists an element that is not a non-negative int") from None
+        object.__setattr__(self, "masks", masks)
         union = 0
         for part, mask in zip(self.parts, self.masks):
             if part.p > part.k:

@@ -112,6 +112,87 @@ def test_log_helpers_check_every_array_point():
     assert bounds._xlogx(np.array([-1e-13, 0.0, 1.0])).tolist() == [0.0] * 3
 
 
+def _xlogx_guarded(x):
+    """``bounds._xlogx`` with its boundary handling on every point."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= -1e-12):
+        raise ParameterError("negative base")
+    zero = x <= 0
+    return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
+
+
+def _plogq_guarded(p, q):
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    skip = p == 0
+    if np.any(~skip & (q <= 0)):
+        raise ParameterError("log of non-positive value")
+    return np.where(skip, 0.0, p * np.log(np.where(skip, 1.0, q)))
+
+
+def _leafy_guarded(c, b):
+    b = np.asarray(b, dtype=float)
+    out = c * (1 + b) - 3 * (1 - b) <= 0
+    b = np.where(out, 1.0, b)
+    term = (_plogq_guarded(5 * b - 1, c * (1 + b)) - _xlogx_guarded(3 * (1 - b))
+            - _plogq_guarded(4 * (2 * b - 1), c * (1 + b) - 3 * (1 - b)))
+    return np.where(out, -math.inf, term)
+
+
+def _outcome(fn, *args):
+    """The result's repr, which tells -0.0 from 0.0 and shows NaN as nan, or
+    the error raised."""
+    try:
+        with np.errstate(all="ignore"):  # inf - inf and the like, on both sides
+            return repr(np.asarray(fn(*args)).tolist())
+    except ParameterError:
+        return "ParameterError"
+
+
+NAN, INF = math.nan, math.inf
+XLOGX_CASES = {
+    "positive": [np.linspace(0.1, 2.0, 50), 0.3, [1e-300, 1.0, 1e300]],
+    "zeros": [[0.0, 0.5, 1.0], 0.0, [0.0, 0.0]],
+    "round-off": [[-1e-13, 0.3, -5e-13], -1e-13, [-1e-11, 0.3]],
+    "nan": [[0.5, NAN, 2.0], NAN, [NAN, -1.0]],
+    "inf": [[0.5, INF], INF, [-INF, 1.0]],
+}
+PLOGQ_CASES = {
+    "positive": [(np.linspace(0.1, 2.0, 50), np.linspace(0.2, 3.0, 50)), (2.0, [0.5, 1.5]),
+                 ([-1.0, 1.0], 0.5)],
+    "zeros": [([0.0, 1.0, 0.0], [0.5, 2.0, 0.9]), (0.0, 0.3), ([1.0, 2.0], [1.0, 0.0])],
+    "round-off": [([1.0, 1.0], [-1e-13, 0.5]), ([0.0, 1.0], [-1e-13, 0.5])],
+    "nan": [([NAN, 1.0], [0.5, 0.5]), ([1.0, 1.0], [NAN, 0.5]), ([0.0, 1.0], [NAN, 0.5])],
+    "inf": [([INF, 1.0], [0.5, 2.0]), ([1.0, 1.0], [INF, 2.0]), ([INF], [1.0])],
+    "p = 0 at q <= 0": [([0.0, 1.0, 0.0], [-1.0, 2.0, 0.0]), (0.0, [0.0, -2.0])],
+}
+LEAFY_CASES = {  # b points whose inner terms reach each case
+    "positive": [(1.497, np.linspace(0.75, 0.99, 20)), (1.497, 0.8)],
+    "zeros": [(1.497, [0.8, 1.0]), (3.0, [0.5, 0.9]), (1.497, 1.0)],
+    "round-off": [(1.497, [0.8, 1 + 1e-14]), (1.497, [0.8, 1 + 1e-11])],
+    "nan": [(1.497, [0.8, NAN]), (NAN, [0.8, 0.9])],
+    "inf": [(1.497, [0.8, INF]), (INF, [0.8])],
+    "outside the domain": [(1.497, [0.1, 0.8, -1.0]), (1.497, 0.1), (1.0, [0.5, 0.9])],
+}
+
+
+@pytest.mark.parametrize("case", XLOGX_CASES)
+def test_xlogx_equals_its_guarded_formula(case):
+    for x in XLOGX_CASES[case]:
+        assert _outcome(bounds._xlogx, x) == _outcome(_xlogx_guarded, x), x
+
+
+@pytest.mark.parametrize("case", PLOGQ_CASES)
+def test_plogq_equals_its_guarded_formula(case):
+    for p, q in PLOGQ_CASES[case]:
+        assert _outcome(bounds._plogq, p, q) == _outcome(_plogq_guarded, p, q), (p, q)
+
+
+@pytest.mark.parametrize("case", LEAFY_CASES)
+def test_leafy_equals_its_guarded_formula(case):
+    for c, b in LEAFY_CASES[case]:
+        assert _outcome(bounds._leafy, c, b) == _outcome(_leafy_guarded, c, b), (c, b)
+
+
 def _golden_scalar(fn, lo, hi, grid, tol=1e-9):
     """One-point-at-a-time grid scan and golden-section search."""
     xs = [lo + (hi - lo) * i / (grid - 1) for i in range(grid)]
@@ -151,6 +232,45 @@ def test_golden_max_equals_scalar_search():
         want = _golden_scalar(lambda t: float(h(t)), 0.0, 1.0, 11)
         assert got[0] == want[0]
         assert got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1]))
+
+
+def test_golden_rows_equal_per_row_scalar_searches():
+    """Rows that finish at different steps: an interior peak, a peak before the
+    first grid point and one past the last (brackets half as wide), a row whose
+    first grid point is NaN, and a wide and a narrow interval."""
+    lo = np.array([0.0, 0.0, -3.0, 0.0, -40.0, 0.0])
+    hi = np.array([1.0, 2.0, 5.0, 0.5, 40.0, 1e-4])
+    peak = np.array([[0.3], [-1.0], [7.0], [0.25], [1.234], [3e-5]])
+    nan_at = np.array([[NAN], [NAN], [NAN], [0.0], [NAN], [NAN]])
+
+    def fn(x):
+        return np.where(x == nan_at, NAN, -(x - peak) ** 2)
+
+    got = [v.tolist() for v in bounds._golden_rows(fn, lo, hi, 11)]
+    steps = set()
+    for i in range(len(lo)):
+        calls = []
+        row = lambda t: calls.append(t) or float(fn(np.full((len(lo), 1), t))[i, 0])
+        x, val = _golden_scalar(row, float(lo[i]), float(hi[i]), 11)
+        steps.add(len(calls))
+        assert got[0][i] == x and repr(got[1][i]) == repr(val), i
+    assert math.isnan(fn(lo[:, None])[3, 0]) and len(steps) >= 4  # the rows stop apart
+
+
+def test_tables_raise_no_floating_point_warning():
+    """Every table at its reference rows, with every NumPy warning an error:
+    no path, fast or guarded, takes the log of a non-positive value."""
+    with np.errstate(all="raise"):
+        bounds.alpha_beta_table(list(bounds.REFERENCE_TABLE1))
+        for c in bounds.REFERENCE_TABLE2:
+            bounds.kiob_det_bound(c)
+        for c, gamma in bounds.REFERENCE_TABLE3:
+            bounds.kiob_rand_bound(c, gamma)
+        for params in bounds.REFERENCE_TABLE4:
+            bounds.kpath_bound(*params)
+        for c in bounds.REFERENCE_TABLE5:
+            bounds.wsp_bound(c)
+        bounds.p2p_bound()
 
 
 def _staged_scalar(t_next, objective, inv_eps):

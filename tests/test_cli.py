@@ -203,6 +203,31 @@ def test_solve_kcwp_names_the_missing_field(tmp_path, capsys, kind):
     assert err.startswith("error:") and "field 'digraph' is missing" in err
 
 
+def test_a_directory_given_as_the_instance_is_a_usage_error(tmp_path, capsys):
+    """It once escaped as ``IsADirectoryError`` with exit 1."""
+    code, out, err = run(capsys, "solve", "wsp", str(tmp_path), "--k", "1", "--W", "1")
+    assert code == 2 and not out and err.startswith("error:") and "cannot read" in err
+
+
+def test_an_instance_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    """A UTF-16 byte-order mark once escaped as ``UnicodeDecodeError`` with exit 1."""
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(b"\xff\xfe")
+    for argv in (("wsp", "--k", "1", "--W", "1"), ("kcwp",)):
+        code, out, err = run(capsys, "solve", argv[0], str(inst), *argv[1:])
+        assert code == 2 and not out and err.startswith("error:") and "cannot read" in err
+
+
+def test_an_instance_nested_too_deep_to_parse_is_a_usage_error(tmp_path, capsys):
+    """200,000 open brackets once escaped as ``RecursionError`` with exit 1."""
+    inst = tmp_path / "inst.json"
+    inst.write_text("[" * 200_000)
+    for argv in (("solve", "wsp", str(inst), "--k", "1", "--W", "1"), ("solve", "kcwp", str(inst)),
+                 ("bench", str(inst))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error:") and "too deep" in err
+
+
 def _kcwp_document():
     from fractions import Fraction
     from fptmix import kpath

@@ -60,6 +60,8 @@ def test_parse_setfamily_checks_its_shape(doc, named):
 def test_parse_malformed():
     with pytest.raises(InstanceError, match="malformed"):
         parse_instance(b"{not json")
+    with pytest.raises(InstanceError, match="malformed"):  # once a bare UnicodeDecodeError
+        parse_instance(b"\xff")
 
 
 def test_weight_overflow_reported():

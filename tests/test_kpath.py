@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Digraph, ParameterError
+from fptmix.core import Digraph, InstanceError, ParameterError
 from fptmix import kpath, oracles, unisets
 from helpers import kcwp_ledger, reduction_ab
 
@@ -251,6 +251,13 @@ def test_kcwp_document_roundtrip():
     doc = kpath.kcwp_instance_to_document(inst)
     again = kpath.kcwp_instance_from_document(doc)
     assert again == inst
+
+
+@pytest.mark.parametrize("doc", [b"\xff", b"\xff\xfe", "{not json"])
+def test_kcwp_document_that_is_not_json_text_is_an_instance_error(doc):
+    """Bytes that are not UTF-8 once raised a bare ``UnicodeDecodeError``."""
+    with pytest.raises(InstanceError, match="malformed kcwp document"):
+        kpath.kcwp_instance_from_document(doc)
 
 
 def test_literal_conditions_admit_unchained_configurations():

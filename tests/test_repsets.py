@@ -497,6 +497,14 @@ def test_part_listing_an_element_twice_is_rejected():
         gen_rep_alg(PartitionSpec(parts), fam, "max")
 
 
+@pytest.mark.parametrize("elements", [(-1, 0), ("a", 0), (0, 1.5)])
+def test_part_listing_a_non_index_element_is_an_instance_error(elements):
+    """Such a part once raised the bare ``ValueError`` or ``TypeError`` of the
+    bit shift that builds its mask."""
+    with pytest.raises(InstanceError, match="not a non-negative int"):
+        PartitionSpec((PartitionPart(elements, 2, 1),))
+
+
 @pytest.mark.parametrize("warm", [False, True])
 def test_part_naming_an_element_outside_the_family_is_rejected(warm):
     """Whatever the separator cache holds: with the (3, 2, 1) shape already
