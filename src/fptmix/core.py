@@ -296,6 +296,8 @@ def parse_instance(document: bytes | str, objective: str = "max") -> ParsedInsta
         data = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"malformed document: {exc}") from exc
+    except RecursionError:
+        raise InstanceError("document is nested too deep to parse") from None
     if not isinstance(data, dict):
         raise InstanceError("document root must be an object")
 

@@ -25,7 +25,7 @@ from .repsets import PartitionPart, reduce_layer
 
 @dataclass(frozen=True)
 class TreeFamilyEntry:
-    family: tuple[int, ...]  # the root state's node masks, in table order
+    family: tuple[int, ...]  # the root state's node masks, ascending by sorted members
     table: list = field(default_factory=list, compare=False, repr=False)
 
 
@@ -59,14 +59,15 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     first built, which ``find_out_tree`` follows: None for the one-node tree,
     (u, a) for the arc v -> u over u's tree a, and (u, a, x2, y2, b) for that
     one-child tree merged with v's tree b of shape (x2, y2).  Later builds of
-    the same mask are dropped.  Splits run x1-ascending, then y1-ascending,
-    and only those whose child shape (x1 - 1, y1) some child of v holds are
-    visited: a split no child can fill builds nothing, so skipping it moves
-    no back-pointer.  The table is seeded with the one-node trees, state
-    (v, 0, 1) of every v when ``leaves`` >= 1, and the rounds run from size 2
-    up over the shapes with 1 <= x <= ``internal`` and 1 <= y <= ``leaves``.
-    A round reads only smaller sizes, so its states (v, x, y) are reduced as
-    one layer, with ``trace``.
+    a mask are dropped, but of two merges from one split the one whose b is
+    first in ascending sorted-member order wins.  Splits run x1-ascending,
+    then y1-ascending, and only those whose child shape (x1 - 1, y1) some
+    child of v holds are visited: a split no child can fill builds nothing,
+    so skipping it moves no back-pointer.  The table is seeded with the
+    one-node trees, state (v, 0, 1) of every v when ``leaves`` >= 1, and the
+    rounds run from size 2 up over the shapes with 1 <= x <= ``internal`` and
+    1 <= y <= ``leaves``.  A round reads only smaller sizes, so its states
+    (v, x, y) are reduced as one layer, with ``trace``.
     Every state is reduced against k' = internal + leaves + slack, whatever
     the root, so the entry's ``table[v][(x, y)]`` serves every root and
     smaller shape with the same k'.
@@ -101,7 +102,7 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
 
             for x in range(max(1, size - leaves), min(internal, size - 1) + 1):
                 y = size - x
-                found: dict[int, tuple] = {}  # the first construction of a mask wins
+                found: dict[int, tuple] = {}  # the first build of a mask wins, as above
                 if (x - 1, y) in below:
                     for mask, how in one_child_sets(x, y):
                         found.setdefault(mask, how)
@@ -116,15 +117,18 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                         ones = one_child_sets(x1_below + 1, y1)
                         for b in merged:
                             for a, how in ones:
-                                if a & b == vbit:
-                                    found.setdefault(a | b, how + (x2, y2, b))
+                                if a & b == vbit and ((old := found.get(a | b)) is None or
+                                                      old[2:4] == (x2, y2) and
+                                                      b & (d := b ^ old[4]) & -d):
+                                    found[a | b] = how + (x2, y2, b)
                 if found:
                     layer[(v, x, y)] = found
         reduce_layer(layer, lambda key: parts, None, trace)
         for (v, x, y), entry in layer.items():
             table[v][(x, y)] = entry
 
-    return TreeFamilyEntry(tuple(table[root].get((internal, leaves), ())), table)
+    return TreeFamilyEntry(tuple(sorted(table[root].get((internal, leaves), ()),
+                                        key=bit_positions)), table)
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def tp_alg(inst: TpInstance, table: list | None = None) -> TpResult:
     if not trees:
         return TpResult(False)
     undirected = g.underlying_graph()
-    for tree in trees:
+    for tree in sorted(trees, key=bit_positions):  # in sorted-member order, not arrival
         nodes = frozenset(bit_positions(tree))
         free = tuple((u, v) for u, v in undirected.edges
                      if u not in nodes and v not in nodes)
@@ -199,30 +203,21 @@ def extract_branching(g: Digraph, root: int, tree_arcs,
     """
     parent = {h: t for t, h in tree_arcs}
     in_tree = {root, *parent}
-    arcs_sorted = [(t, h) for t, h, _ in g.arcs]
     while len(in_tree) < g.node_count:
-        grown = False
-        for t, h in arcs_sorted:
+        for t, h, _ in g.arcs:
             if t in in_tree and h not in in_tree:
                 parent[h] = t
                 in_tree.add(h)
-                grown = True
                 break
-        if not grown:
+        else:
             raise FptMixError("root does not reach every node")
 
-    def internal_count():
-        return len(set(parent.values()))
-
-    while internal_count() < k:
-        children = set(parent.values())
-        swapped = False
+    while len(internal := set(parent.values())) < k:
         for v, u in paths:
-            if v not in children and u not in children:
+            if v not in internal and u not in internal:
                 parent[u] = v
-                swapped = True
                 break
-        if not swapped:
+        else:
             raise FptMixError("exchange exhausted before reaching k internal nodes")
 
     branching = tuple(sorted((p, v) for v, p in parent.items()))
@@ -239,12 +234,10 @@ def _validate_branching(g: Digraph, root: int, arcs, k: int) -> None:
         if h in parent:
             raise FptMixError(f"node {h} has two parents")
         parent[h] = t
-    nodes = set(range(g.node_count))
-    if set(parent) != nodes - {root} or root in parent:
+    if set(parent) != set(range(g.node_count)) - {root}:
         raise FptMixError("branching is not spanning with the stated root")
-    for v in parent:
+    for w in parent:
         seen = set()
-        w = v
         while w != root:
             if w in seen:
                 raise FptMixError("branching contains a cycle")

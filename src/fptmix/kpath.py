@@ -158,6 +158,8 @@ def kcwp_instance_from_document(document: str | bytes) -> KcwpInstance:
         data = json.loads(document)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InstanceError(f"malformed kcwp document: {exc}") from None
+    except RecursionError:
+        raise InstanceError("kcwp document is nested too deep to parse") from None
     for name, kind in _KCWP_FIELDS:
         outer, _, inner = name.rpartition(".")
         value = (data[outer] if outer else data).get(inner) if isinstance(data, dict) else None
@@ -247,7 +249,9 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
     Once the middle piece completes, L nodes are deleted from stored sets and
     the L part leaves the partition.  The witness is the lightest final set
     within W, ties broken by key and then by members, rebuilt by one walk
-    back; ``chained`` is decided by the endpoint maps alone.  ``tradeoffs``
+    back; ``chained`` is decided by the endpoint maps alone.  An update keeps
+    the first of equal weights, except that between two sets from one source
+    key it takes the set first in ascending sorted-member order.  ``tradeoffs``
     checks itself when it is built; no construction reads it.
     """
     check = validate_kcwp(inst)
@@ -333,7 +337,8 @@ def solve_kcwp(inst: KcwpInstance, tradeoffs: KcwpTradeoffs | None = None,
                         if target is None:
                             target = layer[nkey] = {}
                         old = target.get(nfs)
-                        if old is None or nw < old[0]:  # the first of equal weights stays
+                        if old is None or nw < old[0] or nw == old[0] and old[1][0] == key \
+                                and fs & (d := fs ^ old[1][1]) & -d:
                             target[nfs] = (nw, (key, fs, v))
             reduce_layer(layer, lambda key: parts_of(first, key[first:3]), "min", trace)
             layers.append(layer)
@@ -383,8 +388,7 @@ def verify_kcwp_witness(inst: KcwpInstance, result: KcwpResult) -> None:
     starts = list(inst.l1) + [inst.vl] + list(inst.r1)
     ends = list(inst.l2) + [inst.vr] + list(inst.r2)
     used: set[int] = set()
-    total = 0
-    l_count = r_count = 0
+    total = l_count = r_count = 0
     l_cum: list[int] = []
     r_cum: list[int] = []
     for idx, piece in enumerate(pieces):
@@ -415,7 +419,7 @@ def verify_kcwp_witness(inst: KcwpInstance, result: KcwpResult) -> None:
                 r_count += 1
         if idx < par.m + par.mt:
             l_cum.append(l_count)
-        if idx >= par.m + par.mt:
+        else:
             r_cum.append(r_count)
     if l_count != par.k1 or r_count != par.k2:
         raise FptMixError("blue node budgets not met exactly")

@@ -276,14 +276,13 @@ def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict |
     order in its separator.  The solvers build every mask with the counts its
     key names, so none are checked.  ``objective`` "max" or "min" weighs a
     mask by its value's first item; None marks an unweighted DP.  Entries of
-    one set are left alone.  A reduced entry's dict order is ascending
-    sorted-member order, whatever order its masks arrived in.  That dict
-    order is the tie-break: the sweep keeps it among equal weights, and the
-    solvers' first-wins updates read entries in it.  Each parts tuple is
-    resolved once per call.
+    one set are left alone.  A swept entry keeps its masks in ascending
+    sorted-member order, the sweep's tie-break among equal weights; an entry
+    kept whole is neither sorted nor rebuilt, so the solvers break their own
+    ties.  Each parts tuple is resolved once per call.
     When all its active separators are dense, a set's chi-product is the one
     index of its own per-part restriction, so the sweep would keep every set
-    and such an entry is only sorted.  So is one of n <= 1 + min(k_i - p_i) masks, over
+    and such an entry is kept whole.  So is one of n <= 1 + min(k_i - p_i) masks, over
     active parts: in each part a good separator member holds S there and avoids one element
     of every earlier set that differs there, and these members give S an unclaimed index.
     ``trace`` gets the largest reduced entry as ``peak_family`` and adds the
@@ -300,12 +299,6 @@ def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict |
         if parts_of_key is None or len(entry) <= 1:
             continue
         parts = parts_of_key(key)
-        # ascending sorted-member order: a key lists a mask's bits from bit 0
-        # up, and A sorts before B iff the lowest bit of A ^ B is in A, which
-        # gives A the larger key (when one key is a prefix of the other, the
-        # longer one holds that bit); keys are distinct, so masks never compare
-        ordered = [fs for _, fs in sorted(zip([bin(fs)[:1:-1] for fs in entry], entry),
-                                          reverse=True)]
         if parts not in resolved:
             active = [part for part in parts if part.k or part.p]
             resolved[parts] = (all(_shape(part)[2] for part in active),
@@ -316,12 +309,14 @@ def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict |
         elif len(entry) - 1 <= slack:
             small_skips += 1
         else:
+            # ascending sorted-member order: A comes first iff the lowest bit of
+            # A ^ B is in A, which gives A the larger key, read from bit 0 up
+            ordered = sorted(entry, key=lambda fs: bin(fs)[:1:-1], reverse=True)
             if parts not in specs:
                 specs[parts] = PartitionSpec(parts)
             pairs = [(fs, entry[fs][0] if objective else 0) for fs in ordered]
             keep, _ = select_representative_positions(specs[parts], pairs, objective or "max")
-            ordered = [ordered[i] for i in keep]
-        layer[key] = {fs: entry[fs] for fs in ordered}
+            layer[key] = {ordered[i]: entry[ordered[i]] for i in keep}
         reductions += 1
         peak = max(peak, len(entry))
     if trace is not None and reductions:

@@ -130,7 +130,10 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     every set whose minimum is not above both the key's last minimum and the
     stage floor.  ``pack`` returns the positions, the seed set and the weight
     of the first heaviest k-set packing of weight at least ``W`` that meets
-    the schedule, or None; the seed comes back as its mask.
+    the schedule, or None; the seed comes back as its mask.  The first of
+    equal weights wins, save in an unseeded DP between two child masks of one
+    child key and set, or two final masks of one key: there the mask first in
+    ascending sorted-member order wins.
     """
     weights = [w for _, w in sets]
     heaviest, lightest = max(weights, default=0), min(weights, default=0)
@@ -145,7 +148,9 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     def put(layer, key, fs, weight, payload):
         entry = layer.setdefault(key, {})
         old = entry.get(fs)
-        if old is None or weight > old[0]:
+        if old is None or weight > old[0] or weight == old[0] and seeds is None and \
+                old[1][1] == payload[1] and old[1][3] == payload[3] and \
+                (a := payload[2]) & (d := a ^ old[1][2]) & -d:
             entry[fs] = (weight, payload)
 
     def pack(rank, f) -> tuple[tuple[int, ...], int, int] | None:
@@ -222,7 +227,8 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
             if any(key[0][l] < sched[l + 1] for l in range(t)):
                 continue
             for fs, (w, _) in entry.items():
-                if w >= W and (best is None or w > best[0]):
+                if w >= W and (best is None or w > best[0] or w == best[0] and seeds is None
+                               and best[1] == key and fs & (d := fs ^ best[2]) & -d):
                     best = (w, key, fs)
         if best is None:
             return None

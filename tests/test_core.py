@@ -64,6 +64,13 @@ def test_parse_malformed():
         parse_instance(b"\xff")
 
 
+@pytest.mark.parametrize("doc", ["[" * 200_000, b"[" * 200_000])
+def test_parse_nested_too_deep_is_an_instance_error(doc):
+    """200,000 open brackets once escaped as a bare ``RecursionError``."""
+    with pytest.raises(InstanceError, match="nested too deep"):
+        parse_instance(doc)
+
+
 def test_weight_overflow_reported():
     with pytest.raises(WeightOverflowError):
         add_weights(2**62, 2**62)

@@ -297,7 +297,9 @@ def test_solve_kiob_checks_c_when_no_reduction_runs():
 def _all_splits_table(g, internal, leaves, slack, trace):
     """``tree_families``'s table as first written: every (v, x, y) state
     probes every (x1, y1) split, x1-ascending then y1-ascending, whether or
-    not a child of v holds a tree of shape (x1 - 1, y1)."""
+    not a child of v holds a tree of shape (x1 - 1, y1).  The first build of
+    a mask wins, save that of two merges from one split the one whose b has
+    the smaller sorted members wins."""
     n = g.node_count
     out = g.out_neighbors()
     total = internal + leaves
@@ -330,8 +332,11 @@ def _all_splits_table(g, internal, leaves, slack, trace):
                             ones = one_child_sets(x1, y1)
                             for b in merged:
                                 for a, how in ones:
-                                    if a & b == vbit:
-                                        found.setdefault(a | b, how + (x2, y2, b))
+                                    old = found.get(a | b)
+                                    if a & b == vbit and (old is None or old[2:4] == (x2, y2)
+                                                          and bit_positions(b)
+                                                          < bit_positions(old[4])):
+                                        found[a | b] = how + (x2, y2, b)
                 if found:
                     layer[(v, x, y)] = found
         reduce_layer(layer, lambda key: parts, None, trace)

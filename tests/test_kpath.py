@@ -260,6 +260,13 @@ def test_kcwp_document_that_is_not_json_text_is_an_instance_error(doc):
         kpath.kcwp_instance_from_document(doc)
 
 
+@pytest.mark.parametrize("doc", ["[" * 200_000, b"[" * 200_000])
+def test_kcwp_document_nested_too_deep_is_an_instance_error(doc):
+    """200,000 open brackets once escaped as a bare ``RecursionError``."""
+    with pytest.raises(InstanceError, match="kcwp document is nested too deep"):
+        kpath.kcwp_instance_from_document(doc)
+
+
 def test_literal_conditions_admit_unchained_configurations():
     """The endpoint-balance condition only equalizes starts and ends, so
     piece realizations can glue into a cycle plus a path.  Solver and oracle

@@ -3,12 +3,15 @@ is not edited along with it.  These tests load its span list and its op
 runner by path and check that every name it wraps still exists and that the
 solver entry points still take the arguments it passes, in the order it
 passes them, so a change that would break the benchmark fails here first.
+A digest of the benchmark's own op outputs pins every verdict and witness.
 ``solve_cwsp(inst, c, ...)``, the one positional shape the benchmark does not
 use, is called that way by the pinned results in ``test_pinned.py``."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -92,3 +95,25 @@ def test_workload_ops_run_under_the_tracer():
         assert stats[f"{name}.calls"] > 0, name
     assert stats["repsets.select_representative_positions.sets_in"] > 0
 
+
+
+# one sha256 over json.dumps(run_op(op), sort_keys=True) for every op of set 0,
+# packing-threshold then digraph-threshold, at seeds 4242, 31 and 77 in turn
+OUTPUT_DIGEST = (293, "c03c510a401cc810d41033915ba55620b9ce979fe0580162e5912386760d9778")
+
+
+def test_benchmark_op_outputs_match_their_pinned_digest(monkeypatch):
+    """Every verdict and witness of the benchmark's packing and digraph ops,
+    their thresholds read off the oracles as the benchmark does: a change
+    that is meant only to be faster must leave them bit for bit."""
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # reference's own imports
+    monkeypatch.setitem(sys.modules, "checks", _load("checks"))
+    reference = _load("reference")
+    digest, count = hashlib.sha256(), 0
+    for seed in (4242, 31, 77):
+        for workload in ("packing-threshold", "digraph-threshold"):
+            bases = workloads.base_instances(workload, seed, 0)
+            for op in workloads.make_ops(0, bases, [reference.reference(b) for b in bases]):
+                digest.update(json.dumps(workloads.run_op(op), sort_keys=True).encode())
+                count += 1
+    assert (count, digest.hexdigest()) == OUTPUT_DIGEST

@@ -397,6 +397,27 @@ def _reference_reduce(universe, sets, parts, objective):
     return [ordered[i][0] for i in keep]
 
 
+def _kept_whole(universe, parts, count):
+    """Whether ``reduce_layer`` keeps an entry of ``count`` masks under
+    ``parts`` whole, unswept: one mask, every active separator dense, or at
+    most 1 + min(k_i - p_i) masks over the active parts."""
+    active = [part for part in parts if part.k or part.p]
+    return count <= 1 or count - 1 <= min((part.k - part.p for part in active), default=0) or \
+        all(build_separator(universe, part.elements, part.k, part.p).dense for part in active)
+
+
+def _stored(universe, sets, parts, objective):
+    """The masks ``reduce_layer`` leaves in an entry of ``sets``, in stored
+    order: a swept entry holds the reference's masks, in ascending
+    sorted-member order; an entry kept whole holds every mask, all of which
+    the reference keeps, in the order they arrived in."""
+    want = _reference_reduce(universe, sets, parts, objective)
+    if not _kept_whole(universe, parts, len(sets)):
+        return want
+    assert want == sorted((mask for mask, _ in sets), key=bit_positions)
+    return [mask for mask, _ in sets]
+
+
 def _reduce_one(universe, sets, parts, objective, trace=None):
     """``reduce_layer`` on a layer of one key, its parts listed in
     ``universe``'s order; the kept masks in stored order."""
@@ -411,7 +432,8 @@ def test_mask_reduce_entry_matches_family_reference(entry):
     clear_separator_cache()
     trace = {}
     got = _reduce_one(universe, sets, parts, objective, trace)
-    assert got == _reference_reduce(universe, sets, parts, objective)
+    assert got == _stored(universe, sets, parts, objective)
+    assert trace["dense_skips"] + trace["small_skips"] == _kept_whole(universe, parts, len(sets))
     assert trace["peak_family"] == len(sets)
     for (m, _, p), (family, _, dense) in repsets._separator_cache.items():
         every = {sum(1 << i for i in c) for c in combinations(range(m), p)}
@@ -421,9 +443,10 @@ def test_mask_reduce_entry_matches_family_reference(entry):
 @given(dp_layers())
 def test_reduce_layer_matches_reference_per_key(case):
     """Every key is reduced as its own entry would be, dense or not: its
-    kept masks and their values, in member order; the trace counts the
-    entries of more than one set, the dense ones among them, the small ones
-    among the rest and the largest."""
+    kept masks and their values, in member order when swept and in arrival
+    order when kept whole; the trace counts the entries of more than one
+    set, the dense ones among them, the small ones among the rest and the
+    largest."""
     universe, entries, objective = case
     layer = {key: {mask: (w, key) for mask, w in sets} for key, (_, sets) in enumerate(entries)}
     trace = {}
@@ -431,9 +454,10 @@ def test_reduce_layer_matches_reference_per_key(case):
     dense = small = 0
     for key, (parts, sets) in enumerate(entries):
         weighed = sets if objective else [(mask, 0) for mask, _ in sets]
-        want = _reference_reduce(universe, weighed, parts, objective or "max")
+        want = _stored(universe, weighed, parts, objective or "max")
         assert list(layer[key]) == want
-        assert list(layer[key]) == sorted(layer[key], key=bit_positions)
+        if not _kept_whole(universe, parts, len(sets)):
+            assert list(layer[key]) == sorted(layer[key], key=bit_positions)
         assert all(value == (dict(sets)[mask], key) for mask, value in layer[key].items())
         if len(sets) > 1:
             active = [part for part in parts if part.k or part.p]
@@ -523,8 +547,9 @@ def test_part_naming_an_element_outside_the_family_is_rejected(warm):
 def test_reduce_layer_reads_each_part_in_its_listing_order():
     """A part's listing order is its local-position order: one entry reduced
     under one part listed in two orders keeps what the reference keeps under
-    the universe ranked in that order, and some entries keep other sets under
-    the two listings, which a step that re-sorted the part could not do."""
+    the universe ranked in that order (an entry kept whole keeps its arrival
+    order), and some entries keep other sets under the two listings, which a
+    step that re-sorted the part could not do."""
     rng = random.Random(30)
     differ = 0
     for _ in range(200):
@@ -541,7 +566,7 @@ def test_reduce_layer_reads_each_part_in_its_listing_order():
             parts = (PartitionPart(listing, k, p),)
             layer = {"key": {mask: (w, None) for mask, w in sets}}
             reduce_layer(layer, lambda key: parts, objective)
-            assert list(layer["key"]) == _reference_reduce(u, sets, parts, objective)
+            assert list(layer["key"]) == _stored(u, sets, parts, objective)
             kept.append(list(layer["key"]))
         differ += kept[0] != kept[1]
     assert differ > 10
