@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations
+from math import comb
 from operator import add, lt
 
 from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
@@ -309,6 +310,17 @@ def cut_tuples(order: list[int], pieces: int):
     yield from rec(tuple(range(len(order))))
 
 
+def cut_tuple_count(m: int, pieces: int) -> int:
+    """How many tuples ``cut_tuples`` yields over ``m`` ranks: a first span
+    is one of m singletons or C(m, 2) pairs, and the rest are drawn from the
+    ranks it leaves."""
+    if pieces == 0:
+        return 1
+    if m < 1:
+        return 0
+    return m * cut_tuple_count(m - 1, pieces - 1) + comb(m, 2) * cut_tuple_count(m - 2, pieces - 1)
+
+
 def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
     """Each distinct way to cut ``universe`` into ``pieces`` blocks, as the
     rank tuple of the universe reordered so the blocks come first, plus the
@@ -361,11 +373,17 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     budget-capped.  With one stage (1/eps = 1, or the fallback when
     floor(eps*k) = 0) nothing is stripped, so the first cut instance is the
     exact ordered-packing DP and its reject stands for every cut: a
-    one-stage reject draws one cut tuple.  When fewer than k sets exist, or
-    the k heaviest weigh less than W, no cut can accept: the call then only
-    counts the cut tuples a reject would draw, at most budget + 1, and is
-    budget-exceeded when they are more than the budget.  It builds no cut
-    order and runs no DP, so no reduction runs and ``trace`` is left as it is.
+    one-stage reject draws one cut tuple.  Some rejects are settled by
+    weight alone: a set S passes when w(S) plus the k - 1 heaviest sets
+    disjoint from S reach W, and fewer than k passing sets settle a reject.
+    Each set of a k-packing of weight at least W passes, its k - 1 partners
+    being disjoint from it, so no accept is settled and no witness moves.
+    A passing set and its partners are k distinct sets, so every reject
+    whose k heaviest sets weigh less than W is settled too.  A settled
+    reject builds no cut order and runs no DP, so no reduction runs and
+    ``trace`` is left as it is; it is charged the cut tuples a reject would
+    draw, counted by ``cut_tuple_count``, and is budget-exceeded when they
+    are more than the budget.
     ``family`` is used as given; each of its sets must have 3 members, all
     inside ``universe``.
     """
@@ -384,14 +402,22 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     for members, _ in family.sets:
         if members[-1] >= len(universe):
             raise InstanceError(f"member index out of range in {members}")
-    top = sorted((w for _, w in family.sets), reverse=True)[:k]  # the k heaviest weights
-    if len(top) < k or sum(top) < W:
-        # no k sets reach W under any cut; count what a reject draws, up to one
-        # past the budget (a budget below 0 charges as 0 does)
-        budget = max(budget, 0)
-        drawn = sum(1 for _ in islice(cut_tuples(universe.by_rank(), inv_eps),
-                                      1 if inv_eps == 1 else budget + 1))
-        return WspResult("budget-exceeded" if drawn > budget else "reject")
+    heavy = sorted(zip((w for _, w in family.sets), family.masks), reverse=True)
+    head = sum(w for w, _ in heavy[:k - 1])  # bounds the k - 1 partners of any set
+    passing = 0
+    for w, mask in heavy:
+        if w + head < W:
+            break  # no lighter set passes either
+        rest = [v for v, m in heavy if not m & mask][:k - 1]
+        passing += len(rest) == k - 1 and w + sum(rest) >= W
+        if passing == k:
+            break
+    if passing < k:
+        # no k sets reach W under any cut; charge the cut tuples a reject
+        # draws (a budget below 0 charges as 0 does)
+        drawn = cut_tuple_count(len(universe), inv_eps)
+        drawn = min(drawn, 1) if inv_eps == 1 else drawn
+        return WspResult("budget-exceeded" if drawn > max(budget, 0) else "reject")
     try:
         pack = _pack_stages(len(universe), family.sets, k, stage_schedule(k, inv_eps), W,
                             trace=trace)

@@ -358,14 +358,18 @@ def test_bench_suite_and_missing(tmp_path, capsys):
         {"problem": "kiob", "instance": {"nodes": 7, "arcs": [
             [0, 1, 1], [0, 2, 1], [0, 3, 1], [1, 2, 1], [1, 5, 1], [2, 3, 1], [2, 4, 1],
             [3, 4, 1], [3, 6, 1], [4, 5, 1], [5, 6, 1]]}, "k": 3},
+        {"problem": "wsp", "instance": wsp_family, "k": 2, "W": 8},
     ]}))
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
     assert all(r["match"] for r in rows)
-    for i in (2, 3, 4):
+    for i in (3, 4, 5):
         assert isinstance(rows[i]["peakFamilySize"], int)
         assert rows[i]["dpEntries"] >= rows[i]["peakFamilySize"]
+    # the best disjoint pair weighs 4 + 4 = 8, so W = 9 is a reject settled
+    # by weight, which runs no DP and reports no reduction
+    assert rows[2]["verdict"] == "reject" and rows[2]["peakFamilySize"] is None
     # on the 3-node paths every DP entry holds one set, so no reduction runs,
     # while the step still counts the entries
     assert rows[0]["peakFamilySize"] is None and rows[1]["peakFamilySize"] is None

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fptmix.core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
-                         WeightedSetFamily, block_permutation, reorder_universe)
+                         WeightedSetFamily, WeightOverflowError, block_permutation,
+                         reorder_universe)
 from fptmix import oracles, wsp
 from helpers import count_only, reduction_ab, stage_ledger
 
@@ -433,6 +434,81 @@ def test_weight_settled_reject_at_the_budget_boundary(n, monkeypatch):
                     assert (got.status, trace) == (want, {}), (inv, k, fam.sets, budget)
                 assert wsp.wsp_alg(uni, fam, 10, k, inv, budget=-1) == \
                     wsp.wsp_alg(uni, fam, 10, k, inv, budget=0)
+
+
+def test_cut_tuple_count_matches_the_enumeration():
+    for m in range(11):
+        for pieces in range(5):
+            want = sum(1 for _ in wsp.cut_tuples(range(m), pieces))
+            assert wsp.cut_tuple_count(m, pieces) == want, (m, pieces)
+    assert wsp.cut_tuple_count(8, 2) == 812
+
+
+def test_settled_reject_draws_no_cut_and_runs_no_dp(monkeypatch):
+    """The two heaviest sets weigh 9 + 8 >= 15, but the one disjoint pair,
+    {0, 1, 2} and {3, 4, 5}, weighs 9 + 5: no set has a disjoint partner
+    that brings it to 15, so the reject is settled and charged in closed
+    form, drawing no cut tuple and running no DP."""
+    uni = universe(8)
+    fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 9), ((2, 3, 6), 8), ((3, 4, 5), 5),
+                                     ((0, 5, 6), 8)), "max")
+    assert oracles.oracle_wsp(fam, 2) == 14
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a settled reject drew a cut tuple or ran the DP")
+
+    monkeypatch.setattr(wsp, "cut_tuples", forbidden)
+    monkeypatch.setattr(wsp, "_pack_stages", forbidden)
+    for inv in (1, 2):
+        charged = 1 if inv == 1 else 812
+        assert wsp.wsp_alg(uni, fam, 15, 2, inv, budget=charged).status == "reject"
+        got = wsp.wsp_alg(uni, fam, 15, 2, inv, budget=charged - 1)
+        assert got.status == "budget-exceeded"
+    # a k past any index size has no packing either
+    assert wsp.wsp_alg(uni, fam, -10**6, 10**30, 1).status == "reject"
+
+
+def test_disjoint_bound_settles_exactly_the_rejects_for_k_up_to_2(monkeypatch):
+    """For k = 1 and k = 2 the per-set bound is the optimum itself: every
+    reject at W = opt + 1 (and at any W when no k-packing exists) is settled
+    without a DP, and no accept at W = opt is.  Families hold negative
+    weights and may have fewer than k sets."""
+    calls = []
+    real = wsp._pack_stages
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(wsp, "_pack_stages", spy)
+    rng = random.Random(59)
+    rejects = 0
+    for trial in range(400):
+        n = rng.randint(5, 9)
+        uni = universe(n)
+        fam = random_family(rng, uni, rng.randint(0, 10), wlo=-9)
+        for k in (1, 2):
+            opt = oracles.oracle_wsp(fam, k)
+            for inv in (1, 2):
+                cases = [(rng.randint(-60, 60), "reject")] if opt is None else \
+                    [(opt, "accept"), (opt + 1, "reject")]
+                for W, want in cases:
+                    calls.clear()
+                    got = wsp.wsp_alg(uni, fam, W, k, inv)
+                    assert (got.status, bool(calls)) == (want, want == "accept"), \
+                        (fam.sets, k, inv, W)
+                    rejects += want == "reject"
+    assert rejects > 1500
+
+
+def test_weight_overflow_inside_the_dp_still_raises():
+    """Both sets pass the bound, so the DP runs and its checked sums leave
+    the signed 64-bit range."""
+    uni = universe(6)
+    fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 2**62 + 1), ((3, 4, 5), 2**62 + 1)), "max")
+    for inv in (1, 2):
+        with pytest.raises(WeightOverflowError):
+            wsp.wsp_alg(uni, fam, 2**63 - 1, 2, inv)
 
 
 def _reference_cut_universes(uni, pieces):
