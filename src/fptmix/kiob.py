@@ -50,8 +50,9 @@ class TpInstance:
 
 def tree_families(g: Digraph, root: int, internal: int, leaves: int,
                   slack: int, trace: dict | None = None) -> TreeFamilyEntry:
-    """Family that ``slack``-represents the node-sets of out-trees rooted at
-    ``root`` with exactly ``internal`` internal nodes and ``leaves`` leaves.
+    """Family that ``slack``-represents (slack >= 0) the node-sets of
+    out-trees rooted at node ``root`` of ``g`` with exactly ``internal``
+    internal nodes and ``leaves`` leaves.
 
     Child-splitting DP over (vertex, internal, leaf) states.  OneChild grows a
     tree downward through a single child arc; the merge rule fuses two trees
@@ -75,6 +76,8 @@ def tree_families(g: Digraph, root: int, internal: int, leaves: int,
     if not (internal >= 1 or (internal, leaves) == (0, 1)):
         raise ParameterError(f"unsupported tree shape ({internal}, {leaves})")
     n = g.node_count
+    if not 0 <= root < n or slack < 0:
+        raise ParameterError(f"root {root} outside 0..{n - 1} or slack {slack} below 0")
     if internal + leaves + slack > n:
         raise ParameterError("internal + leaves + slack exceeds the node count")
     out = g.out_neighbors()  # ascending, as the arcs are sorted

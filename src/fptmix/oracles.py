@@ -325,13 +325,12 @@ def _r_schedule_wsp(k: int, inv_eps: int) -> list[int]:
 def oracle_cwsp(inst, budget: OracleBudget | None = None) -> bool:
     """Literal check of the cut-and-ordered packing conditions.
 
-    ``inst`` needs: universe, family, W, k, inv_eps, f (tuple of element
-    indices, one threshold per stage).
+    ``inst`` needs: rank (element e's position in the order), family, W,
+    k, inv_eps, f (tuple of element indices, one threshold per stage).
     """
     counter = _Counter(budget)
     family: WeightedSetFamily = inst.family
-    universe = inst.universe
-    rank = universe.rank
+    rank = inst.rank
     k, inv_eps = inst.k, inst.inv_eps
     if k == 0:
         return 0 >= inst.W
@@ -466,9 +465,10 @@ def _r_schedule_cpro2(k: int, inv_eps: int, offset: int) -> list[int]:
 def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
     """Literal check of the footprint-avoiding cut subproblem.
 
-    ``inst`` needs: universe, k, family (3-sets as index triples), p, q,
-    candidates (footprints of 3q - p elements), inv_eps and f (one
-    threshold element per stage).  Accepts iff, for some candidate C, k - q
+    ``inst`` needs: rank (element e's position in the order), k, family
+    (3-sets as index triples), p, q, candidates (footprints of 3q - p
+    elements, as element bitmasks), inv_eps and f (one threshold element
+    per stage).  Accepts iff, for some candidate C, k - q
     family sets at distinct positions, pairwise disjoint and disjoint from
     C, ordered by smallest element, meet every stage s: C's elements at or
     below f(s), with the non-minimum ones of the first
@@ -477,7 +477,7 @@ def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
     element at or below f(s).
     """
     counter = _Counter(budget)
-    rank = inst.universe.rank
+    rank = inst.rank
     kq = inst.k - inst.q
     ek = kq // inst.inv_eps
     sched = _r_schedule_cpro2(kq, inst.inv_eps, 3 * inst.q - inst.p)
@@ -495,7 +495,7 @@ def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
         return True
 
     for cand in inst.candidates:
-        foot = [rank[e] for e in cand]
+        foot = [rank[e] for e in range(len(rank)) if cand >> e & 1]
         for combo in combinations(inst.family, kq):
             counter.tick()
             # each set as its ascending ranks, the sets by smallest element

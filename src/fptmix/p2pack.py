@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import (BudgetExceededError, Graph, InstanceError, OrderedUniverse, ParameterError,
-                   _ceildiv, bit_positions)
+from .core import (BudgetExceededError, Graph, InstanceError, ParameterError, _ceildiv,
+                   bit_positions)
 from .repsets import PartitionPart, reduce_layer
-from .wsp import _check_stage_function, _pack_stages, cut_universes, stage_schedule
+from .wsp import _check_cut_order, _pack_stages, cut_universes, stage_schedule
 
 # the entries one cut's footprint DP may create, as explicit subsets can multiply out
 _CUT_ENTRY_CAP = 5_000_000
@@ -37,9 +37,11 @@ class Packing:
 
 
 def validate_packing(g: Graph, packing: Packing) -> None:
-    adj = g.adjacency()
+    adj, n = g.adjacency(), g.node_count
     used: set[int] = set()
     for a, b, c in packing.paths:
+        if not all(type(v) is int and 0 <= v < n for v in (a, b, c)):
+            raise ParameterError(f"triple {(a, b, c)} names a node outside 0..{n - 1}")
         if len({a, b, c}) != 3 or a not in adj[b] or c not in adj[b]:
             raise ParameterError(f"triple {(a, b, c)} is not a 3-node path")
         if used.intersection((a, b, c)):
@@ -53,7 +55,8 @@ class IcpInstance:
     form X.  ``__post_init__`` derives what every (p, q) split of the round
     shares, in one scan of the graph's 3-node paths: X ascending, the paths
     inside X, and the paths that leave X as sorted (smallest outside index,
-    outside mask, outside count, X mask, path) rows."""
+    outside mask, outside count, X mask, path) rows; bit i of an X mask is
+    ``x_nodes[i]``."""
     graph: Graph
     k: int
     previous: Packing
@@ -65,31 +68,32 @@ class IcpInstance:
         if len(self.previous) != self.k - 1:
             raise ParameterError("compression step needs a (k-1)-packing")
         validate_packing(self.graph, self.previous)
-        g, x_set = self.graph, self.previous.nodes()
-        y_index = {v: i for i, v in enumerate(v for v in range(g.node_count) if v not in x_set)}
+        g, x_index = self.graph, {v: i for i, v in enumerate(sorted(self.previous.nodes()))}
+        y_index = {v: i for i, v in enumerate(v for v in range(g.node_count) if v not in x_index)}
         inside, leaving = [], []
         for mid, near in enumerate(g.adjacency()):
             for a, c in combinations(sorted(near), 2):
-                ys = [y_index[v] for v in (a, mid, c) if v not in x_set]
+                ys = [y_index[v] for v in (a, mid, c) if v not in x_index]
                 if ys:
                     leaving.append((min(ys), sum(1 << y for y in ys), len(ys),
-                                    sum(1 << v for v in (a, mid, c) if v in x_set), (a, mid, c)))
+                                    sum(1 << x_index[v] for v in (a, mid, c) if v in x_index),
+                                    (a, mid, c)))
                 else:
                     inside.append((a, mid, c))
         leaving.sort(key=lambda t: (t[0], t[4]))
-        object.__setattr__(self, "x_nodes", tuple(sorted(x_set)))
+        object.__setattr__(self, "x_nodes", tuple(x_index))
         object.__setattr__(self, "inside", tuple(inside))
         object.__setattr__(self, "leaving", tuple(leaving))
 
 
 def icp_pro1(inst: IcpInstance, p: int, q: int,
-             trace: dict | None = None) -> dict[frozenset, Packing]:
+             trace: dict | None = None) -> dict[int, Packing]:
     """Candidate X-footprints of the q paths that leave X.
 
     Returns a map from each surviving (3q - p)-subset of X to one q-packing
     realizing it.  DP over the outside nodes in ascending order: paths enter
     ordered by their smallest outside node, which is dropped from the stored
-    set; stored sets (over outside-node indices) and footprints (over nodes)
+    set; stored sets (over outside-node indices) and footprints (X masks)
     are bitmasks, and each layer's families are (p - p')-reduced by one
     unweighted ``reduce_layer`` call, with ``trace`` passed to it.  The paths
     that leave X are read from ``inst.leaving``, derived once per round, so
@@ -123,51 +127,51 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
             reduce_layer(layer, lambda key: parts, None, trace)
             layers[(p_used, q_used)] = layer
 
-    result: dict[frozenset, Packing] = {}
+    result: dict[int, Packing] = {}
     final = layers.get((p, q), {}) if p else {}  # the (0, 0) seed is no result
     for (m, xpart), entry in sorted(final.items(),
                                     key=lambda kv: (kv[0][0], bit_positions(kv[0][1]))):
-        footprint = frozenset(bit_positions(xpart))
-        if footprint in result:
+        if xpart in result:
             continue
         triples = []
         lk, key, cur = (p, q), (m, xpart), min(entry, key=bit_positions)
         while lk != (0, 0):
             lk, key, cur, triple = layers[lk][key][cur]
             triples.append(triple)
-        result[footprint] = Packing(tuple(reversed(triples)))
+        result[xpart] = Packing(tuple(reversed(triples)))
     return result
 
 
 @dataclass(frozen=True)
 class Pro2Instance:
-    universe: OrderedUniverse
+    rank: tuple[int, ...]  # element e's position in the order of elements 0..len(rank)-1
     k: int
     family: tuple[tuple[int, int, int], ...]  # 3-sets as sorted index triples
     p: int
     q: int
-    candidates: tuple[frozenset, ...]
+    candidates: tuple[int, ...]  # footprints as element bitmasks
     inv_eps: int
     f: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        n, want = len(self.universe), 3 * self.q - self.p
+        n, want = len(self.rank), 3 * self.q - self.p
         for members in self.family:
             if len(members) != 3 or len(set(members)) != 3:
                 raise InstanceError(f"set {members} does not have exactly 3 members")
-        for members in (*self.family, *self.candidates):
             if not all(0 <= e < n for e in members):
                 raise InstanceError(f"member index out of range in {tuple(sorted(members))}")
         for cand in self.candidates:
-            if len(cand) != want:
-                raise ParameterError(f"candidate footprint of size {len(cand)}, expected {want}")
-        _check_stage_function(self)
+            if type(cand) is not int or cand < 0 or cand >> n:
+                raise InstanceError(f"candidate footprint {cand!r} out of range of 0..{n - 1}")
+            if (size := cand.bit_count()) != want:
+                raise ParameterError(f"candidate footprint of size {size}, expected {want}")
+        _check_cut_order(self)
 
 
 @dataclass(frozen=True)
 class Cpro2Result:
     accept: bool
-    footprint: frozenset | None = None
+    footprint: int | None = None
     ordered_sets: tuple[int, ...] | None = None  # positions into inst.family
 
 
@@ -187,11 +191,11 @@ def solve_cpro2(inst: Pro2Instance) -> Cpro2Result:
         raise ParameterError("the cut subproblem needs the stage function f")
     if inst.k - inst.q < 1:
         raise ParameterError("k - q must be at least 1 for the staged table")
-    found = _footprint_packer(inst, inst.inv_eps)(inst.universe.rank, inst.f)
+    found = _footprint_packer(inst, inst.inv_eps)(inst.rank, inst.f)
     if found is None:
         return Cpro2Result(False)
     positions, footprint, _ = found
-    return Cpro2Result(True, frozenset(bit_positions(footprint)), positions)
+    return Cpro2Result(True, footprint, positions)
 
 
 def _footprint_packer(inst: Pro2Instance, inv_eps: int):
@@ -203,15 +207,14 @@ def _footprint_packer(inst: Pro2Instance, inv_eps: int):
     sched = stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
     # raw member tuples: a triangle's three paths share one node set and
     # must keep the three positions the caller maps back through
-    return _pack_stages(len(inst.universe), [(members, 0) for members in inst.family], kq,
-                        sched, 0, [sum(1 << e for e in cand) for cand in inst.candidates],
-                        cap=_CUT_ENTRY_CAP)
+    return _pack_stages(len(inst.rank), [(members, 0) for members in inst.family], kq,
+                        sched, 0, inst.candidates, cap=_CUT_ENTRY_CAP)
 
 
 @dataclass(frozen=True)
 class Pro2Result:
     status: str  # accept | reject | budget-exceeded
-    footprint: frozenset | None = None
+    footprint: int | None = None
     ordered_sets: tuple[int, ...] | None = None
 
 
@@ -236,11 +239,11 @@ def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
         inv_eps = 1
     pack = _footprint_packer(inst, inv_eps)
     try:
-        for rank, f in cut_universes(inst.universe, inv_eps, budget):
+        for rank, f in cut_universes(inst.rank, inv_eps, budget):
             found = pack(rank, f)
             if found is not None:
                 positions, footprint, _ = found
-                return Pro2Result("accept", frozenset(bit_positions(footprint)), positions)
+                return Pro2Result("accept", footprint, positions)
     except BudgetExceededError:
         return Pro2Result("budget-exceeded")
     return Pro2Result("reject")
@@ -272,10 +275,9 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     current = Packing(())
     for t in range(1, k + 1):
         inst = IcpInstance(g, t, current)
-        x_index = {v: i for i, v in enumerate(inst.x_nodes)}
         p_cap = 3 * t - _ceildiv(5 * (t - 1), 2)
-        x_universe = OrderedUniverse.from_labels(str(v) for v in inst.x_nodes)
-        family = tuple(tuple(sorted(x_index[v] for v in tr)) for tr in inst.inside)
+        x_rank = tuple(range(len(inst.x_nodes)))
+        family = tuple(tuple(sorted(map(inst.x_nodes.index, tr))) for tr in inst.inside)
         found: Packing | None = None
         for p in range(3, p_cap + 1):
             for q in range(_ceildiv(p, 3), min(p, t) + 1):
@@ -285,15 +287,13 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
                     return P2Result("budget-exceeded")
                 if not fmap:
                     continue
-                cands = tuple(frozenset(x_index[v] for v in fs)
-                              for fs in sorted(fmap, key=sorted))
-                sub = Pro2Instance(x_universe, t, family, p, q, cands, inv_eps)
+                cands = tuple(sorted(fmap, key=bit_positions))
+                sub = Pro2Instance(x_rank, t, family, p, q, cands, inv_eps)
                 res = procedure2(sub, budget)
                 if res.status == "budget-exceeded":
                     return P2Result("budget-exceeded")
                 if res.status == "accept":
-                    foot = frozenset(inst.x_nodes[i] for i in res.footprint)
-                    outside = fmap[foot]
+                    outside = fmap[res.footprint]
                     inside = tuple(inst.inside[pos] for pos in res.ordered_sets)
                     found = Packing(tuple(outside.paths) + inside)
                     validate_packing(g, found)

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
-                   WeightedSetFamily, _mask, bit_positions)
+from .core import (BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily, _mask,
+                   bit_positions)
 from . import unisets
 
 _DENSE_PART_CAP = 200_000
@@ -32,11 +32,11 @@ class SeparatorStats:
 
 @dataclass(frozen=True)
 class SeparatorFamily:
-    """An (E', k', p')-separator over a slice of an ordered universe.
+    """An (E', k', p')-separator over a part of ``m`` elements.
 
-    ``family`` holds bitsets over part-local positions; positions follow the
-    part's universe-rank order.  ``element_maps[i]`` is the bitmask of family
-    members containing local element ``i``.  ``dense`` says the family is
+    ``family`` holds bitsets over the local positions 0..m-1, which
+    ``part_elements`` lists.  ``element_maps[i]`` is the bitmask of family
+    members containing local position ``i``.  ``dense`` says the family is
     exactly the set of all p'-subsets of the part.  All three depend only on
     the shape ``(m, min(k', m), p')``: the separator cache holds them once
     per shape for every separator of that shape.
@@ -50,9 +50,6 @@ class SeparatorFamily:
     element_maps: tuple[int, ...] = field(compare=False, repr=False)
     dense: bool = field(compare=False, default=False)
 
-    def local_position(self, element: int) -> int:
-        return self.part_elements.index(element)
-
 
 _CACHE_CAP = 512  # the cache drops its oldest entry beyond this many
 _separator_cache: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[int, ...], bool]] = {}
@@ -65,9 +62,10 @@ def clear_separator_cache() -> None:
 _GREEDY_CELL_CAP = 16_000_000  # candidates x constraints worth running greedy cover on
 
 
-def build_separator(universe: OrderedUniverse, part, k_prime: int,
-                    p_prime: int) -> SeparatorFamily:
-    """Construct a goodness-backed separator for one universe part.
+def build_separator(m: int, k_prime: int, p_prime: int) -> SeparatorFamily:
+    """Construct a goodness-backed separator for a part of ``m`` elements,
+    over their local positions 0..m-1; which elements a part holds, and in
+    what order, is its caller's business (``PartitionSpec`` checks parts).
 
     The family, its element maps and its dense flag are built on the first
     call for a shape ``(m, min(k', m), p')`` and kept in the separator cache;
@@ -77,13 +75,6 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int,
     goodness holds exactly, only without compression); the c' tradeoff of
     the analytic bounds has nothing to steer here.
     """
-    elements = tuple(part)
-    if not all(0 <= e < len(universe) for e in elements):
-        raise InstanceError(f"part {elements} has an element outside the universe")
-    if len(set(elements)) != len(elements):
-        raise InstanceError(f"part {elements} lists an element twice")
-    elements = tuple(sorted(elements, key=universe.rank.__getitem__))
-    m = len(elements)
     if not 0 <= p_prime <= k_prime:
         raise ParameterError(f"need 0 <= p' <= k', got k'={k_prime} p'={p_prime}")
     if p_prime > m:
@@ -116,16 +107,19 @@ def build_separator(universe: OrderedUniverse, part, k_prime: int,
             del _separator_cache[next(iter(_separator_cache))]
         _separator_cache[key] = fam, tuple(int.from_bytes(row, "little") for row in rows), dense
     fam, maps, dense = _separator_cache[key]
-    return SeparatorFamily(elements, k_prime, p_prime, fam, SeparatorStats(mode), maps, dense)
+    return SeparatorFamily(tuple(range(m)), k_prime, p_prime, fam, SeparatorStats(mode), maps,
+                           dense)
 
 
 def query_separator(sep: SeparatorFamily, s) -> list[int]:
-    """chi(S): ascending indices of family members containing S, found by a
-    scan of the family (the sweep reads the element maps instead)."""
-    local = [sep.local_position(e) for e in s]
-    if len(local) != sep.p_prime:
-        raise ParameterError(f"|S|={len(local)} but separator expects p'={sep.p_prime}")
-    need = _mask(local)
+    """chi(S) for S given by local positions: ascending indices of family
+    members containing S, found by a scan of the family (the sweep reads the
+    element maps instead)."""
+    if len(s) != sep.p_prime:
+        raise ParameterError(f"|S|={len(s)} but separator expects p'={sep.p_prime}")
+    if not all(0 <= pos < len(sep.part_elements) for pos in s):
+        raise ParameterError(f"S={tuple(s)} holds a position outside the part")
+    need = _mask(s)
     return [j for j, f in enumerate(sep.family) if f & need == need]
 
 
@@ -175,12 +169,11 @@ class PartitionSpec:
 
 def _shape(part: PartitionPart):
     """Family, element maps and dense flag of the part's (size, k, p) shape,
-    which depend on nothing else; ``build_separator`` runs, on an identity
-    universe of the part's size, only for a shape the separator cache does
-    not hold."""
+    which depend on nothing else; ``build_separator`` runs only for a shape
+    the separator cache does not hold."""
     m = len(part.elements)
     if (key := (m, min(part.k, m), part.p)) not in _separator_cache:
-        build_separator(OrderedUniverse.from_labels(range(m)), range(m), part.k, part.p)
+        build_separator(m, part.k, part.p)
     return _separator_cache[key]
 
 

@@ -40,9 +40,13 @@ def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
     return values
 
 
-def _check_stage_function(inst) -> None:
-    """Raise unless ``inst.f`` is None or names 1/eps elements in rank order."""
-    ranks = [inst.universe.rank[e] for e in inst.f or () if 0 <= e < len(inst.universe)]
+def _check_cut_order(inst) -> None:
+    """Raise unless ``inst.rank`` is a permutation of 0..n-1 and ``inst.f``
+    is None or names 1/eps elements in rank order."""
+    rank = inst.rank
+    if not all(type(r) is int for r in rank) or sorted(rank) != list(range(len(rank))):
+        raise InstanceError("rank must be a permutation of 0..n-1")
+    ranks = [rank[e] for e in inst.f or () if 0 <= e < len(rank)]
     if inst.f is not None and not len(ranks) == len(inst.f) == inst.inv_eps:
         raise ParameterError("f must assign one element of the universe per stage")
     if ranks != sorted(ranks):
@@ -51,7 +55,7 @@ def _check_stage_function(inst) -> None:
 
 @dataclass(frozen=True)
 class CwspInstance:
-    universe: OrderedUniverse
+    rank: tuple[int, ...]  # element e's position in the cut's order; members lie below len(rank)
     family: WeightedSetFamily
     W: int
     k: int
@@ -63,7 +67,9 @@ class CwspInstance:
             raise ParameterError("family must consist of 3-sets")
         if self.inv_eps < 1:
             raise ParameterError("1/eps must be a positive integer")
-        _check_stage_function(self)
+        _check_cut_order(self)
+        if any(members[-1] >= len(self.rank) for members, _ in self.family.sets):
+            raise InstanceError("a member index is out of range of the cut's order")
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,9 @@ def solve_cwsp(inst: CwspInstance, c: float = 1.0, trace: dict | None = None) ->
         raise ParameterError(f"c must be at least 1, got {c}")
     if inst.k < 1:
         raise ParameterError("k must be at least 1")
-    pack = _pack_stages(len(inst.universe), inst.family.sets, inst.k,
+    pack = _pack_stages(len(inst.rank), inst.family.sets, inst.k,
                         stage_schedule(inst.k, inst.inv_eps), inst.W, trace=trace)
-    found = pack(inst.universe.rank, inst.f)
+    found = pack(inst.rank, inst.f)
     if found is None:
         return CwspResult(False)
     positions, _, weight = found
@@ -250,7 +256,7 @@ def verify_cwsp_witness(inst: CwspInstance, result: CwspResult) -> None:
     if not result.accept:
         raise ParameterError("cannot verify a reject")
     fam = inst.family
-    rank = inst.universe.rank
+    rank = inst.rank
     k, t = inst.k, inst.inv_eps
     ek = k // t
     sched = stage_schedule(k, t)
@@ -321,21 +327,21 @@ def cut_tuple_count(m: int, pieces: int) -> int:
     return m * cut_tuple_count(m - 1, pieces - 1) + comb(m, 2) * cut_tuple_count(m - 2, pieces - 1)
 
 
-def cut_universes(universe: OrderedUniverse, pieces: int, budget: int):
-    """Each distinct way to cut ``universe`` into ``pieces`` blocks, as the
-    rank tuple of the universe reordered so the blocks come first, plus the
-    stage threshold function f (the last element of each block).
+def cut_universes(rank: tuple[int, ...], pieces: int, budget: int):
+    """Each distinct way to cut the order ``rank`` into ``pieces`` blocks, as
+    the rank tuple of the order that puts the blocks first, plus the stage
+    threshold function f (the last element of each block).
 
     Block i holds the ranks of span i not claimed by an earlier span, in
     rank order; cut tuples that leave a block empty or repeat an earlier
     block tuple are skipped.  Each cut's ranks are built in one pass: the
     blocks' elements are numbered 0, 1, ... in block order and the leftovers
     after them in rank order, the ranks of
-    ``reorder_universe(universe, block_permutation(universe, blocks))``.
-    No universe is built.  ``budget`` caps the raw cut tuples drawn, skipped
-    ones included: drawing one more raises ``BudgetExceededError``.
+    ``reorder_universe(universe, block_permutation(universe, blocks))`` for
+    a universe of that rank.  ``budget`` caps the raw cut tuples drawn,
+    skipped ones included: drawing one more raises ``BudgetExceededError``.
     """
-    order = universe.by_rank()
+    order = sorted(range(len(rank)), key=rank.__getitem__)
     seen: set[tuple] = set()
     for drawn, cut in enumerate(cut_tuples(order, pieces), 1):
         if drawn > budget:
@@ -385,7 +391,7 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     draw, counted by ``cut_tuple_count``, and is budget-exceeded when they
     are more than the budget.
     ``family`` is used as given; each of its sets must have 3 members, all
-    inside ``universe``.
+    inside ``universe``, of which only the order is read.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -421,12 +427,11 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     try:
         pack = _pack_stages(len(universe), family.sets, k, stage_schedule(k, inv_eps), W,
                             trace=trace)
-        for rank, f in cut_universes(universe, inv_eps, budget):
+        for rank, f in cut_universes(universe.rank, inv_eps, budget):
             found = pack(rank, f)
             if found is not None:
                 positions, _, weight = found
-                inst = CwspInstance(OrderedUniverse(universe.elements, rank), family, W, k,
-                                    inv_eps, f)
+                inst = CwspInstance(rank, family, W, k, inv_eps, f)
                 verify_cwsp_witness(inst, CwspResult(True, positions, weight))
                 return WspResult("accept", positions, weight)
             if inv_eps == 1:

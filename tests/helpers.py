@@ -108,7 +108,7 @@ def stage_ledger(inst, then=_STEP):
     holds nothing at or below stage i - 1's threshold, and its elements at
     or below each later threshold number the key's count there less base.
     """
-    rank, k, t = inst.universe.rank, inst.k, inst.inv_eps
+    rank, k, t = inst.rank, inst.k, inst.inv_eps
     f_rank = [rank[e] for e in inst.f]
     ek = k // t
 

@@ -308,7 +308,7 @@ def test_criterion_7_reduction_ab(monkeypatch):
         inv = rng.choice([1, 2])
         order = uni.by_rank()
         f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
-        inst = wsp.CwspInstance(uni, fam, rng.randint(1, 25), k, inv, f)
+        inst = wsp.CwspInstance(uni.rank, fam, rng.randint(1, 25), k, inv, f)
         on, off, sweep = reduction_ab(monkeypatch, wsp, wsp.solve_cwsp, inst)
         swept["cwsp"] += sweep
         if on.accept != off.accept or (on.accept and on.weight != off.weight):

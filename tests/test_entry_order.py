@@ -56,7 +56,7 @@ def _cwsp_cases():
             uni, fam = _family(rng, n, count, wmax)
             order = uni.by_rank()
             f = tuple(order[r] for r in sorted(rng.sample(range(n), inv_eps)))
-            yield wsp.CwspInstance(uni, fam, 0, k, inv_eps, f)
+            yield wsp.CwspInstance(uni.rank, fam, 0, k, inv_eps, f)
 
 
 def _kcwp_case(seed, n, extra, unit):

@@ -125,6 +125,20 @@ def test_tp_instance_root_checks():
     assert kiob.TpInstance(Digraph(3, ((0, 1, 1), (0, 2, 1))), 0, 1, 1, 1).root == 0
 
 
+def test_tree_families_root_and_slack_checks():
+    """``tree_families`` takes, as ``TpInstance`` does, only a root among the
+    nodes, and only a slack of 0 or more: root 7 on 3 nodes was a bare
+    ``IndexError``, root -1 on a 3-cycle returned node 2's family, and slack
+    -5 returned a family where a larger instance failed in the separator."""
+    cycle = Digraph(3, ((0, 1, 1), (1, 2, 1), (2, 0, 1)))
+    for root in (7, -1):
+        with pytest.raises(ParameterError, match=f"root {root} outside 0..2"):
+            kiob.tree_families(cycle, root, 1, 1, 0)
+    with pytest.raises(ParameterError, match="slack -5 below 0"):
+        kiob.tree_families(cycle, 0, 1, 1, -5)
+    assert kiob.tree_families(cycle, 2, 1, 1, 0).family == (0b101,)
+
+
 def test_tp_alg_vs_oracle_random():
     rng = random.Random(23)
     checked = 0

@@ -89,7 +89,7 @@ def test_oracle_cwsp_examples():
     uni = OrderedUniverse.from_labels([f"u{i}" for i in range(12)])
 
     class Inst:
-        universe = uni
+        rank = uni.rank
         W = 0
         k = 2
         inv_eps = 2

@@ -5,13 +5,18 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Graph, InstanceError, OrderedUniverse, ParameterError
+from fptmix.core import Graph, InstanceError, ParameterError, _mask, bit_positions
 from fptmix import oracles, p2pack, wsp
 
 
 def random_graph(rng, n, density=0.4):
     edges = tuple(e for e in combinations(range(n), 2) if rng.random() < density)
     return Graph(n, edges)
+
+
+def footprint_nodes(inst, foot):
+    """The nodes of X an ``icp_pro1`` footprint, an X mask, names."""
+    return {inst.x_nodes[i] for i in bit_positions(foot)}
 
 
 def test_triangle_and_two_triangles():
@@ -72,9 +77,9 @@ def test_icp_pro1_biconditional_small():
                 feasible = False
                 for foot, outside in fmap.items():
                     p2pack.validate_packing(g, outside)
-                    assert outside.nodes() & x == foot
+                    assert outside.nodes() & x == footprint_nodes(inst, foot)
                     remaining = [t for t in oracles.all_p2_paths(g)
-                                 if set(t) <= (x - foot)]
+                                 if set(t) <= (x - footprint_nodes(inst, foot))]
                     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in remaining]
 
                     def disjoint(chosen_count=k - q):
@@ -94,10 +99,9 @@ def test_icp_pro1_biconditional_small():
 
 
 def test_procedure2_vacuous_footprint():
-    uni = OrderedUniverse.from_labels([])
-    inst = p2pack.Pro2Instance(uni, 1, (), 3, 1, (frozenset(),), 1)
+    inst = p2pack.Pro2Instance((), 1, (), 3, 1, (0,), 1)
     assert p2pack.procedure2(inst).status == "accept"
-    empty = p2pack.Pro2Instance(uni, 1, (), 3, 1, (), 1)
+    empty = p2pack.Pro2Instance((), 1, (), 3, 1, (), 1)
     assert p2pack.procedure2(empty).status == "reject"
 
 
@@ -105,7 +109,6 @@ def test_procedure2_vs_exhaustive():
     rng = random.Random(53)
     for trial in range(200):
         m = rng.randint(6, 10)  # universe size
-        uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
         nsets = rng.randint(1, 8)
         family = [tuple(sorted(rng.sample(range(m), 3))) for _ in range(nsets)]
         if trial % 3 == 0:
@@ -123,7 +126,8 @@ def test_procedure2_vs_exhaustive():
         rng.shuffle(pool)
         for c in pool[: rng.randint(0, 3)]:
             cands.append(frozenset(c))
-        inst = p2pack.Pro2Instance(uni, k, family, p, q, tuple(cands), rng.choice([1, 2]))
+        inst = p2pack.Pro2Instance(tuple(range(m)), k, family, p, q, tuple(map(_mask, cands)),
+                                   rng.choice([1, 2]))
         got = p2pack.procedure2(inst)
         # exhaustive: any footprint + (k - q) disjoint family sets avoiding it
         want = False
@@ -144,9 +148,9 @@ def test_procedure2_vs_exhaustive():
                 break
         assert (got.status == "accept") == want, (m, family, p, q, cands)
         if want:
-            assert got.footprint in cands
+            assert got.footprint in inst.candidates
             assert len(got.ordered_sets) == k - q
-            used = set(got.footprint)
+            used = set(bit_positions(got.footprint))
             for pos in got.ordered_sets:
                 assert used.isdisjoint(family[pos]), (family, got)
                 used.update(family[pos])
@@ -183,8 +187,8 @@ def test_icp_pro1_fully_outside_path_gives_empty_footprint():
     prev = p2pack.Packing(((0, 1, 2), (3, 4, 5)))
     inst = p2pack.IcpInstance(g, 3, prev)
     fmap = p2pack.icp_pro1(inst, 3, 1)
-    assert set(fmap) == {frozenset()}
-    p2pack.validate_packing(g, fmap[frozenset()])
+    assert set(fmap) == {0}
+    p2pack.validate_packing(g, fmap[0])
     # drop the outside edges: nothing fully outside remains
     g2 = Graph(9, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)))
     inst2 = p2pack.IcpInstance(g2, 3, prev)
@@ -220,10 +224,9 @@ def test_p2packing_budget_exits():
 
 def test_procedure2_per_cut_entry_cap(monkeypatch):
     g = _eighteen_edge_graph()
-    uni = OrderedUniverse.from_labels(str(v) for v in range(12))
     family = tuple(sorted(tuple(sorted(path)) for path in oracles.all_p2_paths(g)))
     # three disjoint paths avoiding the empty footprint
-    inst = p2pack.Pro2Instance(uni, 4, family, 3, 1, (frozenset(),), 2)
+    inst = p2pack.Pro2Instance(tuple(range(12)), 4, family, 3, 1, (0,), 2)
     assert p2pack.procedure2(inst).status == "accept"
     monkeypatch.setattr(p2pack, "_CUT_ENTRY_CAP", 1)
     assert p2pack.procedure2(inst).status == "budget-exceeded"
@@ -231,15 +234,14 @@ def test_procedure2_per_cut_entry_cap(monkeypatch):
 
 def _random_pro2(rng):
     m = rng.randint(6, 9)
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
     family = tuple(tuple(sorted(rng.sample(range(m), 3))) for _ in range(rng.randint(1, 7)))
     k = rng.randint(2, 3)
     q = rng.randint(1, k - 1)  # the cut subproblem needs k - q >= 1
     p = rng.randint(max(1, 3 * q - m), 3 * q)
     pool = list(combinations(range(m), 3 * q - p))
     rng.shuffle(pool)
-    cands = tuple(frozenset(c) for c in pool[: rng.randint(0, 3)])
-    return p2pack.Pro2Instance(uni, k, family, p, q, cands, rng.choice([1, 2]))
+    cands = tuple(_mask(c) for c in pool[: rng.randint(0, 3)])
+    return p2pack.Pro2Instance(tuple(range(m)), k, family, p, q, cands, rng.choice([1, 2]))
 
 
 def test_solve_cpro2_accepts_under_some_cut_iff_procedure2_accepts():
@@ -249,15 +251,13 @@ def test_solve_cpro2_accepts_under_some_cut_iff_procedure2_accepts():
         inst = _random_pro2(rng)
         inv_eps = inst.inv_eps if (inst.k - inst.q) // inst.inv_eps >= 1 else 1
         any_cut = False
-        for rank, f in wsp.cut_universes(inst.universe, inv_eps, 10**6):
-            cut = replace(inst, universe=OrderedUniverse(inst.universe.elements, rank),
-                          inv_eps=inv_eps, f=f)
-            res = p2pack.solve_cpro2(cut)
+        for rank, f in wsp.cut_universes(inst.rank, inv_eps, 10**6):
+            res = p2pack.solve_cpro2(replace(inst, rank=rank, inv_eps=inv_eps, f=f))
             if res.accept:
                 any_cut = True
                 assert res.footprint in inst.candidates
                 assert len(res.ordered_sets) == inst.k - inst.q
-                used = set(res.footprint)
+                used = set(bit_positions(res.footprint))
                 for pos in res.ordered_sets:
                     assert used.isdisjoint(inst.family[pos]), (inst, res)
                     used.update(inst.family[pos])
@@ -313,14 +313,17 @@ def test_icp_pro1_biconditional_at_its_first_and_last_splits(inst):
                    if all(not x.issuperset(path) for path in pack)]
         for p in sorted({q, 3 * q} | ({1, 2, 3} if q == 1 else set())):
             fmap = p2pack.icp_pro1(inst, p, q)
-            assert set(fmap) == {frozenset(v for path in pack for v in path if v in x)
+            assert set(fmap) == {_mask(inst.x_nodes.index(v) for path in pack for v in path
+                                       if v in x)
                                  for pack in leaving if split(pack) == (p, q)}, (p, q)
+            feet = [x - footprint_nodes(inst, foot) for foot in fmap]
             for foot, outside in fmap.items():
                 p2pack.validate_packing(g, outside)
-                assert split(outside.paths) == (p, q) and outside.nodes() & x == foot
+                assert split(outside.paths) == (p, q)
+                assert outside.nodes() & x == footprint_nodes(inst, foot)
             room = any(oracles.oracle_p2p(Graph(g.node_count, tuple(
-                (a, b) for a, b in g.edges if a in x - foot and b in x - foot)), k - q)
-                for foot in fmap)
+                (a, b) for a, b in g.edges if a in rest and b in rest)), k - q)
+                for rest in feet)
             assert room == ((p, q) in k_splits), (p, q)
 
 
@@ -341,13 +344,13 @@ def test_procedure2_with_no_sets_matches_exhaustive(m):
     """The exhaustive check of ``test_procedure2_vs_exhaustive`` with no sets:
     k - q disjoint sets avoiding the one candidate footprint exist only
     when k = q, as the empty subfamily."""
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
     for k in range(1, 4):
         for q in range(1, k + 2):
             for p in range(max(q, 3 * q - m), 3 * q + 1):
-                cand = frozenset(range(3 * q - p))
+                cand = (1 << 3 * q - p) - 1
                 for inv in (1, 2):
-                    got = p2pack.procedure2(p2pack.Pro2Instance(uni, k, (), p, q, (cand,), inv))
+                    got = p2pack.procedure2(p2pack.Pro2Instance(tuple(range(m)), k, (), p, q,
+                                                                (cand,), inv))
                     want = p2pack.Pro2Result("accept", cand, ()) if k == q else \
                         p2pack.Pro2Result("reject")
                     assert got == want, (k, q, p, inv)
@@ -359,25 +362,45 @@ def test_pro2_instance_checks_its_stage_function(f):
     only an f that names one universe element per stage in non-decreasing
     rank; before, (2,) ran one stage against a two-stage schedule and
     accepted, and (5, 2) silently rejected."""
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(7)])
-    inst = p2pack.Pro2Instance(uni, 3, ((0, 1, 2), (3, 4, 5)), 3, 1, (frozenset(),), 2)
+    inst = p2pack.Pro2Instance(tuple(range(7)), 3, ((0, 1, 2), (3, 4, 5)), 3, 1, (0,), 2)
     assert p2pack.solve_cpro2(replace(inst, f=(2, 5))).accept
     with pytest.raises(ParameterError, match="^f must"):
         replace(inst, f=f)
 
 
 @pytest.mark.parametrize("family, cand, message", [
-    (((0, 1, 2), (3, 4, 5)), {99}, "out of range"),  # was accepted with footprint {99}
-    (((0, 1, 2), (3, 4, 5)), {-1}, "out of range"),  # was a bare ValueError
-    (((0, 1, 9),), {0}, "out of range"),  # was a bare IndexError
-    (((0, 1),), {5}, "exactly 3 members"),  # was solved as if a 3-set
+    (((0, 1, 2), (3, 4, 5)), (1 << 99,), "out of range"),  # was accepted with footprint {99}
+    (((0, 1, 2), (3, 4, 5)), (-1,), "out of range"),  # a negative mask has no finite member set
+    (((0, 1, 9),), (1,), "out of range"),  # was a bare IndexError
+    (((0, 1),), (1 << 5,), "exactly 3 members"),  # was solved as if a 3-set
+    (((0, 1, 2), (3, 4, 5)), (frozenset({0}),), "out of range"),  # a footprint is a bitmask
 ])
 def test_pro2_instance_checks_its_family_and_candidates(family, cand, message):
     """As ``wsp_alg`` does for its family, the cut instance takes only 3-sets
-    inside its universe, and only candidate footprints inside it."""
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(6)])
+    inside its order, and only candidate footprints, element bitmasks, inside
+    it; ``cand`` is the candidates tuple."""
     with pytest.raises(InstanceError, match=message):
-        p2pack.Pro2Instance(uni, 2, family, 2, 1, (frozenset(cand),), 1)
+        p2pack.Pro2Instance(tuple(range(6)), 2, family, 2, 1, cand, 1)
+
+
+@pytest.mark.parametrize("rank", [(0, 1, 1, 3, 4, 5), (1, 2, 3, 4, 5, 6), (5, 4, 3, 2, 1, -1),
+                                  (0, 1, 2, 3, 4, 5.0)])
+def test_pro2_instance_takes_only_a_permutation_as_its_order(rank):
+    """The order is a rank tuple, which must be a permutation of 0..n-1,
+    as ``OrderedUniverse`` required of its ranks."""
+    with pytest.raises(InstanceError, match="rank must be a permutation"):
+        p2pack.Pro2Instance(rank, 2, ((0, 1, 2), (3, 4, 5)), 2, 1, (1,), 1)
+
+
+@pytest.mark.parametrize("graph, path", [
+    (Graph(3, ((0, 1), (1, 2))), (0, 5, 1)),  # was a bare IndexError
+    (Graph(4, ((0, 3), (1, 3))), (0, -1, 1)),  # was accepted: adj[-1] is node 3's list
+])
+def test_validate_packing_rejects_a_node_outside_the_graph(graph, path):
+    with pytest.raises(ParameterError, match="outside"):
+        p2pack.validate_packing(graph, p2pack.Packing((path,)))
+    with pytest.raises(ParameterError, match="outside"):
+        p2pack.IcpInstance(graph, 2, p2pack.Packing((path,)))
 
 
 def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeypatch):
@@ -433,7 +456,7 @@ def test_icp_instance_derives_its_round_in_one_path_scan(monkeypatch):
     assert inst.x_nodes == tuple(x)
     assert inst.inside == tuple(t for t in paths if set(t) <= set(x))
     rows = [(min(y.index(v) for v in t if v in y), sum(1 << y.index(v) for v in t if v in y),
-             sum(v in y for v in t), sum(1 << v for v in t if v in x), t)
+             sum(v in y for v in t), sum(1 << x.index(v) for v in t if v in x), t)
             for t in paths if not set(t) <= set(x)]
     assert inst.leaving == tuple(sorted(rows, key=lambda r: (r[0], r[4])))
 
@@ -484,7 +507,7 @@ def room_for_the_rest(inst) -> bool:
     for cand in inst.candidates:
         for combo in combinations(inst.family, inst.k - inst.q):
             used = [e for members in combo for e in members]
-            if len(set(used)) == len(used) and cand.isdisjoint(used):
+            if len(set(used)) == len(used) and not cand & _mask(used):
                 return True
     return False
 
@@ -501,23 +524,24 @@ def test_procedure2_at_its_footprint_offsets_matches_exhaustive(data):
     q = data.draw(st.integers(1, min(k - 1, m // 2)))
     p = data.draw(st.sampled_from([q, 3 * q]))
     footprint = st.frozensets(st.integers(0, m - 1), min_size=3 * q - p, max_size=3 * q - p)
-    cands = tuple(data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True)))
+    feet = data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True))
     triple = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
     family = data.draw(st.lists(triple, max_size=10))
     # half the time, plant k - q disjoint sets beside the first candidate
-    free = [e for e in range(m) if e not in cands[0]]
+    free = [e for e in range(m) if e not in feet[0]]
     if len(free) >= 3 * (k - q) and data.draw(st.booleans()):
         free = data.draw(st.permutations(free))
         family += [free[3 * i:3 * i + 3] for i in range(k - q)]
     family = tuple(tuple(sorted(s)) for s in family)
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
-    inst = p2pack.Pro2Instance(uni, k, family, p, q, cands, data.draw(st.sampled_from([1, 2])))
+    cands = tuple(map(_mask, feet))
+    inst = p2pack.Pro2Instance(tuple(range(m)), k, family, p, q, cands,
+                               data.draw(st.sampled_from([1, 2])))
     got = p2pack.procedure2(inst)
     assert got.status == ("accept" if room_for_the_rest(inst) else "reject")
     if got.status == "accept":
         assert got.footprint in cands and len(got.ordered_sets) == k - q
         used = [e for pos in got.ordered_sets for e in family[pos]]
-        assert len(set(used)) == len(used) and got.footprint.isdisjoint(used)
+        assert len(set(used)) == len(used) and not got.footprint & _mask(used)
 
 
 @settings(max_examples=400)
@@ -534,24 +558,24 @@ def test_solve_cpro2_matches_its_oracle_at_each_footprint_offset(data):
     m = data.draw(st.integers(max(3, offset), 11))
     inv_eps = data.draw(st.integers(1, min(3, k - q)))
     rank = tuple(data.draw(st.permutations(range(m))))
-    uni = OrderedUniverse(tuple(f"x{i}" for i in range(m)), rank)
     f_ranks = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=inv_eps,
                                         max_size=inv_eps)))
     f = tuple(rank.index(r) for r in f_ranks)
     footprint = st.frozensets(st.integers(0, m - 1), min_size=offset, max_size=offset)
-    cands = tuple(data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True)))
+    feet = data.draw(st.lists(footprint, min_size=1, max_size=3, unique=True))
     triple = st.lists(st.integers(0, m - 1), min_size=3, max_size=3, unique=True)
     family = data.draw(st.lists(triple, max_size=8))
     # half the time, plant k - q disjoint sets beside the first candidate
-    free = [e for e in range(m) if e not in cands[0]]
+    free = [e for e in range(m) if e not in feet[0]]
     if len(free) >= 3 * (k - q) and data.draw(st.booleans()):
         free = data.draw(st.permutations(free))
         family += [free[3 * i:3 * i + 3] for i in range(k - q)]
     family = tuple(tuple(sorted(s)) for s in family)
-    inst = p2pack.Pro2Instance(uni, k, family, 3 * q - offset, q, cands, inv_eps, f)
+    cands = tuple(map(_mask, feet))
+    inst = p2pack.Pro2Instance(rank, k, family, 3 * q - offset, q, cands, inv_eps, f)
     got = p2pack.solve_cpro2(inst)
     assert got.accept == oracles.oracle_cpro2(inst)
     if got.accept:
         assert got.footprint in cands and len(got.ordered_sets) == k - q
         used = [e for pos in got.ordered_sets for e in family[pos]]
-        assert len(set(used)) == len(used) and got.footprint.isdisjoint(used)
+        assert len(set(used)) == len(used) and not got.footprint & _mask(used)

@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 
 from fptmix import kiob, kpath, oracles, p2pack, unisets, wsp
-from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily, bit_positions
+from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily, _mask, bit_positions
 from helpers import kcwp_ledger
 
 
@@ -122,7 +122,7 @@ def cwsp_results():
             order = uni.by_rank()
             f = tuple(order[r] for r in sorted(rng.sample(range(n), inv_eps)))
             trace = {}
-            res = wsp.solve_cwsp(wsp.CwspInstance(uni, fam, 0, k, inv_eps, f), 1.591,
+            res = wsp.solve_cwsp(wsp.CwspInstance(uni.rank, fam, 0, k, inv_eps, f), 1.591,
                                  trace=trace)
             out.append((res.ordered_sets, res.weight, trace.get("peak_family")))
     return out
@@ -191,8 +191,8 @@ def icp_results():
         for p in range(3, 5):
             for q in range(-(-p // 3), min(p, 3) + 1):
                 fmap = p2pack.icp_pro1(inst, p, q)
-                out.append(sorted((tuple(sorted(foot)), pack.paths)
-                                  for foot, pack in fmap.items()))
+                out.append(sorted((tuple(inst.x_nodes[i] for i in bit_positions(foot)),
+                                   pack.paths) for foot, pack in fmap.items()))
     return out
 
 
@@ -274,11 +274,11 @@ def wsp_case(seed, W_offset):
 def pro2_case(seed):
     rng = random.Random(seed)
     m = rng.randint(7, 9)
-    uni = OrderedUniverse.from_labels([f"x{i}" for i in range(m)])
     family = tuple(tuple(sorted(rng.sample(range(m), 3))) for _ in range(rng.randint(4, 8)))
     pool = list(combinations(range(m), 1))
     rng.shuffle(pool)
-    inst = p2pack.Pro2Instance(uni, 3, family, 2, 1, tuple(frozenset(c) for c in pool[:3]), 2)
+    inst = p2pack.Pro2Instance(tuple(range(m)), 3, family, 2, 1, tuple(_mask(c) for c in pool[:3]),
+                               2)
     return lambda budget: p2pack.procedure2(inst, budget)
 
 

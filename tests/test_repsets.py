@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fptmix import kiob, kpath, p2pack, repsets, unisets, wsp
-from fptmix.core import (Digraph, Graph, InstanceError, OrderedUniverse, WeightedSetFamily,
-                         bit_positions)
+from fptmix.core import (Digraph, Graph, InstanceError, OrderedUniverse, ParameterError,
+                         WeightedSetFamily, bit_positions)
 from fptmix.repsets import (
     PartitionPart,
     PartitionSpec,
@@ -42,42 +42,44 @@ def check_goodness(sep):
 
 
 def test_separator_singleton_part():
-    sep = build_separator(uni(1), (0,), 1, 1)
+    sep = build_separator(1, 1, 1)
     assert list(sep.family) == [1]
     assert check_goodness(sep)[0]
 
 
 def test_separator_k_equals_p():
     # no Y to avoid: any family covering all p-subsets is good
-    sep = build_separator(uni(4), (0, 1, 2, 3), 2, 2)
+    sep = build_separator(4, 2, 2)
     ok, witness = check_goodness(sep)
     assert ok, witness
 
 
 def test_separator_421_good():
-    sep = build_separator(uni(4), (0, 1, 2, 3), 2, 1)
+    sep = build_separator(4, 2, 1)
     ok, witness = check_goodness(sep)
     assert ok, witness
 
 
 def test_query_empty_set_returns_everything():
-    sep = build_separator(uni(3), (0, 1, 2), 2, 0)
+    sep = build_separator(3, 2, 0)
     assert query_separator(sep, ()) == list(range(len(sep.family)))
 
 
 def test_query_matches_linear_scan():
     rng = random.Random(7)
-    sep = build_separator(uni(6), tuple(range(6)), 3, 2)
+    sep = build_separator(6, 3, 2)
     for _ in range(50):
         s = tuple(sorted(rng.sample(range(6), 2)))
         got = query_separator(sep, s)
-        want = [j for j, f in enumerate(sep.family)
-                if all((f >> sep.local_position(e)) & 1 for e in s)]
+        want = [j for j, f in enumerate(sep.family) if all((f >> pos) & 1 for pos in s)]
         assert got == want
+    for s in ((0, 6), (-1, 2)):
+        with pytest.raises(ParameterError, match="outside the part"):
+            query_separator(sep, s)
 
 
 def test_query_element_in_no_family_set():
-    sep = build_separator(uni(2), (0, 1), 1, 1)
+    sep = build_separator(2, 1, 1)
     # family for (2,1,1) is the two singletons; query one element
     hit = query_separator(sep, (0,))
     assert all(sep.family[j] & 1 for j in hit)
@@ -212,17 +214,17 @@ def test_gen_rep_alg_is_deterministic():
 
 def test_separator_cache_shares_family_and_element_maps():
     clear_separator_cache()
-    u = uni(12)
-    first = build_separator(u, (0, 1, 2, 3, 4), 3, 1)
+    first = build_separator(5, 3, 1)
     assert first.stats.construction != "cached"
-    for part in ((5, 6, 7, 8, 9), (7, 8, 9, 10, 11)):  # other parts, same (m, k', p')
-        again = build_separator(u, part, 3, 1)
+    assert first.part_elements == (0, 1, 2, 3, 4)
+    for _ in range(2):  # the same (m, k', p') again
+        again = build_separator(5, 3, 1)
         assert again.stats.construction == "cached"
         assert again.family == first.family
         assert again.element_maps == first.element_maps
-    wide = build_separator(u, (0, 1, 2), 5, 1)
+    wide = build_separator(3, 5, 1)
     # k' = 5 > m = 3 is stored under k' = m
-    assert build_separator(u, (3, 4, 5), 3, 1).stats.construction == "cached"
+    assert build_separator(3, 3, 1).stats.construction == "cached"
     for sep in (first, wide):
         for i, members_map in enumerate(sep.element_maps):
             assert members_map == sum(1 << j for j, f in enumerate(sep.family) if f >> i & 1)
@@ -244,10 +246,11 @@ def _reference_positions(spec, family, objective):
     if len(family) <= 1:
         return list(range(len(family))), 1
     active = [part for part in spec.parts if not (part.k == 0 and part.p == 0)]
-    seps = [build_separator(family.universe, part.elements, part.k, part.p)
-            for part in active]
-    chi = [[query_separator(sep, [e for e in members if e in part.elements])
-            for part, sep in zip(active, seps)] for members, _ in family.sets]
+    seps = [build_separator(len(part.elements), part.k, part.p) for part in active]
+    # local positions follow the universe's order of each part's elements
+    local = [sorted(part.elements, key=family.universe.rank.__getitem__) for part in active]
+    chi = [[query_separator(sep, [ranked.index(e) for e in members if e in ranked])
+            for ranked, sep in zip(local, seps)] for members, _ in family.sets]
     sizes = [len(sep.family) for sep in seps]
     order = sorted(range(len(family)), key=family.weight, reverse=objective == "max")
     used = 0
@@ -403,7 +406,7 @@ def _kept_whole(universe, parts, count):
     most 1 + min(k_i - p_i) masks over the active parts."""
     active = [part for part in parts if part.k or part.p]
     return count <= 1 or count - 1 <= min((part.k - part.p for part in active), default=0) or \
-        all(build_separator(universe, part.elements, part.k, part.p).dense for part in active)
+        all(build_separator(len(part.elements), part.k, part.p).dense for part in active)
 
 
 def _stored(universe, sets, parts, objective):
@@ -461,7 +464,7 @@ def test_reduce_layer_matches_reference_per_key(case):
         assert all(value == (dict(sets)[mask], key) for mask, value in layer[key].items())
         if len(sets) > 1:
             active = [part for part in parts if part.k or part.p]
-            if all(build_separator(universe, part.elements, part.k, part.p).dense
+            if all(build_separator(len(part.elements), part.k, part.p).dense
                    for part in active):
                 dense += 1
             else:
@@ -495,7 +498,7 @@ def test_sweep_keeps_every_set_of_at_most_one_plus_slack_masks():
         if len(every) < 2:
             continue
         spec, objective = PartitionSpec(parts), rng.choice(("max", "min"))
-        dense = all(build_separator(u, part.elements, part.k, part.p).dense for part in parts)
+        dense = all(build_separator(len(part.elements), part.k, part.p).dense for part in parts)
         small = min(len(every), slack + 1)
         for count in ([rng.randint(2, small)] if small > 1 else []) + [slack + 2]:
             if count > len(every):
@@ -535,7 +538,7 @@ def test_part_naming_an_element_outside_the_family_is_rejected(warm):
     cached, the rank sort of the part once raised a bare ``IndexError``."""
     clear_separator_cache()
     if warm:
-        build_separator(uni(3), (0, 1, 2), 2, 1)
+        build_separator(3, 2, 1)
     fam = WeightedSetFamily(uni(3), 1, (((0,), 1), ((1,), 2)))
     spec = PartitionSpec((PartitionPart((0, 1, 9), 2, 1),))
     with pytest.raises(InstanceError, match="outside the family's universe"):
@@ -574,8 +577,8 @@ def test_reduce_layer_reads_each_part_in_its_listing_order():
 
 def test_shape_plan_built_from_other_parts_serves_every_entry():
     """The separator cache is keyed on the parts' shapes only: separators
-    built from other elements in another universe order reduce an entry as
-    fresh ones do, and the sweep then builds no shape of its own."""
+    built beforehand from those shapes alone reduce an entry as fresh ones
+    do, and the sweep then builds no shape of its own."""
     rng = random.Random(7)
     for _ in range(500):
         spec, fam, objective = _random_case(rng)
@@ -583,27 +586,33 @@ def test_shape_plan_built_from_other_parts_serves_every_entry():
             want = _reference_positions(spec, fam, objective)
         except InstanceError:
             continue
-        n = len(fam.universe)
-        others = tuple(PartitionPart(tuple(n - 1 - e for e in part.elements), part.k, part.p)
-                       for part in spec.parts)
         clear_separator_cache()
-        for part in others:
+        for part in spec.parts:
             if part.k or part.p:
-                build_separator(uni(n), part.elements, part.k, part.p)
+                build_separator(len(part.elements), part.k, part.p)
         shapes = dict(repsets._separator_cache)
         assert select_representative_positions(spec, fam, objective) == want
         assert repsets._separator_cache == shapes
 
 
 def test_separator_rejects_a_part_it_cannot_represent():
-    """A repeated element would take two local positions, and an element
-    outside the universe has no rank to sort it by."""
-    u = uni(4)
+    """A separator is built by shape, over local positions, so a part's own
+    faults are caught with the part: a repeated element would take two local
+    positions, a negative one has no bit, and an element outside the
+    universe has no rank to sort it by.  The build refuses a shape whose p'
+    is negative or above k' or m."""
     with pytest.raises(InstanceError, match="lists an element twice"):
-        build_separator(u, (0, 0, 1), 2, 1)
-    for part in ((-1, 0), (5, 0), (0, 4)):
-        with pytest.raises(InstanceError, match="outside the universe"):
-            build_separator(u, part, 2, 1)
+        PartitionSpec((PartitionPart((0, 0, 1), 2, 1),))
+    with pytest.raises(InstanceError, match="not a non-negative int"):
+        PartitionSpec((PartitionPart((-1, 0), 2, 1),))
+    fam = WeightedSetFamily(uni(4), 1, (((0,), 1), ((1,), 2)))
+    for part in ((5, 0), (0, 4)):
+        with pytest.raises(InstanceError, match="outside the family's universe"):
+            select_representative_positions(PartitionSpec((PartitionPart(part, 2, 1),)), fam,
+                                            "max")
+    for m, k, p in ((2, 3, 3), (4, 1, 2), (4, 2, -1)):
+        with pytest.raises(ParameterError):
+            build_separator(m, k, p)
 
 
 @pytest.mark.parametrize("m, k, p, mode, size", [
@@ -613,13 +622,11 @@ def test_separator_rejects_a_part_it_cannot_represent():
 ])
 def test_separators_at_the_greedy_dense_gate(m, k, p, mode, size):
     clear_separator_cache()
-    first = build_separator(uni(m + 3), tuple(range(m)), k, p)
+    first = build_separator(m, k, p)
     assert (first.stats.construction, len(first.family)) == (mode, size)
     assert first.dense == (mode == "dense")
     assert unisets.verify_universal(unisets.UniversalSet(m, k, p, first.family)).valid
-    # other elements, ranked in reverse
-    reversed_order = OrderedUniverse(uni(m + 3).elements, tuple(range(m + 2, -1, -1)))
-    again = build_separator(reversed_order, tuple(range(3, m + 3)), k, p)
+    again = build_separator(m, k, p)
     assert again.stats.construction == "cached"
     assert (again.family, again.element_maps) == (first.family, first.element_maps)
 
@@ -627,10 +634,9 @@ def test_separators_at_the_greedy_dense_gate(m, k, p, mode, size):
 def test_dense_flag_on_known_shapes():
     """All p-subsets, by the greedy cover or the fallback, set the flag;
     a compressed greedy cover does not."""
-    u = uni(6)
-    assert build_separator(u, (0, 1, 2), 3, 3).dense  # the one 3-subset
-    assert build_separator(u, (0, 1, 2, 3), 4, 1).dense  # singletons separate all
-    assert not build_separator(u, (0, 1, 2, 3, 4), 2, 1).dense
+    assert build_separator(3, 3, 3).dense  # the one 3-subset
+    assert build_separator(4, 4, 1).dense  # singletons separate all
+    assert not build_separator(5, 2, 1).dense
 
 
 def test_greedy_shapes_fit_the_default_constraint_budget():
@@ -648,13 +654,12 @@ def test_greedy_shapes_fit_the_default_constraint_budget():
 def test_evicted_separator_is_rebuilt_identically(monkeypatch):
     monkeypatch.setattr(repsets, "_CACHE_CAP", 2)
     clear_separator_cache()
-    u = uni(8)
-    first = build_separator(u, (0, 1, 2, 3, 4), 2, 1)
+    first = build_separator(5, 2, 1)
     assert not first.dense
-    build_separator(u, (0, 1, 2), 2, 1)
-    build_separator(u, (0, 1, 2, 3), 2, 2)  # evicts the first shape
+    build_separator(3, 2, 1)
+    build_separator(4, 2, 2)  # evicts the first shape
     assert (5, 2, 1) not in repsets._separator_cache
-    again = build_separator(u, (3, 4, 5, 6, 7), 2, 1)
+    again = build_separator(5, 2, 1)
     assert again.stats.construction != "cached"
     assert (again.family, again.element_maps, again.dense) == \
         (first.family, first.element_maps, first.dense)
@@ -773,8 +778,7 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     # the seeded footprint DP, whose layers the step counts and never reduces
     rng = random.Random(0)
     family = tuple(tuple(sorted(rng.sample(range(10), 3))) for _ in range(12))
-    cut = p2pack.Pro2Instance(uni(10), 3, family, 2, 1, (frozenset({0}), frozenset({5})), 2,
-                              (4, 9))
+    cut = p2pack.Pro2Instance(tuple(range(10)), 3, family, 2, 1, (1 << 0, 1 << 5), 2, (4, 9))
     before = len(stepped)
     assert p2pack.solve_cpro2(cut).accept and len(stepped) == before + 2
     assert len({id(layer) for layer in stepped}) == len(stepped)

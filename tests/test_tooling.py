@@ -277,21 +277,37 @@ UNIVERSE_TYPES = {"OrderedUniverse", "WeightedSetFamily"}
 DPS = {"kpath": "solve_kcwp", "kiob": "tree_families", "p2pack": "icp_pro1", "wsp": "_pack_stages"}
 
 
-def _universe_builds(module: str, function: str) -> list[str]:
-    """Calls inside ``module.function``, nested functions included, whose
-    callee names an ``OrderedUniverse`` or a ``WeightedSetFamily`` (so
-    ``OrderedUniverse.from_labels`` too), by line."""
+def _universe_builds(module: str, function: str | None = None,
+                     types=UNIVERSE_TYPES) -> list[str]:
+    """Calls inside ``module.function``, nested functions included, or
+    anywhere in ``module`` for None, whose callee names one of ``types``
+    (so ``OrderedUniverse.from_labels`` too), by line."""
     tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
-    (node,) = [stmt for stmt in tree.body
-               if isinstance(stmt, ast.FunctionDef) and stmt.name == function]
-    return [f"{module}.{function}:{call.lineno}" for call in ast.walk(node)
+    (node,) = [tree] if function is None else \
+        [stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef) and stmt.name == function]
+    where = module if function is None else f"{module}.{function}"
+    return [f"{where}:{call.lineno}" for call in ast.walk(node)
             if isinstance(call, ast.Call)
-            and any(_callee(part) in UNIVERSE_TYPES for part in ast.walk(call.func))]
+            and any(_callee(part) in types for part in ast.walk(call.func))]
 
 
 def test_the_dps_build_no_universe():
     """Each part lists its elements in its separator's local-position order,
     so no DP needs a universe to order them, nor a family to hand back."""
-    assert _universe_builds("wsp", "wsp_alg"), "the scan no longer sees wsp_alg's universe"
+    assert _universe_builds("core", "_parse_setfamily"), \
+        "the scan no longer sees the parser's universe and family"
     assert [site for module, function in DPS.items()
             for site in _universe_builds(module, function)] == []
+
+
+def test_only_core_builds_an_ordered_universe():
+    """Parsing builds the one ``OrderedUniverse`` of an instance.  Below it a
+    cut's order is a rank tuple, a separator is built by its part's shape and
+    a footprint is a bitmask, so no other module builds one."""
+    only = frozenset({"OrderedUniverse"})
+    assert _universe_builds("core", "_parse_setfamily", only), \
+        "the scan no longer sees the parser's universe"
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    assert len(modules) > 10, "the scan no longer sees the package"
+    assert [site for module in modules if module != "core"
+            for site in _universe_builds(module, types=only)] == []

@@ -75,7 +75,7 @@ def test_kcwp_verifier_names_each_broken_condition(changes, result, error, messa
 CWSP_UNIVERSE = OrderedUniverse.from_labels(str(e) for e in range(6))
 CWSP_FAMILY = WeightedSetFamily(CWSP_UNIVERSE, 3, (((0, 1, 2), 1), ((3, 4, 5), 1),
                                                    ((2, 3, 4), 1)), "max")
-CWSP_INSTANCE = wsp.CwspInstance(CWSP_UNIVERSE, CWSP_FAMILY, 2, 2, 2, (2, 5))
+CWSP_INSTANCE = wsp.CwspInstance(CWSP_UNIVERSE.rank, CWSP_FAMILY, 2, 2, 2, (2, 5))
 CWSP_WITNESS = wsp.CwspResult(True, (0, 1), 2)
 
 CWSP_BREAKS = [

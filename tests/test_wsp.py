@@ -51,12 +51,12 @@ def test_schedule_rejects_zero_piece():
 def test_cwsp_trivial_pair(monkeypatch):
     uni = universe(6)
     fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 1), ((3, 4, 5), 1)), "max")
-    inst = wsp.CwspInstance(uni, fam, 2, 2, 1, (5,))
+    inst = wsp.CwspInstance(uni.rank, fam, 2, 2, 1, (5,))
     monkeypatch.setattr(wsp, "reduce_layer", stage_ledger(inst))
     res = wsp.solve_cwsp(inst)
     assert res.accept and res.weight == 2
     wsp.verify_cwsp_witness(inst, res)
-    assert not wsp.solve_cwsp(wsp.CwspInstance(uni, fam, 3, 2, 1, (5,))).accept
+    assert not wsp.solve_cwsp(wsp.CwspInstance(uni.rank, fam, 3, 2, 1, (5,))).accept
 
 
 def test_cwsp_matches_oracle_with_enumerated_f(monkeypatch):
@@ -74,7 +74,7 @@ def test_cwsp_matches_oracle_with_enumerated_f(monkeypatch):
                 order = uni.by_rank()
                 f = tuple(order[r] for r in ranks)
                 W = rng.randint(0, 3 * k * 9)
-                inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+                inst = wsp.CwspInstance(uni.rank, fam, W, k, inv, f)
                 want = oracles.oracle_cwsp(inst)
                 monkeypatch.setattr(wsp, "reduce_layer", stage_ledger(inst))
                 got = wsp.solve_cwsp(inst)
@@ -98,7 +98,7 @@ def test_cwsp_reduction_ab_decision_stable(monkeypatch):
         ranks = sorted(rng.sample(range(n), inv))
         f = tuple(order[r] for r in ranks)
         W = rng.randint(1, 20)
-        inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+        inst = wsp.CwspInstance(uni.rank, fam, W, k, inv, f)
         on, off, sweep = reduction_ab(monkeypatch, wsp, wsp.solve_cwsp, inst)
         swept += sweep
         assert on.accept == off.accept
@@ -280,14 +280,14 @@ def test_threshold_pruning_keeps_verdicts_and_weights(monkeypatch):
         order = uni.by_rank()
         f = tuple(order[r] for r in sorted(rng.sample(range(n), inv)))
         reduce, audit = rng.random() < 0.7, rng.random() < 0.3
-        free_inst = wsp.CwspInstance(uni, fam, -10**18, k, inv, f)
+        free_inst = wsp.CwspInstance(uni.rank, fam, -10**18, k, inv, f)
         step = wsp.reduce_layer if reduce else count_only
         with monkeypatch.context() as patch:
             patch.setattr(wsp, "reduce_layer", stage_ledger(free_inst, step) if audit else step)
             free = wsp.solve_cwsp(free_inst)
             base = free.weight if free.accept else rng.randint(3 * k * lo, 3 * k * hi)
             W = base + rng.choice([-1, 0, 0, 1])
-            inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+            inst = wsp.CwspInstance(uni.rank, fam, W, k, inv, f)
             got = wsp.solve_cwsp(inst)
         assert got.accept == (free.accept and free.weight >= W), (case, fam.sets, k, inv, f, W)
         if got.accept:
@@ -327,7 +327,7 @@ def test_wsp_alg_matches_oracle_around_optimum(n, data):
 def test_entry_points_check_c_when_no_reduction_runs():
     uni = universe(3)
     fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 4),), "max")
-    inst = wsp.CwspInstance(uni, fam, 0, 1, 1, (2,))
+    inst = wsp.CwspInstance(uni.rank, fam, 0, 1, 1, (2,))
     trace = {}
     assert wsp.wsp_alg(uni, fam, 0, 1, 1, 1.0, trace=trace).status == "accept"
     # one set, one entry per DP: counted, and no reduction runs
@@ -539,12 +539,12 @@ def test_cut_universes_match_block_permutation():
         rng.shuffle(rank)
         uni = OrderedUniverse(tuple(f"u{i}" for i in range(n)), tuple(rank))
         for pieces in (1, 2, 3):
-            got = list(wsp.cut_universes(uni, pieces, 10**6))
+            got = list(wsp.cut_universes(uni.rank, pieces, 10**6))
             assert got == list(_reference_cut_universes(uni, pieces)), (rank, pieces)
             raw = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), pieces))
             if raw:
                 with pytest.raises(BudgetExceededError):
-                    list(wsp.cut_universes(uni, pieces, raw - 1))
+                    list(wsp.cut_universes(uni.rank, pieces, raw - 1))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -571,7 +571,7 @@ def test_solve_cwsp_on_an_empty_family_matches_oracle(n):
                 continue
             for f in combinations_with_replacement(uni.by_rank(), inv):
                 for W in (-1, 0, 1):
-                    inst = wsp.CwspInstance(uni, fam, W, k, inv, f)
+                    inst = wsp.CwspInstance(uni.rank, fam, W, k, inv, f)
                     assert wsp.solve_cwsp(inst).accept == oracles.oracle_cwsp(inst), (k, f, W)
 
 
@@ -582,6 +582,27 @@ def test_cwsp_instance_checks_its_stage_function(f):
     is a ``ParameterError``, never an ``IndexError`` or a wrong element."""
     uni = universe(7)
     fam = WeightedSetFamily(uni, 3, (((0, 1, 2), 1), ((3, 4, 5), 1)), "max")
-    assert wsp.solve_cwsp(wsp.CwspInstance(uni, fam, 2, 2, 2, (2, 5))).accept
+    assert wsp.solve_cwsp(wsp.CwspInstance(uni.rank, fam, 2, 2, 2, (2, 5))).accept
     with pytest.raises(ParameterError, match="^f must"):
-        wsp.CwspInstance(uni, fam, 2, 2, 2, f)
+        wsp.CwspInstance(uni.rank, fam, 2, 2, 2, f)
+
+
+def test_cwsp_instance_rejects_a_member_outside_its_order():
+    """A cut instance whose family holds an element past its order is an
+    ``InstanceError``, as ``wsp_alg`` makes it; before, the set (5, 6, 7)
+    over an order of four elements constructed and ``solve_cwsp`` raised a
+    bare ``IndexError``."""
+    fam = WeightedSetFamily(universe(8), 3, (((5, 6, 7), 1),), "max")
+    with pytest.raises(InstanceError, match="out of range"):
+        wsp.CwspInstance((0, 1, 2, 3), fam, 1, 2, 1, (3,))
+    assert wsp.CwspInstance(tuple(range(8)), fam, 1, 2, 1, (3,)).rank == tuple(range(8))
+
+
+@pytest.mark.parametrize("rank", [(0, 1, 1, 3, 4, 5), (1, 2, 3, 4, 5, 6), (5, 4, 3, 2, 1, -1),
+                                  (0, 1, 2, 3, 4, True)])
+def test_cwsp_instance_takes_only_a_permutation_as_its_order(rank):
+    """The cut's order is a rank tuple, which must be a permutation of
+    0..n-1, as ``OrderedUniverse`` required of its ranks."""
+    fam = WeightedSetFamily(universe(6), 3, (((0, 1, 2), 1), ((3, 4, 5), 1)), "max")
+    with pytest.raises(InstanceError, match="rank must be a permutation"):
+        wsp.CwspInstance(rank, fam, 2, 2, 1, (5,))
