@@ -103,8 +103,9 @@ _LEAST_K = {"kiob": 1, "wsp": 0, "p2p": 0}
 # 1/eps when neither ``--inv-eps`` nor a caller names one (kcwp reads its own, kiob has none)
 _INV_EPS = {"kpath": 13, "wsp": 2, "p2p": 2}
 # the optional flags each problem reads in solve (check takes only k and W)
-_SOLVE_FLAGS = {"kpath": {"k", "W", "inv_eps", "delta", "gamma"}, "kcwp": set(),
-                "kiob": {"k"}, "wsp": {"k", "W", "inv_eps"}, "p2p": {"k", "inv_eps"}}
+_SOLVE_FLAGS = {"kpath": {"k", "W", "inv_eps", "delta", "gamma", "budget"}, "kcwp": set(),
+                "kiob": {"k"}, "wsp": {"k", "W", "inv_eps", "budget"},
+                "p2p": {"k", "inv_eps", "budget"}}
 
 
 def _parse_for(problem: str, doc: str):
@@ -194,7 +195,8 @@ def _refuse_unread_flags(args, names) -> None:
 
 
 def _cmd_solve(args, argv) -> int:
-    _refuse_unread_flags(args, ("k", "W", "inv_eps", "delta", "gamma"))
+    _refuse_unread_flags(args, ("k", "W", "inv_eps", "delta", "gamma", "budget"))
+    budget = budget_from_env() if args.budget is None else args.budget
     trace: dict = {}
     t0 = time.perf_counter()
     if args.problem == "kcwp":
@@ -204,7 +206,7 @@ def _cmd_solve(args, argv) -> int:
         value, k, W = (parsed.value, _required_k(args.problem, args.k, parsed),
                        _weight_bound(args.problem, args.W, parsed))
     t1 = time.perf_counter()
-    verdict, witness = _run(args.problem, value, k, W, args.budget, trace, args.inv_eps,
+    verdict, witness = _run(args.problem, value, k, W, budget, trace, args.inv_eps,
                             args.delta, args.gamma)
     timings = {"parse": t1 - t0, "solve": time.perf_counter() - t1}
     _report(argv, verdict, witness, timings, trace)
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--inv-eps", dest="inv_eps", type=int, default=None)
     solve.add_argument("--delta", type=_fraction)
     solve.add_argument("--gamma", type=_fraction)
-    solve.add_argument("--budget", type=int, default=budget_from_env())
+    solve.add_argument("--budget", type=int)
     solve.set_defaults(func=_cmd_solve)
 
     check = sub.add_parser("check", help="brute-force oracle verdict")
@@ -621,7 +623,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "budget", 1) <= 0:
+        if getattr(args, "budget", None) is not None and args.budget <= 0:
             raise ParameterError(f"--budget must be a positive integer, got {args.budget}")
         return args.func(args, ["fpt-mix"] + argv)
     except BudgetExceededError as exc:

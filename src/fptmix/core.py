@@ -35,6 +35,21 @@ class BudgetExceededError(FptMixError):
     """An enumeration exceeded its configured budget."""
 
 
+class Budget:
+    """A limit on one unit of work, shared by every call that does it:
+    ``charge`` raises ``BudgetExceededError`` once more than ``limit`` units
+    are charged in all.  A limit below 0 allows what a limit of 0 does."""
+    __slots__ = ("left", "limit", "what")
+
+    def __init__(self, limit: int, what: str):
+        self.left, self.limit, self.what = limit if limit > 0 else 0, limit, what
+
+    def charge(self, amount: int = 1) -> None:
+        self.left -= amount
+        if self.left < 0:
+            raise BudgetExceededError(f"more than {self.limit} {self.what}")
+
+
 def _ceildiv(a: int, b: int) -> int:
     return -(-a // b)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, islice
 
-from .core import (BudgetExceededError, Digraph, FptMixError, InstanceError, ParameterError,
-                   add_weights, bit_positions)
+from .core import (Budget, BudgetExceededError, Digraph, FptMixError, InstanceError,
+                   ParameterError, add_weights, bit_positions)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -578,19 +578,16 @@ def best_kpath(g: Digraph, k: int, budget: int):
     out = g.out_neighbors()
     weights = g.arc_weights()
     best: list = [None]
-    extensions = 0
+    extensions = Budget(budget, "path extensions")
 
     def extend(v, trail, total):
-        nonlocal extensions
         if len(trail) == k:
             if best[0] is None or total < best[0][0]:
                 best[0] = (total, tuple(trail))
             return
         for u in sorted(out[v]):
             if u not in trail:
-                extensions += 1
-                if extensions > budget:
-                    raise BudgetExceededError(f"k-path search needs > {budget} extensions")
+                extensions.charge()
                 trail.append(u)
                 extend(u, trail, add_weights(total, weights[(v, u)]))
                 trail.pop()

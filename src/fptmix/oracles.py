@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .core import BudgetExceededError, Digraph, Graph, WeightedSetFamily, add_weights
+from .core import Budget, Digraph, Graph, WeightedSetFamily, add_weights
 
 
 @dataclass(frozen=True)
@@ -24,17 +24,9 @@ class OracleBudget:
         if self.max_states <= 0:
             raise ValueError("budget must be positive")
 
-
-class _Counter:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: OracleBudget | None):
-        self.left = (budget or OracleBudget()).max_states
-
-    def tick(self, amount: int = 1):
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceededError("oracle enumeration budget exceeded")
+    def counter(self) -> Budget:
+        """One oracle call's count of the states it visits."""
+        return Budget(self.max_states, "oracle states")
 
 
 def _ceildiv(a: int, b: int) -> int:
@@ -47,7 +39,7 @@ def oracle_kpath(g: Digraph, k: int, budget: OracleBudget | None = None):
     """Minimum weight of a simple directed path on exactly k nodes, or None."""
     if k <= 0:
         return None
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     if k == 1:
         return 0 if g.node_count >= 1 else None
     out = g.out_neighbors()
@@ -55,7 +47,7 @@ def oracle_kpath(g: Digraph, k: int, budget: OracleBudget | None = None):
     best: list = [None]
 
     def extend(v: int, depth: int, visited: set[int], total: int):
-        counter.tick()
+        counter.charge()
         if depth == k:
             if best[0] is None or total < best[0]:
                 best[0] = total
@@ -73,7 +65,7 @@ def oracle_kpath(g: Digraph, k: int, budget: OracleBudget | None = None):
 
 # ---------------------------------------------------------------- k-IOB
 
-def _arborescence_max_internal(g: Digraph, root: int, counter: _Counter):
+def _arborescence_max_internal(g: Digraph, root: int, counter: Budget):
     """Max internal-node count over spanning arborescences rooted at root."""
     n = g.node_count
     if n == 1:
@@ -85,7 +77,7 @@ def _arborescence_max_internal(g: Digraph, root: int, counter: _Counter):
 
     def assign(idx: int):
         if idx == len(others):
-            counter.tick()
+            counter.charge()
             # parent map is an arborescence iff every chain reaches the root
             for v in others:
                 seen = set()
@@ -109,7 +101,7 @@ def _arborescence_max_internal(g: Digraph, root: int, counter: _Counter):
 
 
 def oracle_kiob(g: Digraph, k: int, budget: OracleBudget | None = None) -> bool:
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     for root in range(g.node_count):
         if not g.reaches_all(root):
             continue
@@ -121,13 +113,13 @@ def oracle_kiob(g: Digraph, k: int, budget: OracleBudget | None = None) -> bool:
 
 def oracle_kiob_by_arc_subsets(g: Digraph, k: int, budget: OracleBudget | None = None) -> bool:
     """Dual enumeration strategy: spanning arc subsets of size n-1."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     n = g.node_count
     if n == 1:
         return k <= 0
     arcs = [(t, h) for t, h, _ in g.arcs]
     for subset in combinations(arcs, n - 1):
-        counter.tick()
+        counter.charge()
         indeg = [0] * n
         for _, h in subset:
             indeg[h] += 1
@@ -149,7 +141,7 @@ def oracle_kiob_by_arc_subsets(g: Digraph, k: int, budget: OracleBudget | None =
 
 
 def tree_exists_on(g: Digraph, nodes, root: int, internal_count: int,
-                   counter: _Counter | None = None) -> bool:
+                   counter: Budget | None = None) -> bool:
     """Is some out-tree rooted at root spanning exactly ``nodes`` with the
     given internal count?"""
     nodes = sorted(nodes)
@@ -165,7 +157,7 @@ def tree_exists_on(g: Digraph, nodes, root: int, internal_count: int,
         return False
     for combo in product(*choices):
         if counter is not None:
-            counter.tick()
+            counter.charge()
         parent = dict(zip(others, combo))
         ok = True
         for v in others:
@@ -187,7 +179,7 @@ def tree_exists_on(g: Digraph, nodes, root: int, internal_count: int,
 def out_tree_node_sets(g: Digraph, root: int, internal: int, leaves: int,
                        budget: OracleBudget | None = None) -> set[frozenset]:
     """All node-sets of out-trees rooted at root with the exact shape counts."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     size = internal + leaves
     found: set[frozenset] = set()
     if size <= 0 or internal < 0 or leaves < 0 or size > g.node_count:
@@ -200,14 +192,14 @@ def out_tree_node_sets(g: Digraph, root: int, internal: int, leaves: int,
     return found
 
 
-def brute_matching_size(n: int, edges, counter: _Counter | None = None) -> int:
+def brute_matching_size(n: int, edges, counter: Budget | None = None) -> int:
     """Exhaustive maximum matching size via DFS over a sorted edge list."""
     edges = sorted(edges)
     best = [0]
 
     def walk(idx: int, used: int, count: int):
         if counter is not None:
-            counter.tick()
+            counter.charge()
         best[0] = max(best[0], count)
         if count + (len(edges) - idx) <= best[0]:
             return
@@ -221,14 +213,14 @@ def brute_matching_size(n: int, edges, counter: _Counter | None = None) -> int:
     return best[0]
 
 
-def brute_matching_size_by_vertex(n: int, edges, counter: _Counter | None = None) -> int:
+def brute_matching_size_by_vertex(n: int, edges, counter: Budget | None = None) -> int:
     """Dual method: branch on the lowest untouched vertex."""
     adj = [sorted({v for u, v in map(sorted, edges) if u == w} |
                   {u for u, v in map(sorted, edges) if v == w}) for w in range(n)]
 
     def walk(v: int, used: int) -> int:
         if counter is not None:
-            counter.tick()
+            counter.charge()
         while v < n and (used >> v) & 1:
             v += 1
         if v >= n:
@@ -246,7 +238,7 @@ def oracle_tp(g: Digraph, root: int, internal: int, leaves: int, q: int,
               budget: OracleBudget | None = None) -> bool:
     """Exhaustive tree-and-paths: an out-tree with the exact shape plus q
     disjoint 2-node paths avoiding it."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     size = internal + leaves
     if size == 0:
         return False
@@ -268,12 +260,12 @@ def oracle_tp(g: Digraph, root: int, internal: int, leaves: int, q: int,
 
 def oracle_wsp(family: WeightedSetFamily, k: int, budget: OracleBudget | None = None):
     """Optimal total weight over k pairwise-disjoint family sets, or None."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     masks = list(zip(family.masks, (w for _, w in family.sets)))
     best: list = [None]
 
     def walk(idx: int, used: int, chosen: int, total: int):
-        counter.tick()
+        counter.charge()
         if chosen == k:
             if best[0] is None or total > best[0]:
                 best[0] = total
@@ -292,10 +284,10 @@ def oracle_wsp(family: WeightedSetFamily, k: int, budget: OracleBudget | None = 
 def oracle_wsp_by_combinations(family: WeightedSetFamily, k: int,
                                budget: OracleBudget | None = None):
     """Dual method: filter all k-subfamilies for disjointness."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     best = None
     for combo in combinations(range(len(family)), k):
-        counter.tick()
+        counter.charge()
         used = 0
         total = 0
         ok = True
@@ -328,7 +320,7 @@ def oracle_cwsp(inst, budget: OracleBudget | None = None) -> bool:
     ``inst`` needs: rank (element e's position in the order), family, W,
     k, inv_eps, f (tuple of element indices, one threshold per stage).
     """
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     family: WeightedSetFamily = inst.family
     rank = inst.rank
     k, inv_eps = inst.k, inst.inv_eps
@@ -361,7 +353,7 @@ def oracle_cwsp(inst, budget: OracleBudget | None = None) -> bool:
         return True
 
     def walk(idx: int, used: int, chosen: list[int], total: int) -> bool:
-        counter.tick()
+        counter.charge()
         if len(chosen) == k:
             return total >= inst.W and conditions_hold(chosen)
         for j in range(idx, len(items)):
@@ -391,12 +383,12 @@ def all_p2_paths(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def oracle_p2p(g: Graph, k: int, budget: OracleBudget | None = None) -> bool:
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     paths = all_p2_paths(g)
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in paths]
 
     def walk(idx: int, used: int, count: int) -> bool:
-        counter.tick()
+        counter.charge()
         if count == k:
             return True
         if len(paths) - idx < k - count:
@@ -410,11 +402,11 @@ def oracle_p2p(g: Graph, k: int, budget: OracleBudget | None = None) -> bool:
 
 
 def oracle_p2p_by_combinations(g: Graph, k: int, budget: OracleBudget | None = None) -> bool:
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     paths = all_p2_paths(g)
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in paths]
     for combo in combinations(range(len(paths)), k):
-        counter.tick()
+        counter.charge()
         used = 0
         ok = True
         for j in combo:
@@ -429,13 +421,13 @@ def oracle_p2p_by_combinations(g: Graph, k: int, budget: OracleBudget | None = N
 
 def enumerate_packings(g: Graph, k: int, budget: OracleBudget | None = None):
     """All k-packings (as tuples of canonical triples); exhaustive."""
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     paths = all_p2_paths(g)
     masks = [(1 << a) | (1 << b) | (1 << c) for a, b, c in paths]
     out = []
 
     def walk(idx: int, used: int, chosen: list[int]):
-        counter.tick()
+        counter.charge()
         if len(chosen) == k:
             out.append(tuple(paths[j] for j in chosen))
             return
@@ -476,7 +468,7 @@ def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
     counts C's 3q - p elements from the start, and no later set holds an
     element at or below f(s).
     """
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     rank = inst.rank
     kq = inst.k - inst.q
     ek = kq // inst.inv_eps
@@ -497,7 +489,7 @@ def oracle_cpro2(inst, budget: OracleBudget | None = None) -> bool:
     for cand in inst.candidates:
         foot = [rank[e] for e in range(len(rank)) if cand >> e & 1]
         for combo in combinations(inst.family, kq):
-            counter.tick()
+            counter.charge()
             # each set as its ascending ranks, the sets by smallest element
             sets = sorted(sorted(rank[e] for e in members) for members in combo)
             used = foot + [r for ranks in sets for r in ranks]
@@ -531,7 +523,7 @@ def oracle_kcwp(inst, budget: OracleBudget | None = None) -> bool:
     ``inst`` needs: digraph, W, k, inv_eps, delta, gamma, L, R, l1, l2, r1,
     r2, vl, vr (functions as tuples of node ids).
     """
-    counter = _Counter(budget)
+    counter = (budget or OracleBudget()).counter()
     g: Digraph = inst.digraph
     par = _kcwp_params(inst.k, inst.inv_eps, inst.delta, inst.gamma)
     m, mt, ek, k1, k2, mid = par["m"], par["mt"], par["ek"], par["k1"], par["k2"], par["mid"]
@@ -556,7 +548,7 @@ def oracle_kcwp(inst, budget: OracleBudget | None = None) -> bool:
         path: list[int] = []
 
         def dfs(v, total):
-            counter.tick()
+            counter.charge()
             if len(path) == length:
                 if end not in path and end != start and (v, end) in weights:
                     yield tuple(path), add_weights(total, weights[(v, end)])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import (BudgetExceededError, Graph, InstanceError, ParameterError, _ceildiv,
+from .core import (Budget, BudgetExceededError, Graph, InstanceError, ParameterError, _ceildiv,
                    bit_positions)
 from .repsets import PartitionPart, reduce_layer
 from .wsp import _check_cut_order, _pack_stages, cut_universes, stage_schedule
@@ -39,7 +39,11 @@ class Packing:
 def validate_packing(g: Graph, packing: Packing) -> None:
     adj, n = g.adjacency(), g.node_count
     used: set[int] = set()
-    for a, b, c in packing.paths:
+    for path in packing.paths:
+        try:
+            a, b, c = path
+        except (TypeError, ValueError):
+            raise ParameterError(f"path {path!r} does not have three nodes") from None
         if not all(type(v) is int and 0 <= v < n for v in (a, b, c)):
             raise ParameterError(f"triple {(a, b, c)} names a node outside 0..{n - 1}")
         if len({a, b, c}) != 3 or a not in adj[b] or c not in adj[b]:
@@ -56,13 +60,15 @@ class IcpInstance:
     shares, in one scan of the graph's 3-node paths: X ascending, the paths
     inside X, and the paths that leave X as sorted (smallest outside index,
     outside mask, outside count, X mask, path) rows; bit i of an X mask is
-    ``x_nodes[i]``."""
+    ``x_nodes[i]``.  ``layers`` holds, per p, the ``icp_pro1`` layers built
+    so far, which every q of the round shares."""
     graph: Graph
     k: int
     previous: Packing
     x_nodes: tuple[int, ...] = field(init=False, compare=False, repr=False)
     inside: tuple[tuple[int, int, int], ...] = field(init=False, compare=False, repr=False)
     leaving: tuple[tuple, ...] = field(init=False, compare=False, repr=False)
+    layers: dict[int, dict] = field(init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.previous) != self.k - 1:
@@ -98,37 +104,45 @@ def icp_pro1(inst: IcpInstance, p: int, q: int,
     unweighted ``reduce_layer`` call, with ``trace`` passed to it.  The paths
     that leave X are read from ``inst.leaving``, derived once per round, so
     no call scans the graph.  Layer (0, 0) is the seed, the empty packing,
-    which every rebuild walks back to.  A (p', q') layer is built only if
-    q - q' <= p - p' <= 3(q - q'): each later path adds one to three outside
-    nodes, so no other layer can grow into the (p, q) layer that is read.
+    which every rebuild walks back to.  A (p', q') layer depends on p but
+    not on q, so ``inst`` keeps the layers per p for every q to share.  A
+    layer is built when first read: by the read of (p, q), or by building a
+    (p' + c, q' + 1) layer, c being the outside count of a leaving path.
+    Outside 1 <= q' <= p' <= 3q' a layer is empty.
     """
     # layers[(p', q')][(m, X')] -> {stored Y-mask: payload}; (0, 0) holds the
     # empty packing, with no smallest outside node, that every packing starts from
-    layers: dict[tuple[int, int], dict] = {(0, 0): {(-1, 0): {0: None}}}
+    layers = inst.layers.setdefault(p, {(0, 0): {(-1, 0): {0: None}}})
     y_all = tuple(range(inst.graph.node_count - len(inst.x_nodes)))
+    counts = {row[2] for row in inst.leaving}
 
-    for p_used in range(1, p + 1):
-        for q_used in range(max(_ceildiv(p_used, 3), q - (p - p_used)),
-                            min(p_used, q - _ceildiv(p - p_used, 3)) + 1):
-            layer: dict = {}
-            for m, ypart, y_count, xpart, triple in inst.leaving:
-                child_lk = (p_used - y_count, q_used - 1)
-                stored_new = ypart ^ (1 << m)
-                for (m2, x2), entry2 in layers.get(child_lk, {}).items():
-                    if m2 >= m or x2 & xpart:
+    def build(p_used: int, q_used: int) -> dict:
+        layer = layers.get((p_used, q_used))
+        if layer is not None:
+            return layer
+        if not 1 <= q_used <= p_used <= 3 * q_used:
+            return {}
+        layer = {}
+        children = {c: build(p_used - c, q_used - 1) for c in counts}
+        for m, ypart, y_count, xpart, triple in inst.leaving:
+            child_lk = (p_used - y_count, q_used - 1)
+            stored_new = ypart ^ (1 << m)
+            for (m2, x2), entry2 in children[y_count].items():
+                if m2 >= m or x2 & xpart:
+                    continue
+                for fs2 in entry2:
+                    if fs2 & ypart:
                         continue
-                    for fs2 in entry2:
-                        if fs2 & ypart:
-                            continue
-                        entry = layer.setdefault((m, x2 | xpart), {})
-                        entry.setdefault(fs2 | stored_new, (child_lk, (m2, x2), fs2, triple))
-            size = p_used - q_used
-            parts = (PartitionPart(y_all, size + (p - p_used), size),)
-            reduce_layer(layer, lambda key: parts, None, trace)
-            layers[(p_used, q_used)] = layer
+                    entry = layer.setdefault((m, x2 | xpart), {})
+                    entry.setdefault(fs2 | stored_new, (child_lk, (m2, x2), fs2, triple))
+        size = p_used - q_used
+        parts = (PartitionPart(y_all, size + (p - p_used), size),)
+        reduce_layer(layer, lambda key: parts, None, trace)
+        layers[(p_used, q_used)] = layer
+        return layer
 
     result: dict[int, Packing] = {}
-    final = layers.get((p, q), {}) if p else {}  # the (0, 0) seed is no result
+    final = build(p, q) if p else {}  # the (0, 0) seed is no result
     for (m, xpart), entry in sorted(final.items(),
                                     key=lambda kv: (kv[0][0], bit_positions(kv[0][1]))):
         if xpart in result:
@@ -158,8 +172,8 @@ class Pro2Instance:
         for members in self.family:
             if len(members) != 3 or len(set(members)) != 3:
                 raise InstanceError(f"set {members} does not have exactly 3 members")
-            if not all(0 <= e < n for e in members):
-                raise InstanceError(f"member index out of range in {tuple(sorted(members))}")
+            if not all(type(e) is int and 0 <= e < n for e in members):
+                raise InstanceError(f"member index out of range or not an int in {members}")
         for cand in self.candidates:
             if type(cand) is not int or cand < 0 or cand >> n:
                 raise InstanceError(f"candidate footprint {cand!r} out of range of 0..{n - 1}")
@@ -198,17 +212,18 @@ def solve_cpro2(inst: Pro2Instance) -> Cpro2Result:
     return Cpro2Result(True, footprint, positions)
 
 
-def _footprint_packer(inst: Pro2Instance, inv_eps: int):
+def _footprint_packer(inst: Pro2Instance, inv_eps: int, trace: dict | None = None):
     """The staged DP's per-call set-up for ``inst`` at ``inv_eps`` stages:
     the schedule with the footprint offset, the zero-weight sets and the
     candidate footprints as seed masks.  Returns its per-cut ``pack``, which
-    may create ``_CUT_ENTRY_CAP`` entries."""
+    counts its entries into ``trace`` and may create ``_CUT_ENTRY_CAP`` of
+    them per cut."""
     kq = inst.k - inst.q
     sched = stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
     # raw member tuples: a triangle's three paths share one node set and
     # must keep the three positions the caller maps back through
     return _pack_stages(len(inst.rank), [(members, 0) for members in inst.family], kq,
-                        sched, 0, inst.candidates, cap=_CUT_ENTRY_CAP)
+                        sched, 0, inst.candidates, trace, _CUT_ENTRY_CAP)
 
 
 @dataclass(frozen=True)
@@ -218,13 +233,15 @@ class Pro2Result:
     ordered_sets: tuple[int, ...] | None = None
 
 
-def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
+def procedure2(inst: Pro2Instance, budget: int | Budget = 200_000,
+               trace: dict | None = None) -> Pro2Result:
     """Unbalanced-cutting driver for the footprint-avoiding packing decision.
 
     The schedule, the sets and the candidate footprints' masks are built
     once per call; each distinct cut builds only its rank tuple and its DP,
-    which may create ``_CUT_ENTRY_CAP`` entries.  ``budget`` caps the raw
-    cut tuples drawn.
+    which counts its entries into ``trace`` and may create
+    ``_CUT_ENTRY_CAP`` of them.  Each raw cut tuple drawn is charged to
+    ``budget``: a caller's ``Budget``, or a fresh one of that many tuples.
     """
     kq = inst.k - inst.q
     if kq < 0:
@@ -237,7 +254,9 @@ def procedure2(inst: Pro2Instance, budget: int = 200_000) -> Pro2Result:
     inv_eps = inst.inv_eps
     if kq // inv_eps < 1:
         inv_eps = 1
-    pack = _footprint_packer(inst, inv_eps)
+    if not isinstance(budget, Budget):
+        budget = Budget(budget, "cut tuples")
+    pack = _footprint_packer(inst, inv_eps, trace)
     try:
         for rank, f in cut_universes(inst.rank, inv_eps, budget):
             found = pack(rank, f)
@@ -263,8 +282,9 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     guarantee for packings extending the previous round's witness, combining
     the footprint family with the in-X packing decision; the reconstructed
     t-packing feeds the next round.  The round's ``IcpInstance`` derives X
-    and its paths once, and every split reads them.  ``trace`` is passed to
-    ``icp_pro1``.
+    and its paths once, and every split reads them.  ``budget`` counts the
+    cut tuples of the whole solve, every ``procedure2`` call charging the
+    same ``Budget``, and ``trace`` counts the entries of both DPs.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -272,7 +292,7 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
         raise ParameterError("k must be non-negative")
     if inv_eps < 1 or inv_eps > 6:
         raise ParameterError("1/eps must be in 1..6")
-    current = Packing(())
+    current, cuts = Packing(()), Budget(budget, "cut tuples")
     for t in range(1, k + 1):
         inst = IcpInstance(g, t, current)
         p_cap = 3 * t - _ceildiv(5 * (t - 1), 2)
@@ -289,7 +309,7 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
                     continue
                 cands = tuple(sorted(fmap, key=bit_positions))
                 sub = Pro2Instance(x_rank, t, family, p, q, cands, inv_eps)
-                res = procedure2(sub, budget)
+                res = procedure2(sub, cuts, trace)
                 if res.status == "budget-exceeded":
                     return P2Result("budget-exceeded")
                 if res.status == "accept":

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import (BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily, _mask,
-                   bit_positions)
+from .core import (Budget, BudgetExceededError, InstanceError, ParameterError, WeightedSetFamily,
+                   _mask, bit_positions)
 from . import unisets
 
 _DENSE_PART_CAP = 200_000
@@ -257,11 +257,11 @@ def select_representative_positions(spec: PartitionSpec, family,
 
 
 def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict | None = None,
-                 cap: int | None = None) -> None:
+                 cap: Budget | None = None) -> None:
     """Close one DP layer, as every DP does once per layer it builds: add
-    its masks to ``trace["entries"]``, raise ``BudgetExceededError`` once
-    that passes ``cap``, and unless ``parts_of_key`` is None reduce every
-    entry, in place, to the masks the sweep keeps.
+    its masks to ``trace["entries"]``, charge them to ``cap``, and unless
+    ``parts_of_key`` is None reduce every entry, in place, to the masks the
+    sweep keeps.
 
     ``layer`` maps a key to an entry, a dict from distinct equal-size member
     bitmasks (bit e is element e) to values; ``parts_of_key(key)`` names its
@@ -281,10 +281,12 @@ def reduce_layer(layer: dict, parts_of_key, objective: str | None, trace: dict |
     ``trace`` gets the largest reduced entry as ``peak_family`` and adds the
     counts ``reductions``, ``dense_skips`` and ``small_skips``.
     """
-    if trace is not None and layer:  # the DPs store no empty entry
-        trace["entries"] = trace.get("entries", 0) + sum(map(len, layer.values()))
-        if cap is not None and trace["entries"] > cap:
-            raise BudgetExceededError(f"more than {cap} DP table entries")
+    if (trace is not None or cap is not None) and layer:  # the DPs store no empty entry
+        entries = sum(map(len, layer.values()))
+        if trace is not None:
+            trace["entries"] = trace.get("entries", 0) + entries
+        if cap is not None:
+            cap.charge(entries)
     resolved: dict[tuple, tuple[bool, float]] = {}  # parts -> (all dense, slack)
     specs: dict[tuple, PartitionSpec] = {}
     reductions = dense_skips = small_skips = peak = 0

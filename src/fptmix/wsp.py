@@ -17,8 +17,8 @@ from itertools import accumulate, chain, combinations
 from math import comb
 from operator import add, lt
 
-from .core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
-                   WeightedSetFamily, _ceildiv, add_weights)
+from .core import (Budget, BudgetExceededError, InstanceError, OrderedUniverse,
+                   ParameterError, WeightedSetFamily, _ceildiv, add_weights)
 from .repsets import PartitionPart, reduce_layer
 
 
@@ -121,10 +121,10 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     Layer (0, 0) holds ``seeds``, the stored masks to start from: one per
     footprint that the packing must avoid, counted per stage under each cut,
     or for None the empty packing.  One ``reduce_layer`` call closes each
-    layer: it counts the entries into ``trace``, or with ``cap`` into a fresh
-    dict per cut that may reach ``cap``, and reduces each entry of an unseeded
-    DP to a max 3(k - j)-representative subfamily over the cut's order, its
-    one part listing the elements in that order.
+    layer: it counts the entries into ``trace`` and, with ``cap``, charges
+    them to a fresh ``Budget`` of ``cap`` entries per cut, and reduces each
+    entry of an unseeded DP to a max 3(k - j)-representative subfamily over
+    the cut's order, its one part listing the elements in that order.
     Before that count and the reductions, a layer drops each stored set of j
     sets that stays below ``W`` even when k - j sets of the heaviest weight
     follow; keys left empty go too.  This leaves verdicts and weights as they
@@ -177,7 +177,7 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
                                 others, mask, w))
         sets_by_min.sort()
         mranks = [row[0] for row in sets_by_min]
-        cut_trace = trace if cap is None else {}
+        cut_cap = None if cap is None else Budget(cap, "DP table entries")
 
         seed_layer: dict[tuple, Entry] = {}
         layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
@@ -225,7 +225,7 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
                     # stored sets hold 2j elements less stage i - 1's deletable count
                     size = 2 * j - (key[0][i - 2] if i >= 2 else 0)
                     return (PartitionPart(by_rank, size + 3 * (k - j), size),)
-                reduce_layer(layer, parts_of if seeds is None else None, "max", cut_trace, cap)
+                reduce_layer(layer, parts_of if seeds is None else None, "max", trace, cut_cap)
                 layers[(i, j)] = layer
 
         best: tuple[int, tuple, int] | None = None
@@ -327,7 +327,7 @@ def cut_tuple_count(m: int, pieces: int) -> int:
     return m * cut_tuple_count(m - 1, pieces - 1) + comb(m, 2) * cut_tuple_count(m - 2, pieces - 1)
 
 
-def cut_universes(rank: tuple[int, ...], pieces: int, budget: int):
+def cut_universes(rank: tuple[int, ...], pieces: int, budget: Budget):
     """Each distinct way to cut the order ``rank`` into ``pieces`` blocks, as
     the rank tuple of the order that puts the blocks first, plus the stage
     threshold function f (the last element of each block).
@@ -338,14 +338,13 @@ def cut_universes(rank: tuple[int, ...], pieces: int, budget: int):
     blocks' elements are numbered 0, 1, ... in block order and the leftovers
     after them in rank order, the ranks of
     ``reorder_universe(universe, block_permutation(universe, blocks))`` for
-    a universe of that rank.  ``budget`` caps the raw cut tuples drawn,
-    skipped ones included: drawing one more raises ``BudgetExceededError``.
+    a universe of that rank.  Each raw cut tuple drawn, skipped ones
+    included, is charged to ``budget``.
     """
     order = sorted(range(len(rank)), key=rank.__getitem__)
     seen: set[tuple] = set()
-    for drawn, cut in enumerate(cut_tuples(order, pieces), 1):
-        if drawn > budget:
-            raise BudgetExceededError(f"more than {budget} cut tuples")
+    for cut in cut_tuples(order, pieces):
+        budget.charge()
         claimed = 0  # bit r: rank r lies in an earlier span
         placed: list[int] = []  # the blocks' ranks, in block order
         ends: list[int] = []  # len(placed) after each block
@@ -387,9 +386,8 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
     A passing set and its partners are k distinct sets, so every reject
     whose k heaviest sets weigh less than W is settled too.  A settled
     reject builds no cut order and runs no DP, so no reduction runs and
-    ``trace`` is left as it is; it is charged the cut tuples a reject would
-    draw, counted by ``cut_tuple_count``, and is budget-exceeded when they
-    are more than the budget.
+    ``trace`` is left as it is; it charges the cut tuples a reject would
+    draw, counted by ``cut_tuple_count``, to the same ``budget``.
     ``family`` is used as given; each of its sets must have 3 members, all
     inside ``universe``, of which only the order is read.
     """
@@ -418,16 +416,16 @@ def wsp_alg(universe: OrderedUniverse, family: WeightedSetFamily, W: int, k: int
         passing += len(rest) == k - 1 and w + sum(rest) >= W
         if passing == k:
             break
-    if passing < k:
-        # no k sets reach W under any cut; charge the cut tuples a reject
-        # draws (a budget below 0 charges as 0 does)
-        drawn = cut_tuple_count(len(universe), inv_eps)
-        drawn = min(drawn, 1) if inv_eps == 1 else drawn
-        return WspResult("budget-exceeded" if drawn > max(budget, 0) else "reject")
+    cuts = Budget(budget, "cut tuples")
     try:
+        if passing < k:
+            # no k sets reach W under any cut; charge the cut tuples a reject draws
+            drawn = cut_tuple_count(len(universe), inv_eps)
+            cuts.charge(min(drawn, 1) if inv_eps == 1 else drawn)
+            return WspResult("reject")
         pack = _pack_stages(len(universe), family.sets, k, stage_schedule(k, inv_eps), W,
                             trace=trace)
-        for rank, f in cut_universes(universe.rank, inv_eps, budget):
+        for rank, f in cut_universes(universe.rank, inv_eps, cuts):
             found = pack(rank, f)
             if found is not None:
                 positions, _, weight = found

@@ -172,6 +172,44 @@ def test_solve_p2p_budget_exit_code(tmp_path, capsys):
     assert code == 3 and json.loads(out)["verdict"] == "budget-exceeded"
 
 
+def test_p2p_budget_counts_the_cut_tuples_of_the_whole_solve(tmp_path, capsys):
+    """Every ``procedure2`` call of one solve charges the same budget, so
+    one cut tuple is too few here; each (p, q) split once got a fresh budget
+    and this accepted.  ``dpEntries`` counts the footprint DP's entries too:
+    it once read 78, with the same witness."""
+    _, doc, _ = run(capsys, "gen", "graph", "--n", "14", "--density", "0.26", "--seed", "3")
+    inst = tmp_path / "g.json"
+    inst.write_text(doc)
+    code, out, _ = run(capsys, "solve", "p2p", str(inst), "--k", "3", "--budget", "1")
+    assert code == 3 and json.loads(out)["verdict"] == "budget-exceeded"
+    code, out, _ = run(capsys, "solve", "p2p", str(inst), "--k", "3")
+    rep = json.loads(out)
+    assert code == 0 and rep["dpEntries"] == 82
+    assert rep["witness"] == {"paths": [[6, 9, 7], [0, 1, 4], [2, 3, 5]]}
+
+
+def test_only_the_problems_that_draw_cut_tuples_read_budget(tmp_path, capsys, monkeypatch):
+    """``kiob`` and ``kcwp`` take no budget, yet ``solve kiob --k 8 --budget 1``
+    on this digraph once accepted; ``FPTMIX_BUDGET`` stays a default, which
+    they leave unread.  A non-positive ``--budget`` stays a usage error."""
+    _, doc, _ = run(capsys, "gen", "digraph", "--n", "9", "--seed", "4")
+    digraph = tmp_path / "d.json"
+    digraph.write_text(doc)
+    kcwp = tmp_path / "kcwp.json"
+    kcwp.write_text(json.dumps(_kcwp_document()))
+    for argv in (("kiob", str(digraph), "--k", "8"), ("kcwp", str(kcwp))):
+        code, out, err = run(capsys, "solve", *argv, "--budget", "1")
+        assert code == 2 and not out and f"error: {argv[0]} does not read --budget" in err, err
+        monkeypatch.setenv("FPTMIX_BUDGET", "1")
+        assert run(capsys, "solve", *argv)[0] == 0, argv
+        monkeypatch.delenv("FPTMIX_BUDGET")
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(DOCUMENTS["graph"]))
+    for argv in (("kpath", str(digraph), "--k", "3", "--W", "9"), ("p2p", str(graph), "--k", "1")):
+        code, out, err = run(capsys, "solve", *argv, "--budget", "0")
+        assert code == 2 and not out and "--budget must be a positive integer" in err, err
+
+
 def test_solve_kcwp_document(tmp_path, capsys):
     import random
     from fractions import Fraction

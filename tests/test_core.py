@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from fptmix.core import (
     MAX_NODES,
+    Budget,
+    BudgetExceededError,
     Digraph,
     Graph,
     InstanceError,
@@ -196,3 +198,16 @@ def test_dedup_keeps_extremal(groups):
         for members, weight in stored.items():
             expected = pick(w for m, w in sets if m == members)
             assert weight == expected
+
+
+def test_budget_raises_once_more_than_its_limit_is_charged():
+    spent = Budget(3, "widgets")
+    spent.charge()
+    spent.charge(2)
+    spent.charge(0)
+    with pytest.raises(BudgetExceededError, match="^more than 3 widgets$"):
+        spent.charge()
+    below = Budget(-2, "widgets")  # allows what a limit of 0 does
+    below.charge(0)
+    with pytest.raises(BudgetExceededError, match="^more than -2 widgets$"):
+        below.charge()

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Graph, InstanceError, ParameterError, _mask, bit_positions
+from fptmix.core import Budget, Graph, InstanceError, ParameterError, _mask, bit_positions
 from fptmix import oracles, p2pack, wsp
 
 
@@ -215,11 +215,13 @@ def _eighteen_edge_graph():
 
 
 def test_p2packing_budget_exits():
+    """Every ``procedure2`` call of one solve charges the same cut-tuple
+    budget: 12 tuples in all are the fewest that settle k = 4 and k = 5."""
     g = _eighteen_edge_graph()
-    # one cut tuple is too few for procedure2 at the planted k
     assert p2pack.solve_p2packing(g, 4, 2, 1.0, 1).status == "budget-exceeded"
-    assert p2pack.solve_p2packing(g, 5, 2, 1.0, 10).status == "reject"
-    assert p2pack.solve_p2packing(g, 4, 2, 1.0, 10).status == "accept"
+    for k, status in ((4, "accept"), (5, "reject")):
+        assert p2pack.solve_p2packing(g, k, 2, 1.0, 11).status == "budget-exceeded", k
+        assert p2pack.solve_p2packing(g, k, 2, 1.0, 12).status == status, k
 
 
 def test_procedure2_per_cut_entry_cap(monkeypatch):
@@ -251,7 +253,7 @@ def test_solve_cpro2_accepts_under_some_cut_iff_procedure2_accepts():
         inst = _random_pro2(rng)
         inv_eps = inst.inv_eps if (inst.k - inst.q) // inst.inv_eps >= 1 else 1
         any_cut = False
-        for rank, f in wsp.cut_universes(inst.rank, inv_eps, 10**6):
+        for rank, f in wsp.cut_universes(inst.rank, inv_eps, Budget(10**6, "cut tuples")):
             res = p2pack.solve_cpro2(replace(inst, rank=rank, inv_eps=inv_eps, f=f))
             if res.accept:
                 any_cut = True
@@ -403,13 +405,36 @@ def test_validate_packing_rejects_a_node_outside_the_graph(graph, path):
         p2pack.IcpInstance(graph, 2, p2pack.Packing((path,)))
 
 
+@pytest.mark.parametrize("path", [(0, 1), (0, 1, 2, 3)])
+def test_validate_packing_rejects_a_path_that_is_not_three_nodes(path):
+    """Such a path once escaped as a bare ``ValueError`` from unpacking."""
+    graph = Graph(4, ((0, 1), (1, 2), (2, 3)))
+    with pytest.raises(ParameterError, match="does not have three nodes"):
+        p2pack.validate_packing(graph, p2pack.Packing((path,)))
+    with pytest.raises(ParameterError, match="does not have three nodes"):
+        p2pack.IcpInstance(graph, 2, p2pack.Packing((path,)))
+
+
+def test_pro2_instance_rejects_a_member_that_is_not_an_int():
+    """A float member once constructed, and ``procedure2`` then raised a
+    bare ``TypeError`` in the footprint DP."""
+    with pytest.raises(InstanceError, match="not an int"):
+        p2pack.Pro2Instance(tuple(range(6)), 2, ((0, 1.5, 2),), 2, 1, (1,), 1)
+
+
 def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeypatch):
-    """A (p', q') layer, 1 <= q' <= p' <= 3q', is built, with one
-    ``reduce_layer`` call, only when the q - q' paths still to come can
-    bring p - p' more outside nodes, one to three each."""
+    """The layers of one round and p are shared by every q: each (p', q')
+    layer is built, with one ``reduce_layer`` call, at most once, and only
+    when a read reaches it.  Reading (p, q) reaches (p, q), and a layer
+    built at (p', q') reaches (p' - c, q' - 1) for each outside count c of a
+    path leaving X; a layer outside 1 <= q' <= p' <= 3q' is empty and never
+    built.  A shared layer gives the same footprints as a fresh round's."""
     rng = random.Random(51)
     g = Graph(9, tuple(e for e in combinations(range(9), 2) if rng.random() < 0.45))
-    inst = p2pack.IcpInstance(g, 3, p2pack.Packing(oracles.enumerate_packings(g, 2)[0]))
+    prev = p2pack.Packing(oracles.enumerate_packings(g, 2)[0])
+    inst = p2pack.IcpInstance(g, 3, prev)
+    counts = {row[2] for row in inst.leaving}
+    assert len(counts) > 1, "the graph no longer has paths of several outside counts"
     calls = []
 
     def spy(*args, **kwargs):
@@ -419,12 +444,19 @@ def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeyp
     real = p2pack.reduce_layer
     monkeypatch.setattr(p2pack, "reduce_layer", spy)
     for p in range(10):
-        for q in range(5):
+        built: set[tuple[int, int]] = set()
+        for q in (3, 1, 4, 0, 2):
             calls.clear()
-            p2pack.icp_pro1(inst, p, q)
-            live = [(p1, q1) for p1 in range(1, p + 1) for q1 in range(1, q + 1)
-                    if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1)]
-            assert len(calls) == len(live), (p, q)
+            got = p2pack.icp_pro1(inst, p, q)
+            reached, todo = set(), [(p, q)] if p else []
+            while todo:
+                p1, q1 = todo.pop()
+                if (p1, q1) not in reached and 1 <= q1 <= p1 <= 3 * q1:
+                    reached.add((p1, q1))
+                    todo.extend((p1 - c, q1 - 1) for c in counts)
+            assert len(calls) == len(reached - built), (p, q)
+            built |= reached
+            assert got == p2pack.icp_pro1(p2pack.IcpInstance(g, 3, prev), p, q), (p, q)
 
 
 def test_icp_instance_derives_its_round_in_one_path_scan(monkeypatch):

@@ -718,7 +718,7 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     DP run, the footprint DP's included, one per internal node for
     ``solve_kcwp``, one per tree size from 2 for ``tree_families``, and for
     ``icp_pro1`` one per (p', q') layer that can grow into the (p, q) layer
-    it reads."""
+    it reads, less those an earlier read of the same round and p built."""
     real = repsets.reduce_layer
     seen, stepped = {}, []
 
@@ -752,9 +752,15 @@ def test_solvers_hand_reduce_layer_only_masks_their_parts_name(monkeypatch):
     def pack_stages(n, sets, k, *args, **kwargs):
         return steps(lambda rank, f: k, real_pack_stages(n, sets, k, *args, **kwargs))
 
+    built: dict = {}
+
     def live(inst, p, q, *_):
-        return sum(1 for p1 in range(1, p + 1) for q1 in range(1, q + 1)
-                   if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1))
+        grow = {(p1, q1) for p1 in range(1, p + 1) for q1 in range(1, q + 1)
+                if q1 <= p1 <= 3 * q1 and q - q1 <= p - p1 <= 3 * (q - q1)}
+        shared = built.setdefault((inst, p), set())
+        new = grow - shared
+        shared |= grow
+        return len(new)
 
     def internal_nodes(inst, *_):
         par = inst.params()

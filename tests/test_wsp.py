@@ -4,9 +4,9 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import (BudgetExceededError, InstanceError, OrderedUniverse, ParameterError,
-                         WeightedSetFamily, WeightOverflowError, block_permutation,
-                         reorder_universe)
+from fptmix.core import (Budget, BudgetExceededError, InstanceError, OrderedUniverse,
+                         ParameterError, WeightedSetFamily, WeightOverflowError,
+                         block_permutation, reorder_universe)
 from fptmix import oracles, wsp
 from helpers import count_only, reduction_ab, stage_ledger
 
@@ -539,12 +539,12 @@ def test_cut_universes_match_block_permutation():
         rng.shuffle(rank)
         uni = OrderedUniverse(tuple(f"u{i}" for i in range(n)), tuple(rank))
         for pieces in (1, 2, 3):
-            got = list(wsp.cut_universes(uni.rank, pieces, 10**6))
+            got = list(wsp.cut_universes(uni.rank, pieces, Budget(10**6, "cut tuples")))
             assert got == list(_reference_cut_universes(uni, pieces)), (rank, pieces)
             raw = sum(1 for _ in wsp.cut_tuples(uni.by_rank(), pieces))
             if raw:
                 with pytest.raises(BudgetExceededError):
-                    list(wsp.cut_universes(uni.rank, pieces, raw - 1))
+                    list(wsp.cut_universes(uni.rank, pieces, Budget(raw - 1, "cut tuples")))
 
 
 @pytest.mark.parametrize("n", range(7))
