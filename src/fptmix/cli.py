@@ -77,10 +77,11 @@ def _load(path: str, parse=str):
         raise InstanceError(f"{path!r} is nested too deep to parse") from None
 
 
-# report field -> trace key, as ``repsets.reduce_layer`` counts them
+# report field -> trace key, as ``repsets.reduce_layer`` and the staged DP's
+# per-cut step (``cut_skips``) count them
 _TRACE_FIELDS = {"peakFamilySize": "peak_family", "reductions": "reductions",
                  "denseSkips": "dense_skips", "smallSkips": "small_skips",
-                 "dpEntries": "entries"}
+                 "dpEntries": "entries", "cutSkips": "cut_skips"}
 
 
 def _report(args, verdict: str, witness=None, timings=None, trace=None) -> dict:
@@ -483,6 +484,13 @@ def _cmd_gen(args, argv) -> int:
 
 # ------------------------------------------------------------------ bench
 
+def _suite_rows(suite) -> list[dict]:
+    rows = suite.get("rows", []) if isinstance(suite, dict) else None
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ParameterError("a bench suite must be an object whose 'rows' lists objects")
+    return rows
+
+
 def bench_rows(suite: dict, budget: int) -> list[dict]:
     if budget <= 0:
         raise ParameterError(f"budget must be a positive integer, got {budget}")
@@ -507,11 +515,8 @@ def bench_rows(suite: dict, budget: int) -> list[dict]:
                 "match": (verdict == oracle) if oracle is not None else None}
 
     # every row is checked before any runs, so a bad row fails the whole suite
-    rows = suite.get("rows", []) if isinstance(suite, dict) else None
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ParameterError("a bench suite must be an object whose 'rows' lists objects")
     jobs = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_suite_rows(suite)):
         for field in ("problem", "instance"):
             if field not in row:
                 raise ParameterError(f"bench row {i} has no {field!r} field")
@@ -528,7 +533,12 @@ def _cmd_bench(args, argv) -> int:
         suite = _load(args.suite, json.loads)
     except FileNotFoundError:
         raise ParameterError(f"missing suite {args.suite!r}")
-    rows = bench_rows(suite, args.budget)
+    if args.budget is not None:  # as in solve, a problem that reads no budget refuses it
+        unread = [name for name, flags in _SOLVE_FLAGS.items() if "budget" not in flags]
+        for i, row in enumerate(_suite_rows(suite)):
+            if row.get("problem") in unread:
+                raise ParameterError(f"bench row {i}: {row['problem']} does not read --budget")
+    rows = bench_rows(suite, budget_from_env() if args.budget is None else args.budget)
     if args.format == "json":
         print(json.dumps(rows, sort_keys=True))
     else:
@@ -613,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a suite and cross-check oracles")
     ben.add_argument("suite")
     ben.add_argument("--format", choices=["csv", "json"], default="csv")
-    ben.add_argument("--budget", type=int, default=budget_from_env())
+    ben.add_argument("--budget", type=int)
     ben.set_defaults(func=_cmd_bench)
 
     return top
@@ -622,6 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        budget_from_env()  # a bad FPTMIX_BUDGET is a usage error for every command
         args = build_parser().parse_args(argv)
         if getattr(args, "budget", None) is not None and args.budget <= 0:
             raise ParameterError(f"--budget must be a positive integer, got {args.budget}")

@@ -60,8 +60,9 @@ class IcpInstance:
     shares, in one scan of the graph's 3-node paths: X ascending, the paths
     inside X, and the paths that leave X as sorted (smallest outside index,
     outside mask, outside count, X mask, path) rows; bit i of an X mask is
-    ``x_nodes[i]``.  ``layers`` holds, per p, the ``icp_pro1`` layers built
-    so far, which every q of the round shares."""
+    ``x_nodes[i]``.  Each node gets its X bit or its outside bit once, so a
+    path's masks are ORs of its nodes' bits.  ``layers`` holds, per p, the
+    ``icp_pro1`` layers built so far, which every q of the round shares."""
     graph: Graph
     k: int
     previous: Packing
@@ -74,20 +75,24 @@ class IcpInstance:
         if len(self.previous) != self.k - 1:
             raise ParameterError("compression step needs a (k-1)-packing")
         validate_packing(self.graph, self.previous)
-        g, x_index = self.graph, {v: i for i, v in enumerate(sorted(self.previous.nodes()))}
-        y_index = {v: i for i, v in enumerate(v for v in range(g.node_count) if v not in x_index)}
+        n, x_nodes = self.graph.node_count, tuple(sorted(self.previous.nodes()))
+        # node v's X bit and outside bit; exactly one of them is non-zero
+        x_bit, y_bit = [0] * n, [0] * n
+        for i, v in enumerate(x_nodes):
+            x_bit[v] = 1 << i
+        for i, v in enumerate(v for v in range(n) if not x_bit[v]):
+            y_bit[v] = 1 << i
         inside, leaving = [], []
-        for mid, near in enumerate(g.adjacency()):
+        for mid, near in enumerate(self.graph.adjacency()):
             for a, c in combinations(sorted(near), 2):
-                ys = [y_index[v] for v in (a, mid, c) if v not in x_index]
+                ys = y_bit[a] | y_bit[mid] | y_bit[c]
                 if ys:
-                    leaving.append((min(ys), sum(1 << y for y in ys), len(ys),
-                                    sum(1 << x_index[v] for v in (a, mid, c) if v in x_index),
-                                    (a, mid, c)))
+                    leaving.append(((ys & -ys).bit_length() - 1, ys, ys.bit_count(),
+                                    x_bit[a] | x_bit[mid] | x_bit[c], (a, mid, c)))
                 else:
                     inside.append((a, mid, c))
         leaving.sort(key=lambda t: (t[0], t[4]))
-        object.__setattr__(self, "x_nodes", tuple(x_index))
+        object.__setattr__(self, "x_nodes", x_nodes)
         object.__setattr__(self, "inside", tuple(inside))
         object.__setattr__(self, "leaving", tuple(leaving))
 

@@ -109,8 +109,15 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     ``pack(rank, f)``, which runs the DP for one cut: ``rank`` is the rank
     tuple of the cut's order of the ``n`` elements and ``f`` the stage
     threshold function, one element per stage.  Per cut it builds only the
-    per-set (smallest-element rank, per-stage deletable counts) rows, the
-    seeds' counts and the layers.
+    seeds' counts, the per-set (smallest-element rank, per-stage deletable
+    counts) rows and the layers.  Before the rows, a counting bound rules
+    the cut out when no seed can meet the schedule: with x of the seed's
+    elements among the m at or below f(l), a packing grown from it counts at
+    most x + min(2 l floor(eps k), floor(2 (m - x) / 3)) deletions at stage
+    l, since only the sets of stages 1..l reach below f(l), each counts at
+    most 2, and a set counted there has its minimum there too, so of the
+    m - x elements the sets share with nothing at most 2 in 3 count.  Such a
+    cut adds 1 to ``trace["cut_skips"]`` and returns None.
 
     ``sets`` lists (member tuple, weight) by position, duplicates allowed,
     and ``sched`` is the stage schedule R(0..t).
@@ -120,9 +127,13 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     elements that lie above the previous stage threshold.
     Layer (0, 0) holds ``seeds``, the stored masks to start from: one per
     footprint that the packing must avoid, counted per stage under each cut,
-    or for None the empty packing.  One ``reduce_layer`` call closes each
-    layer: it counts the entries into ``trace`` and, with ``cap``, charges
-    them to a fresh ``Budget`` of ``cap`` entries per cut, and reduces each
+    or for None the empty packing.  A set inserted at stage i deletes what it
+    owes to stages 1..i - 1, and in a seeded DP the layer of j = i floor(eps k)
+    sets, i <= 1/eps, closes stage i and owes R(i) too: later sets lie above
+    f(i).  The unseeded DP keeps such keys, as its reductions read whole
+    layers.  One ``reduce_layer`` call closes each layer: it counts the
+    entries into ``trace`` and, with ``cap``, charges them to a fresh
+    ``Budget`` of ``cap`` entries per cut, and reduces each
     entry of an unseeded DP to a max 3(k - j)-representative subfamily over
     the cut's order, its one part listing the elements in that order.
     Before that count and the reductions, a layer drops each stored set of j
@@ -169,6 +180,15 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
         by_rank = tuple(sorted(range(n), key=rank.__getitem__))
         prefix = list(accumulate(1 << e for e in by_rank))
         below = [prefix[fr] for fr in f_rank]
+        # the counting bound: m = f_rank + 1 elements lie at or below f(l)
+        seed_counts = [(fs, tuple([(fs & b).bit_count() for b in below]))
+                       for fs in ((0,) if seeds is None else seeds)]
+        if not any(all(x + min(2 * l * ek, 2 * (fr + 1 - x) // 3) >= sched[l]
+                       for l, (x, fr) in enumerate(zip(counts, f_rank), 1))
+                   for _, counts in seed_counts):
+            if trace is not None:
+                trace["cut_skips"] = trace.get("cut_skips", 0) + 1
+            return None
         sets_by_min: list[tuple[int, int, tuple[int, ...], int, int, int]] = []
         for pos, members, mask, w in useful:
             mn = min(members, key=rank.__getitem__)
@@ -181,8 +201,8 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
 
         seed_layer: dict[tuple, Entry] = {}
         layers: dict[tuple[int, int], dict[tuple, Entry]] = {(0, 0): seed_layer}
-        for fs in (0,) if seeds is None else seeds:
-            put(seed_layer, (tuple([(fs & b).bit_count() for b in below]), -1), fs, 0, None)
+        for fs, counts in seed_counts:
+            put(seed_layer, (counts, -1), fs, 0, None)
         for i in range(1, t + 2):
             j_lo = 1 + (i - 1) * ek
             j_hi = i * ek if i <= t else k
@@ -190,6 +210,9 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
             floor_i = f_rank[i - 2] if i >= 2 else -1
             due = sched[1:i]  # the deletions owed by stages 1 .. i - 1
             for j in range(j_lo, min(j_hi, k) + 1):
+                # a seeded layer closing stage i owes stage i too: later sets
+                # lie above f(i)
+                owed = sched[1:i + 1] if seeds is not None and j == j_hi and i <= t else due
                 layer: dict[tuple, Entry] = {}
                 # a stage's first layer extends the previous stage's last one
                 child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
@@ -200,7 +223,7 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
                     start = bisect_right(mranks, max(mrank_c, floor_i))
                     for mrank, pos, contrib, others, members, w in sets_by_min[start:]:
                         new_s = tuple(map(add, s_vec, contrib))
-                        if any(map(lt, new_s, due)):
+                        if any(map(lt, new_s, owed)):
                             continue
                         for fs, (cw, _) in entry.items():
                             a = fs & keep

@@ -188,6 +188,24 @@ def test_p2p_budget_counts_the_cut_tuples_of_the_whole_solve(tmp_path, capsys):
     assert rep["witness"] == {"paths": [[6, 9, 7], [0, 1, 4], [2, 3, 5]]}
 
 
+def test_p2p_reports_the_cuts_its_counting_bound_rules_out(tmp_path, capsys):
+    """``cutSkips`` counts the cuts whose footprint DP the counting bound
+    rules out before building a layer; it is null when none is, and a bench
+    row reports what ``solve`` does."""
+    _, doc, _ = run(capsys, "gen", "graph", "--n", "12", "--seed", "1")
+    inst = tmp_path / "g.json"
+    inst.write_text(doc)
+    suite = tmp_path / "suite.json"
+    for k, skips in ((2, None), (4, 45)):
+        code, out, _ = run(capsys, "solve", "p2p", str(inst), "--k", str(k))
+        solved = json.loads(out)
+        assert code == 0 and solved["cutSkips"] == skips, solved
+        suite.write_text(json.dumps({"rows": [{"problem": "p2p", "instance": json.loads(doc),
+                                               "k": k}]}))
+        code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+        assert code == 0 and json.loads(out)[0]["cutSkips"] == skips
+
+
 def test_only_the_problems_that_draw_cut_tuples_read_budget(tmp_path, capsys, monkeypatch):
     """``kiob`` and ``kcwp`` take no budget, yet ``solve kiob --k 8 --budget 1``
     on this digraph once accepted; ``FPTMIX_BUDGET`` stays a default, which
@@ -427,7 +445,8 @@ def test_bench_csv_matches_json(tmp_path, capsys):
     code, text, _ = run(capsys, "bench", str(suite))
     assert code == 0
     assert text.splitlines()[0] == ("instance,problem,verdict,oracle,match,seconds,"
-                                    "peakFamilySize,reductions,denseSkips,smallSkips,dpEntries")
+                                    "peakFamilySize,reductions,denseSkips,smallSkips,dpEntries,"
+                                    "cutSkips")
     code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
     assert code == 0
     rows = json.loads(out)
@@ -599,6 +618,22 @@ def test_non_positive_budget_is_a_usage_error(tmp_path, capsys):
     assert code == 0
 
 
+def test_bench_refuses_budget_for_a_row_that_draws_no_cut_tuples(tmp_path, capsys, monkeypatch):
+    """A kiob row once ran with ``bench --budget 1`` and accepted; like
+    ``solve``, ``bench`` now refuses the flag and names the row, while
+    ``FPTMIX_BUDGET`` stays a default the row leaves unread."""
+    _, doc, _ = run(capsys, "gen", "digraph", "--n", "9", "--seed", "4")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"rows": [{"problem": "kiob", "instance": json.loads(doc),
+                                           "k": 8}]}))
+    code, out, err = run(capsys, "bench", str(suite), "--budget", "1")
+    assert code == 2 and not out and "error: bench row 0: kiob does not read --budget" in err
+    code, out, _ = run(capsys, "bench", str(suite), "--format", "json")
+    assert code == 0 and json.loads(out)[0]["verdict"] == "accept"
+    monkeypatch.setenv("FPTMIX_BUDGET", "1")
+    assert run(capsys, "bench", str(suite))[0] == 0
+
+
 def test_bench_rows_rejects_a_non_positive_budget():
     """A library caller's budget of 0 is an error, not the default budget."""
     suite = {"rows": [{"problem": "wsp", "instance": DOCUMENTS["setfamily"], "k": 1, "W": 1}]}
@@ -764,7 +799,8 @@ def test_solve_and_bench_run_a_row_alike(tmp_path, capsys, problem):
     assert code == 0
     (row,) = json.loads(out)
     assert row["verdict"] == solved["verdict"] == "accept" and row["match"]
-    for field in ("peakFamilySize", "reductions", "denseSkips", "smallSkips", "dpEntries"):
+    for field in ("peakFamilySize", "reductions", "denseSkips", "smallSkips", "dpEntries",
+                  "cutSkips"):
         assert row[field] == solved[field], field
 
 

@@ -611,3 +611,62 @@ def test_solve_cpro2_matches_its_oracle_at_each_footprint_offset(data):
         assert got.footprint in cands and len(got.ordered_sets) == k - q
         used = [e for pos in got.ordered_sets for e in family[pos]]
         assert len(set(used)) == len(used) and not got.footprint & _mask(used)
+
+
+def _tight_pro2(f):
+    """k - q = 2 sets at 1/eps = 2 beside the footprint {3, 4} (offset 2),
+    so R = (0, 1, 2): ``(0, 1, 2)`` holds the deletions, ``(5, 6, 7)`` lies
+    above every threshold."""
+    return p2pack.Pro2Instance(tuple(range(8)), 3, ((0, 1, 2), (5, 6, 7)), 1, 1,
+                               (_mask((3, 4)),), 2, f)
+
+
+def test_footprint_dp_rules_out_a_cut_one_element_short_of_its_counting_bound():
+    """With x footprint elements among the m at or below f(l), a packing
+    counts at most x + min(2 l floor(eps(k - q)), floor(2 (m - x) / 3))
+    deletions at stage l.  Under f = (1, 2) stage 2 has m = 3, x = 0: the
+    bound is 2 = R(2), met with equality, and the DP accepts.  Moving f(2)
+    one element down leaves m = 2 and a bound of 1, so the cut is ruled out
+    before any layer is built; the literal oracle rejects it too.  A bound of
+    floor((m - x) / 2), or m off by one, gets one of the two wrong."""
+    assert wsp.stage_schedule(2, 2, 2) == [0, 1, 2]
+    for f, accept in (((1, 2), True), ((1, 1), False)):
+        inst = _tight_pro2(f)
+        trace: dict = {}
+        found = p2pack._footprint_packer(inst, inst.inv_eps, trace)(inst.rank, inst.f)
+        assert (found is not None) == accept == oracles.oracle_cpro2(inst)
+        assert p2pack.solve_cpro2(inst).accept == accept
+        assert trace.get("cut_skips") == (None if accept else 1), trace
+        assert ("entries" in trace) == accept  # a ruled-out cut builds no layer
+    assert p2pack.solve_cpro2(_tight_pro2((1, 2))).ordered_sets == (0, 1)
+
+
+def test_seeded_layer_closing_a_stage_keeps_only_keys_that_meet_its_schedule(monkeypatch):
+    """A seeded layer of j = i floor(eps(k - q)) sets, i <= 1/eps, closes stage
+    i: later sets lie above f(i), so its deletable count is final and every
+    key it keeps meets R(i).  Here ``(5, 6, 7)`` as the first set deletes
+    nothing at stage 1, and such a key once lived on to fail every child."""
+    seen = []
+    real = wsp.reduce_layer
+
+    def spy(layer, *args):
+        seen.append([key[0] for key in layer])
+        return real(layer, *args)
+
+    monkeypatch.setattr(wsp, "reduce_layer", spy)
+    rng = random.Random(11)
+    checked = 0
+    for inst in [_tight_pro2((1, 2))] + [_random_pro2(rng) for _ in range(40)]:
+        kq, inv_eps = inst.k - inst.q, inst.inv_eps
+        if kq // inv_eps < 1:
+            continue
+        ek, sched = kq // inv_eps, wsp.stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
+        pack = p2pack._footprint_packer(inst, inv_eps)
+        for rank, f in wsp.cut_universes(inst.rank, inv_eps, Budget(10**6, "cut tuples")):
+            seen.clear()
+            pack(rank, f)
+            for j, counts in enumerate(seen, 1):  # one call per layer, j = 1 .. k - q
+                if j % ek == 0 and j // ek <= inv_eps:
+                    checked += len(counts)
+                    assert all(c[j // ek - 1] >= sched[j // ek] for c in counts), (inst, f)
+    assert checked
