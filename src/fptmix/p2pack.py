@@ -286,10 +286,11 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     Each round tries every (p, q) split sanctioned by the containment
     guarantee for packings extending the previous round's witness, combining
     the footprint family with the in-X packing decision; the reconstructed
-    t-packing feeds the next round.  The round's ``IcpInstance`` derives X
-    and its paths once, and every split reads them.  ``budget`` counts the
-    cut tuples of the whole solve, every ``procedure2`` call charging the
-    same ``Budget``, and ``trace`` counts the entries of both DPs.
+    t-packing feeds the next round, whose ``IcpInstance`` derives X and its
+    paths once, for every split to read, and validates it; the last one is
+    validated before it is returned.  ``budget`` counts the cut tuples of
+    the whole solve, every ``procedure2`` call charging the same ``Budget``,
+    and ``trace`` counts the entries of both DPs.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -321,11 +322,11 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
                     outside = fmap[res.footprint]
                     inside = tuple(inst.inside[pos] for pos in res.ordered_sets)
                     found = Packing(tuple(outside.paths) + inside)
-                    validate_packing(g, found)
                     break
             if found is not None:
                 break
         if found is None:
             return P2Result("reject")
         current = found
+    validate_packing(g, current)
     return P2Result("accept", current)

@@ -15,7 +15,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from math import comb
-from operator import add, lt
+from operator import add
 
 from .core import (Budget, BudgetExceededError, InstanceError, OrderedUniverse,
                    ParameterError, WeightedSetFamily, _ceildiv, add_weights)
@@ -41,8 +41,10 @@ def stage_schedule(k: int, inv_eps: int, offset: int = 0) -> list[int]:
 
 
 def _check_cut_order(inst) -> None:
-    """Raise unless ``inst.rank`` is a permutation of 0..n-1 and ``inst.f``
-    is None or names 1/eps elements in rank order."""
+    """Raise unless 1/eps is positive, ``inst.rank`` is a permutation of
+    0..n-1 and ``inst.f`` is None or names 1/eps elements in rank order."""
+    if inst.inv_eps < 1:
+        raise ParameterError("1/eps must be a positive integer")
     rank = inst.rank
     if not all(type(r) is int for r in rank) or sorted(rank) != list(range(len(rank))):
         raise InstanceError("rank must be a permutation of 0..n-1")
@@ -65,8 +67,6 @@ class CwspInstance:
     def __post_init__(self):
         if self.family.set_size != 3:
             raise ParameterError("family must consist of 3-sets")
-        if self.inv_eps < 1:
-            raise ParameterError("1/eps must be a positive integer")
         _check_cut_order(self)
         if any(members[-1] >= len(self.rank) for members, _ in self.family.sets):
             raise InstanceError("a member index is out of range of the cut's order")
@@ -127,13 +127,13 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
     elements that lie above the previous stage threshold.
     Layer (0, 0) holds ``seeds``, the stored masks to start from: one per
     footprint that the packing must avoid, counted per stage under each cut,
-    or for None the empty packing.  A set inserted at stage i deletes what it
-    owes to stages 1..i - 1, and in a seeded DP the layer of j = i floor(eps k)
-    sets, i <= 1/eps, closes stage i and owes R(i) too: later sets lie above
-    f(i).  The unseeded DP keeps such keys, as its reductions read whole
-    layers.  One ``reduce_layer`` call closes each layer: it counts the
-    entries into ``trace`` and, with ``cap``, charges them to a fresh
-    ``Budget`` of ``cap`` entries per cut, and reduces each
+    or for None the empty packing.  The layer of j = i floor(eps k) sets,
+    i <= 1/eps, closes stage i and keeps only keys whose stage-i count meets
+    R(i): later sets lie above f(i), so no count of stages 1..i changes after
+    it, and every key of the last layer meets the whole schedule.  No other
+    layer, nor the final scan, reads R.  One ``reduce_layer`` call closes each
+    layer: it counts the entries into ``trace`` and, with ``cap``, charges
+    them to a fresh ``Budget`` of ``cap`` entries per cut, and reduces each
     entry of an unseeded DP to a max 3(k - j)-representative subfamily over
     the cut's order, its one part listing the elements in that order.
     Before that count and the reductions, a layer drops each stored set of j
@@ -208,11 +208,9 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
             j_hi = i * ek if i <= t else k
             # every element of a set inserted at stage i must exceed f(i-1)
             floor_i = f_rank[i - 2] if i >= 2 else -1
-            due = sched[1:i]  # the deletions owed by stages 1 .. i - 1
-            for j in range(j_lo, min(j_hi, k) + 1):
-                # a seeded layer closing stage i owes stage i too: later sets
-                # lie above f(i)
-                owed = sched[1:i + 1] if seeds is not None and j == j_hi and i <= t else due
+            for j in range(j_lo, j_hi + 1):
+                # the layer closing stage i owes R(i): later sets lie above f(i)
+                closes = j == j_hi and i <= t
                 layer: dict[tuple, Entry] = {}
                 # a stage's first layer extends the previous stage's last one
                 child_lk = (i - 1, j - 1) if j == j_lo else (i, j - 1)
@@ -223,7 +221,7 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
                     start = bisect_right(mranks, max(mrank_c, floor_i))
                     for mrank, pos, contrib, others, members, w in sets_by_min[start:]:
                         new_s = tuple(map(add, s_vec, contrib))
-                        if any(map(lt, new_s, owed)):
+                        if closes and new_s[i - 1] < sched[i]:
                             continue
                         for fs, (cw, _) in entry.items():
                             a = fs & keep
@@ -254,8 +252,6 @@ def _pack_stages(n: int, sets, k: int, sched, W: int, seeds=None,
         best: tuple[int, tuple, int] | None = None
         layer_key = max(layers)  # the one layer of k sets is built last
         for key, entry in layers[layer_key].items():
-            if any(key[0][l] < sched[l + 1] for l in range(t)):
-                continue
             for fs, (w, _) in entry.items():
                 if w >= W and (best is None or w > best[0] or w == best[0] and seeds is None
                                and best[1] == key and fs & (d := fs ^ best[2]) & -d):

@@ -17,7 +17,7 @@ import pytest
 
 from fptmix import core, kiob, kpath, oracles, p2pack, repsets, wsp
 from fptmix.core import Digraph, Graph, OrderedUniverse, WeightedSetFamily
-from test_pinned import CWSP_SHAPES, kcwp_instance
+from test_pinned import cwsp_instances, kcwp_instance
 
 
 def _reversing(layer, parts_of_key, *args, **kwargs):
@@ -46,19 +46,6 @@ def _family(rng, n, count, wmax):
     return uni, WeightedSetFamily(uni, 3, sets, "max")
 
 
-def _cwsp_cases():
-    """The instances of ``test_pinned.py``'s cwsp pins, among them seed 7's
-    30 sets of weight 0..1 at k = 2, whose witness the reversal moved while
-    the step sorted every entry and the DP kept the first of equal weights."""
-    for seed in range(1, 8):
-        for n, count, k, inv_eps, wmax in CWSP_SHAPES:
-            rng = random.Random(seed)
-            uni, fam = _family(rng, n, count, wmax)
-            order = uni.by_rank()
-            f = tuple(order[r] for r in sorted(rng.sample(range(n), inv_eps)))
-            yield wsp.CwspInstance(uni.rank, fam, 0, k, inv_eps, f)
-
-
 def _kcwp_case(seed, n, extra, unit):
     """``test_pinned.py``'s planted 27-node path with the nodes off the path
     added to L.  Past 16 L nodes the L separator holds every k1-subset, so
@@ -78,7 +65,10 @@ KIOB_MOVED = {"arcs": [[0, 3, 1], [0, 8, 1], [2, 4, 1], [5, 0, 1], [5, 2, 1], [5
 
 
 def test_cwsp_ignores_reduced_entry_order(monkeypatch):
-    for inst in _cwsp_cases():
+    """Among ``test_pinned.py``'s cwsp instances is seed 7's 30 sets of weight
+    0..1 at k = 2, whose witness the reversal moved while the step sorted
+    every entry and the DP kept the first of equal weights."""
+    for inst in cwsp_instances():
         plain, spied = _same_with_reversed_entries(
             monkeypatch, lambda trace: wsp.solve_cwsp(inst, 1.591, trace=trace))
         assert spied == plain, inst

@@ -5,8 +5,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fptmix.core import Budget, Graph, InstanceError, ParameterError, _mask, bit_positions
+from fptmix.core import (Budget, Graph, InstanceError, OrderedUniverse, ParameterError,
+                         WeightedSetFamily, _mask, bit_positions)
 from fptmix import oracles, p2pack, wsp
+from test_pinned import cwsp_instances
 
 
 def random_graph(rng, n, density=0.4):
@@ -224,6 +226,23 @@ def test_p2packing_budget_exits():
         assert p2pack.solve_p2packing(g, k, 2, 1.0, 12).status == status, k
 
 
+def test_solve_p2packing_validates_each_round_packing_once(monkeypatch):
+    """Each round's packing is checked by the next round's ``IcpInstance``,
+    and the last one by the solve itself; no packing is checked twice."""
+    checked = []
+    real = p2pack.validate_packing
+
+    def spy(g, packing):
+        checked.append(packing)
+        return real(g, packing)
+
+    monkeypatch.setattr(p2pack, "validate_packing", spy)
+    res = p2pack.solve_p2packing(_eighteen_edge_graph(), 4)
+    assert res.status == "accept"
+    assert [len(pk) for pk in checked] == [0, 1, 2, 3, 4]
+    assert checked[-1] == res.packing
+
+
 def test_procedure2_per_cut_entry_cap(monkeypatch):
     g = _eighteen_edge_graph()
     family = tuple(sorted(tuple(sorted(path)) for path in oracles.all_p2_paths(g)))
@@ -420,6 +439,19 @@ def test_pro2_instance_rejects_a_member_that_is_not_an_int():
     bare ``TypeError`` in the footprint DP."""
     with pytest.raises(InstanceError, match="not an int"):
         p2pack.Pro2Instance(tuple(range(6)), 2, ((0, 1.5, 2),), 2, 1, (1,), 1)
+
+
+@pytest.mark.parametrize("inv_eps", [0, -1])
+def test_cut_instances_reject_a_non_positive_inv_eps(inv_eps):
+    """Both cut instances check 1/eps with their cut order.  A
+    ``Pro2Instance`` once took 0, on which ``procedure2`` divided by zero,
+    and -1, on which it accepted."""
+    with pytest.raises(ParameterError, match="1/eps must be a positive integer"):
+        p2pack.Pro2Instance(tuple(range(7)), 3, ((1, 2, 3), (4, 5, 6)), 2, 1, (1,), inv_eps)
+    uni = OrderedUniverse.from_labels([f"u{i}" for i in range(7)])
+    fam = WeightedSetFamily(uni, 3, (((1, 2, 3), 1),), "max")
+    with pytest.raises(ParameterError, match="1/eps must be a positive integer"):
+        wsp.CwspInstance(uni.rank, fam, 0, 1, inv_eps, ())
 
 
 def test_icp_pro1_builds_only_the_layers_that_grow_into_the_one_it_reads(monkeypatch):
@@ -641,11 +673,9 @@ def test_footprint_dp_rules_out_a_cut_one_element_short_of_its_counting_bound():
     assert p2pack.solve_cpro2(_tight_pro2((1, 2))).ordered_sets == (0, 1)
 
 
-def test_seeded_layer_closing_a_stage_keeps_only_keys_that_meet_its_schedule(monkeypatch):
-    """A seeded layer of j = i floor(eps(k - q)) sets, i <= 1/eps, closes stage
-    i: later sets lie above f(i), so its deletable count is final and every
-    key it keeps meets R(i).  Here ``(5, 6, 7)`` as the first set deletes
-    nothing at stage 1, and such a key once lived on to fail every child."""
+def _spy_layer_counts(monkeypatch):
+    """A list that gets, per ``reduce_layer`` call on ``wsp``, the per-stage
+    count vectors of the layer's keys."""
     seen = []
     real = wsp.reduce_layer
 
@@ -654,19 +684,65 @@ def test_seeded_layer_closing_a_stage_keeps_only_keys_that_meet_its_schedule(mon
         return real(layer, *args)
 
     monkeypatch.setattr(wsp, "reduce_layer", spy)
+    return seen
+
+
+def _check_cut_layers(seen, k, inv_eps, sched):
+    """``seen`` holds the count vectors of each cut's layers, j = 1 .. k, cut
+    after cut.  The layer of j = i floor(eps k) sets, i <= 1/eps, closes stage
+    i, so each of its keys meets R(i); each key of the last layer meets the
+    whole schedule.  Returns how many keys were checked."""
+    assert len(seen) % k == 0
+    ek, checked = k // inv_eps, 0
+    for start in range(0, len(seen), k):
+        for j, counts in enumerate(seen[start:start + k], 1):
+            if j % ek == 0 and j // ek <= inv_eps:
+                checked += len(counts)
+                assert all(c[j // ek - 1] >= sched[j // ek] for c in counts), j
+        assert all(c[l - 1] >= sched[l] for c in seen[start + k - 1]
+                   for l in range(1, inv_eps + 1))
+    return checked
+
+
+def test_seeded_layer_closing_a_stage_keeps_only_keys_that_meet_its_schedule(monkeypatch):
+    """A seeded layer of j = i floor(eps(k - q)) sets, i <= 1/eps, closes stage
+    i: later sets lie above f(i), so its deletable count is final and every
+    key it keeps meets R(i).  Here ``(5, 6, 7)`` as the first set deletes
+    nothing at stage 1, and such a key once lived on to fail every child."""
+    seen = _spy_layer_counts(monkeypatch)
     rng = random.Random(11)
     checked = 0
     for inst in [_tight_pro2((1, 2))] + [_random_pro2(rng) for _ in range(40)]:
         kq, inv_eps = inst.k - inst.q, inst.inv_eps
         if kq // inv_eps < 1:
             continue
-        ek, sched = kq // inv_eps, wsp.stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
+        sched = wsp.stage_schedule(kq, inv_eps, 3 * inst.q - inst.p)
         pack = p2pack._footprint_packer(inst, inv_eps)
         for rank, f in wsp.cut_universes(inst.rank, inv_eps, Budget(10**6, "cut tuples")):
             seen.clear()
             pack(rank, f)
-            for j, counts in enumerate(seen, 1):  # one call per layer, j = 1 .. k - q
-                if j % ek == 0 and j // ek <= inv_eps:
-                    checked += len(counts)
-                    assert all(c[j // ek - 1] >= sched[j // ek] for c in counts), (inst, f)
+            checked += _check_cut_layers(seen, kq, inv_eps, sched)
+    assert checked
+
+
+def test_unseeded_layer_closing_a_stage_keeps_only_keys_that_meet_its_schedule(monkeypatch):
+    """The weighted packing DP closes its stages the same way: keys that
+    miss R(i) once lived on there to fail every child or the final scan.
+    It runs on ``test_pinned.py``'s cwsp instances and on a staged
+    ``wsp_alg`` that walks several cuts before it accepts."""
+    seen = _spy_layer_counts(monkeypatch)
+    checked = 0
+    for inst in cwsp_instances():
+        seen.clear()
+        wsp.solve_cwsp(inst, 1.591)
+        checked += _check_cut_layers(seen, inst.k, inst.inv_eps,
+                                     wsp.stage_schedule(inst.k, inst.inv_eps))
+    rng = random.Random(4)
+    uni = OrderedUniverse.from_labels([f"u{i}" for i in range(9)])
+    fam = WeightedSetFamily(uni, 3, tuple((tuple(sorted(rng.sample(range(9), 3))),
+                                           rng.randint(0, 9)) for _ in range(12)), "max")
+    seen.clear()
+    assert wsp.wsp_alg(uni, fam, oracles.oracle_wsp(fam, 3), 3, 3).status == "accept"
+    assert len(seen) > 3  # more than one cut ran the DP
+    checked += _check_cut_layers(seen, 3, 3, wsp.stage_schedule(3, 3))
     assert checked

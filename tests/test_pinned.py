@@ -110,8 +110,8 @@ CWSP_SHAPES = [(9, 14, 3, 1, 9), (10, 16, 3, 2, 9), (9, 14, 2, 2, 9), (10, 18, 3
                (9, 30, 3, 1, 0), (9, 30, 2, 2, 1)]
 
 
-def cwsp_results():
-    out = []
+def cwsp_instances():
+    """One instance per seed 1..7 and shape, seed by seed."""
     for seed in range(1, 8):
         for n, count, k, inv_eps, wmax in CWSP_SHAPES:
             rng = random.Random(seed)
@@ -121,10 +121,15 @@ def cwsp_results():
             fam = WeightedSetFamily(uni, 3, sets, "max")
             order = uni.by_rank()
             f = tuple(order[r] for r in sorted(rng.sample(range(n), inv_eps)))
-            trace = {}
-            res = wsp.solve_cwsp(wsp.CwspInstance(uni.rank, fam, 0, k, inv_eps, f), 1.591,
-                                 trace=trace)
-            out.append((res.ordered_sets, res.weight, trace.get("peak_family")))
+            yield wsp.CwspInstance(uni.rank, fam, 0, k, inv_eps, f)
+
+
+def cwsp_results():
+    out = []
+    for inst in cwsp_instances():
+        trace = {}
+        res = wsp.solve_cwsp(inst, 1.591, trace=trace)
+        out.append((res.ordered_sets, res.weight, trace.get("peak_family")))
     return out
 
 
@@ -144,17 +149,17 @@ CWSP_PINNED = [
     ((10, 1, 8), 12, 6),
     (None, None, 2),
     (None, None, 2),
-    ((13, 3, 11), 21, 5),
+    ((13, 3, 11), 21, 2),
     ((21, 16, 0), 0, 20),
     ((17, 2), 2, 13),
     ((1, 7, 3), 6, 5),
     (None, None, 3),
     ((1, 5), 6, 3),
-    ((7, 8, 14), 20, 4),
+    ((7, 8, 14), 20, 3),
     ((0, 17, 21), 0, 8),
     ((0, 23), 2, 6),
     ((10, 12, 3), 22, 8),
-    ((7, 3, 0), 20, 8),
+    ((7, 3, 0), 20, 6),
     ((6, 0), 17, 5),
     (None, None, 4),
     ((23, 9, 10), 0, 26),
