@@ -156,12 +156,17 @@ class WeightedSetFamily:
         n = len(self.universe)
         best: dict[tuple[int, ...], int] = {}
         order: list[tuple[int, ...]] = []
+        masks: list[int] = []
         for members, weight in self.sets:
-            members = tuple(sorted(members))
-            if len(set(members)) != self.set_size or len(members) != self.set_size:
-                raise InstanceError(f"set {members} does not have exactly {self.set_size} members")
-            if members and not (0 <= members[0] and members[-1] < n):
-                raise InstanceError(f"member index out of range in {members}")
+            try:  # a member that is not an int fails the sort, set, range compare or shift
+                members = tuple(sorted(members))
+                if len(set(members)) != self.set_size or len(members) != self.set_size:
+                    raise InstanceError(f"set {members} does not have exactly {self.set_size} members")
+                if members and not (0 <= members[0] and members[-1] < n):
+                    raise TypeError
+                mask = _mask(members)
+            except TypeError:
+                raise InstanceError(f"member index out of range or not an int in {members}") from None
             check_weight(weight)
             if members in best:
                 old = best[members]
@@ -169,9 +174,10 @@ class WeightedSetFamily:
             else:
                 best[members] = weight
                 order.append(members)
+                masks.append(mask)
         deduped = tuple((m, best[m]) for m in order)
         object.__setattr__(self, "sets", deduped)
-        object.__setattr__(self, "masks", tuple(_mask(m) for m in order))
+        object.__setattr__(self, "masks", tuple(masks))
 
     def __len__(self) -> int:
         return len(self.sets)

@@ -290,7 +290,9 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
     paths once, for every split to read, and validates it; the last one is
     validated before it is returned.  ``budget`` counts the cut tuples of
     the whole solve, every ``procedure2`` call charging the same ``Budget``,
-    and ``trace`` counts the entries of both DPs.
+    and ``trace`` counts the entries of both DPs.  A k-packing covers 3k
+    distinct nodes, so a k above n/3 is rejected before any round, drawing
+    no cut tuple and leaving ``trace`` as it was.
     """
     if c < 1:
         raise ParameterError(f"c must be at least 1, got {c}")
@@ -298,6 +300,8 @@ def solve_p2packing(g: Graph, k: int, inv_eps: int = 2, c: float = 1.0,
         raise ParameterError("k must be non-negative")
     if inv_eps < 1 or inv_eps > 6:
         raise ParameterError("1/eps must be in 1..6")
+    if 3 * k > g.node_count:
+        return P2Result("reject")
     current, cuts = Packing(()), Budget(budget, "cut tuples")
     for t in range(1, k + 1):
         inst = IcpInstance(g, t, current)

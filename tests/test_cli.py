@@ -188,6 +188,18 @@ def test_p2p_budget_counts_the_cut_tuples_of_the_whole_solve(tmp_path, capsys):
     assert rep["witness"] == {"paths": [[6, 9, 7], [0, 1, 4], [2, 3, 5]]}
 
 
+def test_p2p_settles_a_k_that_needs_more_nodes_than_the_graph_has(tmp_path, capsys):
+    """A 5-packing covers 15 nodes, so on 14 the reject is settled before
+    any compression round: neither DP runs and their fields are null."""
+    _, doc, _ = run(capsys, "gen", "graph", "--n", "14", "--density", "0.26", "--seed", "3")
+    inst = tmp_path / "g.json"
+    inst.write_text(doc)
+    code, out, _ = run(capsys, "solve", "p2p", str(inst), "--k", "5")
+    rep = json.loads(out)
+    assert code == 1 and rep["verdict"] == "reject"
+    assert rep["dpEntries"] is None and rep["reductions"] is None and rep["cutSkips"] is None
+
+
 def test_p2p_reports_the_cuts_its_counting_bound_rules_out(tmp_path, capsys):
     """``cutSkips`` counts the cuts whose footprint DP the counting bound
     rules out before building a layer; it is null when none is, and a bench

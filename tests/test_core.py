@@ -136,6 +136,17 @@ def test_graph_entries_are_checked_by_their_constructor(build, entry, message):
         parse_instance(json.dumps({"nodes": 3, "arcs" if build is Digraph else "edges": [entry]}))
 
 
+@pytest.mark.parametrize("members", [(0, 1.5, 2), (0, "2", 1), (0, 1, 2.0), ("a", "b", "c"),
+                                     ([0], [1], [2]), 5, (0, 1, 4), (-1, 0, 1)],
+                         ids=["float", "str", "float-last", "strs", "lists", "int", "above",
+                              "negative"])
+def test_weighted_set_family_refuses_a_member_that_is_not_an_int_in_range(members):
+    """A float or str member once escaped the sort or the mask as a bare
+    TypeError; every such member, like one out of range, is an InstanceError."""
+    with pytest.raises(InstanceError, match="member index out of range or not an int in"):
+        WeightedSetFamily(OrderedUniverse.from_labels("abcd"), 3, ((members, 1),))
+
+
 @pytest.mark.parametrize("doc", [{"nodes": 3, "arcs": 5}, {"nodes": 3, "edges": {"0": 1}},
                                  {"arcs": []}, {"nodes": 2.0, "edges": []}])
 def test_parse_graph_checks_its_fields(doc):

@@ -216,14 +216,62 @@ def _eighteen_edge_graph():
     return Graph(12, tuple(sorted(edges)))
 
 
+def _with_star(g, leaves=5):
+    """``g`` beside a disjoint star of ``leaves`` leaves.  Every 3-node path
+    of the star holds its centre, so the star adds leaves + 1 nodes and only
+    one path to a packing."""
+    n = g.node_count
+    return Graph(n + leaves + 1, g.edges + tuple((n, n + 1 + i) for i in range(leaves)))
+
+
 def test_p2packing_budget_exits():
     """Every ``procedure2`` call of one solve charges the same cut-tuple
-    budget: 12 tuples in all are the fewest that settle k = 4 and k = 5."""
+    budget: 12 tuples in all are the fewest that settle k = 4.  A 5-packing
+    needs 15 nodes, so k = 5 rejects at any budget.  Beside a 6-node star,
+    k = 6 fits the 18 nodes and has no packing, and 4 tuples are the fewest
+    that settle it."""
     g = _eighteen_edge_graph()
     assert p2pack.solve_p2packing(g, 4, 2, 1.0, 1).status == "budget-exceeded"
-    for k, status in ((4, "accept"), (5, "reject")):
-        assert p2pack.solve_p2packing(g, k, 2, 1.0, 11).status == "budget-exceeded", k
-        assert p2pack.solve_p2packing(g, k, 2, 1.0, 12).status == status, k
+    assert p2pack.solve_p2packing(g, 4, 2, 1.0, 11).status == "budget-exceeded"
+    assert p2pack.solve_p2packing(g, 4, 2, 1.0, 12).status == "accept"
+    assert p2pack.solve_p2packing(g, 5, 2, 1.0, 1).status == "reject"
+    padded = _with_star(g)
+    assert p2pack.solve_p2packing(padded, 6, 2, 1.0, 3).status == "budget-exceeded"
+    assert p2pack.solve_p2packing(padded, 6, 2, 1.0, 4).status == "reject"
+
+
+def test_solve_p2packing_settles_a_k_above_a_third_of_the_nodes(monkeypatch):
+    """A k-packing covers 3k distinct nodes.  At 3k = n every round runs and
+    the verdict is the oracle's; at 3k = n + 1 the solve rejects at budget 1
+    before any round, building no ``IcpInstance`` and leaving the trace."""
+    built, real = [], p2pack.IcpInstance
+    monkeypatch.setattr(p2pack, "IcpInstance", lambda *args: built.append(args) or real(*args))
+    twelve = _eighteen_edge_graph()
+    for g, k in ((twelve, 4), (_with_star(twelve), 6), (Graph(3, ((0, 1), (1, 2))), 1)):
+        built.clear()
+        want = oracles.oracle_p2p(g, k)
+        assert p2pack.solve_p2packing(g, k).status == ("accept" if want else "reject"), k
+        assert len(built) == k
+    for k in range(1, 5):
+        built.clear()
+        trace = {}
+        complete = Graph(3 * k - 1, tuple(combinations(range(3 * k - 1), 2)))
+        assert p2pack.solve_p2packing(complete, k, 2, 1.0, 1, trace).status == "reject"
+        assert built == [] and trace == {}
+
+
+def test_solve_p2packing_matches_the_oracle_up_to_one_past_a_third_of_the_nodes():
+    rng = random.Random(58)
+    for trial in range(40):
+        n = rng.randint(2, 10)
+        g = random_graph(rng, n, rng.choice((0.25, 0.4, 0.6)))
+        for k in range(n // 3 + 2):
+            want = oracles.oracle_p2p(g, k)
+            got = p2pack.solve_p2packing(g, k, rng.randint(1, 2))
+            assert got.status == ("accept" if want else "reject"), (n, g.edges, k)
+            if want:
+                p2pack.validate_packing(g, got.packing)
+                assert len(got.packing) == k
 
 
 def test_solve_p2packing_validates_each_round_packing_once(monkeypatch):
@@ -533,10 +581,12 @@ def test_icp_instance_derives_its_round_in_one_path_scan(monkeypatch):
 def test_icp_pro1_scans_no_graph_and_each_round_scans_once(monkeypatch):
     """In ``solve_p2packing`` every adjacency read outside ``validate_packing``
     is a round's one path scan, k of them at k rounds, and none comes from
-    the many ``icp_pro1`` calls of a rejecting last round."""
+    the many ``icp_pro1`` calls of a rejecting last round.  The reject runs
+    beside a 6-node star, so its k fits the nodes and every round runs."""
     rng = random.Random(53)
     g = random_graph(rng, 10, 0.4)
     opt = max(t for t in range(4) if oracles.oracle_p2p(g, t))
+    padded = _with_star(g)  # opt + 1 paths, on 16 nodes
     where, seen, pro1_calls = ["solve"], [], []
     real_adjacency, real_pro1 = Graph.adjacency, p2pack.icp_pro1
 
@@ -557,10 +607,10 @@ def test_icp_pro1_scans_no_graph_and_each_round_scans_once(monkeypatch):
 
     monkeypatch.setattr(p2pack, "validate_packing", in_phase("validate", p2pack.validate_packing))
     monkeypatch.setattr(p2pack, "icp_pro1", in_phase("icp_pro1", pro1))
-    for k, status in ((opt, "accept"), (opt + 1, "reject")):
+    for graph, k, status in ((g, opt, "accept"), (padded, opt + 2, "reject")):
         seen.clear()
         pro1_calls.clear()
-        assert p2pack.solve_p2packing(g, k).status == status
+        assert p2pack.solve_p2packing(graph, k).status == status
         assert "icp_pro1" not in seen and seen.count("solve") == k
     assert len(pro1_calls) > 2 * (opt + 1)  # the rejecting run tried many splits per round
 
